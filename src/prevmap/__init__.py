@@ -13,6 +13,7 @@ from .data_model import (
     IndividualRecord,
     RegionBoundary,
     SurveyDataset,
+    SurveyTable,
     load_records,
     load_boundaries,
     drop_unlinked,
@@ -27,6 +28,7 @@ __all__ = [
     "IndividualRecord",
     "RegionBoundary",
     "SurveyDataset",
+    "SurveyTable",
     "load_records",
     "load_boundaries",
     "drop_unlinked",

@@ -85,8 +85,11 @@ def _read_values(path: str | Path, column: str) -> dict[str, float]:
         raise SchemaError(f"{path}: need columns region_id and {column!r}")
     rid_idx, col_idx = header.index("region_id"), header.index(column)
     out = {}
-    for row in reader:
-        out[row[rid_idx]] = float(row[col_idx])
+    for row_no, row in enumerate(reader, start=1):
+        try:
+            out[row[rid_idx]] = float(row[col_idx])
+        except (IndexError, ValueError) as exc:
+            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
     return out
 
 
@@ -118,7 +121,8 @@ def cmd_simulate(args) -> int:
     write_records_csv(dataset.records, out / "records.csv", meta)
     write_boundaries_geojson(dataset.regions, out / "boundaries.geojson", meta)
     write_truth_csv(truth.true_prevalence, out / "truth.csv", meta)
-    sizes = [sum(1 for r in dataset.records if r.region_id == rid) for rid in dataset.region_ids()]
+    counts = dataset.records.region_counts()
+    sizes = [counts.get(rid, 0) for rid in dataset.region_ids()]
     print(
         f"simulated {len(dataset.records)} records in {len(dataset.regions)} regions "
         f"(region n: min {min(sizes)}, max {max(sizes)})"

@@ -13,13 +13,18 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress, count, filterfalse, repeat
+from operator import attrgetter, contains, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     ConsistencyError,
     EmptyDatasetError,
     GeometryError,
+    PrevmapError,
     RecordValidationError,
     SchemaError,
 )
@@ -29,6 +34,8 @@ log = logging.getLogger(__name__)
 # canonical record columns; a schema map may rename any of them
 RECORD_COLUMNS = ("region_id", "cluster_id", "weight", "outcome")
 OPTIONAL_RECORD_COLUMNS = ("stratum",)
+# the record columns held as integer codes in a SurveyTable
+ID_COLUMNS = ("region_id", "cluster_id", "stratum")
 
 # ring vertex = (longitude, latitude) in degrees
 Ring = tuple[tuple[float, float], ...]
@@ -37,7 +44,12 @@ Polygon = tuple[Ring, ...]
 
 @dataclass(frozen=True)
 class IndividualRecord:
-    """One surveyed person: region, cluster, design weight, binary outcome."""
+    """One surveyed person: region, cluster, design weight, binary outcome.
+
+    A row type for building small tables by hand with
+    ``SurveyTable.from_records``; loading, validation and estimation all run
+    on ``SurveyTable`` columns.
+    """
 
     region_id: str
     cluster_id: str
@@ -45,13 +57,103 @@ class IndividualRecord:
     outcome: int
     stratum: str = ""
 
-    def validate(self) -> None:
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise RecordValidationError(
-                f"weight must be positive and finite, got {self.weight!r}"
-            )
-        if self.outcome not in (0, 1):
-            raise RecordValidationError(f"outcome must be 0 or 1, got {self.outcome!r}")
+
+class _Codes:
+    """Integer codes for string ids, assigned in order of first appearance."""
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+
+    def encode(self, ids: Sequence[str]) -> np.ndarray:
+        index = self.index
+        fresh = filterfalse(index.__contains__, dict.fromkeys(ids))
+        index.update(zip(fresh, count(len(index))))
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(self.index)
+
+
+@dataclass(frozen=True, eq=False)
+class SurveyTable:
+    """Survey records as columns, one entry per surveyed individual.
+
+    ``region``, ``cluster`` and ``stratum`` hold integer codes into
+    ``region_ids``, ``cluster_ids`` and ``stratum_ids``; records without a
+    stratum share the stratum id ``""``. ``weight`` is float64 and
+    ``outcome`` int8. Tables built from strings code each id in order of
+    first appearance. Two tables are equal when their decoded rows are.
+    """
+
+    region: np.ndarray
+    cluster: np.ndarray
+    stratum: np.ndarray
+    weight: np.ndarray
+    outcome: np.ndarray
+    region_ids: tuple[str, ...]
+    cluster_ids: tuple[str, ...]
+    stratum_ids: tuple[str, ...] = ("",)
+
+    @classmethod
+    def from_records(cls, records: Iterable[IndividualRecord]) -> SurveyTable:
+        fields = ("region_id", "cluster_id", "weight", "outcome", "stratum")
+        region_id, cluster_id, weight, outcome, stratum = (
+            list(zip(*map(attrgetter(*fields), records))) or [()] * len(fields)
+        )
+        regions, clusters, strata = _Codes(), _Codes(), _Codes()
+        return cls(
+            region=regions.encode(region_id),
+            cluster=clusters.encode(cluster_id),
+            stratum=strata.encode(stratum),
+            weight=np.asarray(weight, dtype=np.float64),
+            outcome=np.asarray(outcome, dtype=np.int8),
+            region_ids=regions.ids,
+            cluster_ids=clusters.ids,
+            stratum_ids=strata.ids or ("",),
+        )
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SurveyTable):
+            return NotImplemented
+        mine = (*map(self.column, ID_COLUMNS), self.weight, self.outcome)
+        theirs = (*map(other.column, ID_COLUMNS), other.weight, other.outcome)
+        return len(self) == len(other) and all(map(np.array_equal, mine, theirs))
+
+    def column(self, name: str) -> np.ndarray:
+        """Every record's ``region_id``, ``cluster_id`` or ``stratum`` (object array)."""
+        codes, ids = {
+            "region_id": (self.region, self.region_ids),
+            "cluster_id": (self.cluster, self.cluster_ids),
+            "stratum": (self.stratum, self.stratum_ids),
+        }[name]
+        return np.array(ids, dtype=object)[codes]
+
+    def region_counts(self) -> dict[str, int]:
+        """Number of records per region id (0 for ids no record uses)."""
+        counts = np.bincount(self.region, minlength=len(self.region_ids))
+        return dict(zip(self.region_ids, counts.tolist()))
+
+    def take(self, keep: np.ndarray) -> SurveyTable:
+        """The records where the boolean mask ``keep`` is set; unused ids are dropped."""
+        region, region_ids = _compact(self.region[keep], self.region_ids)
+        cluster, cluster_ids = _compact(self.cluster[keep], self.cluster_ids)
+        stratum, stratum_ids = _compact(self.stratum[keep], self.stratum_ids)
+        return SurveyTable(
+            region, cluster, stratum, self.weight[keep], self.outcome[keep],
+            region_ids, cluster_ids, stratum_ids,
+        )
+
+
+def _compact(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Drop the ids no code points at; the rest keep their relative order."""
+    used = np.bincount(codes, minlength=len(ids)) > 0
+    if used.all():
+        return codes, ids
+    return (np.cumsum(used) - 1)[codes], tuple(compress(ids, used))
 
 
 @dataclass(frozen=True)
@@ -79,18 +181,12 @@ class RegionBoundary:
 class SurveyDataset:
     """Validated records plus the boundaries they link to."""
 
-    records: list[IndividualRecord]
+    records: SurveyTable
     regions: list[RegionBoundary]
     provenance: str = ""
 
     def region_ids(self) -> list[str]:
         return sorted(b.region_id for b in self.regions)
-
-    def records_by_region(self) -> dict[str, list[IndividualRecord]]:
-        grouped: dict[str, list[IndividualRecord]] = {rid: [] for rid in self.region_ids()}
-        for rec in self.records:
-            grouped[rec.region_id].append(rec)
-        return grouped
 
 
 @dataclass(frozen=True)
@@ -105,6 +201,53 @@ class DropReport:
         return (self.n_input - self.n_dropped) / self.n_input if self.n_input else 0.0
 
 
+def _first_true(mask: np.ndarray) -> int | None:
+    """Index of the first set entry of a boolean array, or None."""
+    i = int(np.argmax(mask)) if len(mask) else 0
+    return i if len(mask) and mask[i] else None
+
+
+def _linked(ids: Sequence[str], known: set[str]) -> np.ndarray:
+    """Boolean mask over ``ids``: which of them are in ``known``."""
+    return np.fromiter(map(known.__contains__, ids), dtype=bool, count=len(ids))
+
+
+def _first_bad_row(
+    table: SurveyTable, label: str, known: set[str] | None = None
+) -> PrevmapError | None:
+    """The error for the first record that breaks a row invariant, or None.
+
+    Within one record the checks run in this order: weight positive and
+    finite, outcome 0 or 1, region in ``known`` (when given), and the record
+    in the same region as the first record of its cluster. ``label`` names
+    the row in the message ("row" for a file, "record" for a dataset).
+    """
+    region, cluster, weight, outcome = table.region, table.cluster, table.weight, table.outcome
+    first = np.full(len(table.cluster_ids), len(table), dtype=np.intp)
+    np.minimum.at(first, cluster, np.arange(len(table)))
+    home = region[first[cluster]]  # region of the first record of each record's cluster
+    checks = [
+        (~(np.isfinite(weight) & (weight > 0)), RecordValidationError,
+         lambda i: f"weight must be positive and finite, got {float(weight[i])!r}"),
+        ((outcome != 0) & (outcome != 1), RecordValidationError,
+         lambda i: f"outcome must be 0 or 1, got {int(outcome[i])!r}"),
+    ]
+    if known is not None:
+        checks.append((~_linked(table.region_ids, known)[region], ConsistencyError,
+                       lambda i: f"region_id {table.region_ids[region[i]]!r} has no boundary"))
+    checks.append((region != home, ConsistencyError, lambda i: (
+        f"cluster {table.cluster_ids[cluster[i]]!r} mapped to two regions "
+        f"({table.region_ids[home[i]]!r} and {table.region_ids[region[i]]!r})"
+    )))
+    firsts = [(_first_true(mask), rank) for rank, (mask, _, _) in enumerate(checks)]
+    found = [(i, rank) for i, rank in firsts if i is not None]
+    if not found:
+        return None
+    i, rank = min(found)
+    _, error, message = checks[rank]
+    return error(f"{label} {i + 1}: {message(i)}")
+
+
 def validate_dataset(dataset: SurveyDataset) -> None:
     """Check all SurveyDataset invariants; raise on the first violation."""
     known = {b.region_id for b in dataset.regions}
@@ -114,25 +257,11 @@ def validate_dataset(dataset: SurveyDataset) -> None:
         raise EmptyDatasetError(f"need at least 2 regions, have {len(known)}")
     for b in dataset.regions:
         b.validate()
-    seen_regions: set[str] = set()
-    cluster_region: dict[str, str] = {}
-    for i, rec in enumerate(dataset.records, start=1):
-        try:
-            rec.validate()
-        except RecordValidationError as exc:
-            raise RecordValidationError(f"record {i}: {exc}") from None
-        if rec.region_id not in known:
-            raise ConsistencyError(
-                f"record {i}: region_id {rec.region_id!r} has no boundary"
-            )
-        prior = cluster_region.setdefault(rec.cluster_id, rec.region_id)
-        if prior != rec.region_id:
-            raise ConsistencyError(
-                f"cluster {rec.cluster_id!r} mapped to two regions "
-                f"({prior!r} and {rec.region_id!r})"
-            )
-        seen_regions.add(rec.region_id)
-    missing = known - seen_regions
+    problem = _first_bad_row(dataset.records, "record", known)
+    if problem is not None:
+        raise problem
+    seen = {rid for rid, n in dataset.records.region_counts().items() if n}
+    missing = known - seen
     if missing:
         raise EmptyDatasetError(
             f"regions without any record: {', '.join(sorted(missing))}"
@@ -143,30 +272,138 @@ def validate_dataset(dataset: SurveyDataset) -> None:
 # CSV records
 # ---------------------------------------------------------------------------
 
+# rows per NumPy tokenizer call when loading records; bounds the memory held
+# as Python strings at one time
+LOAD_CHUNK_ROWS = 1 << 16
 
-def _data_lines(path: Path) -> Iterable[str]:
-    """Yield file lines with '#' comment lines and blank lines removed."""
+
+def _data_lines(path: Path) -> list[str]:
+    """The file's lines with '#' comment lines and blank lines removed."""
     with path.open("r", newline="") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            yield line
+        return [line for line in fh if not (line.startswith("#") or line.isspace())]
 
 
-def load_records(
-    path: str | Path, schema: Mapping[str, str] | None = None
-) -> list[IndividualRecord]:
+def _split_fields(
+    lines: list[str], usecols: list[int]
+) -> tuple[list[np.ndarray], tuple[int, str] | None]:
+    """Fields ``usecols`` of the CSV records in ``lines``, as object arrays of str.
+
+    NumPy's C tokenizer reads the common case. When it rejects the text (a
+    record too short for ``usecols``, say), the stdlib reader takes over: the
+    columns then stop before the first record that cannot be read, which is
+    returned as (index, reason).
+    """
+    try:
+        fields = np.loadtxt(
+            lines, dtype=object, delimiter=",", quotechar='"', comments=None,
+            usecols=usecols, ndmin=2,
+        )
+        return list(fields.T), None
+    except ValueError:
+        pass
+    rows: list[list[str]] = []
+    problem = None
+    try:
+        rows.extend(csv.reader(lines))
+    except csv.Error as exc:
+        problem = (len(rows), str(exc))
+    need = max(usecols) + 1
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    short = _first_true(widths < need)
+    if short is not None:
+        problem = (short, f"{widths[short]} fields, need {need}")
+        rows = rows[:short]
+    columns = list(zip(*map(itemgetter(*usecols), rows))) or [()] * len(usecols)
+    return [np.array(col, dtype=object) for col in columns], problem
+
+
+def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """float() of every entry; on a failure, the values before it and (index, reason)."""
+    try:
+        return raw.astype(np.float64), None
+    except ValueError:
+        pass
+    for i, text in enumerate(raw):  # error path: locate the entry float() rejects
+        try:
+            float(text)
+        except ValueError as exc:
+            return raw[:i].astype(np.float64), (i, str(exc))
+    raise AssertionError("unreachable")
+
+
+class _TableBuilder:
+    """Accumulates parsed record fields chunk by chunk into one SurveyTable."""
+
+    def __init__(self) -> None:
+        self.codes = {name: _Codes() for name in ID_COLUMNS}
+        self.parts: dict[str, list[np.ndarray]] = {
+            name: [] for name in (*ID_COLUMNS, "weight", "outcome")
+        }
+        self.n_rows = 0
+
+    def add(
+        self, fields: dict[str, np.ndarray], unreadable: tuple[int, str] | None
+    ) -> PrevmapError | None:
+        """Append the chunk's rows up to its first bad one; return that row's error.
+
+        ``unreadable`` is the first record the tokenizer could not split, as
+        (index, reason). A row is bad when it is unreadable, its weight or
+        outcome is not a number, or its outcome is not 0 or 1.
+        """
+        weight, bad_weight = _parse_floats(fields["weight"])
+        outcome, bad_outcome = _parse_floats(fields["outcome"])
+        problems: list[tuple[int, int, str]] = []  # (row, rank in the row, message)
+        for rank, bad in enumerate((unreadable, bad_weight, bad_outcome)):
+            if bad is not None:
+                problems.append((bad[0], rank, f"unparseable row ({bad[1]})"))
+        parsed = min(len(weight), len(outcome))
+        i = _first_true((outcome[:parsed] != 0) & (outcome[:parsed] != 1))
+        if i is not None:
+            problems.append((i, 3, f"outcome must be 0 or 1, got {fields['outcome'][i]!r}"))
+        stop, _, message = min(problems, default=(len(fields["weight"]), 0, ""))
+        for name in ID_COLUMNS:
+            if name in fields:
+                ids = list(map(str.strip, fields[name][:stop]))
+                self.parts[name].append(self.codes[name].encode(ids))
+        self.parts["weight"].append(weight[:stop])
+        self.parts["outcome"].append(outcome[:stop].astype(np.int8))
+        row0, self.n_rows = self.n_rows, self.n_rows + stop
+        return RecordValidationError(f"row {row0 + stop + 1}: {message}") if problems else None
+
+    def table(self) -> SurveyTable:
+        def column(name: str, dtype: type) -> np.ndarray:
+            parts = self.parts[name]  # no parts: no rows, or no stratum column
+            if not parts:
+                return np.zeros(self.n_rows, dtype)
+            return np.concatenate(parts).astype(dtype, copy=False)
+
+        return SurveyTable(
+            region=column("region_id", np.intp),
+            cluster=column("cluster_id", np.intp),
+            stratum=column("stratum", np.intp),
+            weight=column("weight", np.float64),
+            outcome=column("outcome", np.int8),
+            region_ids=self.codes["region_id"].ids,
+            cluster_ids=self.codes["cluster_id"].ids,
+            stratum_ids=self.codes["stratum"].ids or ("",),
+        )
+
+
+def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> SurveyTable:
     """Read and validate individual records from a CSV file.
 
     ``schema`` maps canonical column names (``region_id``, ``cluster_id``,
     ``weight``, ``outcome``, optionally ``stratum``) to the actual header
-    names in the file. Extra columns are ignored.
+    names in the file. Extra columns are ignored. Ids are stripped of
+    surrounding whitespace. Errors name the first bad data row (1-based,
+    comment and blank lines not counted).
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"records file not found: {path}")
     mapping = dict(schema or {})
-    reader = csv.reader(_data_lines(path))
+    lines = _data_lines(path)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -186,54 +423,48 @@ def load_records(
         if actual in header:
             col_idx[canonical] = header.index(actual)
 
-    records: list[IndividualRecord] = []
-    cluster_region: dict[str, str] = {}
-    for row_no, row in enumerate(reader, start=1):
-        try:
-            region_id = row[col_idx["region_id"]].strip()
-            cluster_id = row[col_idx["cluster_id"]].strip()
-            weight = float(row[col_idx["weight"]])
-            raw_outcome = float(row[col_idx["outcome"]])
-        except (IndexError, ValueError) as exc:
-            raise RecordValidationError(f"row {row_no}: unparseable row ({exc})") from None
-        if raw_outcome not in (0.0, 1.0):
-            raise RecordValidationError(
-                f"row {row_no}: outcome must be 0 or 1, got {row[col_idx['outcome']]!r}"
-            )
-        stratum = row[col_idx["stratum"]].strip() if "stratum" in col_idx else ""
-        rec = IndividualRecord(region_id, cluster_id, weight, int(raw_outcome), stratum)
-        try:
-            rec.validate()
-        except RecordValidationError as exc:
-            raise RecordValidationError(f"row {row_no}: {exc}") from None
-        prior = cluster_region.setdefault(cluster_id, region_id)
-        if prior != region_id:
-            raise ConsistencyError(
-                f"cluster {cluster_id!r} mapped to two regions ({prior!r} and {region_id!r})"
-            )
-        records.append(rec)
-    log.info("loaded %d records from %s", len(records), path)
-    return records
+    body = lines[reader.line_num:]
+    # a quoted field may span lines, so quoted text is tokenized in one piece
+    quoted = any(map(contains, body, repeat('"')))
+    step = max(len(body), 1) if quoted else LOAD_CHUNK_ROWS
+    names = list(col_idx)
+    builder = _TableBuilder()
+    pending = None
+    for start in range(0, len(body), step):
+        columns, unreadable = _split_fields(body[start:start + step], list(col_idx.values()))
+        pending = builder.add(dict(zip(names, columns)), unreadable)
+        if pending is not None:
+            break
+    table = builder.table()
+    problem = _first_bad_row(table, "row") or pending
+    if problem is not None:
+        raise problem
+    log.info("loaded %d records from %s", len(table), path)
+    return table
 
 
 def write_records_csv(
-    records: Sequence[IndividualRecord],
+    records: SurveyTable,
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
     path = Path(path)
-    has_stratum = any(r.stratum for r in records)
+    used = np.bincount(records.stratum, minlength=len(records.stratum_ids)) > 0
+    has_stratum = any(compress(records.stratum_ids, used))
+    columns = [
+        records.column("region_id"),
+        records.column("cluster_id"),
+        map(repr, records.weight.tolist()),
+        map(str, records.outcome.tolist()),
+    ]
+    if has_stratum:
+        columns.append(records.column("stratum"))
     with path.open("w", newline="") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}: {value}\n")
-        cols = list(RECORD_COLUMNS) + (["stratum"] if has_stratum else [])
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for r in records:
-            row = [r.region_id, r.cluster_id, repr(r.weight), str(r.outcome)]
-            if has_stratum:
-                row.append(r.stratum)
-            writer.writerow(row)
+        writer.writerow(list(RECORD_COLUMNS) + (["stratum"] if has_stratum else []))
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +557,7 @@ def write_boundaries_geojson(
 
 
 def drop_unlinked(
-    records: Sequence[IndividualRecord],
+    records: SurveyTable,
     boundaries: Sequence[RegionBoundary],
     provenance: str = "",
 ) -> tuple[SurveyDataset, DropReport]:
@@ -336,11 +567,13 @@ def drop_unlinked(
     carries the dropped count and retained fraction.
     """
     known = {b.region_id for b in boundaries}
-    kept = [r for r in records if r.region_id in known]
-    report = DropReport(n_input=len(records), n_dropped=len(records) - len(kept))
-    if not kept:
+    keep = _linked(records.region_ids, known)[records.region]
+    n_kept = int(np.count_nonzero(keep))
+    report = DropReport(n_input=len(records), n_dropped=len(records) - n_kept)
+    if not n_kept:
         raise EmptyDatasetError("all records dropped: no region_id matches any boundary")
-    populated = {r.region_id for r in kept}
+    kept = records if n_kept == len(records) else records.take(keep)
+    populated = {rid for rid, n in kept.region_counts().items() if n}
     regions = [b for b in boundaries if b.region_id in populated]
     dataset = SurveyDataset(records=kept, regions=regions, provenance=provenance)
     return dataset, report

@@ -12,18 +12,25 @@ transform uses the delta method: ``var_logit = var_p / (p*(1-p))**2``.
 
 Regions where the transform or the variance is undefined are flagged, never
 silently zeroed: ``all_zero`` / ``all_one`` when p_hat hits the boundary,
-``single_cluster`` when only one cluster was observed.
+``single_cluster`` when only one cluster was observed, ``zero_variance`` when
+every cluster has the same weighted mean so that var_p is exactly 0.
+
+Sums run over the columns of a ``SurveyTable`` with ``np.bincount``, in
+record order, so every total is the same double a record-by-record loop
+would give.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data_model import IndividualRecord, SurveyDataset, _data_lines
+import numpy as np
+
+from .data_model import IndividualRecord, SurveyDataset, SurveyTable, _data_lines
 from .errors import EmptyDatasetError, SchemaError
 
 # degeneracy flags
@@ -31,6 +38,7 @@ NONE = "none"
 ALL_ZERO = "all_zero"
 ALL_ONE = "all_one"
 SINGLE_CLUSTER = "single_cluster"
+ZERO_VARIANCE = "zero_variance"
 
 DIRECT_CSV_COLUMNS = (
     "region_id",
@@ -66,40 +74,138 @@ class DirectEstimate:
         return self.degenerate == NONE
 
 
-def direct_prevalence(records: Sequence[IndividualRecord]) -> float:
-    """Hájek ratio estimate of prevalence for one region's records."""
-    if not records:
+def _as_table(records: SurveyTable | Sequence[IndividualRecord]) -> SurveyTable:
+    if isinstance(records, SurveyTable):
+        return records
+    return SurveyTable.from_records(records)
+
+
+def _single_region(table: SurveyTable) -> str:
+    """The one region id the table's records use; raise otherwise."""
+    present = sorted(rid for rid, n in table.region_counts().items() if n)
+    if not present:
         raise EmptyDatasetError("cannot estimate prevalence from zero records")
-    regions = {r.region_id for r in records}
-    if len(regions) != 1:
-        raise ValueError(f"records span multiple regions: {sorted(regions)}")
-    num = sum(r.weight * r.outcome for r in records)
-    den = sum(r.weight for r in records)
-    return num / den
+    if len(present) != 1:
+        raise ValueError(f"records span multiple regions: {present}")
+    return present[0]
 
 
-def direct_variance(records: Sequence[IndividualRecord], p_hat: float) -> float:
+def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes for the distinct values of ``key`` in order of first appearance,
+    and the index where each code first appears."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _weighted_sums(table: SurveyTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per region code: record count, ``sum(w*y)`` and ``sum(w)``."""
+    k = len(table.region_ids)
+    n = np.bincount(table.region, minlength=k)
+    cases = np.bincount(table.region, weights=table.weight * table.outcome, minlength=k)
+    weight = np.bincount(table.region, weights=table.weight, minlength=k)
+    return n, cases, weight
+
+
+def _cluster_sums(
+    table: SurveyTable, region: np.ndarray, p_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per code of ``region``: the stratum sum of ``m/(m-1) * sum_c z_c**2``
+    (NaN when a stratum holds one cluster) and the number of distinct clusters.
+
+    Strata within a region, and clusters within a stratum, are summed in
+    order of first appearance, the order a record-by-record pass would take.
+    """
+    n_strata, n_clusters = len(table.stratum_ids), len(table.cluster_ids)
+    group, group_first = _first_appearance(region * n_strata + table.stratum)
+    unit, unit_first = _first_appearance(group * n_clusters + table.cluster)
+    z = np.bincount(unit, weights=table.weight * (table.outcome - p_hat[region]))
+    unit_group = group[unit_first]
+    m = np.bincount(unit_group)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(m >= 2, m / (m - 1) * np.bincount(unit_group, weights=z * z), np.nan)
+    var_sum = np.bincount(region[group_first], weights=term, minlength=len(p_hat))
+    pairs = np.unique(region[unit_first] * n_clusters + table.cluster[unit_first])
+    return var_sum, np.bincount(pairs // n_clusters, minlength=len(p_hat))
+
+
+def _estimate(
+    region_id: str, n: int, cases: float, weight: float, var_sum: float, m_clusters: int
+) -> DirectEstimate:
+    p_hat = cases / weight
+    if p_hat == 0.0:
+        flag = ALL_ZERO
+    elif p_hat == 1.0:
+        flag = ALL_ONE
+    elif m_clusters < 2:
+        flag = SINGLE_CLUSTER
+    else:
+        flag = NONE
+    var_p = var_sum / weight**2
+    if flag == SINGLE_CLUSTER or math.isnan(var_p):
+        var_p = float("nan")
+        flag = flag if flag != NONE else SINGLE_CLUSTER
+    elif flag == NONE and var_p == 0.0:
+        flag = ZERO_VARIANCE
+    if flag == NONE:
+        logit_y, var_logit = logit_transform(p_hat, var_p)
+    else:
+        logit_y, var_logit = float("nan"), float("nan")
+    return DirectEstimate(
+        region_id=region_id,
+        p_hat=p_hat,
+        var_p=var_p,
+        logit_y=logit_y,
+        var_logit=var_logit,
+        n=n,
+        m_clusters=m_clusters,
+        degenerate=flag,
+    )
+
+
+def _estimates(table: SurveyTable, region_ids: Sequence[str]) -> list[DirectEstimate]:
+    """Direct estimates for ``region_ids``, from array sums over the whole table."""
+    n, cases, weight = _weighted_sums(table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_hat = cases / weight
+    var_sum, m_clusters = _cluster_sums(table, table.region, p_hat)
+    code = dict(zip(table.region_ids, range(len(table.region_ids))))
+    out = []
+    for rid in region_ids:
+        i = code.get(rid)
+        if i is None or not n[i]:
+            raise EmptyDatasetError("cannot estimate prevalence from zero records")
+        out.append(_estimate(
+            rid, int(n[i]), float(cases[i]), float(weight[i]), float(var_sum[i]),
+            int(m_clusters[i]),
+        ))
+    return out
+
+
+def direct_prevalence(records: SurveyTable | Sequence[IndividualRecord]) -> float:
+    """Hájek ratio estimate of prevalence for one region's records."""
+    table = _as_table(records)
+    i = table.region_ids.index(_single_region(table))
+    _, cases, weight = _weighted_sums(table)
+    return float(cases[i] / weight[i])
+
+
+def direct_variance(records: SurveyTable | Sequence[IndividualRecord], p_hat: float) -> float:
     """Ultimate-cluster linearized variance of the Hájek estimate.
 
-    Returns NaN when any stratum holds a single cluster (inestimable);
-    callers flag such regions instead of treating the variance as zero.
+    All records are pooled as one region. Returns NaN when any stratum holds
+    a single cluster (inestimable); callers flag such regions instead of
+    treating the variance as zero.
     """
-    if not records:
+    table = _as_table(records)
+    if not len(table):
         raise EmptyDatasetError("cannot estimate variance from zero records")
-    total_weight = sum(r.weight for r in records)
-    by_stratum: dict[str, dict[str, float]] = {}
-    for r in records:
-        clusters = by_stratum.setdefault(r.stratum, {})
-        clusters[r.cluster_id] = clusters.get(r.cluster_id, 0.0) + r.weight * (
-            r.outcome - p_hat
-        )
-    acc = 0.0
-    for clusters in by_stratum.values():
-        m = len(clusters)
-        if m < 2:
-            return float("nan")
-        acc += m / (m - 1) * sum(z * z for z in clusters.values())
-    return acc / total_weight**2
+    pooled = np.zeros(len(table), dtype=np.intp)
+    var_sum, _ = _cluster_sums(table, pooled, np.array([p_hat]))
+    total_weight = float(np.bincount(pooled, weights=table.weight)[0])
+    return float(var_sum[0]) / total_weight**2
 
 
 def logit_transform(p_hat: float, var_p: float) -> tuple[float, float]:
@@ -116,35 +222,13 @@ def logit_transform(p_hat: float, var_p: float) -> tuple[float, float]:
     return logit_y, var_logit
 
 
-def estimate_region(region_id: str, records: Sequence[IndividualRecord]) -> DirectEstimate:
-    p_hat = direct_prevalence(records)
-    m_clusters = len({r.cluster_id for r in records})
-    if p_hat == 0.0:
-        flag = ALL_ZERO
-    elif p_hat == 1.0:
-        flag = ALL_ONE
-    elif m_clusters < 2:
-        flag = SINGLE_CLUSTER
-    else:
-        flag = NONE
-    var_p = direct_variance(records, p_hat)
-    if flag == SINGLE_CLUSTER or math.isnan(var_p):
-        var_p = float("nan")
-        flag = flag if flag != NONE else SINGLE_CLUSTER
-    if flag == NONE:
-        logit_y, var_logit = logit_transform(p_hat, var_p)
-    else:
-        logit_y, var_logit = float("nan"), float("nan")
-    return DirectEstimate(
-        region_id=region_id,
-        p_hat=p_hat,
-        var_p=var_p,
-        logit_y=logit_y,
-        var_logit=var_logit,
-        n=len(records),
-        m_clusters=m_clusters,
-        degenerate=flag,
-    )
+def estimate_region(
+    region_id: str, records: SurveyTable | Sequence[IndividualRecord]
+) -> DirectEstimate:
+    """The direct estimate of one region's records, reported as ``region_id``."""
+    table = _as_table(records)
+    (estimate,) = _estimates(table, [_single_region(table)])
+    return replace(estimate, region_id=region_id)
 
 
 def estimate_all(dataset: SurveyDataset) -> list[DirectEstimate]:
@@ -153,8 +237,7 @@ def estimate_all(dataset: SurveyDataset) -> list[DirectEstimate]:
     Per-region degeneracies become flags on the estimate; the batch never
     aborts because of them.
     """
-    grouped = dataset.records_by_region()
-    return [estimate_region(rid, recs) for rid, recs in sorted(grouped.items())]
+    return _estimates(dataset.records, dataset.region_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +279,21 @@ def read_direct_csv(path: str | Path) -> list[DirectEstimate]:
     if header is None or tuple(h.strip() for h in header) != DIRECT_CSV_COLUMNS:
         raise SchemaError(f"{path}: unexpected direct-estimates header {header}")
     out = []
-    for row in reader:
-        rid, n, m, p_hat, var_p, logit_y, var_logit, flag = row
-        out.append(
-            DirectEstimate(
-                region_id=rid,
-                p_hat=float(p_hat),
-                var_p=float(var_p),
-                logit_y=float(logit_y),
-                var_logit=float(var_logit),
-                n=int(n),
-                m_clusters=int(m),
-                degenerate=flag,
+    for row_no, row in enumerate(reader, start=1):
+        try:
+            rid, n, m, p_hat, var_p, logit_y, var_logit, flag = row
+            out.append(
+                DirectEstimate(
+                    region_id=rid,
+                    p_hat=float(p_hat),
+                    var_p=float(var_p),
+                    logit_y=float(logit_y),
+                    var_logit=float(var_logit),
+                    n=int(n),
+                    m_clusters=int(m),
+                    degenerate=flag,
+                )
             )
-        )
+        except ValueError as exc:
+            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
     return out

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit, logit
 
-from .data_model import IndividualRecord, RegionBoundary, SurveyDataset, _data_lines
+from .data_model import RegionBoundary, SurveyDataset, SurveyTable, _data_lines
 from .errors import PrevmapError, SchemaError
 from .graph import build_adjacency, icar_precision
 
@@ -156,9 +156,14 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
     rho = plan.weight_dispersion
     share = plan.high_risk_share
     q_hi = share * rho / (share * rho + (1.0 - share))
-    records: list[IndividualRecord] = []
+    k = plan.households_per_cluster
+    regions = sorted(truth.regions, key=lambda b: b.region_id)
+    cluster_region: list[int] = []
+    cluster_ids: list[str] = []
+    weights: list[np.ndarray] = []
+    outcomes: list[np.ndarray] = []
     lo, hi = plan.clusters_per_region
-    for boundary in sorted(truth.regions, key=lambda b: b.region_id):
+    for code, boundary in enumerate(regions):
         rid = boundary.region_id
         p_region = truth.true_prevalence[rid]
         n_clusters = int(rng.integers(lo, hi + 1)) if hi > lo else lo
@@ -170,24 +175,24 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
             p_hi = min(plan.risk_ratio * p_c, 0.95)
             p_lo = (p_c - share * p_hi) / (1.0 - share)
             p_lo = min(max(p_lo, 0.0), 1.0)
-            k = plan.households_per_cluster
             is_hi = rng.random(k) < q_hi
             p_vec = np.where(is_hi, p_hi, p_lo)
-            outcomes = (rng.random(k) < p_vec).astype(int)
-            weights = np.where(is_hi, 1.0 / rho, 1.0)
-            cid = f"{rid}-c{j:03d}"
-            for g in range(k):
-                records.append(
-                    IndividualRecord(
-                        region_id=rid,
-                        cluster_id=cid,
-                        weight=float(weights[g]),
-                        outcome=int(outcomes[g]),
-                    )
-                )
+            outcomes.append(rng.random(k) < p_vec)
+            weights.append(np.where(is_hi, 1.0 / rho, 1.0))
+            cluster_region.append(code)
+            cluster_ids.append(f"{rid}-c{j:03d}")
+    records = SurveyTable(
+        region=np.repeat(np.array(cluster_region, dtype=np.intp), k),
+        cluster=np.repeat(np.arange(len(cluster_ids), dtype=np.intp), k),
+        stratum=np.zeros(k * len(cluster_ids), dtype=np.intp),
+        weight=np.concatenate(weights),
+        outcome=np.concatenate(outcomes).astype(np.int8),
+        region_ids=tuple(b.region_id for b in regions),
+        cluster_ids=tuple(cluster_ids),
+    )
     return SurveyDataset(
         records=records,
-        regions=sorted(truth.regions, key=lambda b: b.region_id),
+        regions=regions,
         provenance=f"synthetic(seed={truth.seed})",
     )
 

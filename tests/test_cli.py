@@ -1,10 +1,19 @@
 import pytest
 
 import prevmap.bym
-from prevmap.cli import main
-from prevmap.data_model import load_boundaries, load_records
+from prevmap.cli import _read_values, main
+from prevmap.data_model import (
+    IndividualRecord,
+    SurveyTable,
+    load_boundaries,
+    load_records,
+    write_boundaries_geojson,
+    write_records_csv,
+)
 from prevmap.direct import read_direct_csv
 from prevmap.bym import read_posterior_csv
+from prevmap.errors import SchemaError
+from prevmap.synthetic import make_grid_regions
 
 SCENARIO = (
     "rows = 2\n"
@@ -194,3 +203,59 @@ class TestPipelineEquivalence:
                        "--out", str(out)] + MCMC)
         for p in sorted(a.iterdir()):
             assert p.read_bytes() == (b / p.name).read_bytes(), p.name
+
+
+class TestDegenerateAndMalformedInputs:
+    @staticmethod
+    def zero_variance_inputs(tmp_path):
+        """2x2 grid; in R_1_1 both clusters have the same weighted mean."""
+        regions = make_grid_regions(2, 2)
+        write_boundaries_geojson(regions, tmp_path / "boundaries.geojson")
+        rows = []
+        for k, rid in enumerate(["R_0_0", "R_0_1", "R_1_0"]):
+            for c in range(3):
+                rows += [IndividualRecord(rid, f"{rid}-c{c}", 1.0, int(i <= (c + k) % 3))
+                         for i in range(5)]
+        for c in range(2):
+            rows += [IndividualRecord("R_1_1", f"R_1_1-c{c}", 1.0, int(i == 0))
+                     for i in range(4)]
+        write_records_csv(SurveyTable.from_records(rows), tmp_path / "records.csv")
+        return tmp_path
+
+    def test_zero_variance_region_is_predicted_by_smooth(self, tmp_path):
+        d = self.zero_variance_inputs(tmp_path)
+        run_stage(["direct", "--records", str(d / "records.csv"),
+                   "--boundaries", str(d / "boundaries.geojson"), "--out", str(d)])
+        flags = {e.region_id: e.degenerate for e in read_direct_csv(d / "direct.csv")}
+        assert flags == {"R_0_0": "none", "R_0_1": "none", "R_1_0": "none",
+                         "R_1_1": "zero_variance"}
+        run_stage(["adjacency", "--boundaries", str(d / "boundaries.geojson"), "--out", str(d)])
+        run_stage(["smooth", "--direct", str(d / "direct.csv"), "--graph", str(d / "graph.txt"),
+                   "--seed", "3", "--out", str(d)] + MCMC)
+        rows = {r.region_id: r for r in read_posterior_csv(d / "posterior.csv")}
+        assert rows["R_1_1"].degenerate == "zero_variance"
+        assert 0.0 < rows["R_1_1"].prev_q025 < rows["R_1_1"].prev_q975 < 1.0
+
+    @pytest.mark.parametrize("bad_row", ["R9,3\n", "R9,three,1,0.5,0.1,0.0,0.4,none\n"])
+    def test_malformed_direct_csv_exits_2(self, pipeline_dir, tmp_path, capsys, bad_row):
+        direct = tmp_path / "direct.csv"
+        direct.write_text((pipeline_dir / "direct.csv").read_text() + bad_row)
+        with pytest.raises(SchemaError, match=r"direct\.csv: row 7"):
+            read_direct_csv(direct)
+        code = main(["smooth", "--direct", str(direct), "--graph",
+                     str(pipeline_dir / "graph.txt"), "--out", str(tmp_path)] + MCMC)
+        assert code == 2
+        assert "row 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", ["R_0_0\n", "R_0_0,lots\n"])
+    def test_malformed_values_csv_exits_2(self, tmp_path, capsys, bad_row):
+        regions = make_grid_regions(1, 2)
+        write_boundaries_geojson(regions, tmp_path / "boundaries.geojson")
+        values = tmp_path / "values.csv"
+        values.write_text("# seed: 1\nregion_id,n\nR_0_1,4\n" + bad_row)
+        with pytest.raises(SchemaError, match=r"values\.csv: row 2"):
+            _read_values(values, "n")
+        code = main(["render", "--boundaries", str(tmp_path / "boundaries.geojson"),
+                     "--values", str(values), "--column", "n", "--out", str(tmp_path)])
+        assert code == 2
+        assert "row 2" in capsys.readouterr().err

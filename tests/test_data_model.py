@@ -9,6 +9,7 @@ from prevmap.data_model import (
     IndividualRecord,
     RegionBoundary,
     SurveyDataset,
+    SurveyTable,
     assign_cluster_regions,
     drop_unlinked,
     load_boundaries,
@@ -41,7 +42,12 @@ class TestLoadRecords:
         )
         records = load_records(path)
         assert len(records) == 4
-        assert records[0] == IndividualRecord("R1", "c1", 1.0, 1)
+        assert records == SurveyTable.from_records([
+            IndividualRecord("R1", "c1", 1.0, 1),
+            IndividualRecord("R1", "c1", 2.0, 0),
+            IndividualRecord("R2", "c2", 0.5, 1),
+            IndividualRecord("R2", "c3", 1.5, 0),
+        ])
 
     def test_zero_weight_names_row(self, tmp_path):
         path = write_csv(
@@ -84,7 +90,7 @@ class TestLoadRecords:
                 "outcome": "result",
             },
         )
-        assert records == [IndividualRecord("R1", "c1", 1.25, 1)]
+        assert records == SurveyTable.from_records([IndividualRecord("R1", "c1", 1.25, 1)])
 
     def test_extra_columns_and_comments_ignored(self, tmp_path):
         path = write_csv(
@@ -98,7 +104,7 @@ class TestLoadRecords:
             tmp_path,
             "region_id,cluster_id,weight,outcome,stratum\nR1,c1,1.0,0,urban\n",
         )
-        assert load_records(path)[0].stratum == "urban"
+        assert load_records(path).column("stratum").tolist() == ["urban"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
@@ -186,14 +192,14 @@ class TestDropUnlinked:
         records = [record("R1", f"R1-c{i}") for i in range(5)]
         records += [record("R2", f"R2-c{i}") for i in range(4)]
         records += [record("R9", "R9-c0")]
-        dataset, report = drop_unlinked(records, boundaries)
+        dataset, report = drop_unlinked(SurveyTable.from_records(records), boundaries)
         assert len(dataset.records) == 9
         assert report.n_dropped == 1
         assert report.retained_fraction == pytest.approx(0.9)
 
     def test_no_unlinked_identity(self):
         boundaries = [boundary("R1", square(0, 0)), boundary("R2", square(1, 0))]
-        records = [record("R1"), record("R2", "R2-c0")]
+        records = SurveyTable.from_records([record("R1"), record("R2", "R2-c0")])
         dataset, report = drop_unlinked(records, boundaries)
         assert dataset.records == records
         assert report.retained_fraction == 1.0
@@ -201,12 +207,12 @@ class TestDropUnlinked:
     def test_all_unlinked_is_error(self):
         boundaries = [boundary("R1", square(0, 0))]
         with pytest.raises(EmptyDatasetError):
-            drop_unlinked([record("R9", "c")], boundaries)
+            drop_unlinked(SurveyTable.from_records([record("R9", "c")]), boundaries)
 
     def test_idempotent(self):
         boundaries = [boundary("R1", square(0, 0)), boundary("R2", square(1, 0))]
         records = [record("R1"), record("R2", "R2-c0"), record("R3", "R3-c0")]
-        once, _ = drop_unlinked(records, boundaries)
+        once, _ = drop_unlinked(SurveyTable.from_records(records), boundaries)
         twice, report = drop_unlinked(once.records, once.regions)
         assert twice.records == once.records
         assert twice.regions == once.regions
@@ -219,34 +225,37 @@ class TestDropUnlinked:
             boundary("R3", square(2, 0)),
         ]
         records = [record("R1"), record("R2", "R2-c0")]
-        dataset, _ = drop_unlinked(records, boundaries)
+        dataset, _ = drop_unlinked(SurveyTable.from_records(records), boundaries)
         assert dataset.region_ids() == ["R1", "R2"]
 
 
 class TestValidateDataset:
     def test_valid(self):
         ds = SurveyDataset(
-            records=[record("R1"), record("R2", "R2-c0")],
+            records=SurveyTable.from_records([record("R1"), record("R2", "R2-c0")]),
             regions=[boundary("R1", square(0, 0)), boundary("R2", square(1, 0))],
         )
         validate_dataset(ds)
 
     def test_region_without_record(self):
         ds = SurveyDataset(
-            records=[record("R1")],
+            records=SurveyTable.from_records([record("R1")]),
             regions=[boundary("R1", square(0, 0)), boundary("R2", square(1, 0))],
         )
         with pytest.raises(EmptyDatasetError, match="R2"):
             validate_dataset(ds)
 
     def test_single_region_rejected(self):
-        ds = SurveyDataset(records=[record("R1")], regions=[boundary("R1", square(0, 0))])
+        ds = SurveyDataset(
+            records=SurveyTable.from_records([record("R1")]),
+            regions=[boundary("R1", square(0, 0))],
+        )
         with pytest.raises(EmptyDatasetError, match="2 regions"):
             validate_dataset(ds)
 
     def test_cluster_consistency_checked(self):
         ds = SurveyDataset(
-            records=[record("R1", "shared"), record("R2", "shared")],
+            records=SurveyTable.from_records([record("R1", "shared"), record("R2", "shared")]),
             regions=[boundary("R1", square(0, 0)), boundary("R2", square(1, 0))],
         )
         with pytest.raises(ConsistencyError, match="shared"):
@@ -255,11 +264,11 @@ class TestValidateDataset:
 
 class TestRoundTrip:
     def test_records_round_trip(self, tmp_path):
-        records = [
+        records = SurveyTable.from_records([
             IndividualRecord("R1", "c1", 1.2345678901234, 1),
             IndividualRecord("R1", "c1", 0.1, 0),
             IndividualRecord("R2", "c2", 7.0, 1, "urban"),
-        ]
+        ])
         path = tmp_path / "rt.csv"
         write_records_csv(records, path, metadata={"seed": "1"})
         assert load_records(path) == records
@@ -281,9 +290,9 @@ class TestRoundTrip:
         outcomes=st.lists(st.integers(min_value=0, max_value=1), min_size=8, max_size=8),
     )
     def test_record_round_trip_property(self, tmp_path_factory, weights, outcomes):
-        records = [
+        records = SurveyTable.from_records(
             IndividualRecord("R1", "c1", w, o) for w, o in zip(weights, outcomes)
-        ]
+        )
         path = tmp_path_factory.mktemp("rt") / "records.csv"
         write_records_csv(records, path)
         assert load_records(path) == records

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary, record, square
-from prevmap.data_model import IndividualRecord, SurveyDataset
+from prevmap.data_model import IndividualRecord, SurveyDataset, SurveyTable
 from prevmap.direct import (
     ALL_ONE,
     ALL_ZERO,
     NONE,
     SINGLE_CLUSTER,
+    ZERO_VARIANCE,
     DirectEstimate,
     direct_prevalence,
     direct_variance,
@@ -173,10 +174,11 @@ class TestEstimateAll:
             cluster_of=["A", "A", "B", "B"],
         )
         regions = [boundary("Ra", square(0, 0)), boundary("Rb", square(1, 0))]
-        return SurveyDataset(records=records, regions=regions)
+        return records, regions
 
     def test_composition_of_hand_oracles(self):
-        estimates = estimate_all(self.dataset())
+        records, regions = self.dataset()
+        estimates = estimate_all(SurveyDataset(SurveyTable.from_records(records), regions))
         assert [e.region_id for e in estimates] == ["Ra", "Rb"]
         ra, rb = estimates
         assert ra.p_hat == 0.25 and ra.n == 2 and ra.m_clusters == 2
@@ -185,12 +187,12 @@ class TestEstimateAll:
         assert rb.var_logit == pytest.approx(0.25 / 0.0625, abs=1e-12)
 
     def test_all_one_region_flagged_others_unaffected(self):
-        ds = self.dataset()
-        ds.records += recs(
+        records, regions = self.dataset()
+        records += recs(
             [(1, 1), (2, 1), (1, 1)], region="Rc", cluster_of=["u", "u", "v"]
         )
-        ds.regions.append(boundary("Rc", square(2, 0)))
-        estimates = estimate_all(ds)
+        regions.append(boundary("Rc", square(2, 0)))
+        estimates = estimate_all(SurveyDataset(SurveyTable.from_records(records), regions))
         by_id = {e.region_id: e for e in estimates}
         assert by_id["Rc"].degenerate == ALL_ONE
         assert math.isnan(by_id["Rc"].logit_y)
@@ -205,6 +207,13 @@ class TestEstimateAll:
         est = estimate_region("R", recs([(1, 1), (1, 0)]))
         assert est.degenerate == SINGLE_CLUSTER
         assert math.isnan(est.var_p) and math.isnan(est.logit_y)
+
+    def test_equal_cluster_means_flag_zero_variance(self):
+        rows = recs([(1, 1), (1, 0), (2, 1), (2, 0)], cluster_of=["A", "A", "B", "B"])
+        est = estimate_region("R", rows)
+        assert est.degenerate == ZERO_VARIANCE and not est.likelihood_usable
+        assert est.p_hat == 0.5 and est.var_p == 0.0
+        assert math.isnan(est.logit_y) and math.isnan(est.var_logit)
 
     def test_boundary_beats_single_cluster(self):
         est = estimate_region("R", recs([(1, 0), (2, 0)]))
@@ -227,7 +236,9 @@ class TestEstimateAll:
                             int(rng.random() < 0.3),
                         )
                     )
-        estimates = estimate_all(SurveyDataset(records=records, regions=regions))
+        estimates = estimate_all(
+            SurveyDataset(records=SurveyTable.from_records(records), regions=regions)
+        )
         checked = 0
         for e in estimates:
             if e.degenerate != NONE:

@@ -1,0 +1,205 @@
+"""Property test: the columnar record path against a record-by-record reference.
+
+Random record files (strata, comment and blank lines, quoted ids holding
+commas, quotes or line breaks, padded fields, extra columns, a renaming
+schema) go through
+``load_records`` -> ``drop_unlinked`` -> ``estimate_all``. A plain-Python
+reference below reads the same file one row at a time and must agree on the
+estimates, or on the exception type and the row it names.
+"""
+
+import csv
+import io
+import math
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import boundary, square
+from prevmap import data_model
+from prevmap.data_model import drop_unlinked, load_records
+from prevmap.direct import estimate_all
+from prevmap.errors import ConsistencyError, RecordValidationError
+
+CANONICAL = ("region_id", "cluster_id", "weight", "outcome", "stratum")
+KNOWN_REGIONS = ("R1", "R2", "R3", "R,4")
+UNLINKED_REGIONS = ("Z9", "Z,8")
+
+
+# ---------------------------------------------------------------------------
+# Reference: one row at a time, plain Python
+# ---------------------------------------------------------------------------
+
+
+class RefError(Exception):
+    def __init__(self, kind, row):
+        super().__init__(f"{kind.__name__} at row {row}")
+        self.kind, self.row = kind, row
+
+
+def ref_load(text, schema):
+    """(region, cluster, stratum, weight, outcome) per data row, or RefError."""
+    lines = [ln for ln in io.StringIO(text, newline="") if not (ln.startswith("#") or ln.isspace())]
+    reader = csv.reader(lines)
+    header = [h.strip() for h in next(reader)]
+    idx = {c: header.index(schema.get(c, c)) for c in CANONICAL if schema.get(c, c) in header}
+    rows, home = [], {}
+    for row_no, row in enumerate(reader, start=1):
+        try:
+            region = row[idx["region_id"]].strip()
+            cluster = row[idx["cluster_id"]].strip()
+            weight = float(row[idx["weight"]])
+            outcome = float(row[idx["outcome"]])
+            stratum = row[idx["stratum"]].strip() if "stratum" in idx else ""
+        except (IndexError, ValueError):
+            raise RefError(RecordValidationError, row_no) from None
+        if outcome not in (0.0, 1.0):
+            raise RefError(RecordValidationError, row_no)
+        if not (math.isfinite(weight) and weight > 0):
+            raise RefError(RecordValidationError, row_no)
+        if home.setdefault(cluster, region) != region:
+            raise RefError(ConsistencyError, row_no)
+        rows.append((region, cluster, stratum, weight, int(outcome)))
+    return rows
+
+
+def ref_estimate(rows):
+    """(n, m_clusters, flag, p_hat, var_p) of one region's rows."""
+    num = sum(w * y for _, _, _, w, y in rows)
+    den = sum(w for _, _, _, w, _ in rows)
+    p_hat = num / den
+    m_clusters = len({c for _, c, _, _, _ in rows})
+    strata = {}
+    for _, c, s, w, y in rows:
+        clusters = strata.setdefault(s, {})
+        clusters[c] = clusters.get(c, 0.0) + w * (y - p_hat)
+    acc = 0.0
+    for clusters in strata.values():
+        m = len(clusters)
+        acc = math.nan if m < 2 else acc + m / (m - 1) * sum(z * z for z in clusters.values())
+    var_p = acc / den**2
+    if p_hat == 0.0:
+        flag = "all_zero"
+    elif p_hat == 1.0:
+        flag = "all_one"
+    elif m_clusters < 2 or math.isnan(var_p):
+        flag = "single_cluster"
+    elif var_p == 0.0:
+        flag = "zero_variance"
+    else:
+        flag = "none"
+    if m_clusters < 2 or math.isnan(var_p):
+        var_p = math.nan
+    return len(rows), m_clusters, flag, p_hat, var_p
+
+
+# ---------------------------------------------------------------------------
+# Random files
+# ---------------------------------------------------------------------------
+
+padding = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def survey_files(draw):
+    has_stratum = draw(st.booleans())
+    extra = draw(st.lists(st.sampled_from(["age", "note", "hh"]), unique=True, max_size=2))
+    columns = list(CANONICAL[: 5 if has_stratum else 4]) + extra
+    columns = draw(st.permutations(columns))
+    renames = {"region_id": "area", "cluster_id": "psu", "weight": "hh_weight",
+               "outcome": "result", "stratum": "strat"}
+    schema = {c: renames[c] for c in CANONICAL if draw(st.booleans())}
+    # a file without quote characters is read in chunks, one with them in one piece
+    quoted = draw(st.booleans())
+    suffixes = ["", ",x", ' "q"', "\nline"] if quoted else [""]
+    regions = KNOWN_REGIONS + (UNLINKED_REGIONS if draw(st.booleans()) else ())
+    regions = [rid for rid in regions if quoted or "," not in rid]
+
+    records = []
+    for region in regions:
+        for j in range(draw(st.integers(1, 4))):
+            cluster = f"{region}-c{j}" + draw(st.sampled_from(suffixes))
+            stratum = draw(st.sampled_from(["urban", "rural", ""])) if has_stratum else ""
+            for _ in range(draw(st.integers(1, 4))):
+                if has_stratum and draw(st.integers(0, 5)) == 0:  # a cluster across strata
+                    stratum = draw(st.sampled_from(["urban", "rural"]))
+                weight = draw(st.sampled_from(["1", "0.5", "2.25", "1e-3", "7", "0.1"]))
+                outcome = draw(st.sampled_from(["0", "1", "1.0"]))
+                records.append([region, cluster, weight, outcome, stratum])
+    records = draw(st.permutations(records))
+
+    bad = draw(st.sampled_from(
+        [None, "weight_text", "outcome_2", "weight_0", "weight_inf", "two_regions", "short"]
+    ))
+    if bad is not None:
+        k = draw(st.integers(0, len(records) - 1))
+        fields = list(records[k])
+        if bad == "weight_text":
+            fields[2] = "heavy"
+        elif bad == "outcome_2":
+            fields[3] = "2"
+        elif bad == "weight_0":
+            fields[2] = "0"
+        elif bad == "weight_inf":
+            fields[2] = "inf"
+        elif bad == "two_regions":
+            other = draw(st.sampled_from([r for r in records if r[0] != fields[0]]))
+            fields[1] = other[1]
+        records[k] = fields if bad != "short" else fields[:1]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    buf.write("# survey: synthetic\n\n")
+    writer.writerow([f" {schema.get(c, c)} " if draw(st.booleans()) else schema.get(c, c)
+                     for c in columns])
+    for fields in records:
+        if draw(st.integers(0, 9)) == 0:
+            buf.write(draw(st.sampled_from(["# note, mid-file\n", "\n", "   \n"])))
+        named = dict(zip(CANONICAL, fields))
+        if len(fields) == 1:
+            writer.writerow(fields)
+            continue
+        writer.writerow([draw(padding) + named.get(c, "33") + draw(padding) for c in columns])
+    return buf.getvalue(), schema
+
+
+def row_of(exc):
+    return int(re.search(r"\brow (\d+)", str(exc)).group(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(survey=survey_files(), chunk=st.sampled_from([1, 2, 5, data_model.LOAD_CHUNK_ROWS]))
+def test_columnar_path_matches_row_reference(tmp_path_factory, survey, chunk):
+    text, schema = survey
+    path = tmp_path_factory.mktemp("prop") / "records.csv"
+    path.write_text(text)
+    boundaries = [boundary(rid, square(k, 0)) for k, rid in enumerate(KNOWN_REGIONS)]
+    try:
+        rows = ref_load(text, schema)
+    except RefError as ref:
+        with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk):
+            with pytest.raises(ref.kind) as err:
+                load_records(path, schema=schema)
+        assert row_of(err.value) == ref.row, (str(err.value), ref.row)
+        return
+
+    with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk):
+        table = load_records(path, schema=schema)
+    dataset, report = drop_unlinked(table, boundaries)
+    linked = [r for r in rows if r[0] in KNOWN_REGIONS]
+    assert len(table) == len(rows)
+    assert report.n_dropped == len(rows) - len(linked)
+    estimates = estimate_all(dataset)
+    assert [e.region_id for e in estimates] == sorted({r[0] for r in linked})
+    assert len(estimates) >= 3
+    for e in estimates:
+        n, m, flag, p_hat, var_p = ref_estimate([r for r in linked if r[0] == e.region_id])
+        assert (e.n, e.m_clusters, e.degenerate) == (n, m, flag)
+        assert e.p_hat == pytest.approx(p_hat, rel=1e-12, abs=0.0)
+        if math.isnan(var_p):
+            assert math.isnan(e.var_p)
+        else:
+            assert e.var_p == pytest.approx(var_p, rel=1e-12, abs=0.0)

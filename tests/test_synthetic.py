@@ -96,8 +96,8 @@ class TestSampleSurvey:
         )
         ds = sample_survey(truth)
         assert len(ds.records) == 4
-        assert len({r.cluster_id for r in ds.records}) == 1
-        assert {r.weight for r in ds.records} == {1.0}
+        assert len(set(ds.records.cluster.tolist())) == 1
+        assert set(ds.records.weight.tolist()) == {1.0}
 
     def test_truth_outside_open_interval_rejected(self):
         regions = make_grid_regions(1, 1)
@@ -135,8 +135,9 @@ class TestSampleSurvey:
         ds = sample_survey(
             SyntheticTruth(regions, prev, SamplingPlan((3, 7), 5), seed=3)
         )
+        region = ds.records.column("region_id")
         for rid in ("R_0_0", "R_0_1"):
-            m = len({r.cluster_id for r in ds.records if r.region_id == rid})
+            m = len(set(ds.records.cluster[region == rid].tolist()))
             assert 3 <= m <= 7
 
     def test_weighted_unbiased_and_unweighted_biased(self):
@@ -151,7 +152,7 @@ class TestSampleSurvey:
             truth = SyntheticTruth(regions, {"R_0_0": p_true}, plan, seed=seed)
             ds = sample_survey(truth)
             weighted.append(direct_prevalence(ds.records))
-            ys = [r.outcome for r in ds.records]
+            ys = ds.records.outcome.tolist()
             unweighted.append(sum(ys) / len(ys))
         w_err = abs(float(np.mean(weighted)) - p_true)
         u_err = abs(float(np.mean(unweighted)) - p_true)
