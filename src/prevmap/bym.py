@@ -21,6 +21,14 @@ sig2_eps update, so their theta draws are posterior predictions.
 Single-site S updates are grouped by graph coloring: nodes of one color
 share no edge, so their conditionals are independent and can be drawn as a
 block without changing the Markov chain's target.
+
+All chains advance in lockstep: the state holds one row per chain and each
+array operation updates every chain at once. Each chain still draws from its
+own stream, in the order a chain-by-chain loop would, and its row sees that
+loop's arithmetic, so the draws, and every result, are the same as running
+the chains one after another. The per-region summaries and diagnostics
+likewise run on blocks of regions at a time, with the arithmetic of a call
+per region.
 """
 
 from __future__ import annotations
@@ -32,13 +40,12 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse, stats
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .data_model import _data_lines
 from .direct import DirectEstimate
 from .errors import ModelError, SchemaError
-from .graph import IcarPrecision
+from .graph import IcarPrecision, quadratic_form
 
 RHAT_THRESHOLD = 1.05
 ESS_THRESHOLD = 100.0
@@ -158,108 +165,162 @@ class Summary:
     q975: float
 
 
-def summarize(draws: np.ndarray) -> Summary:
-    """Five-number summary of a flat draw vector (empirical quantiles)."""
-    draws = np.asarray(draws, dtype=float).ravel()
-    sd = float(np.std(draws, ddof=1)) if draws.size > 1 else 0.0
-    return Summary(
-        mean=float(np.mean(draws)),
-        median=float(np.median(draws)),
-        sd=sd,
-        q025=float(np.quantile(draws, 0.025)),
-        q975=float(np.quantile(draws, 0.975)),
-    )
+def summarize(draws: np.ndarray, batched: bool = False) -> Summary | list[Summary]:
+    """Five-number summary of a flat draw vector (empirical quantiles).
+
+    With ``batched=True`` the first axis indexes independent draw sets; each
+    is flattened and summarized on its own, and a list of summaries comes
+    back in that order.
+    """
+    x = np.asarray(draws, dtype=float)
+    rows = x.reshape(len(x) if batched else 1, -1)
+    sd = np.std(rows, axis=-1, ddof=1) if rows.shape[-1] > 1 else np.zeros(len(rows))
+    q025, q975 = np.quantile(rows, [0.025, 0.975], axis=-1)
+    out = [
+        Summary(*fields)
+        for fields in zip(
+            np.mean(rows, axis=-1).tolist(),
+            np.median(rows, axis=-1).tolist(),
+            sd.tolist(),
+            q025.tolist(),
+            q975.tolist(),
+        )
+    ]
+    return out if batched else out[0]
 
 
 # ---------------------------------------------------------------------------
 # Convergence diagnostics
+#
+# rhat and ess take a (chains, draws) array and return a float, or a
+# (batch, chains, draws) array and return one value per leading index. Each
+# batch item gets exactly the arithmetic of a call on it alone.
 # ---------------------------------------------------------------------------
+
+
+def _draw_sets(draws: np.ndarray) -> np.ndarray:
+    x = np.asarray(draws, dtype=float)
+    if x.ndim not in (2, 3) or x.shape[-2] < 2:
+        raise ValueError("need a (chains, draws) array with >= 2 chains")
+    return x
 
 
 def _split_chains(x: np.ndarray) -> np.ndarray:
     """Split each chain in half and stack (drops the middle draw when odd)."""
-    _, n = x.shape
+    n = x.shape[-1]
     half = n // 2
-    return np.vstack((x[:, :half], x[:, n - half :]))
+    return np.concatenate((x[..., :half], x[..., n - half :]), axis=-2)
 
 
-def _z_scale(x: np.ndarray) -> np.ndarray:
-    ranks = stats.rankdata(x, method="average").reshape(x.shape)
-    return stats.norm.ppf((ranks - 0.5) / x.size)
+def _is_constant(x: np.ndarray) -> np.ndarray:
+    return (x == x[..., :1, :1]).all(axis=(-2, -1))
 
 
-def _rhat_classic(x: np.ndarray) -> float:
-    m, n = x.shape
-    if n < 2:
-        return float("nan")
-    chain_means = x.mean(axis=1)
-    w = float(np.mean(np.var(x, axis=1, ddof=1)))
-    b_over_n = float(np.var(chain_means, ddof=1))
-    if not (math.isfinite(w) and math.isfinite(b_over_n)):
-        return float("nan")
-    if w == 0.0:
-        return float("inf") if b_over_n > 0 else float("nan")
-    return math.sqrt(((n - 1) / n * w + b_over_n) / w)
+def _z_table(size: int) -> np.ndarray:
+    """z-score of every possible rank r = j / 2 of ``size`` values, indexed by j."""
+    return ndtri((np.arange(2 * size + 1) / 2 - 0.5) / size)
 
 
-def rhat(draws: np.ndarray) -> float:
+def _z_scale(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rank-normalize over the last two axes jointly (one draw set each).
+
+    z = ndtri((rank - 0.5) / N), where tied values share their mean rank as
+    in ``scipy.stats.rankdata(method="average")``: a tie group at sorted
+    positions first..last has rank (first + last + 2) / 2, exact in float64.
+    A draw set holding a NaN maps to all NaN.
+    """
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    size = flat.shape[-1]
+    order = np.argsort(flat, axis=-1)
+    srt = np.take_along_axis(flat, order, axis=-1)
+    pos = np.arange(size)
+    tied = srt[..., 1:] == srt[..., :-1]
+    if tied.any():
+        starts = np.ones(srt.shape, dtype=bool)
+        np.logical_not(tied, out=starts[..., 1:])
+        ends = np.ones(srt.shape, dtype=bool)
+        ends[..., :-1] = starts[..., 1:]
+        first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+        last = np.minimum.accumulate(np.where(ends, pos, size - 1)[..., ::-1], axis=-1)
+        doubled_rank = first + last[..., ::-1] + 2
+    else:
+        doubled_rank = 2 * pos + 2
+    z_sorted = table[np.broadcast_to(doubled_rank, srt.shape)]
+    z_sorted[np.isnan(srt[..., -1])] = np.nan  # NaN sorts last
+    z = np.empty(flat.shape)
+    np.put_along_axis(z, order, z_sorted, axis=-1)
+    return z.reshape(x.shape)
+
+
+def _rhat_classic(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    w = np.mean(np.var(x, axis=-1, ddof=1), axis=-1)
+    b_over_n = np.var(np.mean(x, axis=-1), axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(((n - 1) / n * w + b_over_n) / w)
+    r = np.where(w == 0.0, np.where(b_over_n > 0, np.inf, np.nan), r)
+    return np.where(np.isfinite(w) & np.isfinite(b_over_n), r, np.nan)
+
+
+def rhat(draws: np.ndarray) -> float | np.ndarray:
     """Rank-normalized split R-hat (max of the bulk and tail statistics).
 
     Returns inf when chains disagree with zero within-chain variance and nan
     when every value is identical (no information either way).
     """
-    x = np.asarray(draws, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need a (chains, draws) array with >= 2 chains")
-    if x.shape[1] < 4:
-        return float("nan")
-    if np.all(x == x.flat[0]):
-        return float("nan")
-    bulk = _rhat_classic(_z_scale(_split_chains(x)))
-    folded = np.abs(x - np.median(x))
-    tail = _rhat_classic(_z_scale(_split_chains(folded)))
-    finite = [b for b in (bulk, tail) if not math.isnan(b)]
-    return max(finite) if finite else float("nan")
+    x = _draw_sets(draws)
+    sets = x.reshape((-1,) + x.shape[-2:])
+    if x.shape[-1] < 4:
+        out = np.full(len(sets), np.nan)
+    else:
+        split = _split_chains(sets)
+        table = _z_table(split[0].size)
+        bulk = _rhat_classic(_z_scale(split, table))
+        median = np.median(sets.reshape(len(sets), -1), axis=-1)
+        folded = np.abs(sets - median[:, None, None])
+        tail = _rhat_classic(_z_scale(_split_chains(folded), table))
+        out = np.where(_is_constant(sets), np.nan, np.fmax(bulk, tail))
+    return float(out[0]) if x.ndim == 2 else out
 
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    xc = x - x.mean()
-    f = np.fft.rfft(xc, 2 * n)
-    return np.fft.irfft(f * np.conj(f), 2 * n)[:n] / n
+    """Autocovariance of each row of the last axis, via a zero-padded FFT."""
+    n = x.shape[-1]
+    xc = x - np.mean(x, axis=-1, keepdims=True)
+    f = np.fft.rfft(xc, 2 * n, axis=-1)
+    # f first: complex products may round by operand order
+    return np.fft.irfft(np.multiply(f, np.conj(f)), 2 * n, axis=-1)[..., :n] / n
 
 
-def ess(draws: np.ndarray) -> float:
+def ess(draws: np.ndarray) -> float | np.ndarray:
     """Multi-chain effective sample size.
 
     Combined-chain autocorrelations are summed in consecutive pairs and the
     sum truncated at the first negative pair (Geyer's initial positive
     sequence); ESS = (total draws) / integrated autocorrelation time.
     """
-    x = np.asarray(draws, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need a (chains, draws) array with >= 2 chains")
-    s = _split_chains(x)
-    m, n = s.shape
-    if n < 4 or np.all(s == s.flat[0]):
-        return float("nan")
-    acov = np.vstack([_autocovariance(row) for row in s])
-    w = float(np.mean(acov[:, 0])) * n / (n - 1)
-    var_plus = w * (n - 1) / n + float(np.var(s.mean(axis=1), ddof=1))
-    if not math.isfinite(var_plus) or var_plus <= 0:
-        return float("nan")
-    mean_acov = acov.mean(axis=0)
-    rho = np.empty(n)
-    rho[0] = 1.0
-    rho[1:] = 1.0 - (w - mean_acov[1:]) / var_plus
-    tau = 0.0
-    for k in range(n // 2):
-        pair = rho[2 * k] + rho[2 * k + 1] if 2 * k + 1 < n else rho[2 * k]
-        if pair < 0:
-            break
-        tau += pair
-    tau = max(2.0 * tau - 1.0, 1e-8)
-    return float(m * n / tau)
+    x = _draw_sets(draws)
+    s = _split_chains(x.reshape((-1,) + x.shape[-2:]))
+    m, n = s.shape[-2:]
+    if n < 4:
+        out = np.full(len(s), np.nan)
+    else:
+        acov = _autocovariance(s)
+        w = np.mean(acov[..., 0], axis=-1) * n / (n - 1)
+        var_plus = w * (n - 1) / n + np.var(np.mean(s, axis=-1), axis=-1, ddof=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = 1.0 - (w[:, None] - np.mean(acov, axis=-2)) / var_plus[:, None]
+            rho[:, 0] = 1.0
+            pairs = rho[:, 0 : n - n % 2 : 2] + rho[:, 1 : n : 2]
+            # tau sums the pairs before the first negative one, left to right
+            negative = pairs < 0
+            stop = np.where(negative.any(axis=-1), negative.argmax(axis=-1), pairs.shape[-1])
+            partial = np.cumsum(pairs, axis=-1)
+            tau = np.where(stop > 0, partial[np.arange(len(s)), stop - 1], 0.0)
+            out = m * n / np.maximum(2.0 * tau - 1.0, 1e-8)
+        usable = ~_is_constant(s) & np.isfinite(var_plus) & (var_plus > 0)
+        out = np.where(usable, out, np.nan)
+    return float(out[0]) if x.ndim == 2 else out
 
 
 @dataclass(frozen=True)
@@ -410,17 +471,52 @@ def _greedy_coloring(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> list[np.
     ]
 
 
+def _neighbour_tables(
+    prec: IcarPrecision, classes: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per class: (k, width) neighbour indices and weights.
+
+    Each row lists a node's neighbours in increasing index order, the order
+    of its row in a sorted sparse adjacency matrix, so a running sum along
+    the row adds the terms as a sparse matrix-vector product does. Short
+    rows are padded with weight 0 at the end, where adding a zero term
+    leaves the sum as it is.
+    """
+    src = np.concatenate([prec.edge_i, prec.edge_j])
+    dst = np.concatenate([prec.edge_j, prec.edge_i])
+    wgt = np.concatenate([prec.edge_w, prec.edge_w])
+    order = np.lexsort((dst, src))
+    src, dst, wgt = src[order], dst[order], wgt[order]
+    tables = []
+    for cls in classes:
+        start = np.searchsorted(src, cls)
+        count = np.searchsorted(src, cls, side="right") - start
+        width = np.arange(count.max())
+        real = width < count[:, None]
+        slot = np.where(real, start[:, None] + width, 0)
+        tables.append((dst[slot], np.where(real, wgt[slot], 0.0)))
+    return tables
+
+
 def _initial_variance(a: float, b: float) -> float:
     # prior mean when it exists (a > 1), otherwise the prior mode
     return b / (a - 1) if a > 1 else b / (a + 1)
 
 
+# Region block size, in draws, for the per-region summaries and diagnostics:
+# bounds each temporary array to 512 KiB whatever the number of regions.
+_DIAG_BLOCK_DRAWS = 1 << 16
+
+
 def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     """Run the Gibbs sampler and return draws, summaries and diagnostics.
 
-    Chains start over-dispersed (theta = Y shifted by +/- 2 sd(Y), alternating
-    by chain) with per-chain random streams derived from (seed, chain index),
-    so reruns with the same spec and config are bit-identical.
+    All chains advance together, one state row per chain. Each chain draws
+    from its own stream, derived from (seed, chain index), in the order a
+    chain-by-chain loop would, and its row sees exactly that loop's
+    arithmetic, so reruns with the same spec and config are bit-identical
+    and a chain's draws do not depend on the other chains. Every chain
+    starts from eps = Y - mean(Y) over the usable regions and S = 0.
     """
     spec.validate()
     config.validate()
@@ -434,117 +530,142 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     v_act = np.array([spec.estimates[i].var_logit for i in idx_act])
     inv_v = 1.0 / v_act
     sum_inv_v = float(inv_v.sum())
+    sd_beta0 = math.sqrt(sum_inv_v)
     k_act, k_inact = len(idx_act), len(idx_inact)
 
     lik_prec = np.zeros(n)
     lik_prec[idx_act] = inv_v
 
-    adj = sparse.csr_matrix(
-        (
-            np.concatenate([prec.edge_w, prec.edge_w]),
-            (
-                np.concatenate([prec.edge_i, prec.edge_j]),
-                np.concatenate([prec.edge_j, prec.edge_i]),
-            ),
-        ),
-        shape=(n, n),
-    )
-    classes = _greedy_coloring(n, prec.edge_i, prec.edge_j)
-    class_rows = [adj[cls] for cls in classes]
-    wdeg = prec.degree
-
     pri = spec.priors
     fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
-    kept = config.retained_per_chain()
+    shape_e = pri.a_eps + 0.5 * k_act
+    shape_s = pri.a_sp + 0.5 * prec.rank
+    chains, kept = config.chains, config.retained_per_chain()
 
-    theta_draws = np.empty((config.chains, kept, n))
-    s_draws = np.empty((config.chains, kept, n))
-    beta0_draws = np.empty((config.chains, kept))
-    sig2e_draws = np.empty((config.chains, kept))
-    sig2s_draws = np.empty((config.chains, kept))
+    theta_draws = np.empty((chains, kept, n))
+    s_draws = np.empty((chains, kept, n))
+    beta0_draws = np.empty((chains, kept))
+    sig2e_draws = np.empty((chains, kept))
+    sig2s_draws = np.empty((chains, kept))
 
-    y_mean = float(y_act.mean())
-    y_sd = float(y_act.std())
-    streams = np.random.SeedSequence(config.seed).spawn(config.chains)
+    # One row per chain: beta0, sig2e, sig2s, active eps, inactive eps, S.
+    state = np.zeros((chains, 3 + k_act + k_inact + n))
+    beta0, sig2e, sig2s = state[:, 0], state[:, 1], state[:, 2]
+    beta0_col, sig2e_col, sig2s_col = state[:, 0:1], state[:, 1:2], state[:, 2:3]
+    eps_act = state[:, 3 : 3 + k_act]
+    eps_inact = state[:, 3 + k_act : 3 + k_act + k_inact]
+    s = state[:, 3 + k_act + k_inact :]
+    eps_act[:] = y_act - float(y_act.mean())
+    sig2e[:] = fixed_e if fixed_e is not None else _initial_variance(pri.a_eps, pri.b_eps)
+    sig2s[:] = fixed_s if fixed_s is not None else _initial_variance(pri.a_sp, pri.b_sp)
+    # position of each node's eps in the state row, after the three scalars
+    eps_at = np.empty(n, dtype=np.intp)
+    eps_at[idx_act] = np.arange(k_act)
+    eps_at[idx_inact] = np.arange(k_act, n)
+    # likelihood terms of the active regions, then a 0 for every other region
+    lik_act = np.zeros((chains, k_act + 1))
+    lik_at = np.minimum(eps_at, k_act)
 
-    for c in range(config.chains):
-        rng = np.random.Generator(np.random.PCG64(streams[c]))
-        offset = 2.0 * y_sd * (1.0 if c % 2 == 0 else -1.0)
-        beta0 = y_mean + offset
-        eps = np.zeros(n)
-        eps[idx_act] = y_act - y_mean
-        s = np.zeros(n)
-        sig2e = fixed_e if fixed_e is not None else _initial_variance(pri.a_eps, pri.b_eps)
-        sig2s = fixed_s if fixed_s is not None else _initial_variance(pri.a_sp, pri.b_sp)
+    # One sweep's normal draws per chain, in stream order: beta0, active
+    # eps, inactive eps, then S class by class. Per-node S terms that do not
+    # wait on a neighbour are computed for all classes at once, in this order.
+    classes = _greedy_coloring(n, prec.edge_i, prec.edge_j)
+    in_classes = np.concatenate(classes) if classes else np.zeros(0, dtype=np.intp)
+    z = np.empty((chains, 1 + k_act + k_inact + len(in_classes)))
+    z_act = z[:, 1 : 1 + k_act]
+    z_inact = z[:, 1 + k_act : 1 + k_act + k_inact]
+    z_s = z[:, 1 + k_act + k_inact :]
+    wdeg, lik_p, lik_s_at = prec.degree[in_classes], lik_prec[in_classes], lik_at[in_classes]
+    blocks = []
+    offset = 0
+    for cls, (nbr, nbr_w) in zip(classes, _neighbour_tables(prec, classes)):
+        blocks.append((cls, nbr, nbr_w, slice(offset, offset + len(cls))))
+        offset += len(cls)
+    # A lone node never moves from S = 0, so only larger components recentre.
+    components = [
+        slice(comp[0], comp[-1] + 1) if comp[-1] - comp[0] + 1 == len(comp) else comp
+        for comp in prec.component_index
+        if len(comp) > 1
+    ]
 
-        keep = 0
-        for it in range(config.iterations):
-            # (1) intercept, flat prior
-            resid = y_act - eps[idx_act] - s[idx_act]
-            mu0 = float(np.dot(resid, inv_v)) / sum_inv_v
-            beta0 = mu0 + rng.standard_normal() / math.sqrt(sum_inv_v)
+    rngs = [
+        np.random.Generator(np.random.PCG64(stream))
+        for stream in np.random.SeedSequence(config.seed).spawn(chains)
+    ]
+    z_rows, eps_rows = list(z), list(eps_act)
 
-            # (2) iid effects; degenerate regions refresh from the prior
-            prec_e = inv_v + 1.0 / sig2e
-            mu_e = (y_act - beta0 - s[idx_act]) * inv_v / prec_e
-            eps[idx_act] = mu_e + rng.standard_normal(k_act) / np.sqrt(prec_e)
-            if k_inact:
-                eps[idx_inact] = rng.standard_normal(k_inact) * math.sqrt(sig2e)
+    keep = 0
+    for it in range(config.iterations):
+        # (1) intercept, flat prior
+        s_act = s.take(idx_act, axis=1)  # C-contiguous rows for np.dot
+        resid = y_act - eps_act - s_act
+        for c, (rng, z_row, resid_c) in enumerate(zip(rngs, z_rows, resid)):
+            rng.standard_normal(out=z_row)
+            mu0 = float(np.dot(resid_c, inv_v)) / sum_inv_v
+            beta0[c] = mu0 + float(z_row[0]) / sd_beta0
+        y_b0 = y_act - beta0_col
 
-            # (3) spatial effects, single-site conditionals by color class
-            lik_term = np.zeros(n)
-            lik_term[idx_act] = (y_act - beta0 - eps[idx_act]) * inv_v
-            for cls, rows in zip(classes, class_rows):
-                nbr_sum = rows @ s
-                prec_s = wdeg[cls] / sig2s + lik_prec[cls]
-                mu_s = (nbr_sum / sig2s + lik_term[cls]) / prec_s
-                s[cls] = mu_s + rng.standard_normal(len(cls)) / np.sqrt(prec_s)
-            for comp in prec.component_index:
-                s[comp] -= s[comp].mean()
+        # (2) iid effects; degenerate regions refresh from the prior
+        prec_e = inv_v + 1.0 / sig2e_col
+        np.add((y_b0 - s_act) * inv_v / prec_e, z_act / np.sqrt(prec_e), out=eps_act)
+        if k_inact:
+            np.multiply(z_inact, np.sqrt(sig2e_col), out=eps_inact)
 
-            # (4) iid variance from active effects only
+        # (3) spatial effects, single-site conditionals by color class
+        np.multiply(y_b0 - eps_act, inv_v, out=lik_act[:, :k_act])
+        prec_s = wdeg / sig2s_col + lik_p
+        noise_s = z_s / np.sqrt(prec_s)
+        lik_s = lik_act.take(lik_s_at, axis=1)
+        for cls, nbr, nbr_w, part in blocks:
+            # a running sum along each padded row adds in CSR order
+            nbr_sum = np.add.accumulate(nbr_w * s.take(nbr, axis=1), axis=-1)[..., -1]
+            mu_s = (nbr_sum / sig2s_col + lik_s[:, part]) / prec_s[:, part]
+            s[:, cls] = mu_s + noise_s[:, part]
+        for comp in components:
+            s_comp = s[:, comp]
+            # s_comp.mean(axis=1) without the wrapper: the same sum and divide
+            s[:, comp] = s_comp - np.add.reduce(s_comp, axis=1, keepdims=True) / s_comp.shape[1]
+
+        # (4) iid variance from active effects only, then (5) spatial
+        # variance from the pairwise-difference quadratic form
+        qf = quadratic_form(prec, s).tolist() if fixed_s is None else None
+        for c, rng in enumerate(rngs):
             if fixed_e is None:
-                rate = pri.b_eps + 0.5 * float(np.dot(eps[idx_act], eps[idx_act]))
-                sig2e = rate / max(rng.gamma(pri.a_eps + 0.5 * k_act, 1.0), 1e-300)
-
-            # (5) spatial variance from the pairwise-difference quadratic form
+                rate = pri.b_eps + 0.5 * float(np.dot(eps_rows[c], eps_rows[c]))
+                sig2e[c] = rate / max(rng.standard_gamma(shape_e), 1e-300)
             if fixed_s is None:
-                d = s[prec.edge_i] - s[prec.edge_j] if len(prec.edge_i) else np.zeros(0)
-                qf = float(np.sum(prec.edge_w * d * d))
-                rate = pri.b_sp + 0.5 * qf
-                sig2s = rate / max(rng.gamma(pri.a_sp + 0.5 * prec.rank, 1.0), 1e-300)
+                rate = pri.b_sp + 0.5 * qf[c]
+                sig2s[c] = rate / max(rng.standard_gamma(shape_s), 1e-300)
 
-            if not (
-                math.isfinite(beta0)
-                and math.isfinite(sig2e)
-                and math.isfinite(sig2s)
-                and np.isfinite(s).all()
-                and np.isfinite(eps).all()
-            ):
-                raise RuntimeError(
-                    f"non-finite sampler state at iteration {it} of chain {c}"
-                )
+        if not np.isfinite(state).all():
+            bad = np.flatnonzero(~np.isfinite(state).all(axis=1))[0]
+            raise RuntimeError(f"non-finite sampler state at iteration {it} of chain {bad}")
 
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                theta_draws[c, keep] = beta0 + eps + s
-                s_draws[c, keep] = s
-                beta0_draws[c, keep] = beta0
-                sig2e_draws[c, keep] = sig2e
-                sig2s_draws[c, keep] = sig2s
-                keep += 1
+        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+            eps = state[:, 3 : 3 + n].take(eps_at, axis=1)
+            np.add(beta0_col + eps, s, out=theta_draws[:, keep])
+            s_draws[:, keep] = s
+            beta0_draws[:, keep] = beta0
+            sig2e_draws[:, keep] = sig2e
+            sig2s_draws[:, keep] = sig2s
+            keep += 1
 
-    summaries = []
-    for r, rid in enumerate(prec.node_ids):
-        theta_r = theta_draws[:, :, r]
-        summaries.append(
-            RegionSummary(
-                region_id=rid,
-                theta=summarize(theta_r),
-                prevalence=summarize(expit(theta_r.ravel())),
-                rhat_theta=rhat(theta_r),
-                ess_theta=ess(theta_r),
-            )
-        )
+    # Summaries and diagnostics per region, a block of regions per call
+    step = max(1, _DIAG_BLOCK_DRAWS // (chains * kept))
+    theta_sums: list[Summary] = []
+    prev_sums: list[Summary] = []
+    rhats: list[float] = []
+    esss: list[float] = []
+    for lo in range(0, n, step):
+        block = np.ascontiguousarray(theta_draws[:, :, lo : lo + step].transpose(2, 0, 1))
+        theta_sums += summarize(block, batched=True)
+        prev_sums += summarize(expit(block), batched=True)
+        rhats += rhat(block).tolist()
+        esss += ess(block).tolist()
+    summaries = [
+        RegionSummary(rid, theta, prev, r, e)
+        for rid, theta, prev, r, e in zip(prec.node_ids, theta_sums, prev_sums, rhats, esss)
+    ]
 
     hyper_traces: dict[str, np.ndarray] = {"beta0": beta0_draws}
     if fixed_e is None:
@@ -638,25 +759,30 @@ def read_posterior_csv(path: str | Path) -> list[PosteriorRow]:
     if header is None or tuple(h.strip() for h in header) != POSTERIOR_CSV_COLUMNS:
         raise SchemaError(f"{path}: unexpected posterior header {header}")
     rows = []
-    for row in reader:
-        rows.append(
-            PosteriorRow(
-                region_id=row[0],
-                prev_mean=float(row[1]),
-                prev_median=float(row[2]),
-                prev_sd=float(row[3]),
-                prev_q025=float(row[4]),
-                prev_q975=float(row[5]),
-                theta_mean=float(row[6]),
-                theta_sd=float(row[7]),
-                direct_p=float(row[8]),
-                direct_se=float(row[9]),
-                n=int(row[10]),
-                degenerate=row[11],
-                rhat_theta=float(row[12]),
-                ess_theta=float(row[13]),
+    for row_no, row in enumerate(reader, start=1):
+        try:
+            (rid, prev_mean, prev_median, prev_sd, prev_q025, prev_q975, theta_mean,
+             theta_sd, direct_p, direct_se, n, degenerate, rhat_theta, ess_theta) = row
+            rows.append(
+                PosteriorRow(
+                    region_id=rid,
+                    prev_mean=float(prev_mean),
+                    prev_median=float(prev_median),
+                    prev_sd=float(prev_sd),
+                    prev_q025=float(prev_q025),
+                    prev_q975=float(prev_q975),
+                    theta_mean=float(theta_mean),
+                    theta_sd=float(theta_sd),
+                    direct_p=float(direct_p),
+                    direct_se=float(direct_se),
+                    n=int(n),
+                    degenerate=degenerate,
+                    rhat_theta=float(rhat_theta),
+                    ess_theta=float(ess_theta),
+                )
             )
-        )
+        except ValueError as exc:
+            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
     return rows
 
 

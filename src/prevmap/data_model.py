@@ -490,9 +490,13 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     if not path.exists():
         raise SchemaError(f"boundaries file not found: {path}")
     with path.open("r") as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
-        raise SchemaError(f"{path}: expected a FeatureCollection, got {doc.get('type')!r}")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+    if kind != "FeatureCollection":
+        raise SchemaError(f"{path}: expected a FeatureCollection, got {kind!r}")
 
     boundaries: list[RegionBoundary] = []
     seen: set[str] = set()

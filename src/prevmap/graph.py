@@ -219,17 +219,21 @@ def icar_precision(graph: AdjacencyGraph) -> IcarPrecision:
     )
 
 
-def quadratic_form(precision: IcarPrecision, x: np.ndarray) -> float:
-    """x' Q x computed as the weighted edge sum of squared differences."""
+def quadratic_form(precision: IcarPrecision, x: np.ndarray) -> float | np.ndarray:
+    """x' Q x computed as the weighted edge sum of squared differences.
+
+    ``x`` may carry leading axes, giving one form per vector along the last
+    axis; a single vector gives a float.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (precision.dimension,):
+    if x.ndim == 0 or x.shape[-1] != precision.dimension:
         raise ValueError(
             f"vector length {x.shape} does not match dimension {precision.dimension}"
         )
-    if len(precision.edge_i) == 0:
-        return 0.0
-    diffs = x[precision.edge_i] - x[precision.edge_j]
-    return float(np.sum(precision.edge_w * diffs * diffs))
+    # take() keeps rows C-contiguous, so each row sums in the order of a 1-D sum
+    diffs = x.take(precision.edge_i, axis=-1) - x.take(precision.edge_j, axis=-1)
+    forms = np.add.reduce(precision.edge_w * diffs * diffs, axis=-1)
+    return float(forms) if x.ndim == 1 else forms
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +276,28 @@ def load_graph(path: str | Path) -> AdjacencyGraph:
         pos += 1
         return line
 
+    def count(keyword: str) -> int:
+        parts = take().split()
+        if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
+            raise SchemaError(f"{path}: expected '{keyword} <count>', got {' '.join(parts)!r}")
+        return int(parts[1])
+
     style_line = take().split()
     if len(style_line) != 2 or style_line[0] != "style":
         raise SchemaError(f"{path}: expected 'style B|W' first, got {style_line}")
     style = style_line[1]
-    n = int(take().split()[1])
-    nodes = [take() for _ in range(n)]
-    n_edges = int(take().split()[1])
+    nodes = [take() for _ in range(count("nodes"))]
     edges = []
-    for _ in range(n_edges):
-        a, b = take().split()
-        edges.append((a, b))
-    graph = AdjacencyGraph.from_edges(nodes, edges, style)
-    n_comp_line = take().split()
-    declared = int(n_comp_line[1])
+    for k in range(count("edges")):
+        pair = take().split()
+        if len(pair) != 2:
+            raise SchemaError(f"{path}: edge {k + 1}: expected two region ids, got {pair}")
+        edges.append((pair[0], pair[1]))
+    try:
+        graph = AdjacencyGraph.from_edges(nodes, edges, style)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    declared = count("components")
     if declared != graph.n_components():
         raise SchemaError(
             f"{path}: component count {declared} does not match edges "

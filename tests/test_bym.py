@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -343,3 +344,289 @@ class TestPosteriorCsv:
             assert row.region_id == est.region_id
             assert row.direct_p == est.p_hat
             assert row.n == est.n
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the chain-by-chain Gibbs sweep with sparse
+# neighbour sums, and rhat / ess / summarize on one draw set at a time. The
+# lockstep sampler and the batched diagnostics must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_draws(spec, config):
+    """Draws of the chain-by-chain sweep: theta, S, beta0, sig2_eps, sig2_sp."""
+    from scipy import sparse
+
+    from prevmap.bym import _greedy_coloring
+
+    prec = spec.precision
+    n = prec.dimension
+    active = np.array([e.likelihood_usable for e in spec.estimates], dtype=bool)
+    idx_act = np.flatnonzero(active)
+    idx_inact = np.flatnonzero(~active)
+    y_act = np.array([spec.estimates[i].logit_y for i in idx_act])
+    v_act = np.array([spec.estimates[i].var_logit for i in idx_act])
+    inv_v = 1.0 / v_act
+    sum_inv_v = float(inv_v.sum())
+    k_act, k_inact = len(idx_act), len(idx_inact)
+    lik_prec = np.zeros(n)
+    lik_prec[idx_act] = inv_v
+    adj = sparse.csr_matrix(
+        (
+            np.concatenate([prec.edge_w, prec.edge_w]),
+            (np.concatenate([prec.edge_i, prec.edge_j]), np.concatenate([prec.edge_j, prec.edge_i])),
+        ),
+        shape=(n, n),
+    )
+    classes = _greedy_coloring(n, prec.edge_i, prec.edge_j)
+    class_rows = [adj[cls] for cls in classes]
+    pri = spec.priors
+    fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
+    init = lambda a, b: b / (a - 1) if a > 1 else b / (a + 1)  # noqa: E731
+    kept = config.retained_per_chain()
+    theta = np.empty((config.chains, kept, n))
+    s_out = np.empty((config.chains, kept, n))
+    b_out, e_out, sp_out = (np.empty((config.chains, kept)) for _ in range(3))
+    streams = np.random.SeedSequence(config.seed).spawn(config.chains)
+    for c in range(config.chains):
+        rng = np.random.Generator(np.random.PCG64(streams[c]))
+        eps = np.zeros(n)
+        eps[idx_act] = y_act - float(y_act.mean())
+        s = np.zeros(n)
+        sig2e = fixed_e if fixed_e is not None else init(pri.a_eps, pri.b_eps)
+        sig2s = fixed_s if fixed_s is not None else init(pri.a_sp, pri.b_sp)
+        keep = 0
+        for it in range(config.iterations):
+            resid = y_act - eps[idx_act] - s[idx_act]
+            mu0 = float(np.dot(resid, inv_v)) / sum_inv_v
+            beta0 = mu0 + rng.standard_normal() / math.sqrt(sum_inv_v)
+            prec_e = inv_v + 1.0 / sig2e
+            mu_e = (y_act - beta0 - s[idx_act]) * inv_v / prec_e
+            eps[idx_act] = mu_e + rng.standard_normal(k_act) / np.sqrt(prec_e)
+            if k_inact:
+                eps[idx_inact] = rng.standard_normal(k_inact) * math.sqrt(sig2e)
+            lik_term = np.zeros(n)
+            lik_term[idx_act] = (y_act - beta0 - eps[idx_act]) * inv_v
+            for cls, rows in zip(classes, class_rows):
+                nbr_sum = rows @ s
+                prec_s = prec.degree[cls] / sig2s + lik_prec[cls]
+                mu_s = (nbr_sum / sig2s + lik_term[cls]) / prec_s
+                s[cls] = mu_s + rng.standard_normal(len(cls)) / np.sqrt(prec_s)
+            for comp in prec.component_index:
+                s[comp] -= s[comp].mean()
+            if fixed_e is None:
+                rate = pri.b_eps + 0.5 * float(np.dot(eps[idx_act], eps[idx_act]))
+                sig2e = rate / max(rng.gamma(pri.a_eps + 0.5 * k_act, 1.0), 1e-300)
+            if fixed_s is None:
+                d = s[prec.edge_i] - s[prec.edge_j] if len(prec.edge_i) else np.zeros(0)
+                rate = pri.b_sp + 0.5 * float(np.sum(prec.edge_w * d * d))
+                sig2s = rate / max(rng.gamma(pri.a_sp + 0.5 * prec.rank, 1.0), 1e-300)
+            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+                theta[c, keep] = beta0 + eps + s
+                s_out[c, keep] = s
+                b_out[c, keep], e_out[c, keep], sp_out[c, keep] = beta0, sig2e, sig2s
+                keep += 1
+    return theta, s_out, b_out, e_out, sp_out
+
+
+def reference_summarize(draws):
+    draws = np.asarray(draws, dtype=float).ravel()
+    sd = float(np.std(draws, ddof=1)) if draws.size > 1 else 0.0
+    return (
+        float(np.mean(draws)),
+        float(np.median(draws)),
+        sd,
+        float(np.quantile(draws, 0.025)),
+        float(np.quantile(draws, 0.975)),
+    )
+
+
+def _reference_split(x):
+    half = x.shape[1] // 2
+    return np.vstack((x[:, :half], x[:, x.shape[1] - half :]))
+
+
+def _reference_z(x):
+    from scipy import stats
+
+    ranks = stats.rankdata(x, method="average").reshape(x.shape)
+    return stats.norm.ppf((ranks - 0.5) / x.size)
+
+
+def _reference_rhat_classic(x):
+    m, n = x.shape
+    w = float(np.mean(np.var(x, axis=1, ddof=1)))
+    b_over_n = float(np.var(x.mean(axis=1), ddof=1))
+    if not (math.isfinite(w) and math.isfinite(b_over_n)):
+        return float("nan")
+    if w == 0.0:
+        return float("inf") if b_over_n > 0 else float("nan")
+    return math.sqrt(((n - 1) / n * w + b_over_n) / w)
+
+
+def reference_rhat(x):
+    if x.shape[1] < 4 or np.all(x == x.flat[0]):
+        return float("nan")
+    bulk = _reference_rhat_classic(_reference_z(_reference_split(x)))
+    tail = _reference_rhat_classic(_reference_z(_reference_split(np.abs(x - np.median(x)))))
+    finite = [b for b in (bulk, tail) if not math.isnan(b)]
+    return max(finite) if finite else float("nan")
+
+
+def reference_ess(x):
+    s = _reference_split(x)
+    m, n = s.shape
+    if n < 4 or np.all(s == s.flat[0]):
+        return float("nan")
+    rows = []
+    for row in s:
+        xc = row - row.mean()
+        f = np.fft.rfft(xc, 2 * n)
+        rows.append(np.fft.irfft(f * np.conj(f), 2 * n)[:n] / n)
+    acov = np.vstack(rows)
+    w = float(np.mean(acov[:, 0])) * n / (n - 1)
+    var_plus = w * (n - 1) / n + float(np.var(s.mean(axis=1), ddof=1))
+    if not math.isfinite(var_plus) or var_plus <= 0:
+        return float("nan")
+    rho = np.empty(n)
+    rho[0] = 1.0
+    rho[1:] = 1.0 - (w - acov.mean(axis=0)[1:]) / var_plus
+    tau = 0.0
+    for k in range(n // 2):
+        pair = rho[2 * k] + rho[2 * k + 1]
+        if pair < 0:
+            break
+        tau += pair
+    return float(m * n / max(2.0 * tau - 1.0, 1e-8))
+
+
+def two_component_spec(**kwargs):
+    # components {A0, A2, A4} and {A1, A3} interleave in node order; A5 is isolated
+    ids = [f"A{k}" for k in range(6)]
+    rng = np.random.default_rng(31)
+    ests = [make_estimate(rid, float(rng.uniform(0.05, 0.3)), 5e-4) for rid in ids]
+    edges = [("A0", "A2"), ("A2", "A4"), ("A0", "A4"), ("A1", "A3")]
+    prec = icar_precision(AdjacencyGraph.from_edges(ids, edges))
+    return BymModelSpec(estimates=ests, precision=prec, **kwargs)
+
+
+def degenerate_component_spec():
+    spec = two_component_spec()
+    for k in (1, 3):  # every region of the {A1, A3} component
+        spec.estimates[k] = make_estimate(f"A{k}", 0.0, 0.0, flag=ALL_ZERO)
+    return spec
+
+
+def degenerate_spec():
+    spec = small_spec(n_regions=7, seed=8)
+    for k in (1, 4):
+        spec.estimates[k] = make_estimate(f"R{k}", 0.0, 0.0, flag=ALL_ZERO)
+    return spec
+
+
+def hub_spec():
+    # W weights and a hub with 11 neighbours: padded rows wider than 8
+    ids = [f"H{k:02d}" for k in range(12)]
+    rng = np.random.default_rng(5)
+    ests = [make_estimate(rid, float(rng.uniform(0.05, 0.3)), 8e-4) for rid in ids]
+    edges = [("H00", rid) for rid in ids[1:]] + list(zip(ids[1:], ids[2:]))
+    prec = icar_precision(AdjacencyGraph.from_edges(ids, edges, style="W"))
+    return BymModelSpec(estimates=ests, precision=prec)
+
+
+def grid_spec():
+    # 5 x 9 rook grid, the demo's size: vectors long enough for BLAS and SIMD
+    # code paths whose summation order differs from short ones
+    ids = [f"G{r}{c}" for r in range(5) for c in range(9)]
+    rng = np.random.default_rng(12)
+    ests = [make_estimate(rid, float(rng.uniform(0.05, 0.3)), 6e-4) for rid in ids]
+    edges = [(f"G{r}{c}", f"G{r}{c + 1}") for r in range(5) for c in range(8)]
+    edges += [(f"G{r}{c}", f"G{r + 1}{c}") for r in range(4) for c in range(9)]
+    prec = icar_precision(AdjacencyGraph.from_edges(ids, edges))
+    return BymModelSpec(estimates=ests, precision=prec)
+
+
+LOCKSTEP_CASES = {
+    "two_components_and_isolated": (two_component_spec, QUICK),
+    "degenerate_regions": (degenerate_spec, QUICK),
+    "degenerate_component": (degenerate_component_spec, QUICK),
+    "fixed_sigma2_eps": (lambda: small_spec(fixed_sigma2_eps=0.04), QUICK),
+    "fixed_sigma2_sp": (lambda: small_spec(fixed_sigma2_sp=0.02), QUICK),
+    "thin_3": (small_spec, McmcConfig(chains=2, iterations=1700, burn_in=200, thin=3, seed=4)),
+    "chains_3": (small_spec, McmcConfig(chains=3, iterations=900, burn_in=400, thin=1, seed=7)),
+    "w_style_hub": (hub_spec, QUICK),
+    "grid_45": (grid_spec, QUICK),
+}
+
+
+class TestLockstepMatchesChainByChain:
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_draw_for_draw(self, case):
+        make_spec, config = LOCKSTEP_CASES[case]
+        post = gibbs_fit(make_spec(), config)
+        ref = reference_draws(make_spec(), config)
+        got = (
+            post.theta_draws,
+            post.s_draws,
+            post.beta0_draws,
+            post.sigma2_eps_draws,
+            post.sigma2_sp_draws,
+        )
+        for name, a, b in zip(("theta", "s", "beta0", "sigma2_eps", "sigma2_sp"), got, ref):
+            assert np.array_equal(a, b), name
+
+    def test_region_summaries_match_one_region_at_a_time(self):
+        post = gibbs_fit(degenerate_spec(), QUICK)
+        for r, summary in enumerate(post.summaries):
+            theta_r = post.theta_draws[:, :, r]
+            assert astuple(summary.theta) == reference_summarize(theta_r)
+            assert astuple(summary.prevalence) == reference_summarize(expit(theta_r))
+            assert summary.rhat_theta == reference_rhat(theta_r)
+            assert summary.ess_theta == reference_ess(theta_r)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_state_names_iteration_and_chain(self):
+        spec = small_spec()
+        # finite inputs whose precision-weighted residual overflows
+        spec.estimates[2] = DirectEstimate("R2", 0.2, 1e-3, 1e308, 1e-300, 100, 10, NONE)
+        with pytest.raises(RuntimeError, match=r"non-finite sampler state at iteration 0 of chain 0"):
+            gibbs_fit(spec, QUICK)
+
+
+def _trace_sets():
+    rng = np.random.default_rng(2024)
+    sets = {
+        "random": rng.standard_normal((4, 3, 101)),
+        "random_even": rng.standard_normal((3, 4, 64)),
+        "autocorrelated": np.cumsum(rng.standard_normal((3, 2, 300)), axis=-1),
+        "constant": np.full((2, 3, 50), 1.5),
+        "tied": rng.integers(0, 3, size=(4, 2, 40)).astype(float),
+        "zero_within_variance": np.repeat(np.arange(3.0)[None, :, None], 2, 0) * np.ones((2, 3, 30)),
+        "too_short": rng.standard_normal((2, 2, 3)),
+        "long_autocorrelated": np.cumsum(rng.standard_normal((2, 4, 5000)), axis=-1),
+    }
+    mixed = np.stack([sets["random"][0, :2, :40], sets["tied"][0], np.full((2, 40), 7.0)])
+    sets["mixed"] = mixed
+    return sets
+
+
+class TestBatchedDiagnosticsMatchReference:
+    @pytest.mark.parametrize("name", sorted(_trace_sets()))
+    def test_rhat_and_ess(self, name):
+        batch = _trace_sets()[name]
+        want_r = np.array([reference_rhat(x) for x in batch])
+        want_e = np.array([reference_ess(x) for x in batch])
+        assert np.array_equal(rhat(batch), want_r, equal_nan=True)
+        assert np.array_equal(ess(batch), want_e, equal_nan=True)
+        for x, r, e in zip(batch, want_r, want_e):
+            got_r, got_e = rhat(x), ess(x)
+            assert isinstance(got_r, float) and isinstance(got_e, float)
+            assert np.array_equal(got_r, r, equal_nan=True)
+            assert np.array_equal(got_e, e, equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(_trace_sets()))
+    def test_summarize(self, name):
+        batch = _trace_sets()[name]
+        got = summarize(batch, batched=True)
+        assert [astuple(s) for s in got] == [reference_summarize(x) for x in batch]
+        assert astuple(summarize(batch[0])) == reference_summarize(batch[0])

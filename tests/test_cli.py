@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import prevmap.bym
@@ -259,3 +265,68 @@ class TestDegenerateAndMalformedInputs:
                      "--values", str(values), "--column", "n", "--out", str(tmp_path)])
         assert code == 2
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["short_row", "text_field"])
+    def test_malformed_posterior_csv_exits_2(self, pipeline_dir, tmp_path, capsys, fault):
+        lines = (pipeline_dir / "posterior.csv").read_text().splitlines(keepends=True)
+        third = next(i for i, ln in enumerate(lines) if ln.startswith("region_id,")) + 3
+        fields = lines[third].rstrip("\n").split(",")
+        if fault == "short_row":
+            fields = fields[:5]
+        else:
+            fields[1] = "lots"
+        lines[third] = ",".join(fields) + "\n"
+        posterior = tmp_path / "posterior.csv"
+        posterior.write_text("".join(lines))
+        with pytest.raises(SchemaError, match=r"posterior\.csv: row 3"):
+            read_posterior_csv(posterior)
+        code = main(["compare", "--direct", str(pipeline_dir / "direct.csv"),
+                     "--posterior", str(posterior), "--out", str(tmp_path)])
+        assert code == 2
+        assert "posterior.csv: row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace("\nR_0_0 R_0_1\n", "\nR_0_0 R_9_9\n"), "unknown node"),
+            (lambda t: re.sub(r"\nnodes \d+\n", "\nnodes\n", t), "'nodes <count>'"),
+            (lambda t: re.sub(r"\nedges \d+\n", "\nedges 2.5\n", t), "'edges <count>'"),
+            (lambda t: t.replace("\nR_0_0 R_0_1\n", "\nR_0_0\n"), "edge 1: expected two"),
+        ],
+        ids=["unknown_node", "count_without_number", "non_integer_count", "short_edge_line"],
+    )
+    def test_malformed_graph_exits_2(self, pipeline_dir, tmp_path, capsys, edit, message):
+        text = (pipeline_dir / "graph.txt").read_text()
+        graph = tmp_path / "graph.txt"
+        graph.write_text(edit(text))
+        assert graph.read_text() != text
+        code = main(["smooth", "--direct", str(pipeline_dir / "direct.csv"),
+                     "--graph", str(graph), "--out", str(tmp_path)] + MCMC)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "graph.txt" in err and message in err
+
+    def test_truncated_geojson_exits_2(self, pipeline_dir, tmp_path, capsys):
+        text = (pipeline_dir / "boundaries.geojson").read_text()
+        broken = tmp_path / "boundaries.geojson"
+        broken.write_text(text[: len(text) // 2])
+        with pytest.raises(SchemaError, match=r"boundaries\.geojson: not valid JSON"):
+            load_boundaries(broken)
+        code = main(["render", "--boundaries", str(broken),
+                     "--values", str(pipeline_dir / "direct.csv"), "--column", "n",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "boundaries.geojson: not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats_and_sparse():
+    # keeps the start-up cost of every command down
+    src = Path(prevmap.bym.__file__).resolve().parents[1]
+    probe = (
+        "import sys, prevmap.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

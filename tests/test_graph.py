@@ -160,6 +160,18 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="length"):
             quadratic_form(path3_precision(), np.zeros(5))
 
+    def test_leading_axes_give_one_form_per_vector(self):
+        prec = icar_precision(build_adjacency(grid_2x2(), style="W"))
+        x = np.random.default_rng(3).normal(size=(3, 2, 4))
+        forms = quadratic_form(prec, x)
+        assert forms.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            single = quadratic_form(prec, x[idx])
+            assert isinstance(single, float)
+            assert forms[idx] == single
+        with pytest.raises(ValueError, match="length"):
+            quadratic_form(prec, np.zeros((2, 5)))
+
     def test_matches_dense_and_psd(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
