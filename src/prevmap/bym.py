@@ -33,39 +33,25 @@ per region.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .data_model import _data_lines
+from .data_model import read_table, write_table
 from .direct import DirectEstimate
-from .errors import ModelError, SchemaError
+from .errors import ModelError
 from .graph import IcarPrecision, quadratic_form
 
 RHAT_THRESHOLD = 1.05
 ESS_THRESHOLD = 100.0
 
-POSTERIOR_CSV_COLUMNS = (
-    "region_id",
-    "prev_mean",
-    "prev_median",
-    "prev_sd",
-    "prev_q025",
-    "prev_q975",
-    "theta_mean",
-    "theta_sd",
-    "direct_p",
-    "direct_se",
-    "n",
-    "degenerate",
-    "rhat_theta",
-    "ess_theta",
-)
+TRACE_CSV_COLUMNS = {
+    "chain": int, "draw": int, "beta0": float, "sigma2_eps": float, "sigma2_sp": float,
+}
 
 
 @dataclass(frozen=True)
@@ -396,9 +382,6 @@ class BymPosterior:
     def converged(self) -> bool:
         return self.report.converged
 
-    def prevalence_draws(self, region_index: int) -> np.ndarray:
-        return expit(self.theta_draws[:, :, region_index].ravel())
-
     def rows(self, estimates: Sequence[DirectEstimate]) -> list["PosteriorRow"]:
         by_id = {e.region_id: e for e in estimates}
         rows = []
@@ -443,6 +426,10 @@ class PosteriorRow:
     degenerate: str
     rhat_theta: float
     ess_theta: float
+
+
+# one posterior CSV column per PosteriorRow field, in field order, of the field's type
+POSTERIOR_CSV_COLUMNS = get_type_hints(PosteriorRow)
 
 
 # ---------------------------------------------------------------------------
@@ -724,66 +711,12 @@ def write_posterior_csv(
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    with Path(path).open("w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(POSTERIOR_CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.region_id,
-                    repr(float(r.prev_mean)),
-                    repr(float(r.prev_median)),
-                    repr(float(r.prev_sd)),
-                    repr(float(r.prev_q025)),
-                    repr(float(r.prev_q975)),
-                    repr(float(r.theta_mean)),
-                    repr(float(r.theta_sd)),
-                    repr(float(r.direct_p)),
-                    repr(float(r.direct_se)),
-                    str(r.n),
-                    r.degenerate,
-                    repr(float(r.rhat_theta)),
-                    repr(float(r.ess_theta)),
-                ]
-            )
+    columns = [[getattr(r, name) for r in rows] for name in POSTERIOR_CSV_COLUMNS]
+    write_table(path, POSTERIOR_CSV_COLUMNS, columns, metadata)
 
 
 def read_posterior_csv(path: str | Path) -> list[PosteriorRow]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"posterior file not found: {path}")
-    reader = csv.reader(_data_lines(path))
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != POSTERIOR_CSV_COLUMNS:
-        raise SchemaError(f"{path}: unexpected posterior header {header}")
-    rows = []
-    for row_no, row in enumerate(reader, start=1):
-        try:
-            (rid, prev_mean, prev_median, prev_sd, prev_q025, prev_q975, theta_mean,
-             theta_sd, direct_p, direct_se, n, degenerate, rhat_theta, ess_theta) = row
-            rows.append(
-                PosteriorRow(
-                    region_id=rid,
-                    prev_mean=float(prev_mean),
-                    prev_median=float(prev_median),
-                    prev_sd=float(prev_sd),
-                    prev_q025=float(prev_q025),
-                    prev_q975=float(prev_q975),
-                    theta_mean=float(theta_mean),
-                    theta_sd=float(theta_sd),
-                    direct_p=float(direct_p),
-                    direct_se=float(direct_se),
-                    n=int(n),
-                    degenerate=degenerate,
-                    rhat_theta=float(rhat_theta),
-                    ess_theta=float(ess_theta),
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
-    return rows
+    return [PosteriorRow(**row) for row in read_table(path, POSTERIOR_CSV_COLUMNS)]
 
 
 def write_trace_csv(
@@ -792,20 +725,12 @@ def write_trace_csv(
     metadata: Mapping[str, str] | None = None,
 ) -> None:
     """Hyperparameter traces, one row per (chain, retained draw)."""
-    with Path(path).open("w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chain", "draw", "beta0", "sigma2_eps", "sigma2_sp"])
-        chains, kept = posterior.beta0_draws.shape
-        for c in range(chains):
-            for k in range(kept):
-                writer.writerow(
-                    [
-                        str(c),
-                        str(k),
-                        repr(float(posterior.beta0_draws[c, k])),
-                        repr(float(posterior.sigma2_eps_draws[c, k])),
-                        repr(float(posterior.sigma2_sp_draws[c, k])),
-                    ]
-                )
+    chains, kept = posterior.beta0_draws.shape
+    columns = [
+        np.repeat(np.arange(chains), kept),
+        np.tile(np.arange(kept), chains),
+        posterior.beta0_draws.ravel(),
+        posterior.sigma2_eps_draws.ravel(),
+        posterior.sigma2_sp_draws.ravel(),
+    ]
+    write_table(path, TRACE_CSV_COLUMNS, columns, metadata)

@@ -10,7 +10,6 @@ in sequence. Exit codes: 0 success, 2 validation/usage error, 3 when
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
 from pathlib import Path
@@ -26,10 +25,11 @@ from .bym import (
     write_trace_csv,
 )
 from .data_model import (
-    _data_lines,
+    artifact_file,
     drop_unlinked,
     load_boundaries,
     load_records,
+    read_table,
     validate_dataset,
     write_boundaries_geojson,
     write_records_csv,
@@ -76,21 +76,8 @@ def _read_file_bytes(path: str | Path) -> bytes:
 
 def _read_values(path: str | Path, column: str) -> dict[str, float]:
     """region_id -> float value from any CSV artifact with a header row."""
-    reader = csv.reader(_data_lines(Path(path)))
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError(f"{path}: empty values file")
-    header = [h.strip() for h in header]
-    if "region_id" not in header or column not in header:
-        raise SchemaError(f"{path}: need columns region_id and {column!r}")
-    rid_idx, col_idx = header.index("region_id"), header.index(column)
-    out = {}
-    for row_no, row in enumerate(reader, start=1):
-        try:
-            out[row[rid_idx]] = float(row[col_idx])
-        except (IndexError, ValueError) as exc:
-            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
-    return out
+    rows = read_table(path, {"region_id": str, column: float})
+    return {r["region_id"]: r[column] for r in rows}
 
 
 def _out_dir(args) -> Path:
@@ -250,7 +237,8 @@ def cmd_render(args) -> int:
         svg = render_map_row(boundaries, panels, spec, meta)
     out = _out_dir(args)
     name = args.output_name or f"map_{'_'.join(columns)}.svg"
-    (out / name).write_text(svg)
+    with artifact_file(out / name) as fh:
+        fh.write(svg)
     _wrote(out / name)
     return EXIT_OK
 
@@ -264,7 +252,8 @@ def cmd_compare(args) -> int:
     svg = render_comparison(estimates, rows, meta)
     out = _out_dir(args)
     name = args.output_name or "comparison.svg"
-    (out / name).write_text(svg)
+    with artifact_file(out / name) as fh:
+        fh.write(svg)
     _wrote(out / name)
     return EXIT_OK
 
@@ -414,10 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PrevmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (PrevmapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, count, filterfalse, repeat
 from operator import attrgetter, contains, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -269,18 +270,105 @@ def validate_dataset(dataset: SurveyDataset) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Artifact files: '# key: value' metadata lines, then the content
+# ---------------------------------------------------------------------------
+
+
+def data_lines(path: Path) -> list[str]:
+    """The file's lines without '#' comment lines and blank lines (SchemaError if missing)."""
+    try:
+        with path.open("r", newline="") as fh:
+            return [line for line in fh if not (line.startswith("#") or line.isspace())]
+    except FileNotFoundError:
+        raise SchemaError(f"file not found: {path}") from None
+
+
+def metadata_lines(metadata: Mapping[str, str] | None) -> list[str]:
+    """The '# key: value' lines a text artifact starts with, one per entry."""
+    return [f"# {key}: {value}\n" for key, value in (metadata or {}).items()]
+
+
+@contextmanager
+def artifact_file(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write ``path`` through, replacing it only if the block completes.
+
+    The text goes to a temporary file in the same directory, which is moved
+    over ``path`` at the end, so an interrupted step never leaves a truncated
+    artifact for the next step to read. The temporary file is created as
+    ``open(path, "w")`` creates one, so the umask sets the permissions. There
+    is no fsync: the guard is against an interrupted step, not a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_table(
+    path: str | Path,
+    schema: Mapping[str, type],
+    columns: Sequence[Sequence],
+    metadata: Mapping[str, str] | None = None,
+) -> None:
+    """Write a CSV artifact: metadata lines, the header row, one row per entry.
+
+    ``schema`` maps each header name to ``str``, ``int`` or ``float``, and
+    ``columns`` holds one sequence per name. Strings are written as they are
+    and numbers with ``repr``, so each float reads back as the same double.
+    Numeric columns are converted once, as an array, not cell by cell.
+    """
+    cells = [
+        column if kind is str else map(repr, np.asarray(column, dtype=kind).tolist())
+        for kind, column in zip(schema.values(), columns)
+    ]
+    with artifact_file(path) as fh:
+        fh.writelines(metadata_lines(metadata))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(schema)
+        writer.writerows(zip(*cells))
+
+
+def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
+    """The rows of a CSV artifact, as dicts from each ``schema`` column to its value.
+
+    Comment and blank lines are skipped and header names stripped; columns
+    are looked up by name, so the file may hold others. Each cell is
+    converted by its column's type. A row whose field count differs from the
+    header's, or whose cell does not convert, raises ``SchemaError`` naming
+    the row (1-based, data rows only).
+    """
+    path = Path(path)
+    reader = csv.reader(data_lines(path))
+    header = [h.strip() for h in next(reader, [])]
+    missing = [name for name in schema if name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s) {', '.join(map(repr, missing))}")
+    fields = [(name, header.index(name), kind) for name, kind in schema.items()]
+    rows = []
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}: row {row_no}: {len(row)} fields, the header has {len(header)}"
+            )
+        try:
+            rows.append({name: kind(row[i]) for name, i, kind in fields})
+        except ValueError as exc:
+            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # CSV records
 # ---------------------------------------------------------------------------
 
 # rows per NumPy tokenizer call when loading records; bounds the memory held
 # as Python strings at one time
 LOAD_CHUNK_ROWS = 1 << 16
-
-
-def _data_lines(path: Path) -> list[str]:
-    """The file's lines with '#' comment lines and blank lines removed."""
-    with path.open("r", newline="") as fh:
-        return [line for line in fh if not (line.startswith("#") or line.isspace())]
 
 
 def _split_fields(
@@ -399,10 +487,8 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> S
     comment and blank lines not counted).
     """
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"records file not found: {path}")
     mapping = dict(schema or {})
-    lines = _data_lines(path)
+    lines = data_lines(path)
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -448,23 +534,14 @@ def write_records_csv(
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    path = Path(path)
+    schema = {"region_id": str, "cluster_id": str, "weight": float, "outcome": int}
+    columns = [records.column("region_id"), records.column("cluster_id"),
+               records.weight, records.outcome]
     used = np.bincount(records.stratum, minlength=len(records.stratum_ids)) > 0
-    has_stratum = any(compress(records.stratum_ids, used))
-    columns = [
-        records.column("region_id"),
-        records.column("cluster_id"),
-        map(repr, records.weight.tolist()),
-        map(str, records.outcome.tolist()),
-    ]
-    if has_stratum:
+    if any(compress(records.stratum_ids, used)):
+        schema["stratum"] = str
         columns.append(records.column("stratum"))
-    with path.open("w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(RECORD_COLUMNS) + (["stratum"] if has_stratum else []))
-        writer.writerows(zip(*columns))
+    write_table(path, schema, columns, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +550,11 @@ def write_records_csv(
 
 
 def _as_ring(coords: Sequence[Sequence[float]], feature: str) -> Ring:
+    # ring length and closure are checked by RegionBoundary.validate
     try:
-        ring = tuple((float(x), float(y)) for x, y, *_ in coords)
+        return tuple((float(x), float(y)) for x, y, *_ in coords)
     except (TypeError, ValueError) as exc:
         raise GeometryError(f"feature {feature!r}: bad ring coordinates ({exc})") from None
-    if len(ring) < 4:
-        raise GeometryError(f"feature {feature!r}: ring has {len(ring)} points, need >= 4")
-    if ring[0] != ring[-1]:
-        raise GeometryError(f"feature {feature!r}: unclosed ring")
-    return ring
 
 
 def load_boundaries(path: str | Path) -> list[RegionBoundary]:
@@ -552,7 +625,8 @@ def write_boundaries_geojson(
     doc: dict = {"type": "FeatureCollection", "features": features}
     if metadata:
         doc["metadata"] = dict(metadata)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    with artifact_file(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -581,94 +655,3 @@ def drop_unlinked(
     regions = [b for b in boundaries if b.region_id in populated]
     dataset = SurveyDataset(records=kept, regions=regions, provenance=provenance)
     return dataset, report
-
-
-# ---------------------------------------------------------------------------
-# Optional pre-processing: assign clusters to regions by point location
-# ---------------------------------------------------------------------------
-
-EDGE_TOLERANCE_DEG = 1e-9
-
-
-def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
-    dx, dy = bx - ax, by - ay
-    denom = dx * dx + dy * dy
-    if denom == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / denom))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def _point_in_ring(px: float, py: float, ring: Ring) -> bool:
-    # even-odd ray casting, ray toward +x
-    inside = False
-    for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-        if (y1 > py) != (y2 > py):
-            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if px < x_cross:
-                inside = not inside
-    return inside
-
-
-def point_in_boundary(
-    lon: float, lat: float, boundary: RegionBoundary, edge_tol: float = EDGE_TOLERANCE_DEG
-) -> tuple[bool, bool]:
-    """Return (inside, on_edge) for a point against one region's geometry."""
-    on_edge = False
-    inside = False
-    for poly in boundary.geometry:
-        for ring in poly:
-            for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
-                if _point_segment_distance(lon, lat, x1, y1, x2, y2) <= edge_tol:
-                    on_edge = True
-        # even-odd over all rings of the polygon handles holes
-        crossings = sum(_point_in_ring(lon, lat, ring) for ring in poly)
-        if crossings % 2 == 1:
-            inside = True
-    return inside, on_edge
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Result of locating cluster points inside region polygons."""
-
-    region_of: dict[str, str]
-    ambiguous: frozenset[str]
-    unassigned: frozenset[str]
-
-
-def assign_cluster_regions(
-    cluster_points: Mapping[str, tuple[float, float]],
-    boundaries: Sequence[RegionBoundary],
-    edge_tol: float = EDGE_TOLERANCE_DEG,
-) -> ClusterAssignment:
-    """Assign each cluster point to the region polygon containing it.
-
-    Points within ``edge_tol`` degrees of a boundary edge are ambiguous: they
-    get the lexicographically smallest candidate region and are flagged.
-    Points inside no polygon are reported as unassigned (to be dropped).
-    """
-    region_of: dict[str, str] = {}
-    ambiguous: set[str] = set()
-    unassigned: set[str] = set()
-    for cid in sorted(cluster_points):
-        lon, lat = cluster_points[cid]
-        interior: list[str] = []
-        edge_hits: list[str] = []
-        for b in boundaries:
-            inside, on_edge = point_in_boundary(lon, lat, b, edge_tol)
-            if on_edge:
-                edge_hits.append(b.region_id)
-            elif inside:
-                interior.append(b.region_id)
-        if edge_hits:
-            region_of[cid] = min(edge_hits + interior)
-            ambiguous.add(cid)
-        elif len(interior) == 1:
-            region_of[cid] = interior[0]
-        elif len(interior) > 1:
-            region_of[cid] = min(interior)
-            ambiguous.add(cid)
-        else:
-            unassigned.add(cid)
-    return ClusterAssignment(region_of, frozenset(ambiguous), frozenset(unassigned))

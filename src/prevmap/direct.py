@@ -22,7 +22,6 @@ would give.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import IndividualRecord, SurveyDataset, SurveyTable, _data_lines
-from .errors import EmptyDatasetError, SchemaError
+from .data_model import IndividualRecord, SurveyDataset, SurveyTable, read_table, write_table
+from .errors import EmptyDatasetError
 
 # degeneracy flags
 NONE = "none"
@@ -40,16 +39,16 @@ ALL_ONE = "all_one"
 SINGLE_CLUSTER = "single_cluster"
 ZERO_VARIANCE = "zero_variance"
 
-DIRECT_CSV_COLUMNS = (
-    "region_id",
-    "n",
-    "m_clusters",
-    "p_hat",
-    "var_p",
-    "logit_y",
-    "var_logit",
-    "degenerate",
-)
+DIRECT_CSV_COLUMNS = {
+    "region_id": str,
+    "n": int,
+    "m_clusters": int,
+    "p_hat": float,
+    "var_p": float,
+    "logit_y": float,
+    "var_logit": float,
+    "degenerate": str,
+}
 
 
 @dataclass(frozen=True)
@@ -250,50 +249,9 @@ def write_direct_csv(
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    with Path(path).open("w", newline="") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DIRECT_CSV_COLUMNS)
-        for e in estimates:
-            writer.writerow(
-                [
-                    e.region_id,
-                    str(e.n),
-                    str(e.m_clusters),
-                    repr(e.p_hat),
-                    repr(e.var_p),
-                    repr(e.logit_y),
-                    repr(e.var_logit),
-                    e.degenerate,
-                ]
-            )
+    columns = [[getattr(e, name) for e in estimates] for name in DIRECT_CSV_COLUMNS]
+    write_table(path, DIRECT_CSV_COLUMNS, columns, metadata)
 
 
 def read_direct_csv(path: str | Path) -> list[DirectEstimate]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"direct-estimates file not found: {path}")
-    reader = csv.reader(_data_lines(path))
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != DIRECT_CSV_COLUMNS:
-        raise SchemaError(f"{path}: unexpected direct-estimates header {header}")
-    out = []
-    for row_no, row in enumerate(reader, start=1):
-        try:
-            rid, n, m, p_hat, var_p, logit_y, var_logit, flag = row
-            out.append(
-                DirectEstimate(
-                    region_id=rid,
-                    p_hat=float(p_hat),
-                    var_p=float(var_p),
-                    logit_y=float(logit_y),
-                    var_logit=float(var_logit),
-                    n=int(n),
-                    m_clusters=int(m),
-                    degenerate=flag,
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
-    return out
+    return [DirectEstimate(**row) for row in read_table(path, DIRECT_CSV_COLUMNS)]

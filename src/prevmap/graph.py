@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import RegionBoundary, _data_lines
-from .errors import GeometryError, SchemaError
+from .data_model import RegionBoundary, artifact_file, data_lines, metadata_lines
+from .errors import EmptyDatasetError, GeometryError, SchemaError
 
 STYLES = ("B", "W")
 
@@ -57,13 +57,6 @@ class AdjacencyGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
             canon.add((a, b) if a < b else (b, a))
         return cls(nodes, frozenset(canon), _components(nodes, canon), style)
-
-    def neighbor_map(self) -> dict[str, set[str]]:
-        nbrs: dict[str, set[str]] = {nid: set() for nid in self.node_ids}
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return nbrs
 
     def n_components(self) -> int:
         return len(self.components)
@@ -126,9 +119,9 @@ def build_adjacency(
     match bit-for-bit. Country labels are ignored by construction.
     """
     if len(boundaries) < 2:
-        raise ValueError(f"need at least 2 boundaries, got {len(boundaries)}")
+        raise EmptyDatasetError(f"need at least 2 boundaries, got {len(boundaries)}")
     if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+        raise GeometryError(f"tolerance must be >= 0, got {tolerance!r}")
     seen_by_segment: dict[tuple, list[str]] = {}
     for b in sorted(boundaries, key=lambda bb: bb.region_id):
         keys = _segment_keys(b, tolerance)
@@ -246,26 +239,22 @@ def export_graph(
 ) -> None:
     for nid in graph.node_ids:
         if any(ch.isspace() for ch in nid):
-            raise ValueError(f"region_id {nid!r} contains whitespace; not exportable")
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(f"style {graph.style}")
-    lines.append(f"nodes {len(graph.node_ids)}")
+            raise SchemaError(f"region_id {nid!r} contains whitespace; not exportable")
+    lines = [f"style {graph.style}", f"nodes {len(graph.node_ids)}"]
     lines.extend(graph.node_ids)
     edges = sorted(graph.edges)
     lines.append(f"edges {len(edges)}")
     lines.extend(f"{a} {b}" for a, b in edges)
     lines.append(f"components {len(graph.components)}")
     lines.extend(" ".join(comp) for comp in graph.components)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with artifact_file(path) as fh:
+        fh.writelines(metadata_lines(metadata))
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_graph(path: str | Path) -> AdjacencyGraph:
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"graph file not found: {path}")
-    lines = [ln.rstrip("\n") for ln in _data_lines(path)]
+    lines = [ln.rstrip("\n") for ln in data_lines(path)]
     pos = 0
 
     def take() -> str:

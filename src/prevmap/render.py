@@ -233,31 +233,51 @@ def _choropleth_panel(
     return "\n".join(body), height
 
 
+HATCH_DEFS = (
+    '<defs><pattern id="hatch" width="5" height="5" patternUnits="userSpaceOnUse">'
+    '<rect width="5" height="5" fill="#f4f4f4"/>'
+    '<path d="M0,5 l5,-5" stroke="#999" stroke-width="0.8"/></pattern></defs>'
+)
+
+
 def _document(
-    panels: Sequence[tuple[str, float]],
+    width: float,
+    height: float,
+    groups: Sequence[tuple[str, str]],
     metadata: Mapping[str, str] | None = None,
+    defs: str = "",
 ) -> str:
-    width = PANEL_W * len(panels)
-    height = max(h for _, h in panels)
-    head = [
+    """An SVG document holding one ``<g attributes>`` per (attributes, content).
+
+    The metadata becomes one comment after the ``<svg>`` tag, with ``--``
+    (which may not appear in an XML comment) written as ``[dash]``.
+    """
+    lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" font-family="sans-serif">',
     ]
     if metadata:
         pairs = "; ".join(f"{k}: {v}" for k, v in metadata.items())
-        head.append(f"<!-- {pairs.replace('--', '[dash]')} -->")
-    head.append(
-        '<defs><pattern id="hatch" width="5" height="5" patternUnits="userSpaceOnUse">'
-        '<rect width="5" height="5" fill="#f4f4f4"/>'
-        '<path d="M0,5 l5,-5" stroke="#999" stroke-width="0.8"/></pattern></defs>'
-    )
-    for k, (content, _) in enumerate(panels):
-        head.append(f'<g transform="translate({k * PANEL_W:.0f},0)">')
-        head.append(content)
-        head.append("</g>")
-    head.append("</svg>")
-    return "\n".join(head) + "\n"
+        lines.append(f"<!-- {pairs.replace('--', '[dash]')} -->")
+    if defs:
+        lines.append(defs)
+    for attributes, content in groups:
+        lines += [f"<g {attributes}>", content, "</g>"]
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _panel_row(
+    panels: Sequence[tuple[str, float]], metadata: Mapping[str, str] | None
+) -> str:
+    """Choropleth panels side by side, PANEL_W apart, as one document."""
+    groups = [
+        (f'transform="translate({k * PANEL_W:.0f},0)"', content)
+        for k, (content, _) in enumerate(panels)
+    ]
+    height = max(h for _, h in panels)
+    return _document(PANEL_W * len(panels), height, groups, metadata, HATCH_DEFS)
 
 
 def render_choropleth(
@@ -268,7 +288,7 @@ def render_choropleth(
     metadata: Mapping[str, str] | None = None,
 ) -> str:
     """One filled path per region plus a legend; missing values hatched."""
-    return _document(
+    return _panel_row(
         [_choropleth_panel(boundaries, values, spec, title or spec.column)],
         metadata,
     )
@@ -284,7 +304,7 @@ def render_map_row(
     rendered = [
         _choropleth_panel(boundaries, values, spec, title) for title, values in panels
     ]
-    return _document(rendered, metadata)
+    return _panel_row(rendered, metadata)
 
 
 def render_country_panels(
@@ -304,7 +324,7 @@ def render_country_panels(
         rendered.append(
             _choropleth_panel(subset, sub_values, spec, country or spec.column)
         )
-    return _document(rendered, metadata)
+    return _panel_row(rendered, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +504,9 @@ def render_comparison(
         "gray = direct, blue = smoothed, open = degenerate</text>"
     )
 
-    width = max(2 * 340.0, c_w)
-    height = 320.0 + 320.0
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" font-family="sans-serif">',
+    groups = [
+        ('id="panelA"', panel_a),
+        ('id="panelB" transform="translate(340,0)"', panel_b),
+        ('id="panelC" transform="translate(0,320)"', "\n".join(panel_c)),
     ]
-    if metadata:
-        pairs = "; ".join(f"{k}: {v}" for k, v in metadata.items())
-        head.append(f"<!-- {pairs.replace('--', '[dash]')} -->")
-    head.append('<g id="panelA">')
-    head.append(panel_a)
-    head.append("</g>")
-    head.append('<g id="panelB" transform="translate(340,0)">')
-    head.append(panel_b)
-    head.append("</g>")
-    head.append('<g id="panelC" transform="translate(0,320)">')
-    head.append("\n".join(panel_c))
-    head.append("</g>")
-    head.append("</svg>")
-    return "\n".join(head) + "\n"
+    return _document(max(2 * 340.0, c_w), 320.0 + 320.0, groups, metadata)

@@ -20,7 +20,14 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import expit, logit
 
-from .data_model import RegionBoundary, SurveyDataset, SurveyTable, _data_lines
+from .data_model import (
+    RegionBoundary,
+    SurveyDataset,
+    SurveyTable,
+    data_lines,
+    read_table,
+    write_table,
+)
 from .errors import PrevmapError, SchemaError
 from .graph import build_adjacency, icar_precision
 
@@ -266,10 +273,8 @@ def _parse_cluster_range(raw: str) -> tuple[int, int]:
 def load_scenario(path: str | Path) -> Scenario:
     """Read a key = value scenario file ('#' lines are comments)."""
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"scenario file not found: {path}")
     kv: dict[str, str] = {}
-    for line in _data_lines(path):
+    for line in data_lines(path):
         if "=" not in line:
             raise SchemaError(f"{path}: expected 'key = value', got {line.strip()!r}")
         key, value = line.split("=", 1)
@@ -277,14 +282,13 @@ def load_scenario(path: str | Path) -> Scenario:
     missing = [f for f in SCENARIO_FIELDS if f not in kv]
     if missing:
         raise SchemaError(f"{path}: missing scenario fields: {', '.join(missing)}")
-    breaks = tuple(
-        int(tok) for tok in kv["group_breaks"].split(",") if tok.strip()
-    )
     try:
         return Scenario(
             rows=int(kv["rows"]),
             cols=int(kv["cols"]),
-            group_breaks=breaks,
+            group_breaks=tuple(
+                int(tok) for tok in kv["group_breaks"].split(",") if tok.strip()
+            ),
             base_logit=float(kv["base_logit"]),
             spatial_sd=float(kv["spatial_sd"]),
             clusters_per_region=_parse_cluster_range(kv["clusters_per_region"]),
@@ -299,28 +303,17 @@ def load_scenario(path: str | Path) -> Scenario:
         raise SchemaError(f"{path}: bad scenario value ({exc})") from None
 
 
+TRUTH_CSV_COLUMNS = {"region_id": str, "true_prevalence": float}
+
+
 def write_truth_csv(
     true_prevalence: Mapping[str, float],
     path: str | Path,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    with Path(path).open("w") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
-        fh.write("region_id,true_prevalence\n")
-        for rid in sorted(true_prevalence):
-            fh.write(f"{rid},{true_prevalence[rid]!r}\n")
+    ids = sorted(true_prevalence)
+    write_table(path, TRUTH_CSV_COLUMNS, [ids, [true_prevalence[rid] for rid in ids]], metadata)
 
 
 def read_truth_csv(path: str | Path) -> dict[str, float]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"truth file not found: {path}")
-    lines = list(_data_lines(path))
-    if not lines or lines[0].strip() != "region_id,true_prevalence":
-        raise SchemaError(f"{path}: unexpected truth header")
-    out = {}
-    for line in lines[1:]:
-        rid, val = line.strip().split(",")
-        out[rid] = float(val)
-    return out
+    return {r["region_id"]: r["true_prevalence"] for r in read_table(path, TRUTH_CSV_COLUMNS)}

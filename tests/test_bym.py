@@ -242,7 +242,7 @@ class TestGibbsFit:
         assert degen.region_id == "R2"
         assert degen.prevalence.mean > 0.0
         assert degen.prevalence.q025 > 0.0
-        draws = post.prevalence_draws(2)
+        draws = expit(post.theta_draws[:, :, 2])
         assert np.all(draws > 0.0)
 
     def test_prevalence_summaries_strictly_inside_unit_interval(self):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,33 @@ class TestDegenerateAndMalformedInputs:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "boundaries.geojson: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("group_breaks_not_integer", "bad scenario value"),
+            ("negative_tolerance", "tolerance must be >= 0"),
+            ("one_feature", "need at least 2 boundaries"),
+            ("space_in_region_id", "'R 0' contains whitespace"),
+        ],
+    )
+    def test_bad_input_exits_2_with_message(self, tmp_path, capsys, case, message):
+        regions = make_grid_regions(1, 2)
+        if case == "one_feature":
+            regions = regions[:1]
+        elif case == "space_in_region_id":
+            regions = [replace(regions[0], region_id="R 0"), regions[1]]
+        geojson = tmp_path / "boundaries.geojson"
+        write_boundaries_geojson(regions, geojson)
+        argv = ["adjacency", "--boundaries", str(geojson), "--out", str(tmp_path)]
+        if case == "negative_tolerance":
+            argv += ["--tolerance", "-1"]
+        elif case == "group_breaks_not_integer":
+            cfg = tmp_path / "scenario.cfg"
+            cfg.write_text(SCENARIO.replace("group_breaks = 1", "group_breaks = a"))
+            argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_stats_and_sparse():

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from conftest import boundary, geojson_feature, record, square
 from prevmap.data_model import (
     IndividualRecord,
-    RegionBoundary,
     SurveyDataset,
     SurveyTable,
-    assign_cluster_regions,
     drop_unlinked,
     load_boundaries,
     load_records,
@@ -296,34 +294,3 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "records.csv"
         write_records_csv(records, path)
         assert load_records(path) == records
-
-
-class TestPointAssignment:
-    def test_interior_and_outside(self):
-        boundaries = [boundary("R1", square(0, 0)), boundary("R2", square(1, 0))]
-        result = assign_cluster_regions(
-            {"in1": (0.5, 0.5), "in2": (1.5, 0.5), "out": (5.0, 5.0)}, boundaries
-        )
-        assert result.region_of == {"in1": "R1", "in2": "R2"}
-        assert result.unassigned == {"out"}
-        assert result.ambiguous == frozenset()
-
-    def test_shared_edge_goes_to_smallest_id_flagged(self):
-        boundaries = [boundary("R2", square(1, 0)), boundary("R1", square(0, 0))]
-        result = assign_cluster_regions({"edge": (1.0, 0.5)}, boundaries)
-        assert result.region_of["edge"] == "R1"
-        assert "edge" in result.ambiguous
-
-    def test_near_edge_within_tolerance_flagged(self):
-        boundaries = [boundary("R1", square(0, 0)), boundary("R2", square(1, 0))]
-        result = assign_cluster_regions({"c": (1.0 + 5e-10, 0.5)}, boundaries)
-        assert result.region_of["c"] == "R1"
-        assert "c" in result.ambiguous
-
-    def test_point_in_hole_is_outside(self):
-        outer = square(0, 0, 3.0)
-        hole = square(1, 1, 1.0)
-        donut = RegionBoundary("D", ((outer, hole),))
-        other = boundary("Z", square(10, 10))
-        result = assign_cluster_regions({"c": (1.5, 1.5)}, [donut, other])
-        assert result.unassigned == {"c"}

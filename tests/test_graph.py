@@ -232,10 +232,3 @@ class TestAdjacencyGraphType:
             ["a", "b", "c", "d"], [("a", "b")]
         )
         assert graph.components == (("a", "b"), ("c",), ("d",))
-
-    def test_neighbor_map_symmetric(self):
-        graph = build_adjacency(grid_2x2())
-        nbrs = graph.neighbor_map()
-        for a, others in nbrs.items():
-            for b in others:
-                assert a in nbrs[b]

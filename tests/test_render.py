@@ -261,3 +261,16 @@ class TestRenderComparison:
     def test_deterministic(self):
         direct, rows = self.inputs(identical=False)
         assert render_comparison(direct, rows) == render_comparison(direct, rows)
+
+
+@pytest.mark.parametrize("figure", ["choropleth", "comparison"])
+def test_metadata_comment_escapes_double_dash(figure):
+    metadata = {"seed": "7", "argv": "--bins 5"}
+    if figure == "choropleth":
+        svg = render_choropleth(
+            TestRenderChoropleth.two_regions(), {"R1": 0.1, "R2": 0.2},
+            ChoroplethSpec(column="v", bins=2), metadata=metadata,
+        )
+    else:
+        svg = render_comparison(*TestRenderComparison.inputs(), metadata)
+    assert svg.splitlines()[2] == "<!-- seed: 7; argv: [dash]bins 5 -->"
