@@ -63,6 +63,10 @@ class Hyperpriors:
     a_sp: float = 0.5
     b_sp: float = 0.0005
 
+    def describe(self) -> str:
+        """The priors as the fit's metadata and the smooth step's config hash write them."""
+        return f"invgamma(a_eps={self.a_eps},b_eps={self.b_eps},a_sp={self.a_sp},b_sp={self.b_sp})"
+
     def validate(self) -> None:
         for name in ("a_eps", "b_eps", "a_sp", "b_sp"):
             if not getattr(self, name) > 0:
@@ -676,10 +680,7 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         "burn_in": str(config.burn_in),
         "thin": str(config.thin),
         "seed": str(config.seed),
-        "priors": (
-            f"invgamma(a_eps={pri.a_eps},b_eps={pri.b_eps},"
-            f"a_sp={pri.a_sp},b_sp={pri.b_sp})"
-        ),
+        "priors": pri.describe(),
         "style": prec.style,
         "icar_rank": str(prec.rank),
     }

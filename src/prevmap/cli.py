@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .bym import (
@@ -51,10 +52,29 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _hash_material(*chunks: str | bytes) -> str:
+# bytes read per call when hashing an input file
+HASH_CHUNK = 1 << 20
+
+
+def _config_hash(paths: Sequence[str | Path], *texts: str) -> str:
+    """The config-sha256 of a step: its input files' bytes, then its settings.
+
+    Each file's bytes and each UTF-8 text is followed by one NUL byte. Files
+    are read in ``HASH_CHUNK`` pieces, so no input is held in memory whole.
+    """
     h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk.encode() if isinstance(chunk, str) else chunk)
+    for path in paths:
+        try:
+            with open(path, "rb") as fh:
+                while chunk := fh.read(HASH_CHUNK):
+                    h.update(chunk)
+        except (FileNotFoundError, NotADirectoryError):
+            raise SchemaError(f"input file not found: {Path(path)}") from None
+        except OSError as exc:
+            raise SchemaError(f"cannot read input file {Path(path)}: {exc.strerror}") from None
+        h.update(b"\x00")
+    for text in texts:
+        h.update(text.encode())
         h.update(b"\x00")
     return h.hexdigest()[:16]
 
@@ -65,13 +85,6 @@ def _meta(config_hash: str, seed: int | None = None) -> dict[str, str]:
         meta["seed"] = str(seed)
     meta["config-sha256"] = config_hash
     return meta
-
-
-def _read_file_bytes(path: str | Path) -> bytes:
-    p = Path(path)
-    if not p.exists():
-        raise SchemaError(f"input file not found: {p}")
-    return p.read_bytes()
 
 
 def _read_values(path: str | Path, column: str) -> dict[str, float]:
@@ -101,7 +114,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
     config_text = Path(args.config).read_text()
-    meta = _meta(_hash_material(config_text, str(seed)), seed)
+    meta = _meta(_config_hash([], config_text, str(seed)), seed)
     truth = scenario.realize(seed)
     dataset = sample_survey(truth)
     out = _out_dir(args)
@@ -120,8 +133,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_direct(args) -> int:
-    records_bytes = _read_file_bytes(args.records)
-    boundaries_bytes = _read_file_bytes(args.boundaries)
+    meta = _meta(_config_hash([args.records, args.boundaries]), args.seed)
     records = load_records(args.records)
     boundaries = load_boundaries(args.boundaries)
     dataset, report = drop_unlinked(records, boundaries)
@@ -138,7 +150,6 @@ def cmd_direct(args) -> int:
             "degenerate regions: "
             + ", ".join(f"{e.region_id}({e.degenerate})" for e in flagged)
         )
-    meta = _meta(_hash_material(records_bytes, boundaries_bytes), args.seed)
     out = _out_dir(args)
     write_direct_csv(estimates, out / "direct.csv", meta)
     _wrote(out / "direct.csv")
@@ -146,13 +157,12 @@ def cmd_direct(args) -> int:
 
 
 def cmd_adjacency(args) -> int:
-    boundaries_bytes = _read_file_bytes(args.boundaries)
-    boundaries = load_boundaries(args.boundaries)
-    graph = build_adjacency(boundaries, tolerance=args.tolerance, style=args.style)
     meta = _meta(
-        _hash_material(boundaries_bytes, f"tolerance={args.tolerance!r} style={args.style}"),
+        _config_hash([args.boundaries], f"tolerance={args.tolerance!r} style={args.style}"),
         args.seed,
     )
+    boundaries = load_boundaries(args.boundaries)
+    graph = build_adjacency(boundaries, tolerance=args.tolerance, style=args.style)
     out = _out_dir(args)
     export_graph(graph, out / "graph.txt", meta)
     print(
@@ -164,14 +174,17 @@ def cmd_adjacency(args) -> int:
 
 
 def cmd_smooth(args) -> int:
-    direct_bytes = _read_file_bytes(args.direct)
-    graph_bytes = _read_file_bytes(args.graph)
+    priors = Hyperpriors(args.prior_a_eps, args.prior_b_eps, args.prior_a_sp, args.prior_b_sp)
+    seed = args.seed if args.seed is not None else 0
+    mcmc_desc = (
+        f"chains={args.chains} iterations={args.iterations} "
+        f"burn_in={args.burn_in} thin={args.thin} priors={priors.describe()}"
+    )
+    meta = _meta(_config_hash([args.direct, args.graph], mcmc_desc, str(seed)), seed)
     estimates = sorted(read_direct_csv(args.direct), key=lambda e: e.region_id)
     graph = load_graph(args.graph)
     precision = icar_precision(graph)
-    priors = Hyperpriors(args.prior_a_eps, args.prior_b_eps, args.prior_a_sp, args.prior_b_sp)
     spec = BymModelSpec(estimates=estimates, precision=precision, priors=priors)
-    seed = args.seed if args.seed is not None else 0
     config = McmcConfig(
         chains=args.chains,
         iterations=args.iterations,
@@ -180,11 +193,6 @@ def cmd_smooth(args) -> int:
         seed=seed,
     )
     posterior = gibbs_fit(spec, config)
-    mcmc_desc = (
-        f"chains={config.chains} iterations={config.iterations} "
-        f"burn_in={config.burn_in} thin={config.thin} priors={posterior.meta['priors']}"
-    )
-    meta = _meta(_hash_material(direct_bytes, graph_bytes, mcmc_desc, str(seed)), seed)
     meta.update({k: v for k, v in posterior.meta.items() if k != "seed"})
     out = _out_dir(args)
     write_posterior_csv(posterior.rows(estimates), out / "posterior.csv", meta)
@@ -212,16 +220,14 @@ def _choropleth_spec(args, column: str) -> ChoroplethSpec:
 
 
 def cmd_render(args) -> int:
-    boundaries_bytes = _read_file_bytes(args.boundaries)
-    values_bytes = _read_file_bytes(args.values)
-    boundaries = load_boundaries(args.boundaries)
     columns = args.column or ["prev_mean"]
-    spec = _choropleth_spec(args, columns[0])
     desc = (
         f"columns={','.join(columns)} bins={args.bins} breaks={args.breaks} "
         f"scope={args.scope} ramp={args.ramp or 'default'} zoom={args.zoom_per_country}"
     )
-    meta = _meta(_hash_material(boundaries_bytes, values_bytes, desc), args.seed)
+    meta = _meta(_config_hash([args.boundaries, args.values], desc), args.seed)
+    boundaries = load_boundaries(args.boundaries)
+    spec = _choropleth_spec(args, columns[0])
     if args.zoom_per_country:
         if len(columns) != 1:
             raise SchemaError("--zoom-per-country takes exactly one --column")
@@ -244,11 +250,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    direct_bytes = _read_file_bytes(args.direct)
-    posterior_bytes = _read_file_bytes(args.posterior)
+    meta = _meta(_config_hash([args.direct, args.posterior]), args.seed)
     estimates = read_direct_csv(args.direct)
     rows = read_posterior_csv(args.posterior)
-    meta = _meta(_hash_material(direct_bytes, posterior_bytes), args.seed)
     svg = render_comparison(estimates, rows, meta)
     out = _out_dir(args)
     name = args.output_name or "comparison.svg"

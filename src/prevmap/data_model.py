@@ -9,12 +9,13 @@ datasets are treated as immutable.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, count, filterfalse, repeat
+from itertools import chain, compress, count, filterfalse, repeat
 from operator import attrgetter, contains, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -38,8 +39,9 @@ OPTIONAL_RECORD_COLUMNS = ("stratum",)
 # the record columns held as integer codes in a SurveyTable
 ID_COLUMNS = ("region_id", "cluster_id", "stratum")
 
-# ring vertex = (longitude, latitude) in degrees
-Ring = tuple[tuple[float, float], ...]
+# a ring is a read-only (k, 2) float64 array of (longitude, latitude) in
+# degrees, closing vertex included
+Ring = np.ndarray
 Polygon = tuple[Ring, ...]
 
 
@@ -157,25 +159,74 @@ def _compact(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarray, tuple
     return (np.cumsum(used) - 1)[codes], tuple(compress(ids, used))
 
 
-@dataclass(frozen=True)
+def _frozen_ring(points, region_id: str) -> Ring:
+    """``points`` as a read-only C-contiguous (k, 2) float64 array of finite values."""
+    try:
+        ring = np.array(points, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GeometryError(f"region {region_id!r}: bad ring coordinates ({exc})") from None
+    if ring.size == 0:
+        ring = ring.reshape(0, 2)
+    if ring.ndim != 2 or ring.shape[1] != 2:
+        raise GeometryError(
+            f"region {region_id!r}: ring must be a sequence of (x, y) pairs, "
+            f"got an array of shape {ring.shape}"
+        )
+    if not np.isfinite(ring).all():
+        raise GeometryError(f"region {region_id!r}: ring has a non-finite coordinate")
+    ring.flags.writeable = False
+    return ring
+
+
+@dataclass(frozen=True, eq=False)
 class RegionBoundary:
-    """A named region with polygon/multipolygon geometry in lon/lat degrees."""
+    """A named region with polygon/multipolygon geometry in lon/lat degrees.
+
+    ``geometry`` holds polygons, each a tuple of rings (the outer ring, then
+    any holes). Every ring is stored as a read-only (k, 2) float64 array that
+    keeps its closing vertex; any sequence of (x, y) pairs is accepted on
+    construction. A non-finite coordinate raises ``GeometryError``. Two
+    boundaries are equal when their ids, countries and every ring are.
+    """
 
     region_id: str
     geometry: tuple[Polygon, ...]
     country: str = ""
 
+    def __post_init__(self) -> None:
+        geometry = tuple(
+            tuple(_frozen_ring(ring, self.region_id) for ring in poly)
+            for poly in self.geometry
+        )
+        object.__setattr__(self, "geometry", geometry)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RegionBoundary):
+            return NotImplemented
+        return (
+            (self.region_id, self.country) == (other.region_id, other.country)
+            and list(map(len, self.geometry)) == list(map(len, other.geometry))
+            and all(
+                np.array_equal(mine, theirs)
+                for poly, other_poly in zip(self.geometry, other.geometry)
+                for mine, theirs in zip(poly, other_poly)
+            )
+        )
+
+    def rings(self) -> list[Ring]:
+        """Every ring of every polygon, in order."""
+        return [ring for poly in self.geometry for ring in poly]
+
     def validate(self) -> None:
         if not self.geometry or all(len(poly) == 0 for poly in self.geometry):
             raise GeometryError(f"region {self.region_id!r} has no rings")
-        for poly in self.geometry:
-            for ring in poly:
-                if len(ring) < 4:
-                    raise GeometryError(
-                        f"region {self.region_id!r}: ring has {len(ring)} points, need >= 4"
-                    )
-                if ring[0] != ring[-1]:
-                    raise GeometryError(f"region {self.region_id!r}: ring is not closed")
+        for ring in self.rings():
+            if len(ring) < 4:
+                raise GeometryError(
+                    f"region {self.region_id!r}: ring has {len(ring)} points, need >= 4"
+                )
+            if not np.array_equal(ring[0], ring[-1]):
+                raise GeometryError(f"region {self.region_id!r}: ring is not closed")
 
 
 @dataclass
@@ -549,11 +600,43 @@ def write_records_csv(
 # ---------------------------------------------------------------------------
 
 
-def _as_ring(coords: Sequence[Sequence[float]], feature: str) -> Ring:
-    # ring length and closure are checked by RegionBoundary.validate
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector for the block.
+
+    A parsed GeoJSON document is a tree of one small list per vertex; it has
+    no cycles to find, but building it triggers a collection every few
+    hundred lists, which took about a third of ``json.load``'s time on
+    400-vertex rings.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return tuple((float(x), float(y)) for x, y, *_ in coords)
-    except (TypeError, ValueError) as exc:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _as_ring(coords: Sequence[Sequence[float]], feature: str) -> Ring:
+    """A GeoJSON ring as an (k, 2) array; a third coordinate is dropped.
+
+    A point with fewer than two coordinates, or one that ``float`` rejects,
+    raises ``GeometryError``. Ring length and closure are checked by
+    ``RegionBoundary.validate``.
+    """
+    try:
+        width, *others = set(map(len, coords))
+        if not others and width >= 2:  # one array conversion for the whole ring
+            flat = np.fromiter(chain.from_iterable(coords), np.float64, len(coords) * width)
+            # NaN may stand for a None that float() rejects: the loop below decides
+            if np.isfinite(flat).all():
+                return flat.reshape(-1, width)[:, :2]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    try:
+        return np.array([(float(x), float(y)) for x, y, *_ in coords]).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GeometryError(f"feature {feature!r}: bad ring coordinates ({exc})") from None
 
 
@@ -562,7 +645,7 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"boundaries file not found: {path}")
-    with path.open("r") as fh:
+    with path.open("r") as fh, _gc_paused():
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -614,7 +697,7 @@ def write_boundaries_geojson(
 ) -> None:
     features = []
     for b in boundaries:
-        multi = [[list(list(pt) for pt in ring) for ring in poly] for poly in b.geometry]
+        multi = [[ring.tolist() for ring in poly] for poly in b.geometry]
         features.append(
             {
                 "type": "Feature",

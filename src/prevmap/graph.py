@@ -5,6 +5,12 @@ segment (rook contiguity) after quantizing vertex coordinates to a tolerance
 grid. Country labels play no role: borders between countries produce edges
 like any other, so estimation can borrow strength across them.
 
+Each ring is a read-only (k, 2) float64 array with its closing vertex (see
+``RegionBoundary``, which also accepts tuples of (x, y) pairs and rejects
+non-finite coordinates). ``build_adjacency`` works on all vertices at once:
+it quantizes them, numbers the distinct ones, and groups equal segments with
+one sort, so no Python code runs per vertex.
+
 The precision structure Q is kept in sparse edge-list form at unit scale.
 "B" style uses binary weights (Q = D - A); "W" style uses symmetrized
 row-normalized weights w_ij = (1/d_i + 1/d_j)/2 so the pairwise-difference
@@ -88,25 +94,6 @@ def _components(
 # ---------------------------------------------------------------------------
 
 
-def _segment_keys(boundary: RegionBoundary, tolerance: float) -> set[tuple]:
-    """Canonical keys of this region's boundary segments on the tolerance grid."""
-
-    def quantize(pt: tuple[float, float]):
-        if tolerance > 0:
-            return (round(pt[0] / tolerance), round(pt[1] / tolerance))
-        return pt
-
-    keys: set[tuple] = set()
-    for poly in boundary.geometry:
-        for ring in poly:
-            for a, b in zip(ring, ring[1:]):
-                qa, qb = quantize(a), quantize(b)
-                if qa == qb:
-                    continue  # segment collapsed by quantization
-                keys.add((qa, qb) if qa <= qb else (qb, qa))
-    return keys
-
-
 def build_adjacency(
     boundaries: Sequence[RegionBoundary],
     tolerance: float = 1e-6,
@@ -120,24 +107,66 @@ def build_adjacency(
     """
     if len(boundaries) < 2:
         raise EmptyDatasetError(f"need at least 2 boundaries, got {len(boundaries)}")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise GeometryError(f"tolerance must be >= 0, got {tolerance!r}")
-    seen_by_segment: dict[tuple, list[str]] = {}
-    for b in sorted(boundaries, key=lambda bb: bb.region_id):
-        keys = _segment_keys(b, tolerance)
-        if not keys:
-            raise GeometryError(f"region {b.region_id!r} has degenerate geometry")
-        for key in keys:
-            owners = seen_by_segment.setdefault(key, [])
-            if b.region_id not in owners:
-                owners.append(b.region_id)
-    edges: set[tuple[str, str]] = set()
-    for owners in seen_by_segment.values():
-        for i in range(len(owners)):
-            for j in range(i + 1, len(owners)):
-                a, b_ = owners[i], owners[j]
-                edges.add((a, b_) if a < b_ else (b_, a))
-    return AdjacencyGraph.from_edges([b.region_id for b in boundaries], sorted(edges), style)
+    ordered = sorted(boundaries, key=lambda bb: bb.region_id)
+    ids = sorted({b.region_id for b in ordered})
+    code = {rid: k for k, rid in enumerate(ids)}
+    rings = [(k, ring) for k, b in enumerate(ordered) for ring in b.rings()]
+    lengths = np.array([len(ring) for _, ring in rings], dtype=np.intp)
+    xy = np.concatenate([ring for _, ring in rings] or [np.empty((0, 2))])
+    if tolerance > 0:
+        with np.errstate(over="ignore"):
+            xy = np.rint(xy / tolerance)  # as round(): to nearest, ties to even
+        if not np.isfinite(xy).all():
+            raise GeometryError(
+                f"tolerance {tolerance!r} is too small for these coordinates "
+                "(quantized values overflow)"
+            )
+    # number the distinct vertices in lexicographic order, so that comparing
+    # two numbers compares the (x, y) pairs they stand for; -0.0 and 0.0 are
+    # one value to the sort and to !=, as they are to a tuple key
+    by_xy = np.lexsort((xy[:, 1], xy[:, 0]))
+    fresh = np.ones(len(xy), dtype=bool)
+    fresh[1:] = (xy[by_xy[1:]] != xy[by_xy[:-1]]).any(axis=1)
+    vertex = np.empty(len(xy), dtype=np.intp)
+    vertex[by_xy] = np.cumsum(fresh) - 1
+    # segment s joins vertices s and s + 1 of a ring: every vertex but a ring's last
+    starts = np.ones(len(xy), dtype=bool)
+    starts[np.cumsum(lengths)[lengths > 0] - 1] = False
+    u = vertex[:-1][starts[:-1]]
+    v = vertex[1:][starts[:-1]]
+    boundary = np.repeat(np.array([k for k, _ in rings], dtype=np.intp), lengths)[starts]
+    kept = u != v  # drop segments collapsed by quantization
+    u, v, boundary = u[kept], v[kept], boundary[kept]
+    empty = np.bincount(boundary, minlength=len(ordered)) == 0
+    if empty.any():
+        raise GeometryError(
+            f"region {ordered[int(np.argmax(empty))].region_id!r} has degenerate geometry"
+        )
+    # one key per segment, endpoints in order; owners ascend along the boundaries
+    # (sorted by id), and the stable sort keeps them ascending within a segment
+    segment = np.minimum(u, v) * len(xy) + np.maximum(u, v)
+    owner = np.array([code[b.region_id] for b in ordered], dtype=np.intp)[boundary]
+    by_segment = np.argsort(segment, kind="stable")
+    segment, owner = segment[by_segment], owner[by_segment]
+    distinct = np.ones(len(owner), dtype=bool)
+    distinct[1:] = (segment[1:] != segment[:-1]) | (owner[1:] != owner[:-1])
+    segment, owner = segment[distinct], owner[distinct]
+    # pair each owner of a segment with every later one, d places on
+    pairs = []
+    for d in range(1, len(owner)):
+        same = segment[d:] == segment[:-d]
+        if not same.any():
+            break
+        pairs.append(owner[:-d][same] * len(ids) + owner[d:][same])
+    edges = np.unique(np.concatenate(pairs or [np.empty(0, dtype=np.intp)]))
+    left, right = np.divmod(edges, len(ids))
+    return AdjacencyGraph.from_edges(
+        [b.region_id for b in boundaries],
+        [(ids[i], ids[j]) for i, j in zip(left.tolist(), right.tolist())],
+        style,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -108,45 +108,38 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _projector(boundaries: Sequence[RegionBoundary], box=MAP_BOX):
-    xs, ys = [], []
-    for b in boundaries:
-        for poly in b.geometry:
-            for ring in poly:
-                for lon, lat in ring:
-                    xs.append(lon)
-                    ys.append(lat)
-    if not xs:
+def _region_paths(boundaries: Sequence[RegionBoundary], box=MAP_BOX) -> list[str]:
+    """SVG path data of each boundary, in order, projected together to fit ``box``."""
+    rings = [ring for b in boundaries for ring in b.rings()]
+    lengths = np.array([len(ring) for ring in rings], dtype=np.intp)
+    if not lengths.sum():
         raise PrevmapError("no coordinates to project")
-    lat_mid = (min(ys) + max(ys)) / 2.0
+    lon, lat = np.concatenate(rings).T
+    lat_mid = (float(lat.min()) + float(lat.max())) / 2.0
     kx = math.cos(math.radians(lat_mid))
-    u = [x * kx for x in xs]
-    umin, umax = min(u), max(u)
-    vmin, vmax = min(ys), max(ys)
+    u = lon * kx
+    umin, umax = float(u.min()), float(u.max())
+    vmin, vmax = float(lat.min()), float(lat.max())
     du = max(umax - umin, 1e-12)
     dv = max(vmax - vmin, 1e-12)
     bx, by, bw, bh = box
     scale = min(bw / du, bh / dv)
     ox = bx + (bw - du * scale) / 2.0
     oy = by + (bh - dv * scale) / 2.0
+    xy = np.column_stack([ox + (u - umin) * scale, oy + (vmax - lat) * scale])
+    # a ring's closing vertex repeats its first; "Z" closes the path instead
+    keep = np.ones(len(xy), dtype=bool)
+    keep[np.cumsum(lengths)[lengths > 0] - 1] = False
+    coords = xy[keep].ravel().tolist()
 
-    def proj(lon: float, lat: float) -> tuple[float, float]:
-        return (
-            ox + (lon * kx - umin) * scale,
-            oy + (vmax - lat) * scale,
-        )
-
-    return proj
-
-
-def _region_path(boundary: RegionBoundary, proj) -> str:
-    parts = []
-    for poly in boundary.geometry:
-        for ring in poly:
-            pts = [proj(lon, lat) for lon, lat in ring[:-1]]
-            coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-            parts.append(f"M {coords} Z")
-    return " ".join(parts)
+    paths, end = [], 0
+    for b in boundaries:
+        drawn = [max(len(ring) - 1, 0) for ring in b.rings()]
+        # one %-format per region; "%.2f" prints a float as "{:.2f}" does
+        template = " ".join("M " + " L ".join(["%.2f,%.2f"] * n) + " Z" for n in drawn)
+        start, end = end, end + 2 * sum(drawn)
+        paths.append(template % tuple(coords[start:end]))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +175,6 @@ def _choropleth_panel(
         if rid not in known:
             raise PrevmapError(f"value for unknown region_id {rid!r}")
     boundaries = sorted(boundaries, key=lambda b: b.region_id)
-    proj = _projector(boundaries)
     colors = spec.colors()
 
     # group -> (inner_edges, legend_edges); global scope uses one group
@@ -205,8 +197,7 @@ def _choropleth_panel(
         edges_by_group[g] = (inner, [min(vals)] + inner + [max(vals)])
 
     body = [f'<text x="10" y="20" font-size="13" font-weight="bold">{_xml_escape(title)}</text>']
-    for b in boundaries:
-        d = _region_path(b, proj)
+    for b, d in zip(boundaries, _region_paths(boundaries)):
         v = values.get(b.region_id)
         if v is None or not math.isfinite(v) or group_of[b.region_id] not in edges_by_group:
             fill = "url(#hatch)"
@@ -318,9 +309,8 @@ def render_country_panels(
     rendered = []
     for country in countries:
         subset = [b for b in boundaries if b.country == country]
-        sub_values = {
-            rid: v for rid, v in values.items() if rid in {b.region_id for b in subset}
-        }
+        ids = {b.region_id for b in subset}
+        sub_values = {rid: v for rid, v in values.items() if rid in ids}
         rendered.append(
             _choropleth_panel(subset, sub_values, spec, country or spec.column)
         )

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import prevmap.bym
-from prevmap.cli import _read_values, main
+import prevmap.cli
+from prevmap.cli import _config_hash, _read_values, main
 from prevmap.data_model import (
     IndividualRecord,
     SurveyTable,
@@ -326,6 +328,7 @@ class TestDegenerateAndMalformedInputs:
             ("negative_tolerance", "tolerance must be >= 0"),
             ("one_feature", "need at least 2 boundaries"),
             ("space_in_region_id", "'R 0' contains whitespace"),
+            ("overflowing_tolerance", "tolerance 1e-320 is too small"),
         ],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, case, message):
@@ -339,12 +342,55 @@ class TestDegenerateAndMalformedInputs:
         argv = ["adjacency", "--boundaries", str(geojson), "--out", str(tmp_path)]
         if case == "negative_tolerance":
             argv += ["--tolerance", "-1"]
+        elif case == "overflowing_tolerance":
+            argv += ["--tolerance", "1e-320"]
         elif case == "group_breaks_not_integer":
             cfg = tmp_path / "scenario.cfg"
             cfg.write_text(SCENARIO.replace("group_breaks = 1", "group_breaks = a"))
             argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("step", ["adjacency", "render"])
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys, step, literal):
+        geojson = tmp_path / "boundaries.geojson"
+        write_boundaries_geojson(make_grid_regions(1, 3), geojson)
+        text = geojson.read_text()
+        ring = '[[1.0,0.0],[2.0,0.0]'  # R_0_1's first two vertices
+        assert text.count(ring) == 1
+        geojson.write_text(text.replace(ring, f"[[1.0,0.0],[2.0,{literal}]"))
+        values = tmp_path / "values.csv"
+        values.write_text("region_id,n\nR_0_0,4\nR_0_1,5\nR_0_2,6\n")
+        argv = [step, "--boundaries", str(geojson), "--out", str(tmp_path)]
+        if step == "render":
+            argv += ["--values", str(values), "--column", "n"]
+        assert main(argv) == 2
+        assert "region 'R_0_1': ring has a non-finite coordinate" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg")) and not (tmp_path / "graph.txt").exists()
+
+
+def test_config_hash_is_sha256_of_files_then_texts(tmp_path, monkeypatch):
+    monkeypatch.setattr(prevmap.cli, "HASH_CHUNK", 7)  # several reads per file
+    first = tmp_path / "records.csv"
+    first.write_bytes(bytes(range(256)) * 3)
+    second = tmp_path / "boundaries.geojson"
+    second.write_bytes(b'{"type": "FeatureCollection"}\r\n')
+    texts = ("tolerance=1e-06 style=B", "caf\u00e9", "")
+    expected = hashlib.sha256(
+        first.read_bytes() + b"\0" + second.read_bytes() + b"\0"
+        + b"".join(t.encode() + b"\0" for t in texts)
+    ).hexdigest()[:16]
+    assert _config_hash([str(first), second], *texts) == expected
+    assert _config_hash([], "x") == hashlib.sha256(b"x\0").hexdigest()[:16]
+    with pytest.raises(SchemaError, match="input file not found: .*none.csv"):
+        _config_hash([first, tmp_path / "none.csv"])
+
+
+def test_directory_as_input_exits_2(tmp_path, capsys):
+    code = main(["adjacency", "--boundaries", str(tmp_path), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"cannot read input file {tmp_path}: Is a directory" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_stats_and_sparse():

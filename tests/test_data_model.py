@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import boundary, geojson_feature, record, square
 from prevmap.data_model import (
     IndividualRecord,
+    RegionBoundary,
     SurveyDataset,
     SurveyTable,
     drop_unlinked,
@@ -182,6 +184,85 @@ class TestLoadBoundaries:
         path.write_text(json.dumps(doc))
         bs = load_boundaries(path)
         assert len(bs) == 1 and len(bs[0].geometry) == 2
+
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            [[0, 0], [1, 0], [1, 1], [0, 0]],
+            [[0.5, 0.25, 9.0], [1, 0, 9], [1, 1, 9], [0.5, 0.25, 9]],
+            [[0, 0, "z"], [1, 0], [1, 1, None, 4], [0, 0]],
+            [["0.5", "1e1"], [1, 0], [1, 1], [" 0.5 ", "1_0"]],
+            [[True, 0], [1, 0], [1, 1], [True, 0]],
+            [[0, None], [1, 0], [1, 1], [0, None]],
+            [[0], [1, 0], [1, 1], [0]],
+            [[0, "x"], [1, 0], [1, 1], [0, "x"]],
+            [[0, [1]], [1, 0], [1, 1], [0, [1]]],
+            [[0, 10**400], [1, 0], [1, 1], [0, 10**400]],
+        ],
+        ids=["ints", "third_coordinate", "mixed_widths", "strings", "bools", "null",
+             "one_coordinate", "text", "nested", "huge_int"],
+    )
+    def test_ring_coordinates_convert_as_float_does(self, tmp_path, ring):
+        try:
+            expected = np.array([(float(x), float(y)) for x, y, *_ in ring])
+        except (TypeError, ValueError, OverflowError) as exc:
+            expected = f"feature 'R1': bad ring coordinates ({exc})"
+        doc = {"type": "FeatureCollection", "features": [geojson_feature("R1", [ring])]}
+        path = tmp_path / "ring.geojson"
+        path.write_text(json.dumps(doc))
+        if isinstance(expected, str):
+            with pytest.raises(GeometryError) as info:
+                load_boundaries(path)
+            assert str(info.value) == expected
+        else:
+            (loaded,), = load_boundaries(path)[0].geometry
+            assert np.array_equal(loaded, expected)
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", '"nan"', '"inf"'])
+    def test_non_finite_coordinate_rejected(self, tmp_path, literal):
+        doc = {"type": "FeatureCollection",
+               "features": [geojson_feature("R1", [square(0, 0)]),
+                            geojson_feature("R2", [square(1, 0)])]}
+        text = json.dumps(doc).replace("[2.0, 1.0]", f"[2.0, {literal}]")
+        assert literal in text
+        path = tmp_path / "nan.geojson"
+        path.write_text(text)
+        with pytest.raises(GeometryError, match="region 'R2': ring has a non-finite coordinate"):
+            load_boundaries(path)
+
+
+class TestRegionBoundary:
+    def test_rings_are_read_only_float_arrays(self):
+        corners = np.array(square(0, 0))
+        b = boundary("R1", corners)
+        ((ring,),) = b.geometry
+        assert ring.dtype == np.float64 and ring.shape == (5, 2) and ring.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            ring[0, 0] = 9.0
+        corners[0, 0] = 9.0  # the caller's array is copied, not shared
+        assert ring[0, 0] == 0.0
+
+    def test_equality_compares_rings_exactly(self):
+        b = boundary("R1", square(0, 0), "A")
+        assert b == boundary("R1", np.array(square(0, 0)), "A")
+        assert b != boundary("R1", square(0, 1e-12), "A")
+        assert b != boundary("R2", square(0, 0), "A")
+        assert b != boundary("R1", square(0, 0), "B")
+        assert b != RegionBoundary("R1", ((square(0, 0), square(0, 0)),), "A")
+        assert b != RegionBoundary("R1", ((square(0, 0),), (square(0, 0),)), "A")
+
+    @pytest.mark.parametrize(
+        "ring, message",
+        [
+            (((0, 0, 0), (1, 0, 0)), r"\(x, y\) pairs"),
+            (((0, 0), (1,)), "bad ring coordinates"),
+            (((0, 0), (1, float("inf"))), "non-finite"),
+        ],
+    )
+    def test_bad_ring_rejected_on_construction(self, ring, message):
+        with pytest.raises(GeometryError, match=f"region 'R1': .*{message}"):
+            boundary("R1", ring)
 
 
 class TestDropUnlinked:

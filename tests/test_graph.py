@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import boundary, square
 from prevmap.data_model import RegionBoundary
-from prevmap.errors import GeometryError, SchemaError
+from prevmap.errors import GeometryError, PrevmapError, SchemaError
 from prevmap.graph import (
     AdjacencyGraph,
     build_adjacency,
@@ -96,6 +96,166 @@ class TestBuildAdjacency:
         cells = grid_2x2()
         graph = build_adjacency([cells[i] for i in order])
         assert graph == build_adjacency(cells)
+
+
+def reference_adjacency(boundaries, tolerance=1e-6, style="B"):
+    """The per-segment key set and owner dict that build_adjacency replaced."""
+
+    def quantize(pt):
+        if tolerance > 0:
+            return (round(pt[0] / tolerance), round(pt[1] / tolerance))
+        return pt
+
+    def segment_keys(b):
+        keys = set()
+        for poly in b.geometry:
+            for ring in poly:
+                ring = [tuple(pt) for pt in ring.tolist()]
+                for a, c in zip(ring, ring[1:]):
+                    qa, qc = quantize(a), quantize(c)
+                    if qa == qc:
+                        continue
+                    keys.add((qa, qc) if qa <= qc else (qc, qa))
+        return keys
+
+    seen_by_segment = {}
+    for b in sorted(boundaries, key=lambda bb: bb.region_id):
+        keys = segment_keys(b)
+        if not keys:
+            raise GeometryError(f"region {b.region_id!r} has degenerate geometry")
+        for key in keys:
+            owners = seen_by_segment.setdefault(key, [])
+            if b.region_id not in owners:
+                owners.append(b.region_id)
+    edges = set()
+    for owners in seen_by_segment.values():
+        for i in range(len(owners)):
+            for j in range(i + 1, len(owners)):
+                a, c = owners[i], owners[j]
+                edges.add((a, c) if a < c else (c, a))
+    return AdjacencyGraph.from_edges([b.region_id for b in boundaries], sorted(edges), style)
+
+
+def outcome(build, boundaries, tolerance):
+    """The graph, or the (type, message) of the error raised."""
+    try:
+        return build(boundaries, tolerance)
+    except PrevmapError as exc:
+        return type(exc), str(exc)
+
+
+# coordinates that meet exactly, nearly (within 1e-6), or collapse on a
+# coarse grid; -0.0 and 0.0 must count as one value
+OFFSETS = st.sampled_from([0.0, -0.0, 4e-7, -4e-7, 0.05, -0.05, 0.3])
+TOLERANCES = st.sampled_from([0.0, 1e-6, 0.1, 0.5, 2.0])
+
+
+@st.composite
+def jagged_grids(draw):
+    """rows x cols cells whose shared borders are the same jagged polylines."""
+    rows, cols = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 3)]))
+    n = draw(st.integers(1, 4))
+    t = [k / n for k in range(n + 1)]
+
+    def border():
+        return [draw(OFFSETS) for _ in range(n + 1)]
+
+    horiz = [[border() for _ in range(cols)] for _ in range(rows + 1)]
+    vert = [[border() for _ in range(rows)] for _ in range(cols + 1)]
+    cells = []
+    for r in range(rows):
+        for c in range(cols):
+            bottom = [(c + t[k], r + horiz[r][c][k]) for k in range(n + 1)]
+            right = [(c + 1 + vert[c + 1][r][k], r + t[k]) for k in range(n + 1)]
+            top = [(c + t[k], r + 1 + horiz[r + 1][c][k]) for k in range(n + 1)][::-1]
+            left = [(c + vert[c][r][k], r + t[k]) for k in range(n + 1)][::-1]
+            ring = bottom[:-1] + right[:-1] + top[:-1] + left
+            repeats = draw(st.lists(st.integers(0, len(ring) - 1), max_size=3))
+            for k in sorted(repeats, reverse=True):  # duplicate consecutive vertices
+                ring.insert(k, ring[k])
+            cells.append(boundary(f"R_{r}_{c}", tuple(ring)))
+    return cells
+
+
+LATTICE = st.tuples(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 4e-7, 2.0]),
+    st.sampled_from([-0.0, 0.0, 1.0, 1.5, 3.0]),
+)
+
+
+@st.composite
+def lattice_regions(draw):
+    """Regions of one or two polygons with holes, on a small shared point set.
+
+    Few distinct points mean that one segment often has three or more owners,
+    that consecutive vertices repeat, and that whole regions collapse on a
+    coarse grid; ids may repeat, as a caller's list may.
+    """
+    ids = draw(st.lists(st.sampled_from("ABCDEF"), min_size=2, max_size=6))
+    regions = []
+    for rid in ids:
+        polys = []
+        for _ in range(draw(st.integers(1, 2))):
+            rings = []
+            for _ in range(draw(st.integers(0, 2))):
+                points = draw(st.lists(LATTICE, min_size=1, max_size=6))
+                rings.append(tuple(points) + (points[0],))
+            polys.append(tuple(rings))
+        regions.append(RegionBoundary(rid, tuple(polys)))
+    return regions
+
+
+class TestMatchesReferenceAdjacency:
+    @settings(max_examples=150, deadline=None)
+    @given(cells=jagged_grids(), tolerance=TOLERANCES, style=st.sampled_from("BW"))
+    def test_jagged_grids(self, cells, tolerance, style):
+        def build(bs, tol):
+            return build_adjacency(bs, tol, style)
+
+        def reference(bs, tol):
+            return reference_adjacency(bs, tol, style)
+
+        assert outcome(build, cells, tolerance) == outcome(reference, cells, tolerance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(regions=lattice_regions(), tolerance=TOLERANCES)
+    def test_multipolygons_holes_and_shared_segments(self, regions, tolerance):
+        got = outcome(build_adjacency, regions, tolerance)
+        assert got == outcome(reference_adjacency, regions, tolerance)
+
+    def test_segment_with_three_owners(self):
+        wedge = ((0.0, 0.0), (1.0, 0.0), (0.5, -3.0), (0.0, 0.0))
+        regions = [
+            boundary("A", square(0, 0)),
+            boundary("B", square(0, -1)),
+            boundary("C", wedge),
+            boundary("D", square(5, 5)),
+        ]
+        graph = build_adjacency(regions)
+        assert graph.edges == frozenset({("A", "B"), ("A", "C"), ("B", "C")})
+        assert graph == reference_adjacency(regions)
+
+    def test_signed_zero_at_tolerance_zero(self):
+        left = ((-1.0, -0.0), (0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, -0.0))
+        right = ((-0.0, -0.0), (1.0, 0.0), (1.0, 1.0), (-0.0, 1.0), (-0.0, -0.0))
+        regions = [boundary("L", left), boundary("R", right)]
+        graph = build_adjacency(regions, tolerance=0.0)
+        assert graph.edges == frozenset({("L", "R")})
+        assert graph == reference_adjacency(regions, tolerance=0.0)
+
+    def test_collapsed_region_named_in_id_order(self):
+        speck = ((3.0, 3.0), (3.1, 3.0), (3.1, 3.1), (3.0, 3.1), (3.0, 3.0))
+        regions = [boundary("Z", speck), boundary("A", square(0, 0)), boundary("M", speck)]
+        with pytest.raises(GeometryError, match="'M' has degenerate"):
+            build_adjacency(regions, tolerance=1.0)
+
+    def test_overflowing_tolerance_is_named(self):
+        with pytest.raises(GeometryError, match="tolerance 1e-320 is too small"):
+            build_adjacency(grid_2x2(), tolerance=1e-320)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(GeometryError, match="tolerance must be >= 0, got nan"):
+            build_adjacency(grid_2x2(), tolerance=float("nan"))
 
 
 class TestIcarPrecision:

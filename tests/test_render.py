@@ -1,13 +1,16 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prevmap.render
 from conftest import boundary, square
 from prevmap.bym import PosteriorRow
+from prevmap.data_model import RegionBoundary
 from prevmap.direct import ALL_ZERO, NONE, DirectEstimate
 from prevmap.errors import PrevmapError
 from prevmap.render import (
@@ -274,3 +277,88 @@ def test_metadata_comment_escapes_double_dash(figure):
     else:
         svg = render_comparison(*TestRenderComparison.inputs(), metadata)
     assert svg.splitlines()[2] == "<!-- seed: 7; argv: [dash]bins 5 -->"
+
+
+def reference_region_paths(boundaries, box=prevmap.render.MAP_BOX):
+    """The vertex-by-vertex projection and path code on tuple rings that
+    ``render._region_paths`` replaced."""
+    tuple_rings = [
+        [[tuple(pt) for pt in ring.tolist()] for poly in b.geometry for ring in poly]
+        for b in boundaries
+    ]
+    xs = [lon for rings in tuple_rings for ring in rings for lon, _ in ring]
+    ys = [lat for rings in tuple_rings for ring in rings for _, lat in ring]
+    if not xs:
+        raise PrevmapError("no coordinates to project")
+    lat_mid = (min(ys) + max(ys)) / 2.0
+    kx = math.cos(math.radians(lat_mid))
+    u = [x * kx for x in xs]
+    umin, umax = min(u), max(u)
+    vmin, vmax = min(ys), max(ys)
+    du = max(umax - umin, 1e-12)
+    dv = max(vmax - vmin, 1e-12)
+    bx, by, bw, bh = box
+    scale = min(bw / du, bh / dv)
+    ox = bx + (bw - du * scale) / 2.0
+    oy = by + (bh - dv * scale) / 2.0
+
+    def proj(lon, lat):
+        return ox + (lon * kx - umin) * scale, oy + (vmax - lat) * scale
+
+    paths = []
+    for rings in tuple_rings:
+        parts = []
+        for ring in rings:
+            pts = [proj(lon, lat) for lon, lat in ring[:-1]]
+            coords = " L ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+            parts.append(f"M {coords} Z")
+        paths.append(" ".join(parts))
+    return paths
+
+
+@st.composite
+def jagged_regions(draw):
+    """Rings of 4-40 noisy vertices around grid cells, at some place and scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-9, 1e-3, 0.5, 7.0, 90.0]))
+    x0 = draw(st.sampled_from([-179.5, -0.0, 0.0, 33.25, 120.0]))
+    y0 = draw(st.sampled_from([-60.0, -0.0, 0.0, 12.5, 45.0]))
+    regions = []
+    for k in range(draw(st.integers(1, 6))):
+        polys = []
+        for _ in range(draw(st.integers(1, 2))):
+            rings = []
+            for _ in range(draw(st.integers(1, 2))):  # outer ring, then a hole
+                n = int(rng.integers(3, 40))
+                pts = np.column_stack([k + rng.random(n), rng.random(n)]) * scale
+                pts += (x0, y0)
+                rings.append(np.vstack([pts, pts[:1]]))
+            polys.append(tuple(rings))
+        country = draw(st.sampled_from(["", "X", "Y"]))
+        regions.append(RegionBoundary(f"R{k}", tuple(polys), country))
+    values = {
+        b.region_id: draw(st.sampled_from([0.0, 0.125, 0.3, 17.0, float("nan")]))
+        for b in regions
+        if draw(st.booleans()) or b.region_id == "R0"
+    }
+    return regions, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=jagged_regions(), scope=st.sampled_from(["global", "per_group"]))
+def test_maps_match_tuple_ring_reference(case, scope):
+    regions, values = case
+    spec = ChoroplethSpec(column="v", bins=3, scope=scope)
+    panels = [("a", values), ("b", {rid: 2.0 * v for rid, v in values.items()})]
+
+    def draw_all():
+        return (
+            render_choropleth(regions, values, spec, "t", {"seed": "1"}),
+            render_map_row(regions, panels, spec),
+            render_country_panels(regions, values, spec),
+        )
+
+    arrays = draw_all()
+    with mock.patch.object(prevmap.render, "_region_paths", reference_region_paths):
+        tuples = draw_all()
+    assert arrays == tuples
