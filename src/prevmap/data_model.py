@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, repeat
-from operator import attrgetter, contains, itemgetter
+from itertools import chain, compress, count, filterfalse, islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -325,13 +326,41 @@ def validate_dataset(dataset: SurveyDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def data_lines(path: Path) -> list[str]:
-    """The file's lines without '#' comment lines and blank lines (SchemaError if missing)."""
+def _read_bytes(path: Path) -> bytes:
     try:
-        with path.open("r", newline="") as fh:
-            return [line for line in fh if not (line.startswith("#") or line.isspace())]
+        return path.read_bytes()
     except FileNotFoundError:
         raise SchemaError(f"file not found: {path}") from None
+
+
+def _utf8(path: Path, data: bytes) -> str:
+    """``data`` decoded as UTF-8; SchemaError naming the first byte (from 1) that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start + 1})") from None
+
+
+def _skipped(line: str) -> bool:
+    """Whether a line is a '#' comment or blank; neither is a row of a table."""
+    return line.startswith("#") or line.isspace()
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` that ``_skipped`` keeps, with their line ends.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a file opened
+    with ``newline=""``.
+    """
+    return filterfalse(_skipped, io.StringIO(text, newline=""))
+
+
+def data_lines(path: Path) -> list[str]:
+    """The UTF-8 file's lines without '#' comment lines and blank lines.
+
+    A missing file or one that is not UTF-8 text raises ``SchemaError``.
+    """
+    return list(_text_lines(_utf8(path, _read_bytes(path))))
 
 
 def metadata_lines(metadata: Mapping[str, str] | None) -> list[str]:
@@ -417,57 +446,243 @@ def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
 # CSV records
 # ---------------------------------------------------------------------------
 
-# rows per NumPy tokenizer call when loading records; bounds the memory held
-# as Python strings at one time
+# lines per chunk when loading records; bounds the memory one chunk's arrays take
 LOAD_CHUNK_ROWS = 1 << 16
+# the widest field cut out as a fixed-width bytes array; wider ones are decoded
+# one by one
+LOAD_FIELD_BYTES = 256
+
+UTF8_BOM = b"\xef\xbb\xbf"
+NEWLINE, COMMA, HASH, CR, QUOTE = b'\n,#\r"'
+# BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word
+BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 
 
-def _split_fields(
-    lines: list[str], usecols: list[int]
-) -> tuple[list[np.ndarray], tuple[int, str] | None]:
-    """Fields ``usecols`` of the CSV records in ``lines``, as object arrays of str.
+def _read_fields(
+    reader: Iterator[list[str]], usecols: list[int]
+) -> Iterator[tuple[list[np.ndarray], tuple[int, str] | None]]:
+    """Fields ``usecols`` of the csv ``reader``'s records, LOAD_CHUNK_ROWS records at a time.
 
-    NumPy's C tokenizer reads the common case. When it rejects the text (a
-    record too short for ``usecols``, say), the stdlib reader takes over: the
-    columns then stop before the first record that cannot be read, which is
-    returned as (index, reason).
+    The fields come as object arrays of str. A chunk's columns stop before
+    the first record that cannot be read (a record too short for
+    ``usecols``, say), which is returned as (index, reason) and ends the
+    chunks.
     """
-    try:
-        fields = np.loadtxt(
-            lines, dtype=object, delimiter=",", quotechar='"', comments=None,
-            usecols=usecols, ndmin=2,
-        )
-        return list(fields.T), None
-    except ValueError:
-        pass
-    rows: list[list[str]] = []
-    problem = None
-    try:
-        rows.extend(csv.reader(lines))
-    except csv.Error as exc:
-        problem = (len(rows), str(exc))
     need = max(usecols) + 1
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    short = _first_true(widths < need)
-    if short is not None:
-        problem = (short, f"{widths[short]} fields, need {need}")
-        rows = rows[:short]
-    columns = list(zip(*map(itemgetter(*usecols), rows))) or [()] * len(usecols)
-    return [np.array(col, dtype=object) for col in columns], problem
+    while True:
+        rows: list[list[str]] = []
+        problem = None
+        try:
+            rows.extend(islice(reader, LOAD_CHUNK_ROWS))
+        except csv.Error as exc:
+            problem = (len(rows), str(exc))
+        if not rows and problem is None:
+            return
+        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        short = _first_true(widths < need)
+        if short is not None:
+            problem = (short, f"{widths[short]} fields, need {need}")
+            rows = rows[:short]
+        yield [
+            np.fromiter(map(itemgetter(j), rows), dtype=object, count=len(rows)) for j in usecols
+        ], problem
+        if problem is not None:
+            return
+
+
+def _line_chunks(buf: np.ndarray, pos: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first byte, line end positions) of each LOAD_CHUNK_ROWS lines from byte ``pos`` on.
+
+    A last line without ``\\n`` ends at ``len(buf)``. Each chunk's line ends
+    are searched for in a window about a quarter longer than the chunk
+    before it took.
+    """
+    rows, n = LOAD_CHUNK_ROWS, len(buf)
+    window = 64 * rows
+    while pos < n:
+        ends = pos + np.flatnonzero(buf[pos:pos + window] == NEWLINE)[:rows]
+        if len(ends) < rows and pos + window < n:
+            window *= 2
+            continue
+        if len(ends) < rows and (ends[-1] if len(ends) else pos - 1) < n - 1:
+            ends = np.append(ends, n)
+        yield pos, ends
+        window = (int(ends[-1]) + 1 - pos) * 5 // 4 + 1
+        pos = int(ends[-1]) + 1
+
+
+def _kept_lines(data: bytes, pos: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(starts, ends) of the lines from byte ``pos`` on that ``_skipped`` keeps.
+
+    One pair per LOAD_CHUNK_ROWS lines; ``ends[i]`` is the position of line
+    i's ``\\n``, or ``len(buf)`` for a last line without one. Only a line
+    that starts with a control, space or non-ASCII byte can be blank, so
+    only those lines are decoded to be tested.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for first, ends in _line_chunks(buf, pos):
+        starts = np.concatenate(([first], ends[:-1] + 1))
+        lead = buf[starts]
+        keep = lead != HASH
+        for i in np.flatnonzero(keep & ((lead <= 32) | (lead >= 128))).tolist():
+            keep[i] = not _skipped(data[starts[i]:ends[i] + 1].decode())
+        yield starts[keep], ends[keep]
+
+
+def _field_bounds(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, ncol: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Byte bounds ``(left, right)``, each ``(rows, ncol)``, of the fields of the lines.
+
+    A field that is ``"..."`` with no other quote is bounded without its
+    quotes, as the csv reader reads it; the ``\\r`` of a ``\\r\\n`` is not part
+    of the last field. None when a line does not have ``ncol`` fields or
+    some other quote is found: such a quote may open a field that holds a
+    comma or spans lines.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    first, last = int(starts[0]), int(ends[-1])
+    commas = first + np.flatnonzero(buf[first:last] == COMMA)
+    lo = np.searchsorted(commas, starts)
+    if not (np.searchsorted(commas, ends) - lo == ncol - 1).all():
+        return None
+    seps = np.column_stack([
+        starts - 1,
+        commas[lo[:, None] + np.arange(ncol - 1)],
+        ends - (buf[ends - 1] == CR),
+    ])
+    left, right = seps[:, :-1] + 1, seps[:, 1:]
+    if data.find(b'"', first, last) >= 0:
+        quotes = first + np.flatnonzero(buf[first:last] == QUOTE)
+        enclosed = (
+            (right - left >= 2)
+            & (buf[np.minimum(left, len(buf) - 1)] == QUOTE)
+            & (buf[right - 1] == QUOTE)
+        )
+        in_lines = np.searchsorted(quotes, ends) - np.searchsorted(quotes, starts)
+        if 2 * np.count_nonzero(enclosed) != in_lines.sum():
+            return None
+        left, right = left + enclosed, right - enclosed
+    return left, right
+
+
+def _byte_header(
+    data: bytes, pos: int
+) -> tuple[list[str], Iterator[tuple[np.ndarray, np.ndarray]]] | None:
+    """The header's fields and the ``_kept_lines`` after it, or None if the bytes cannot be split.
+
+    They cannot be when ``data`` holds a NUL or a ``\\r`` outside a
+    ``\\r\\n`` (the csv reader ends a line at a lone ``\\r``), or when
+    ``_field_bounds`` cannot split the header. The fields are ``[]`` when
+    there is no header.
+    """
+    if b"\0" in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    lines = _kept_lines(data, pos)
+    for starts, ends in lines:
+        if len(starts):
+            first, last = starts[:1], ends[:1]
+            bounds = _field_bounds(data, first, last, data.count(b",", first[0], last[0]) + 1)
+            if bounds is None:
+                return None
+            left, right = (bound[0].tolist() for bound in bounds)
+            header = [data[a:b].decode() for a, b in zip(left, right)]
+            return header, chain([(starts[1:], ends[1:])], lines)
+    return [], lines
+
+
+def _decoded(data: bytes, lines: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """The lines of the ``_kept_lines`` chunks ``lines`` as str, with their line ends."""
+    for starts, ends in lines:
+        yield from [data[a:b + 1].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _cut(
+    data: bytes, first: int, words: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """The fields ``data[left:right]`` of a chunk as a NUL-padded fixed-width bytes array.
+
+    ``words[i]`` is the little-endian 8-byte word at byte ``first + i``, and
+    the words run on into zeros for LOAD_FIELD_BYTES bytes past the chunk.
+    Each field is gathered a word at a time, with the bytes past its end
+    masked off. When a field is wider than LOAD_FIELD_BYTES, the fields come
+    back as an object array of str instead.
+    """
+    length = right - left
+    n_words = -(-int(length.max(initial=1)) // 8)
+    if 8 * n_words > LOAD_FIELD_BYTES:
+        return np.array([data[a:b].decode() for a, b in zip(left.tolist(), right.tolist())],
+                        dtype=object)
+    cells = np.empty((len(left), n_words), dtype="<u8")
+    for j in range(n_words):
+        cells[:, j] = words[left - first + 8 * j] & BYTE_MASKS[np.clip(length - 8 * j, 0, 8)]
+    return cells.view(f"S{8 * n_words}").ravel()
+
+
+def _split_bytes(
+    data: bytes, lines: Iterator[tuple[np.ndarray, np.ndarray]], ncol: int, usecols: list[int]
+) -> Iterator[tuple[list[np.ndarray], tuple[int, str] | None]]:
+    """Fields ``usecols`` of the records in the ``_kept_lines`` chunks ``lines``.
+
+    They come as ``_read_fields`` gives them. In a chunk that
+    ``_field_bounds`` splits into ``ncol`` fields a line, each used field is
+    cut out as a fixed-width bytes array. Any other chunk goes to the csv
+    reader in strict mode, which gives the records the lenient reader gives
+    or raises, and raises when a quoted field is still open at the chunk's
+    end. If it raises, the lenient reader reads from that chunk to the end
+    of the file, since a quoted field may run on past the chunk. Every
+    chunk before it ended a record, so it starts one.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for starts, ends in lines:
+        if not len(starts):
+            continue
+        bounds = _field_bounds(data, starts, ends, ncol)
+        if bounds is None:
+            try:
+                rows = list(csv.reader(_decoded(data, [(starts, ends)]), strict=True))
+            except csv.Error:
+                rest = chain([(starts, ends)], lines)
+                yield from _read_fields(csv.reader(_decoded(data, rest)), usecols)
+                return
+            yield from _read_fields(iter(rows), usecols)
+            continue
+        first, last = int(starts[0]), int(ends[-1])
+        left, right = bounds
+        padded = np.zeros(last - first + LOAD_FIELD_BYTES + 8, dtype=np.uint8)
+        padded[:last - first] = buf[first:last]
+        words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+        yield [_cut(data, first, words, left[:, j], right[:, j]) for j in usecols], None
+
+
+def _text(field) -> str:
+    """A field as str: fields cut from bytes are bytes, the csv reader's are str."""
+    return field.decode() if isinstance(field, bytes) else field
 
 
 def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """float() of every entry; on a failure, the values before it and (index, reason)."""
+    """float() of every entry; on a failure, the values before it and (index, reason).
+
+    A bytes entry is decoded first. NumPy's bytes-to-float cast gives the
+    same double as ``float`` for every string it accepts; it rejects some
+    that ``float`` takes (non-ASCII digits), and those rows go through
+    ``float`` one at a time.
+    """
+    if raw.dtype == "S8":  # one word per field: one-digit fields (0/1 outcomes) by arithmetic
+        word = raw.view("<u8")
+        if ((word >= ord("0")) & (word <= ord("9"))).all():
+            return (word - ord("0")).astype(np.float64), None
     try:
         return raw.astype(np.float64), None
     except ValueError:
         pass
-    for i, text in enumerate(raw):  # error path: locate the entry float() rejects
+    values: list[float] = []
+    for field in raw.tolist():
         try:
-            float(text)
+            values.append(float(_text(field)))
         except ValueError as exc:
-            return raw[:i].astype(np.float64), (i, str(exc))
-    raise AssertionError("unreachable")
+            return np.array(values, dtype=np.float64), (len(values), str(exc))
+    return np.array(values, dtype=np.float64), None
 
 
 class _TableBuilder:
@@ -480,12 +695,40 @@ class _TableBuilder:
         }
         self.n_rows = 0
 
+    def _encode(self, name: str, raw: np.ndarray) -> np.ndarray:
+        """Codes of the stripped ids ``raw``, coding each new id in order of first appearance.
+
+        Fields cut from bytes are coded by distinct value: each is decoded and
+        stripped once, and a run of equal fields (records grouped by cluster)
+        is looked up once. The csv reader's str fields are looked up one by one.
+        """
+        if raw.dtype == object:
+            return self.codes[name].encode(list(map(str.strip, raw)))
+        heads = np.ones(len(raw), dtype=bool)
+        heads[1:] = raw[1:] != raw[:-1]
+        heads = np.flatnonzero(heads)
+        fields = raw[heads]
+        # group equal fields by sorting their 8-byte words as integers; the
+        # sort is stable, so each group starts at its first appearance
+        words = fields.view("<u8").reshape(len(fields), fields.itemsize // 8)
+        order = np.lexsort(words.T[::-1])
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+        group = np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        first = np.sort(order[new])
+        coded = np.empty(len(first), dtype=np.intp)
+        coded[group[first]] = self.codes[name].encode(
+            [field.decode().strip() for field in fields[first].tolist()]
+        )
+        return np.repeat(coded[group], np.diff(heads, append=len(raw)))
+
     def add(
         self, fields: dict[str, np.ndarray], unreadable: tuple[int, str] | None
     ) -> PrevmapError | None:
         """Append the chunk's rows up to its first bad one; return that row's error.
 
-        ``unreadable`` is the first record the tokenizer could not split, as
+        ``unreadable`` is the first record the csv reader could not read, as
         (index, reason). A row is bad when it is unreadable, its weight or
         outcome is not a number, or its outcome is not 0 or 1.
         """
@@ -498,12 +741,12 @@ class _TableBuilder:
         parsed = min(len(weight), len(outcome))
         i = _first_true((outcome[:parsed] != 0) & (outcome[:parsed] != 1))
         if i is not None:
-            problems.append((i, 3, f"outcome must be 0 or 1, got {fields['outcome'][i]!r}"))
+            got = _text(fields["outcome"][i])
+            problems.append((i, 3, f"outcome must be 0 or 1, got {got!r}"))
         stop, _, message = min(problems, default=(len(fields["weight"]), 0, ""))
         for name in ID_COLUMNS:
             if name in fields:
-                ids = list(map(str.strip, fields[name][:stop]))
-                self.parts[name].append(self.codes[name].encode(ids))
+                self.parts[name].append(self._encode(name, fields[name][:stop]))
         self.parts["weight"].append(weight[:stop])
         self.parts["outcome"].append(outcome[:stop].astype(np.int8))
         row0, self.n_rows = self.n_rows, self.n_rows + stop
@@ -529,22 +772,40 @@ class _TableBuilder:
 
 
 def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> SurveyTable:
-    """Read and validate individual records from a CSV file.
+    """Read and validate individual records from a UTF-8 CSV file.
 
     ``schema`` maps canonical column names (``region_id``, ``cluster_id``,
     ``weight``, ``outcome``, optionally ``stratum``) to the actual header
     names in the file. Extra columns are ignored. Ids are stripped of
-    surrounding whitespace. Errors name the first bad data row (1-based,
-    comment and blank lines not counted).
+    surrounding whitespace. One leading byte-order mark is skipped. Errors
+    name the first bad data row (1-based, comment and blank lines not
+    counted); a file that is not UTF-8 raises ``SchemaError`` naming the
+    first bad byte.
+
+    The file is read once as bytes and split into fields with array
+    operations, LOAD_CHUNK_ROWS lines at a time; a field enclosed in quotes
+    is read without them. The ``csv`` reader reads a chunk whose rows do not
+    all have the header's field count or that holds any other quote (a
+    quoted field holding a comma, a quote or a line break), and names the
+    first row it cannot read. When a quoted field runs on past such a chunk,
+    it reads the rest of the file, LOAD_CHUNK_ROWS records at a time. It
+    also reads the whole of a file holding a NUL or a lone ``\\r``, or one
+    whose header holds such a quote.
     """
     path = Path(path)
     mapping = dict(schema or {})
-    lines = data_lines(path)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"records file {path} is empty") from None
+    data = _read_bytes(path)
+    if not data.isascii():
+        _utf8(path, data)  # only to raise on a byte that is not UTF-8
+    start = len(UTF8_BOM) if data.startswith(UTF8_BOM) else 0
+    split = _byte_header(data, start)
+    if split is None:
+        reader = csv.reader(_text_lines(data[start:].decode()))
+        header = next(reader, [])
+    else:
+        header, lines = split
+    if not header:
+        raise SchemaError(f"records file {path} is empty")
     header = [h.strip() for h in header]
 
     col_idx: dict[str, int] = {}
@@ -560,18 +821,19 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> S
         if actual in header:
             col_idx[canonical] = header.index(actual)
 
-    body = lines[reader.line_num:]
-    # a quoted field may span lines, so quoted text is tokenized in one piece
-    quoted = any(map(contains, body, repeat('"')))
-    step = max(len(body), 1) if quoted else LOAD_CHUNK_ROWS
+    usecols = list(col_idx.values())
+    if split is None:
+        chunks = _read_fields(reader, usecols)
+    else:
+        chunks = _split_bytes(data, lines, len(header), usecols)
     names = list(col_idx)
     builder = _TableBuilder()
     pending = None
-    for start in range(0, len(body), step):
-        columns, unreadable = _split_fields(body[start:start + step], list(col_idx.values()))
-        pending = builder.add(dict(zip(names, columns)), unreadable)
-        if pending is not None:
-            break
+    with _gc_paused():  # the csv reader builds one list per record
+        for columns, unreadable in chunks:
+            pending = builder.add(dict(zip(names, columns)), unreadable)
+            if pending is not None:
+                break
     table = builder.table()
     problem = _first_bad_row(table, "row") or pending
     if problem is not None:
@@ -604,10 +866,11 @@ def write_records_csv(
 def _gc_paused() -> Iterator[None]:
     """Hold off the cyclic garbage collector for the block.
 
-    A parsed GeoJSON document is a tree of one small list per vertex; it has
-    no cycles to find, but building it triggers a collection every few
-    hundred lists, which took about a third of ``json.load``'s time on
-    400-vertex rings.
+    For blocks that build many small containers without cycles: a parsed
+    GeoJSON document (one list per vertex) or the csv reader's rows (one
+    list per record). Building them triggers a collection every few hundred
+    containers, which took about a third of ``json.load``'s time on
+    400-vertex rings and 40% of reading a million records.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -645,9 +908,10 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"boundaries file not found: {path}")
-    with path.open("r") as fh, _gc_paused():
+    text = _utf8(path, path.read_bytes())
+    with _gc_paused():
         try:
-            doc = json.load(fh)
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__

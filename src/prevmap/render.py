@@ -162,18 +162,29 @@ def _legend_block(x, y, title, edges, colors):
     return lines, y + 8 + len(colors) * (SWATCH + 4)
 
 
-def _choropleth_panel(
-    boundaries: Sequence[RegionBoundary],
-    values: Mapping[str, float],
-    spec: ChoroplethSpec,
-    title: str,
-) -> tuple[str, float]:
-    """Inner SVG fragment (no outer tag) and the height it needs."""
+def _check_values(
+    boundaries: Sequence[RegionBoundary], values: Mapping[str, float], spec: ChoroplethSpec
+) -> None:
     spec.validate()
     known = {b.region_id for b in boundaries}
     for rid in values:
         if rid not in known:
             raise PrevmapError(f"value for unknown region_id {rid!r}")
+
+
+def _choropleth_panel(
+    boundaries: Sequence[RegionBoundary],
+    values: Mapping[str, float],
+    spec: ChoroplethSpec,
+    title: str,
+    paths: list[str] | None = None,
+) -> tuple[str, float]:
+    """Inner SVG fragment (no outer tag) and the height it needs.
+
+    ``paths``, when given, are the boundaries' ``_region_paths`` in
+    region_id order, for panels that draw the same boundaries.
+    """
+    _check_values(boundaries, values, spec)
     boundaries = sorted(boundaries, key=lambda b: b.region_id)
     colors = spec.colors()
 
@@ -197,7 +208,7 @@ def _choropleth_panel(
         edges_by_group[g] = (inner, [min(vals)] + inner + [max(vals)])
 
     body = [f'<text x="10" y="20" font-size="13" font-weight="bold">{_xml_escape(title)}</text>']
-    for b, d in zip(boundaries, _region_paths(boundaries)):
+    for b, d in zip(boundaries, _region_paths(boundaries) if paths is None else paths):
         v = values.get(b.region_id)
         if v is None or not math.isfinite(v) or group_of[b.region_id] not in edges_by_group:
             fill = "url(#hatch)"
@@ -291,9 +302,13 @@ def render_map_row(
     spec: ChoroplethSpec,
     metadata: Mapping[str, str] | None = None,
 ) -> str:
-    """Several value maps of the same boundary set, side by side."""
+    """Several value maps of the same boundary set, side by side, projected once."""
+    paths = None
+    if panels:  # the first panel's value errors come before projection's
+        _check_values(boundaries, panels[0][1], spec)
+        paths = _region_paths(sorted(boundaries, key=lambda b: b.region_id))
     rendered = [
-        _choropleth_panel(boundaries, values, spec, title) for title, values in panels
+        _choropleth_panel(boundaries, values, spec, title, paths) for title, values in panels
     ]
     return _panel_row(rendered, metadata)
 

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import prevmap.bym
 import prevmap.cli
+import prevmap.render
 from prevmap.cli import _config_hash, _read_values, main
 from prevmap.data_model import (
     IndividualRecord,
@@ -128,6 +130,31 @@ class TestSubcommands:
                    "--output-name", "zoom.svg", "--out", str(tmp_path)])
         svg = (tmp_path / "zoom.svg").read_text()
         assert svg.count('<g transform="translate(') == 2  # two country groups
+
+    def test_fig2_matches_per_panel_rendering(self, pipeline_dir, tmp_path):
+        # the map row projects its boundaries once; drawing each panel on its
+        # own, as render_choropleth does, must give the same document
+        def per_panel(boundaries, panels, spec, metadata):
+            return prevmap.render._panel_row(
+                [prevmap.render._choropleth_panel(boundaries, values, spec, title)
+                 for title, values in panels],
+                metadata,
+            )
+
+        argv = ["render", "--boundaries", str(pipeline_dir / "boundaries.geojson"),
+                "--values", str(pipeline_dir / "posterior.csv"),
+                "--column", "prev_mean", "--column", "prev_q025", "--column", "prev_q975",
+                "--output-name", "fig2_smoothed_ci.svg", "--seed", "21", "--out"]
+        spy = mock.patch.object(prevmap.render, "_region_paths",
+                                wraps=prevmap.render._region_paths)
+        with spy as projected:
+            run_stage(argv + [str(tmp_path / "row")])
+        assert projected.call_count == 1
+        with mock.patch.object(prevmap.cli, "render_map_row", per_panel):
+            run_stage(argv + [str(tmp_path / "panels")])
+        fig2 = (pipeline_dir / "fig2_smoothed_ci.svg").read_bytes()
+        assert (tmp_path / "row" / "fig2_smoothed_ci.svg").read_bytes() == fig2
+        assert (tmp_path / "panels" / "fig2_smoothed_ci.svg").read_bytes() == fig2
 
 
 class TestStrictMode:
@@ -368,6 +395,26 @@ class TestDegenerateAndMalformedInputs:
         assert main(argv) == 2
         assert "region 'R_0_1': ring has a non-finite coordinate" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.svg")) and not (tmp_path / "graph.txt").exists()
+
+    @pytest.mark.parametrize("reader", ["records", "boundaries", "data_lines"])
+    def test_non_utf8_input_exits_2(self, pipeline_dir, tmp_path, capsys, reader):
+        # a Latin-1 export: "Zamb\xe9zia" where UTF-8 has "Zamb\xc3\xa9zia"
+        name, argv = {
+            "records": ("records.csv", ["direct", "--records", "{}", "--boundaries",
+                                        str(pipeline_dir / "boundaries.geojson")]),
+            "boundaries": ("boundaries.geojson", ["adjacency", "--boundaries", "{}"]),
+            "data_lines": ("graph.txt", ["smooth", "--direct", str(pipeline_dir / "direct.csv"),
+                                         "--graph", "{}"] + MCMC),
+        }[reader]
+        data = (pipeline_dir / name).read_bytes()
+        at = data.index(b"R_0_1")  # every one of these files names region R_0_1
+        broken = tmp_path / name
+        broken.write_bytes(data[:at] + b"Zamb\xe9zia" + data[at:])
+        argv = [arg.format(broken) for arg in argv] + ["--out", str(tmp_path / "step")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {broken}: not UTF-8 text (byte {at + 5})\n"
+        assert not (tmp_path / "step").exists()
 
 
 def test_config_hash_is_sha256_of_files_then_texts(tmp_path, monkeypatch):

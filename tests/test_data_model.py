@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary, geojson_feature, record, square
+from prevmap import data_model
 from prevmap.data_model import (
     IndividualRecord,
     RegionBoundary,
@@ -109,6 +110,67 @@ class TestLoadRecords:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="not found"):
             load_records(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("cluster", ["c1", '"c,1"'], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_byte_order_mark_skipped(self, tmp_path, cluster, line_end):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        text = line_end.join([
+            "region_id,cluster_id,weight,outcome",
+            f"R1,{cluster},1.0,1", f"Ré,{cluster}2,2.0,0", "",
+        ])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert len(load_records(plain)) == 2
+        assert load_records(marked) == load_records(plain)
+        twice = tmp_path / "twice.csv"
+        twice.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())  # only one is skipped
+        with pytest.raises(SchemaError, match="missing column 'region_id'"):
+            load_records(twice)
+
+    @pytest.mark.parametrize(
+        "cluster", ["c1", '"c1"', '"c""1"'], ids=["unquoted", "quoted", "escaped_quote"]
+    )
+    def test_crlf_line_end_is_not_part_of_the_last_field(self, tmp_path, cluster):
+        path = tmp_path / "records.csv"
+        path.write_bytes(f"region_id,cluster_id,weight,outcome\r\nR1,{cluster},1,2\r\n".encode())
+        with pytest.raises(RecordValidationError) as err:
+            load_records(path)
+        assert str(err.value) == "row 1: outcome must be 0 or 1, got '2'"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
+    def test_quoted_fields_read_as_the_csv_reader_reads_them(self, tmp_path, monkeypatch, chunk):
+        # R's write.csv quotes every string; the first quote that does not
+        # enclose a whole field (a doubled quote, a quoted comma) sends the
+        # rest of the file to the csv reader, which still counts rows from
+        # the start. Ids are coded in order of first appearance.
+        monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+        path = write_csv(tmp_path, (
+            '"region_id","cluster_id","weight","outcome"\n'
+            '# a "comment"\n'
+            '"R2"," c9 ",1.5,1\n'
+            '"R1","",2,0\n'
+            '"R2","c""3""",3,1\n'
+            '"R1","c,2",1,0\n'
+        ))
+        table = load_records(path)
+        assert table.region_ids == ("R2", "R1")
+        assert table.cluster_ids == ("c9", "", 'c"3"', "c,2")
+        assert list(table.column("cluster_id")) == ["c9", "", 'c"3"', "c,2"]
+        assert table.weight.tolist() == [1.5, 2.0, 3.0, 1.0]
+        with open(path, "a") as fh:
+            fh.write('"R2","c4",1,"2"\n')
+        with pytest.raises(RecordValidationError) as err:
+            load_records(path)
+        assert str(err.value) == "row 5: outcome must be 0 or 1, got '2'"
+
+    def test_not_utf8_names_the_byte(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"region_id,cluster_id,weight,outcome\nZamb\xe9zia,c1,1,0\n")
+        with pytest.raises(SchemaError) as err:
+            load_records(path)
+        assert str(err.value) == f"{path}: not UTF-8 text (byte 41)"
 
 
 class TestLoadBoundaries:

@@ -1,13 +1,19 @@
-"""Property test: the columnar record path against a record-by-record reference.
+"""Property tests: the columnar record path against a record-by-record reference.
 
-Random record files (strata, comment and blank lines, quoted ids holding
-commas, quotes or line breaks, padded fields, extra columns, a renaming
-schema) go through
+Random record files (strata, comment and blank lines, every field quoted,
+quoted ids holding commas, quotes or line breaks, padded fields, non-ASCII
+ids and padding, numerals that only Python's ``float`` reads, CRLF line
+ends, extra columns, a renaming schema) go through
 ``load_records`` -> ``drop_unlinked`` -> ``estimate_all``. A plain-Python
 reference below reads the same file one row at a time and must agree on the
 estimates, or on the exception type and the row it names.
+
+A mutation test then damages a valid records file (truncation, a dropped
+column, injected text, permuted rows, a stray quote) and runs ``prevmap
+direct`` on it: the command must succeed or exit 2 with a message.
 """
 
+import contextlib
 import csv
 import io
 import math
@@ -19,14 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary, square
-from prevmap import data_model
+from prevmap import cli, data_model
 from prevmap.data_model import drop_unlinked, load_records
 from prevmap.direct import estimate_all
-from prevmap.errors import ConsistencyError, RecordValidationError
+from prevmap.errors import ConsistencyError, PrevmapError, RecordValidationError
 
 CANONICAL = ("region_id", "cluster_id", "weight", "outcome", "stratum")
-KNOWN_REGIONS = ("R1", "R2", "R3", "R,4")
+KNOWN_REGIONS = ("R1", "R2", "R3", "R,4", "Zambézia")
 UNLINKED_REGIONS = ("Z9", "Z,8")
+BAD_ROWS = [None, "weight_text", "weight_nan", "outcome_2", "weight_0", "weight_inf",
+            "two_regions", "short"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +108,11 @@ def ref_estimate(rows):
 # Random files
 # ---------------------------------------------------------------------------
 
-padding = st.sampled_from(["", " ", "  "])
+padding = st.sampled_from(["", " ", "  ", "\u3000", "\xa0"])
 
 
 @st.composite
-def survey_files(draw):
+def survey_files(draw, quoting=st.booleans(), bad_rows=st.sampled_from(BAD_ROWS)):
     has_stratum = draw(st.booleans())
     extra = draw(st.lists(st.sampled_from(["age", "note", "hh"]), unique=True, max_size=2))
     columns = list(CANONICAL[: 5 if has_stratum else 4]) + extra
@@ -112,9 +120,14 @@ def survey_files(draw):
     renames = {"region_id": "area", "cluster_id": "psu", "weight": "hh_weight",
                "outcome": "result", "stratum": "strat"}
     schema = {c: renames[c] for c in CANONICAL if draw(st.booleans())}
-    # a file without quote characters is read in chunks, one with them in one piece
-    quoted = draw(st.booleans())
-    suffixes = ["", ",x", ' "q"', "\nline"] if quoted else [""]
+    # quotes that enclose whole fields are split from bytes; a chunk with any
+    # other quote goes to the csv reader, and so does the rest of the file
+    # when a quoted field runs on past the chunk
+    quoted = draw(quoting)
+    quote_style = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])) if quoted else None
+    # a suffix longer than LOAD_FIELD_BYTES makes the id too wide for a fixed-width array
+    plain = ["", "-" + "w" * 300]
+    suffixes = draw(st.sampled_from([["", ",x", ' "q"', "\nline"], plain])) if quoted else plain
     regions = KNOWN_REGIONS + (UNLINKED_REGIONS if draw(st.booleans()) else ())
     regions = [rid for rid in regions if quoted or "," not in rid]
 
@@ -126,19 +139,21 @@ def survey_files(draw):
             for _ in range(draw(st.integers(1, 4))):
                 if has_stratum and draw(st.integers(0, 5)) == 0:  # a cluster across strata
                     stratum = draw(st.sampled_from(["urban", "rural"]))
-                weight = draw(st.sampled_from(["1", "0.5", "2.25", "1e-3", "7", "0.1"]))
-                outcome = draw(st.sampled_from(["0", "1", "1.0"]))
+                weight = draw(st.sampled_from(
+                    ["1", "0.5", "2.25", "1e-3", "7", "0.1", "1_0", " 2.5e-1 ", "\u0663"]
+                ))
+                outcome = draw(st.sampled_from(["0", "1", "1.0", "\u0661"]))
                 records.append([region, cluster, weight, outcome, stratum])
     records = draw(st.permutations(records))
 
-    bad = draw(st.sampled_from(
-        [None, "weight_text", "outcome_2", "weight_0", "weight_inf", "two_regions", "short"]
-    ))
+    bad = draw(bad_rows)
     if bad is not None:
         k = draw(st.integers(0, len(records) - 1))
         fields = list(records[k])
         if bad == "weight_text":
             fields[2] = "heavy"
+        elif bad == "weight_nan":
+            fields[2] = "nan"
         elif bad == "outcome_2":
             fields[3] = "2"
         elif bad == "weight_0":
@@ -150,14 +165,15 @@ def survey_files(draw):
             fields[1] = other[1]
         records[k] = fields if bad != "short" else fields[:1]
 
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    buf.write("# survey: synthetic\n\n")
+    writer = csv.writer(buf, lineterminator=eol, quoting=quote_style or csv.QUOTE_MINIMAL)
+    buf.write(f"# survey: synthetic{eol}{eol}")
     writer.writerow([f" {schema.get(c, c)} " if draw(st.booleans()) else schema.get(c, c)
                      for c in columns])
     for fields in records:
         if draw(st.integers(0, 9)) == 0:
-            buf.write(draw(st.sampled_from(["# note, mid-file\n", "\n", "   \n"])))
+            buf.write(draw(st.sampled_from(["# note, mid-file", "", "   ", "\u3000"])) + eol)
         named = dict(zip(CANONICAL, fields))
         if len(fields) == 1:
             writer.writerow(fields)
@@ -175,7 +191,7 @@ def row_of(exc):
 def test_columnar_path_matches_row_reference(tmp_path_factory, survey, chunk):
     text, schema = survey
     path = tmp_path_factory.mktemp("prop") / "records.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     boundaries = [boundary(rid, square(k, 0)) for k, rid in enumerate(KNOWN_REGIONS)]
     try:
         rows = ref_load(text, schema)
@@ -203,3 +219,104 @@ def test_columnar_path_matches_row_reference(tmp_path_factory, survey, chunk):
             assert math.isnan(e.var_p)
         else:
             assert e.var_p == pytest.approx(var_p, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    survey=survey_files(quoting=st.just(False), bad_rows=st.sampled_from(BAD_ROWS[:-1])),
+    chunk=st.sampled_from([1, 2, 5, data_model.LOAD_CHUNK_ROWS]),
+)
+def test_unquoted_file_is_split_from_bytes(tmp_path_factory, survey, chunk):
+    # every row has the header's field count, so no chunk needs the csv reader,
+    # and quotes that enclose whole fields do not change that
+    text, schema = survey
+    path = tmp_path_factory.mktemp("bytes") / "records.csv"
+
+    def load(content):
+        path.write_bytes(content.encode())
+        reader = mock.patch.object(data_model.csv, "reader", wraps=csv.reader)
+        lines = mock.patch.object(data_model, "data_lines", wraps=data_model.data_lines)
+        with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk), reader as read, \
+                lines as split:
+            try:
+                table = load_records(path, schema=schema)
+            except PrevmapError as exc:
+                table = str(exc)
+        assert not split.called
+        return table, read.called
+
+    assert '"' not in text
+    table, read = load(text)
+    assert not read
+    assert load(text + '# "quoted"\n') == (table, False)
+    every_field_quoted = "".join(
+        line if line.startswith("#") or line.isspace()
+        else ",".join(f'"{field}"' for field in line.rstrip("\r\n").split(","))
+        + line[len(line.rstrip("\r\n")):]
+        for line in io.StringIO(text, newline="")
+    )
+    assert load(every_field_quoted) == (table, False)
+
+
+@pytest.fixture(scope="module")
+def direct_inputs(tmp_path_factory):
+    """A valid records file and its boundaries from ``prevmap simulate``."""
+    out = tmp_path_factory.mktemp("direct_inputs")
+    config = out / "scenario.cfg"
+    config.write_text(
+        "rows = 2\ncols = 3\ngroup_breaks = 1\nbase_logit = -1.2\nspatial_sd = 0.4\n"
+        "clusters_per_region = 2:4\nhouseholds_per_cluster = 5\nweight_dispersion = 1.5\n"
+        "seed = 5\n"
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    return (out / "records.csv").read_bytes(), out / "boundaries.geojson"
+
+
+@st.composite
+def damaged_records(draw, data):
+    """``data`` with one of: a truncation, a dropped column, injected text, permuted rows, a stray quote."""
+    kind = draw(st.sampled_from(["truncate", "drop_column", "inject", "permute", "quote"]))
+    lines = data.splitlines(keepends=True)
+    body = [k for k, line in enumerate(lines) if not line.startswith(b"#")]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "quote":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b'"' + data[at:]
+    if kind == "permute":
+        rows = draw(st.permutations([lines[k] for k in body[1:]]))
+        return b"".join(lines[:body[1]] + rows)
+    if kind == "drop_column":
+        column = draw(st.integers(0, lines[body[0]].count(b",")))
+        for k in body:
+            fields = lines[k].rstrip(b"\n").split(b",")
+            lines[k] = b",".join(fields[:column] + fields[column + 1:]) + b"\n"
+        return b"".join(lines)
+    k = draw(st.sampled_from(body))
+    fields = lines[k].rstrip(b"\n").split(b",")
+    column = draw(st.integers(0, len(fields) - 1))
+    fields[column] = draw(st.one_of(
+        st.text(alphabet="01.e-_ ,\"\r\n#xé\u3000\u0663", max_size=6).map(str.encode),
+        st.binary(max_size=4),
+    ))
+    lines[k] = b",".join(fields) + b"\n"
+    return b"".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.data())
+def test_damaged_records_exit_0_or_2(tmp_path_factory, direct_inputs, case):
+    data, boundaries = direct_inputs
+    out = tmp_path_factory.mktemp("damaged")
+    records = out / "records.csv"
+    records.write_bytes(case.draw(damaged_records(data)))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["direct", "--records", str(records),
+                         "--boundaries", str(boundaries), "--out", str(out)])
+    if code == 0:
+        assert (out / "direct.csv").exists()
+    else:
+        assert code == 2
+        assert stderr.getvalue().startswith("error: ")
