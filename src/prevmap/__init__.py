@@ -3,8 +3,9 @@
 The pipeline: load (or simulate) multistage cluster survey records and region
 boundaries, compute per-region design-based prevalence estimates with
 ultimate-cluster variances, build the region contiguity graph, smooth the
-logit-scale estimates with a BYM (iid + ICAR) random-effect model fit by Gibbs
-sampling, and render choropleth / comparison figures as deterministic SVG.
+logit-scale estimates with a BYM (iid + ICAR) random-effect model (exact
+independent draws by default, or Gibbs sampling), and render choropleth /
+comparison figures as deterministic SVG.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,7 @@ from .data_model import (
 )
 from .direct import DirectEstimate, estimate_all
 from .graph import AdjacencyGraph, IcarPrecision, build_adjacency, icar_precision
-from .bym import BymModelSpec, McmcConfig, BymPosterior, gibbs_fit
+from .bym import BymModelSpec, McmcConfig, BymPosterior, exact_fit, gibbs_fit
 from .synthetic import SyntheticTruth, make_grid_regions, spatial_truth, sample_survey
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "BymModelSpec",
     "McmcConfig",
     "BymPosterior",
+    "exact_fit",
     "gibbs_fit",
     "SyntheticTruth",
     "make_grid_regions",

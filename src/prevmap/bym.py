@@ -1,4 +1,4 @@
-"""Area-level spatial smoothing model fit by Gibbs sampling.
+"""Area-level spatial smoothing model: an exact collapsed fit and a Gibbs sampler.
 
 Observation model, per region i on the logit scale:
 
@@ -7,28 +7,34 @@ Observation model, per region i on the logit scale:
     eps_i ~ iid Normal(0, sig2_eps)
     S ~ ICAR(sig2_sp) over the region contiguity graph
 
-Every full conditional is conjugate (flat prior on b0, inverse-gamma
-hyperpriors on both variances), so the sampler is a pure Gibbs sweep:
-b0, then all eps, then all S single-site, then the two variances. The
-improper ICAR level is pinned by recentring S to mean zero within each
-connected graph component after every S sweep; b0 re-absorbs the level
-through its own conjugate update (the recentred parametrization).
+with a flat prior on b0 and inverse-gamma hyperpriors on both variances.
+The improper ICAR level is pinned by holding S at mean zero within each
+connected graph component, so every component's mean of z = b0 + S is b0.
 
 Regions with a degenerate direct estimate contribute no likelihood term:
-their eps_i are refreshed from the prior each sweep and excluded from the
-sig2_eps update, so their theta draws are posterior predictions.
+their eps_i come from the prior, so their theta draws are posterior
+predictions.
 
-Single-site S updates are grouped by graph coloring: nodes of one color
-share no edge, so their conditionals are independent and can be drawn as a
-block without changing the Markov chain's target.
+``exact_fit`` (what ``prevmap smooth`` runs) integrates eps out. Given the variances,
+z is Gaussian with precision P = Q/sig2_sp + W, W = diag(1/(V_i + sig2_eps))
+over the usable regions, and p(sig2 | Y) has a closed form. It evaluates
+that density on a lattice of (log sig2_eps, log sig2_sp) laid along the
+Hessian's eigen-axes at the mode, draws the variances from the lattice, then
+z, b0 and eps from their exact conditionals, so every draw is independent.
+P is factored as a banded Cholesky after a reverse Cuthill-McKee ordering.
+The engine's code is in ``prevmap.exact``, loaded with ``scipy.linalg`` on
+its first use.
 
-All chains advance in lockstep: the state holds one row per chain and each
-array operation updates every chain at once. Each chain still draws from its
-own stream, in the order a chain-by-chain loop would, and its row sees that
-loop's arithmetic, so the draws, and every result, are the same as running
-the chains one after another. The per-region summaries and diagnostics
-likewise run on blocks of regions at a time, with the arithmetic of a call
-per region.
+``gibbs_fit``, the reference ``exact_fit`` is tested against, is the
+conjugate Gibbs sweep (b0, all eps, all S single-site by graph-coloring
+class, then the two variances), recentring S per component after every S
+sweep. All chains advance in lockstep: the state
+holds one row per chain and each array operation updates every chain at
+once. Each chain still draws from its own stream, in the order a
+chain-by-chain loop would, and its row sees that loop's arithmetic, so the
+draws, and every result, are the same as running the chains one after
+another. The per-region summaries and diagnostics likewise run on blocks of
+regions at a time, with the arithmetic of a call per region.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .graph import IcarPrecision, quadratic_form
 
 RHAT_THRESHOLD = 1.05
 ESS_THRESHOLD = 100.0
+GRID_EDGE_MASS_THRESHOLD = 1e-3
 
 TRACE_CSV_COLUMNS = {
     "chain": int, "draw": int, "beta0": float, "sigma2_eps": float, "sigma2_sp": float,
@@ -211,35 +218,35 @@ def _z_table(size: int) -> np.ndarray:
     return ndtri((np.arange(2 * size + 1) / 2 - 0.5) / size)
 
 
-def _z_scale(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rank-normalize over the last two axes jointly (one draw set each).
+def _z_scale(srt: np.ndarray, at: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rank-normalize (rows, size) draw sets, one per row, from their sorted values.
 
-    z = ndtri((rank - 0.5) / N), where tied values share their mean rank as
-    in ``scipy.stats.rankdata(method="average")``: a tie group at sorted
+    ``srt`` holds each row's values in ascending order, and ``at`` the flat
+    index in the (rows, size) input of each of them. z = ndtri((rank - 0.5)
+    / N), where tied values share their mean rank as in
+    ``scipy.stats.rankdata(method="average")``: a tie group at sorted
     positions first..last has rank (first + last + 2) / 2, exact in float64.
-    A draw set holding a NaN maps to all NaN.
+    A draw set holding a NaN maps to all NaN. Tied values get one z, so the
+    order of a tie group's members in ``at`` does not matter.
     """
-    flat = x.reshape(x.shape[:-2] + (-1,))
-    size = flat.shape[-1]
-    order = np.argsort(flat, axis=-1)
-    srt = np.take_along_axis(flat, order, axis=-1)
-    pos = np.arange(size)
-    tied = srt[..., 1:] == srt[..., :-1]
-    if tied.any():
-        starts = np.ones(srt.shape, dtype=bool)
-        np.logical_not(tied, out=starts[..., 1:])
-        ends = np.ones(srt.shape, dtype=bool)
-        ends[..., :-1] = starts[..., 1:]
-        first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
-        last = np.minimum.accumulate(np.where(ends, pos, size - 1)[..., ::-1], axis=-1)
-        doubled_rank = first + last[..., ::-1] + 2
-    else:
-        doubled_rank = 2 * pos + 2
-    z_sorted = table[np.broadcast_to(doubled_rank, srt.shape)]
+    size = srt.shape[-1]
+    doubled_rank = np.broadcast_to(2 * np.arange(size) + 2, srt.shape)
+    row, left = np.nonzero(srt[..., 1:] == srt[..., :-1])  # srt[row, left + 1] ties
+    if len(left):
+        # a tie group is a run of consecutive ``left`` in one row
+        opens = np.ones(len(left), dtype=bool)
+        opens[1:] = (left[1:] != left[:-1] + 1) | (row[1:] != row[:-1])
+        group = np.cumsum(opens) - 1
+        closes = np.append(opens[1:], True)
+        shared = (left[opens] + left[closes] + 3)[group]  # first + last + 2
+        doubled_rank = doubled_rank.copy()
+        doubled_rank[row, left] = shared
+        doubled_rank[row, left + 1] = shared
+    z_sorted = table[doubled_rank]
     z_sorted[np.isnan(srt[..., -1])] = np.nan  # NaN sorts last
-    z = np.empty(flat.shape)
-    np.put_along_axis(z, order, z_sorted, axis=-1)
-    return z.reshape(x.shape)
+    z = np.empty(srt.shape)
+    z.put(at, z_sorted)
+    return z
 
 
 def _rhat_classic(x: np.ndarray) -> np.ndarray:
@@ -264,11 +271,29 @@ def rhat(draws: np.ndarray) -> float | np.ndarray:
         out = np.full(len(sets), np.nan)
     else:
         split = _split_chains(sets)
-        table = _z_table(split[0].size)
-        bulk = _rhat_classic(_z_scale(split, table))
-        median = np.median(sets.reshape(len(sets), -1), axis=-1)
-        folded = np.abs(sets - median[:, None, None])
-        tail = _rhat_classic(_z_scale(_split_chains(folded), table))
+        flat = split.reshape(len(split), -1)
+        rows, size = flat.shape
+        table = _z_table(size)
+        # sorted values and their flat indices; flat take/put beat *_along_axis
+        offset = np.arange(0, rows * size, size)[:, None]
+        order = np.argsort(flat, axis=-1)
+        order += offset
+        srt = flat.take(order)
+        bulk = _rhat_classic(_z_scale(srt, order, table).reshape(split.shape))
+        median = np.median(sets.reshape(len(sets), -1), axis=-1)[:, None]
+        # In the bulk's order the folded values |x - median| fall, then rise:
+        # with the part below the median reversed they form two ascending
+        # runs, which a stable sort merges in one pass.
+        folded = np.abs(srt - median)
+        pos = np.arange(size)
+        below = np.count_nonzero(srt < median, axis=-1)[:, None]
+        runs = np.where(pos < below, below - 1 - pos, pos)
+        runs += offset
+        keys = folded.take(runs)
+        merged = np.argsort(keys, axis=-1, kind="stable")
+        merged += offset
+        tail_at = order.take(runs.take(merged))
+        tail = _rhat_classic(_z_scale(keys.take(merged), tail_at, table).reshape(split.shape))
         out = np.where(_is_constant(sets), np.nan, np.fmax(bulk, tail))
     return float(out[0]) if x.ndim == 2 else out
 
@@ -332,13 +357,18 @@ class ScalarDiag:
 class DiagnosticsReport:
     per_scalar: dict[str, ScalarDiag]
     notes: list[str] = field(default_factory=list)
+    # posterior mass on the outer points of the exact engine's variance grid
+    grid_edge_mass: float = 0.0
 
     @property
     def converged(self) -> bool:
-        return all(d.ok for d in self.per_scalar.values())
+        return not self.failing()
 
     def failing(self) -> list[str]:
-        return [name for name, d in self.per_scalar.items() if not d.ok]
+        names = [name for name, d in self.per_scalar.items() if not d.ok]
+        if not self.grid_edge_mass <= GRID_EDGE_MASS_THRESHOLD:
+            names.append("grid_edge_mass")
+        return names
 
 
 def diagnostics(draws_by_name: Mapping[str, np.ndarray]) -> DiagnosticsReport:
@@ -641,6 +671,37 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
             sig2s_draws[:, keep] = sig2s
             keep += 1
 
+    return posterior_from_draws(
+        spec, config, theta_draws, s_draws, beta0_draws, sig2e_draws, sig2s_draws
+    )
+
+
+def posterior_from_draws(
+    spec: BymModelSpec,
+    config: McmcConfig,
+    theta_draws: np.ndarray,
+    s_draws: np.ndarray,
+    beta0_draws: np.ndarray,
+    sig2e_draws: np.ndarray,
+    sig2s_draws: np.ndarray,
+    *,
+    region_diagnostics: bool = True,
+    grid_edge_mass: float = 0.0,
+    extra_meta: Mapping[str, str] | None = None,
+) -> BymPosterior:
+    """A fit's posterior from its draws: summaries, diagnostics and metadata.
+
+    Regions are summarized a block at a time. With ``region_diagnostics``
+    each region's theta gets its R-hat and ESS, which join the report;
+    without (independent draws) R-hat is nan and ESS the number of draws.
+    The hyperparameters' R-hat and ESS, and ``grid_edge_mass``, are always
+    in the report. ``extra_meta`` is appended to the fit's metadata.
+    """
+    prec = spec.precision
+    n = prec.dimension
+    chains, kept = beta0_draws.shape
+    fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
+
     # Summaries and diagnostics per region, a block of regions per call
     step = max(1, _DIAG_BLOCK_DRAWS // (chains * kept))
     theta_sums: list[Summary] = []
@@ -651,8 +712,12 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         block = np.ascontiguousarray(theta_draws[:, :, lo : lo + step].transpose(2, 0, 1))
         theta_sums += summarize(block, batched=True)
         prev_sums += summarize(expit(block), batched=True)
-        rhats += rhat(block).tolist()
-        esss += ess(block).tolist()
+        if region_diagnostics:
+            rhats += rhat(block).tolist()
+            esss += ess(block).tolist()
+    if not region_diagnostics:
+        rhats = [math.nan] * n
+        esss = [float(chains * kept)] * n
     summaries = [
         RegionSummary(rid, theta, prev, r, e)
         for rid, theta, prev, r, e in zip(prec.node_ids, theta_sums, prev_sums, rhats, esss)
@@ -663,11 +728,13 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         hyper_traces["sigma2_eps"] = sig2e_draws
     if fixed_s is None and prec.rank > 0:
         hyper_traces["sigma2_sp"] = sig2s_draws
-    per_scalar = {f"theta[{rid}]": ScalarDiag(s.rhat_theta, s.ess_theta)
-                  for rid, s in zip(prec.node_ids, summaries)}
+    per_scalar = {}
+    if region_diagnostics:
+        per_scalar = {f"theta[{rid}]": ScalarDiag(s.rhat_theta, s.ess_theta)
+                      for rid, s in zip(prec.node_ids, summaries)}
     hyper_report = diagnostics(hyper_traces)
     per_scalar.update(hyper_report.per_scalar)
-    report = DiagnosticsReport(per_scalar=per_scalar, notes=hyper_report.notes)
+    report = DiagnosticsReport(per_scalar, hyper_report.notes, grid_edge_mass)
 
     hyper_summaries = {
         "beta0": summarize(beta0_draws),
@@ -680,7 +747,7 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         "burn_in": str(config.burn_in),
         "thin": str(config.thin),
         "seed": str(config.seed),
-        "priors": pri.describe(),
+        "priors": spec.priors.describe(),
         "style": prec.style,
         "icar_rank": str(prec.rank),
     }
@@ -688,6 +755,7 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         meta["fixed_sigma2_eps"] = repr(fixed_e)
     if fixed_s is not None:
         meta["fixed_sigma2_sp"] = repr(fixed_s)
+    meta.update(extra_meta or {})
     return BymPosterior(
         region_ids=prec.node_ids,
         theta_draws=theta_draws,
@@ -700,6 +768,33 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         report=report,
         meta=meta,
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact collapsed engine (in prevmap.exact)
+# ---------------------------------------------------------------------------
+
+
+def exact_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
+    """Independent draws from the posterior, with eps integrated out.
+
+    The variances come from a grid over p(log sig2_eps, log sig2_sp | Y); a
+    fixed variance leaves its axis out, and sig2_sp is drawn from its prior
+    when no component with a usable region has an edge (it then meets no
+    data). Each chain is a stream from ``SeedSequence(seed).spawn(chains)``
+    with ``retained_per_chain()`` draws; draws that fall in one grid cell
+    share one factorization of P. Reruns are bit-identical. Per-region
+    R-hat is nan and ESS the draw count, as the draws are independent; the
+    hyperparameter diagnostics and the grid's edge mass decide convergence.
+
+    The engine is in ``prevmap.exact``, which is loaded, with
+    ``scipy.linalg``, on the first call, so that importing the CLI does not
+    load ``scipy.linalg``. While it runs, OpenBLAS uses one thread in the
+    calling thread (its thread-local setting, restored afterwards).
+    """
+    from .exact import fit
+
+    return fit(spec, config)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .bym import (
     BymModelSpec,
     Hyperpriors,
     McmcConfig,
-    gibbs_fit,
+    exact_fit,
     read_posterior_csv,
     write_posterior_csv,
     write_trace_csv,
@@ -192,7 +192,7 @@ def cmd_smooth(args) -> int:
         thin=args.thin,
         seed=seed,
     )
-    posterior = gibbs_fit(spec, config)
+    posterior = exact_fit(spec, config)
     meta.update({k: v for k, v in posterior.meta.items() if k != "seed"})
     out = _out_dir(args)
     write_posterior_csv(posterior.rows(estimates), out / "posterior.csv", meta)

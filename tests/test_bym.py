@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import astuple
 
@@ -17,6 +18,7 @@ from prevmap.bym import (
     rhat,
     summarize,
     write_posterior_csv,
+    write_trace_csv,
 )
 from prevmap.direct import ALL_ZERO, NONE, DirectEstimate
 from prevmap.errors import ModelError
@@ -335,6 +337,24 @@ class TestPosteriorCsv:
         loaded = read_posterior_csv(path)
         assert loaded == rows
 
+    @pytest.mark.parametrize("make_spec, posterior_sha, trace_sha", [
+        (lambda: degenerate_spec(),
+         "aa7f35242257c32089111d2e1696caf9cd9f1d041a99f8a70fdd3b3ad622fb48",
+         "79014cf6ea86dfa4fbf129729ea425dd38e4c20797a2dc010227e0e366db01ed"),
+        (lambda: two_component_spec(),
+         "5e6c03461d5ce3c067c51131715358c3093026f1021cabf287fe33ed33dec804",
+         "030fc054a07a41dc3e211791ec9b2cf5cd0857f49f8d1db379582a318b787d7c"),
+    ], ids=["degenerate", "two_component"])
+    def test_gibbs_output_bytes_are_pinned(self, tmp_path, make_spec, posterior_sha, trace_sha):
+        # gibbs_fit is the reference the exact engine is checked against: any
+        # change to its draws, its R-hat/ESS or the writers moves these bytes
+        spec = make_spec()
+        post = gibbs_fit(spec, QUICK)
+        write_posterior_csv(post.rows(spec.estimates), tmp_path / "posterior.csv", {"seed": "99"})
+        write_trace_csv(post, tmp_path / "trace.csv", {"seed": "99"})
+        for name, want in (("posterior.csv", posterior_sha), ("trace.csv", trace_sha)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
     def test_rows_carry_direct_columns(self):
         spec = small_spec()
         post = gibbs_fit(spec, QUICK)
@@ -607,6 +627,12 @@ def _trace_sets():
     }
     mixed = np.stack([sets["random"][0, :2, :40], sets["tied"][0], np.full((2, 40), 7.0)])
     sets["mixed"] = mixed
+    # every draw has a mirror image about the set's median, 0, so each folded
+    # value |x - median| is tied with another; with an odd length the split
+    # chains drop each chain's middle draw
+    half = rng.standard_normal((3, 2, 25))
+    sets["symmetric"] = np.concatenate([half, -half[:, ::-1]], axis=-1)
+    sets["symmetric_odd"] = np.concatenate([half, np.zeros((3, 2, 1)), -half], axis=-1)
     return sets
 
 

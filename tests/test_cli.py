@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -8,9 +10,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prevmap.bym
 import prevmap.cli
+import prevmap.exact
 import prevmap.render
 from prevmap.cli import _config_hash, _read_values, main
 from prevmap.data_model import (
@@ -24,7 +29,9 @@ from prevmap.data_model import (
 from prevmap.direct import read_direct_csv
 from prevmap.bym import read_posterior_csv
 from prevmap.errors import SchemaError
+from prevmap.graph import AdjacencyGraph, export_graph, load_graph
 from prevmap.synthetic import make_grid_regions
+from test_records_property import damaged_records
 
 SCENARIO = (
     "rows = 2\n"
@@ -39,6 +46,7 @@ SCENARIO = (
 )
 
 MCMC = ["--chains", "2", "--iterations", "1500", "--burn-in", "500"]
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -190,6 +198,30 @@ class TestStrictMode:
                      "--graph", str(out / "graph.txt"), "--seed", "4",
                      "--out", str(out)] + MCMC)
         assert code == 0
+
+
+class TestConvergence:
+    def test_shipped_demo_converges_at_default_settings(self, tmp_path, capsys):
+        code = main(["pipeline", "--config", str(REPO_ROOT / "demo.cfg"), "--strict",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "WARNING" not in capsys.readouterr().err
+        meta = dict(line[2:].split(": ", 1) for line in
+                    (tmp_path / "posterior.csv").read_text().splitlines() if line.startswith("# "))
+        assert float(meta["grid_edge_mass"]) < prevmap.bym.GRID_EDGE_MASS_THRESHOLD
+
+    def test_narrow_grid_records_edge_mass_and_strict_exits_3(
+        self, pipeline_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 0.5)
+        code = main(["smooth", "--direct", str(pipeline_dir / "direct.csv"),
+                     "--graph", str(pipeline_dir / "graph.txt"), "--strict",
+                     "--out", str(tmp_path)] + MCMC)
+        assert code == 3
+        assert "grid_edge_mass" in capsys.readouterr().err
+        edge = next(line for line in (tmp_path / "posterior.csv").read_text().splitlines()
+                    if line.startswith("# grid_edge_mass: "))
+        assert float(edge.split(": ")[1]) > prevmap.bym.GRID_EDGE_MASS_THRESHOLD
 
 
 class TestPipelineEquivalence:
@@ -446,6 +478,115 @@ def test_cli_import_leaves_out_scipy_stats_and_sparse():
     probe = (
         "import sys, prevmap.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Damaged inputs of `smooth`: exit 0, or exit 2 with an error line
+# ---------------------------------------------------------------------------
+
+SHORT_FIT = ["--chains", "2", "--iterations", "1000", "--burn-in", "500"]
+
+
+@pytest.fixture(scope="module")
+def smooth_inputs(tmp_path_factory):
+    """direct.csv and graph.txt of a 2 x 3 scenario, with region R_1_2 degenerate."""
+    out = tmp_path_factory.mktemp("smooth_inputs")
+    config = out / "scenario.cfg"
+    config.write_text(SCENARIO)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["simulate", "--config", str(config)],
+            ["direct", "--records", str(out / "records.csv"),
+             "--boundaries", str(out / "boundaries.geojson")],
+            ["adjacency", "--boundaries", str(out / "boundaries.geojson")],
+        ):
+            assert main(argv + ["--out", str(out)]) == 0
+    direct = out / "direct.csv"
+    lines = direct.read_text().splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if line.startswith("R_1_2,"))
+    lines[at] = "R_1_2,32,4,0.0,0.0,nan,nan,all_zero\n"
+    direct.write_text("".join(lines))
+    return direct, out / "graph.txt"
+
+
+def run_smooth(direct, graph, out):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["smooth", "--direct", str(direct), "--graph", str(graph),
+                     "--out", str(out)] + SHORT_FIT)
+    if code == 0:
+        assert (out / "posterior.csv").exists()
+    else:
+        assert code == 2
+        assert stderr.getvalue().startswith("error: ")
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.data())
+def test_damaged_direct_csv_exits_0_or_2(tmp_path_factory, smooth_inputs, case):
+    direct, graph = smooth_inputs
+    out = tmp_path_factory.mktemp("damaged_direct")
+    damaged = out / "direct.csv"
+    damaged.write_bytes(case.draw(damaged_records(direct.read_bytes())))
+    run_smooth(damaged, graph, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.data())
+def test_damaged_graph_exits_0_or_2(tmp_path_factory, smooth_inputs, case):
+    direct, graph_path = smooth_inputs
+    out = tmp_path_factory.mktemp("damaged_graph")
+    damaged = out / "graph.txt"
+    data = graph_path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    body = [k for k, line in enumerate(lines) if not line.startswith(b"#")]
+    edge_lines = [k for k in body if len(lines[k].split()) == 2 and not lines[k][:1].islower()]
+    kind = case.draw(st.sampled_from(["truncate", "drop_column", "inject", "permute", "drop_edges"]))
+    if kind == "drop_edges":
+        # a valid file whose graph falls apart: components, isolated nodes,
+        # and R_1_2 (degenerate) alone or in a component of its own
+        graph = load_graph(graph_path)
+        kept = case.draw(st.lists(st.sampled_from(sorted(graph.edges)), unique=True))
+        export_graph(AdjacencyGraph.from_edges(graph.node_ids, kept), damaged)
+        assert run_smooth(direct, damaged, out) == 0
+        return
+    if kind == "truncate":
+        data = data[:case.draw(st.integers(0, len(data) - 1))]
+    elif kind == "permute":
+        rows = case.draw(st.permutations([lines[k] for k in body]))
+        data = b"".join(lines[:body[0]] + rows)
+    elif kind == "drop_column":
+        for k in edge_lines:
+            lines[k] = lines[k].split()[0] + b"\n"
+        data = b"".join(lines)
+    else:
+        k = case.draw(st.sampled_from(body))
+        fields = lines[k].split()
+        column = case.draw(st.integers(0, max(len(fields) - 1, 0)))
+        fields[column:column + 1] = [case.draw(st.one_of(
+            st.text(alphabet="01 _-#xR\u3000\n", max_size=6).map(str.encode),
+            st.binary(max_size=4),
+        ))]
+        lines[k] = b" ".join(fields) + b"\n"
+        data = b"".join(lines)
+    damaged.write_bytes(data)
+    run_smooth(direct, damaged, out)
+
+
+def test_cli_import_leaves_out_the_exact_engine_and_scipy_linalg():
+    # the exact engine and its scipy.linalg load on first use; nothing needs
+    # scipy.optimize
+    src = Path(prevmap.bym.__file__).resolve().parents[1]
+    probe = (
+        "import sys, prevmap.cli; "
+        "print(sorted(m for m in sys.modules if m == 'prevmap.exact' or m.split('.')[:2] in "
+        "(['scipy', 'linalg'], ['scipy', 'optimize'])))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
