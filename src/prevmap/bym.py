@@ -280,20 +280,12 @@ def rhat(draws: np.ndarray) -> float | np.ndarray:
         order += offset
         srt = flat.take(order)
         bulk = _rhat_classic(_z_scale(srt, order, table).reshape(split.shape))
+        # the median of the unsplit draws: an odd chain's middle draw counts
         median = np.median(sets.reshape(len(sets), -1), axis=-1)[:, None]
-        # In the bulk's order the folded values |x - median| fall, then rise:
-        # with the part below the median reversed they form two ascending
-        # runs, which a stable sort merges in one pass.
-        folded = np.abs(srt - median)
-        pos = np.arange(size)
-        below = np.count_nonzero(srt < median, axis=-1)[:, None]
-        runs = np.where(pos < below, below - 1 - pos, pos)
-        runs += offset
-        keys = folded.take(runs)
-        merged = np.argsort(keys, axis=-1, kind="stable")
-        merged += offset
-        tail_at = order.take(runs.take(merged))
-        tail = _rhat_classic(_z_scale(keys.take(merged), tail_at, table).reshape(split.shape))
+        folded = np.abs(flat - median)
+        tail_order = np.argsort(folded, axis=-1)
+        tail_order += offset
+        tail = _rhat_classic(_z_scale(folded.take(tail_order), tail_order, table).reshape(split.shape))
         out = np.where(_is_constant(sets), np.nan, np.fmax(bulk, tail))
     return float(out[0]) if x.ndim == 2 else out
 

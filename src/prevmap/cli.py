@@ -109,8 +109,6 @@ def _wrote(path: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    if not args.config:
-        raise SchemaError("simulate requires --config <scenario file>")
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
     config_text = Path(args.config).read_text()
@@ -263,8 +261,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if not args.config:
-        raise SchemaError("pipeline requires --config <scenario file>")
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
     out = str(args.out)
@@ -316,8 +312,6 @@ def cmd_pipeline(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="random seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--config", default=None, help="scenario config file")
-
 
 def _add_mcmc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chains", type=int, default=4)
@@ -345,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic survey from a scenario")
+    p.add_argument("--config", required=True, help="scenario config file")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -393,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run all steps from a scenario config")
     p.add_argument("--style", choices=["B", "W"], default="B")
     _add_mcmc(p)
+    p.add_argument("--config", required=True, help="scenario config file")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -236,7 +236,6 @@ class SurveyDataset:
 
     records: SurveyTable
     regions: list[RegionBoundary]
-    provenance: str = ""
 
     def region_ids(self) -> list[str]:
         return sorted(b.region_id for b in self.regions)
@@ -903,8 +902,19 @@ def _as_ring(coords: Sequence[Sequence[float]], feature: str) -> Ring:
         raise GeometryError(f"feature {feature!r}: bad ring coordinates ({exc})") from None
 
 
+def _json_kind(value: object) -> str:
+    """The JSON name of a parsed value's type."""
+    kinds = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+    return kinds.get(type(value), "a number")
+
+
 def load_boundaries(path: str | Path) -> list[RegionBoundary]:
-    """Read region boundaries from a GeoJSON FeatureCollection."""
+    """Read region boundaries from a GeoJSON FeatureCollection.
+
+    A document of the wrong shape (a feature, its properties or its geometry
+    not an object, features or coordinates not arrays) raises
+    ``SchemaError`` or ``GeometryError`` naming the file and the feature.
+    """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"boundaries file not found: {path}")
@@ -920,16 +930,26 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
 
     boundaries: list[RegionBoundary] = []
     seen: set[str] = set()
-    for feat in doc.get("features", []):
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise SchemaError(f"{path}: features must be an array, got {_json_kind(features)}")
+    for k, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise SchemaError(f"{path}: feature {k} must be an object, got {_json_kind(feat)}")
         props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise SchemaError(f"{path}: feature {k}: properties must be an object, got {_json_kind(props)}")
         region_id = props.get("region_id")
         if not region_id:
-            raise SchemaError(f"{path}: feature without properties.region_id")
+            raise SchemaError(f"{path}: feature {k} without properties.region_id")
         region_id = str(region_id)
         if region_id in seen:
             raise ConsistencyError(f"duplicate region_id {region_id!r} in {path}")
         seen.add(region_id)
+        where = f"{path}: feature {region_id!r}"
         geom = feat.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise GeometryError(f"{where}: geometry must be an object, got {_json_kind(geom)}")
         gtype = geom.get("type")
         coords = geom.get("coordinates", [])
         if gtype == "Polygon":
@@ -937,9 +957,9 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
         elif gtype == "MultiPolygon":
             polys = coords
         else:
-            raise GeometryError(
-                f"feature {region_id!r}: unsupported geometry type {gtype!r}"
-            )
+            raise GeometryError(f"{where}: unsupported geometry type {gtype!r}")
+        if not (isinstance(coords, list) and all(isinstance(poly, list) for poly in polys)):
+            raise GeometryError(f"{where}: {gtype} coordinates must be nested arrays")
         geometry = tuple(
             tuple(_as_ring(ring, region_id) for ring in poly) for poly in polys
         )
@@ -981,11 +1001,7 @@ def write_boundaries_geojson(
 # ---------------------------------------------------------------------------
 
 
-def drop_unlinked(
-    records: SurveyTable,
-    boundaries: Sequence[RegionBoundary],
-    provenance: str = "",
-) -> tuple[SurveyDataset, DropReport]:
+def drop_unlinked(records: SurveyTable, boundaries: Sequence[RegionBoundary]) -> tuple[SurveyDataset, DropReport]:
     """Remove records whose region has no boundary; prune regions left empty.
 
     Mirrors deleting survey rows with missing geographic linkage: the report
@@ -1000,5 +1016,4 @@ def drop_unlinked(
     kept = records if n_kept == len(records) else records.take(keep)
     populated = {rid for rid, n in kept.region_counts().items() if n}
     regions = [b for b in boundaries if b.region_id in populated]
-    dataset = SurveyDataset(records=kept, regions=regions, provenance=provenance)
-    return dataset, report
+    return SurveyDataset(records=kept, regions=regions), report

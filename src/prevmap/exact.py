@@ -10,8 +10,11 @@ their exact conditionals, so every draw is independent (the grid strategy of
 INLA, Rue, Martino & Chopin 2009, without its approximations). P is factored
 as a banded Cholesky after a reverse Cuthill-McKee ordering.
 
-This module is imported on the engine's first use: it brings in
-``scipy.linalg``, which nothing else in prevmap needs.
+``icar_draws`` is prevmap's one sampler of the ICAR prior: the engine draws
+the spatial effect of a component without usable regions with it, and
+``prevmap.synthetic`` the simulated truth surface. This module is imported
+on first use of either: it brings in ``scipy.linalg``, which nothing else in
+prevmap needs.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
-from .bym import BymModelSpec, BymPosterior, McmcConfig, posterior_from_draws
+from .bym import BymModelSpec, BymPosterior, McmcConfig, exact_fit, posterior_from_draws
 from .errors import ModelError
 from .graph import IcarPrecision
 
@@ -91,7 +94,7 @@ def _one_blas_thread() -> Iterator[None]:
             setter(count)
 
 
-def _rcm_components(prec: IcarPrecision) -> list[np.ndarray]:
+def rcm_components(prec: IcarPrecision) -> list[np.ndarray]:
     """Each connected component's nodes in reverse Cuthill-McKee order.
 
     A breadth-first search from the component's first node of lowest degree
@@ -155,6 +158,26 @@ def _levels(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.add.reduceat(x, starts, axis=0) / sizes[:, None]
 
 
+@_one_blas_thread()
+def icar_draws(prec: IcarPrecision, components: Sequence[np.ndarray], noise: np.ndarray) -> np.ndarray:
+    """Unit-scale sum-to-zero ICAR draws over whole components, (nodes, k).
+
+    ``components`` hold node indices in band order (as ``rcm_components``
+    gives them); the rows of ``noise``, k columns of standard normals, and
+    of the draws follow their concatenation. Q with the first node of each
+    component held at unit precision is one banded factor U'U; x = U^-1 noise,
+    recentred per component, has exactly the sum-to-zero distribution
+    (Rue & Held 2005, 2.3.3), so an isolated node draws exactly 0.
+    """
+    nodes = np.concatenate(components)
+    sizes = np.array([len(c) for c in components])
+    starts = np.cumsum(sizes) - sizes
+    pinned = prec.degree[nodes].copy()
+    pinned[starts] += 1.0
+    x, _ = dtbtrs(cholesky_banded(_band(_band_layout(prec, nodes), pinned, 1.0)), noise)
+    return x - np.repeat(_levels(x, starts, sizes), sizes, axis=0)
+
+
 @dataclass(frozen=True)
 class _Conditional:
     """z over the live nodes given both variances, before its levels are tied to b0."""
@@ -176,8 +199,7 @@ class _Collapsed:
     prior, is integrated out of p(sig2 | Y) in closed form. A component with
     no usable region adds nothing to p(sig2 | Y) once its S is integrated
     out, so it is left out of P and of the rank term, and its S is drawn
-    from the sum-to-zero prior: a draw with one node held at unit precision,
-    recentred, has exactly that distribution.
+    from the sum-to-zero prior by ``icar_draws``.
     """
 
     def __init__(self, spec: BymModelSpec) -> None:
@@ -187,7 +209,7 @@ class _Collapsed:
         self.y = np.array([e.logit_y if e.likelihood_usable else 0.0 for e in spec.estimates])
         self.v = np.array([e.var_logit if e.likelihood_usable else 1.0 for e in spec.estimates])
         live, dead = [], []
-        for comp in _rcm_components(prec):
+        for comp in rcm_components(prec):
             (live if self.usable[comp].any() else dead).append(comp)
         self.live = np.concatenate(live)
         self.live_sizes = np.array([len(c) for c in live])
@@ -199,13 +221,7 @@ class _Collapsed:
         self.y_live, self.v_live = self.y[self.live], self.v[self.live]
         self.average = np.repeat(1.0 / self.live_sizes, self.live_sizes)
         self.isolated = self.live_starts[self.live_sizes == 1]
-        self.dead = np.concatenate(dead) if dead else np.zeros(0, dtype=np.intp)
-        self.dead_sizes = np.array([len(c) for c in dead], dtype=np.intp)
-        self.dead_starts = np.cumsum(self.dead_sizes) - self.dead_sizes
-        if dead:
-            pinned = prec.degree[self.dead].copy()
-            pinned[self.dead_starts] += 1.0
-            self.dead_factor = cholesky_banded(_band(_band_layout(prec, self.dead), pinned, 1.0))
+        self.dead = dead
 
     def conditional(self, sig2_eps: float, sig2_sp: float) -> tuple[float, _Conditional]:
         """log p(Y | variances), up to a constant, and z's conditional given them."""
@@ -245,11 +261,6 @@ class _Collapsed:
         x -= cond.level_gain[:, None] * np.repeat(shift, self.live_sizes, axis=0)
         x[self.isolated] = b0  # exactly: an isolated node has S = 0
         return x
-
-    def draw_dead(self, noise: np.ndarray) -> np.ndarray:
-        """Unit-scale sum-to-zero ICAR draws over the dead nodes, (dead nodes, k)."""
-        x, _ = dtbtrs(self.dead_factor, noise)
-        return x - np.repeat(_levels(x, self.dead_starts, self.dead_sizes), self.dead_sizes, axis=0)
 
 
 def _derivatives(f, t: np.ndarray, ft: float) -> tuple[np.ndarray, np.ndarray]:
@@ -305,18 +316,17 @@ def _edge_mass(points: np.ndarray, logp: np.ndarray, edge: np.ndarray) -> float:
 def _flood(f, center: np.ndarray, basis: np.ndarray, spacing: float):
     """Lattice points center + basis @ (spacing * k), grown breadth-first.
 
-    ``f`` returns a point's log density and what else the caller keeps of
-    it. A point is expanded to its 2d axis neighbours while its log density,
-    or its log density plus one of its log variances (as in ``_edge_mass``),
-    is within GRID_LOG_DROP of the largest such value seen, so the grid holds
-    the tails of the variances' means as well as the posterior mass.
-    Returns the points, their log densities, the kept values, and which
-    points were not expanded (the grid's edge).
+    ``f`` returns a point's log density. A point is expanded to its 2d axis
+    neighbours while its log density, or its log density plus one of its log
+    variances (as in ``_edge_mass``), is within GRID_LOG_DROP of the largest
+    such value seen, so the grid holds the tails of the variances' means as
+    well as the posterior mass. Returns the points, their log densities, and
+    which points were not expanded (the grid's edge).
     """
     d = len(center)
     origin = (0,) * d
-    value, extra = f(center)
-    keys, points, values, kept = [origin], [center], [value], [extra]
+    value = f(center)
+    keys, points, values = [origin], [center], [value]
     index = {origin}
     levels = [value + np.append(0.0, center)]
     best = levels[0].copy()
@@ -333,36 +343,31 @@ def _flood(f, center: np.ndarray, basis: np.ndarray, spacing: float):
                         index.add(nb)
                         keys.append(nb)
                         points.append(center + basis @ (spacing * np.array(nb)))
-                        value, extra = f(points[-1])
+                        value = f(points[-1])
                         values.append(value)
-                        kept.append(extra)
                         levels.append(value + np.append(0.0, points[-1]))
                         np.maximum(best, levels[-1], out=best)
         i += 1
     edge = np.ones(len(keys), dtype=bool)
     edge[expanded] = False
-    return np.array(points), np.array(values), kept, edge
+    return np.array(points), np.array(values), edge
 
 
 def _variance_grid(f, start: np.ndarray):
-    """Grid over the log variances: points (k, d), log densities (k,), kept values, edge mask (k,).
-
-    ``f`` returns a point's log density and a value to keep for each grid point.
-    """
-    density = lambda t: f(t)[0]  # noqa: E731
-    center = _mode(density, start) if len(start) else start
-    f_center, kept = f(center)
+    """Grid over the log variances of log density ``f``: points (k, d), log densities (k,), edge mask (k,)."""
+    center = _mode(f, start) if len(start) else start
+    f_center = f(center)
     if not math.isfinite(f_center):
         raise ModelError("the variance posterior is not finite at any tried point; "
                          "check the direct estimates' logit_y and var_logit")
     if not len(start):
-        return center[None], np.array([f_center]), [kept], np.zeros(1, dtype=bool)
-    _, hess = _derivatives(density, center, f_center)
+        return center[None], np.array([f_center]), np.zeros(1, dtype=bool)
+    _, hess = _derivatives(f, center, f_center)
     if not np.isfinite(hess).all():
         hess = -np.eye(len(start))  # a unit lattice in log units
     curv, axes = np.linalg.eigh(-hess)
     basis = axes / np.sqrt(np.maximum(curv, _MIN_CURVATURE))
-    _, coarse, _, _ = _flood(f, center, basis, 1.0)
+    _, coarse, _ = _flood(f, center, basis, 1.0)
     above = np.count_nonzero(coarse >= coarse.max() - GRID_LOG_DROP)
     spacing = min(1.0, (above / GRID_POINTS) ** (1.0 / len(start)))
     return _flood(f, center, basis, spacing)
@@ -370,12 +375,10 @@ def _variance_grid(f, start: np.ndarray):
 
 @dataclass(frozen=True)
 class _Grid:
-    """The variance grid: each point's variances, log density and b0 given them."""
+    """The variance grid: each point's variances and log density."""
 
     variances: np.ndarray  # (k, 2) sig2_eps, sig2_sp; 1.0 where sig2_sp meets no data
     logp: np.ndarray  # log p(log sig2 | Y) over the gridded axes, up to a constant
-    b0_mean: np.ndarray
-    b0_prec: np.ndarray
     edge_mass: float
 
 
@@ -394,39 +397,29 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
         it = iter(t.tolist())
         return [math.exp(next(it)) if g else (v if v is not None else 1.0) for g, v in zip(gridded, fixed)]
 
-    def log_density(t: np.ndarray) -> tuple[float, tuple[float, float]]:
-        """log p(log sig2 | Y) over the gridded axes, up to a constant, and b0's mean and precision."""
+    def log_density(t: np.ndarray) -> float:
+        """log p(log sig2 | Y) over the gridded axes, up to a constant."""
         if not np.all(np.abs(t) < 100.0):
-            return -math.inf, (math.nan, math.nan)
+            return -math.inf
         try:
-            value, cond = kernel.conditional(*variances(t))
+            value = kernel.conditional(*variances(t))[0]
         except np.linalg.LinAlgError:
-            return -math.inf, (math.nan, math.nan)
+            return -math.inf
         for x, (a, b) in zip(t.tolist(), priors):
             value -= a * x + b * math.exp(-x)
-        return (value if math.isfinite(value) else -math.inf), (cond.b0_mean, cond.b0_prec)
+        return value if math.isfinite(value) else -math.inf
 
-    y_use = kernel.y[kernel.usable]
-    start = np.full(len(priors), math.log(max(float(np.var(y_use)), 1e-4) / 2))
-    points, logp, b0_given, edge = _variance_grid(log_density, start)
-    b0_mean, b0_prec = np.array(b0_given).T
-    return _Grid(np.array([variances(t) for t in points]), logp, b0_mean, b0_prec,
-                 _edge_mass(points, logp, edge))
+    # a spread too large for float64 gives an infinite start, where the
+    # density is -inf and _variance_grid raises its ModelError
+    with np.errstate(over="ignore"):
+        spread = float(np.var(kernel.y[kernel.usable]))
+    start = np.full(len(priors), math.log(max(spread, 1e-4) / 2))
+    points, logp, edge = _variance_grid(log_density, start)
+    return _Grid(np.array([variances(t) for t in points]), logp, _edge_mass(points, logp, edge))
 
 
 @_one_blas_thread()
 def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
-    """Independent draws from the posterior, with eps integrated out.
-
-    The variances come from a grid over p(log sig2_eps, log sig2_sp | Y); a
-    fixed variance leaves its axis out, and sig2_sp is drawn from its prior
-    when no component with a usable region has an edge (it then meets no
-    data). Each chain is a stream from ``SeedSequence(seed).spawn(chains)``
-    with ``retained_per_chain()`` draws; draws that fall in one grid cell
-    share one factorization of P. Reruns are bit-identical. Per-region
-    R-hat is nan and ESS the draw count, as the draws are independent; the
-    hyperparameter diagnostics and the grid's edge mass decide convergence.
-    """
     spec.validate()
     config.validate()
 
@@ -439,7 +432,8 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     cdf = np.cumsum(np.exp(grid.logp - grid.logp.max()))
 
     # The hyperparameters first, per chain in stream order: grid cells, b0's
-    # standard normals, and sig2_sp from its prior when it meets no data.
+    # standard normals (scaled in its grid cell below), and sig2_sp from its
+    # prior when it meets no data.
     chains, kept = config.chains, config.retained_per_chain()
     rngs = [np.random.Generator(np.random.PCG64(stream))
             for stream in np.random.SeedSequence(config.seed).spawn(chains)]
@@ -452,8 +446,6 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         if sp_from_prior:
             sig2s_draws[c] = pri.b_sp / np.maximum(rng.standard_gamma(pri.a_sp, kept), 1e-300)
     np.minimum(cells, len(cdf) - 1, out=cells)
-    beta0_draws /= np.sqrt(grid.b0_prec[cells])
-    beta0_draws += grid.b0_mean[cells]
     sig2e_draws = grid.variances[cells, 0]
     if not sp_from_prior:
         sig2s_draws = grid.variances[cells, 1]
@@ -469,19 +461,20 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     s_flat = s_draws.reshape(-1, n)
     beta0_flat = beta0_draws.reshape(-1)
     cells_flat = cells.reshape(-1)
-    if len(kernel.dead):
-        s_dead = kernel.draw_dead(theta_flat[:, kernel.dead].T)
-        s_dead *= np.sqrt(sig2s_draws.reshape(-1))
+    if kernel.dead:
+        dead = np.concatenate(kernel.dead)
+        s_dead = icar_draws(prec, kernel.dead, theta_flat[:, dead].T) * np.sqrt(sig2s_draws.reshape(-1))
     usable, y, v = kernel.usable, kernel.y, kernel.v
     by_cell = np.argsort(cells_flat, kind="stable")
     for rows in np.split(by_cell, np.flatnonzero(np.diff(cells_flat[by_cell])) + 1):
         sig2_eps, sig2_sp = grid.variances[cells_flat[rows[0]]]
         cond = kernel.conditional(sig2_eps, sig2_sp)[1]
-        b0 = beta0_flat[rows]
+        b0 = beta0_flat[rows] / math.sqrt(cond.b0_prec) + cond.b0_mean
+        beta0_flat[rows] = b0
         z = np.empty((len(rows), n))
         z[:, kernel.live] = kernel.draw_live(cond, theta_flat[np.ix_(rows, kernel.live)].T, b0).T
-        if len(kernel.dead):
-            z[:, kernel.dead] = b0[:, None] + s_dead[:, rows].T
+        if kernel.dead:
+            z[:, dead] = b0[:, None] + s_dead[:, rows].T
         # eps | z: shrunk residual where a region is usable, the prior elsewhere
         shrink = np.where(usable, sig2_eps / (sig2_eps + v), 0.0)
         sd = np.where(usable, np.sqrt(shrink * v), math.sqrt(sig2_eps))
@@ -494,3 +487,6 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         grid_edge_mass=grid.edge_mass,
         extra_meta={"grid_points": str(len(cdf)), "grid_edge_mass": f"{grid.edge_mass:.3e}"},
     )
+
+
+fit.__doc__ = exact_fit.__doc__  # the engine and its entry point share one text

@@ -12,7 +12,6 @@ unbiased; that is exactly the failure mode the weighted estimator corrects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -127,23 +126,27 @@ def spatial_truth(
 ) -> dict[str, float]:
     """Prevalence surface with spatially correlated logits.
 
-    A zero-mean surface is drawn from the intrinsic autoregression over the
-    region graph by sampling each non-null eigendirection of the unit-scale
-    precision with variance spatial_sd**2 / eigenvalue, then mapped through
-    expit(base_logit + surface). spatial_sd = 0 gives a constant map.
+    The logit surface is spatial_sd times one draw of the unit-scale
+    intrinsic autoregression over the region graph, summing to zero over
+    each connected component (an isolated region gets 0), mapped through
+    expit(base_logit + surface). The draw comes from the exact engine's
+    banded sampler ``prevmap.exact.icar_draws`` on one BLAS thread, so a
+    seed gives the same surface whatever the BLAS thread count.
+    spatial_sd = 0 gives a constant map.
     """
     if spatial_sd < 0:
         raise PrevmapError("spatial_sd must be >= 0")
     ids = sorted(b.region_id for b in regions)
     if spatial_sd == 0 or len(ids) < 2:
         return {rid: float(expit(base_logit)) for rid in ids}
+    from .exact import icar_draws, rcm_components  # brings in scipy.linalg
+
     prec = icar_precision(build_adjacency(list(regions)))
-    eigvals, eigvecs = np.linalg.eigh(prec.to_dense())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-    surface = np.zeros(len(ids))
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if lam > 1e-9:
-            surface += vec * rng.normal(0.0, spatial_sd / math.sqrt(lam))
+    components = rcm_components(prec)
+    surface = np.empty(prec.dimension)
+    noise = rng.standard_normal((prec.dimension, 1))
+    surface[np.concatenate(components)] = spatial_sd * icar_draws(prec, components, noise)[:, 0]
     order = {rid: k for k, rid in enumerate(prec.node_ids)}
     return {rid: float(expit(base_logit + surface[order[rid]])) for rid in ids}
 
@@ -197,11 +200,7 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
         region_ids=tuple(b.region_id for b in regions),
         cluster_ids=tuple(cluster_ids),
     )
-    return SurveyDataset(
-        records=records,
-        regions=regions,
-        provenance=f"synthetic(seed={truth.seed})",
-    )
+    return SurveyDataset(records=records, regions=regions)
 
 
 # ---------------------------------------------------------------------------

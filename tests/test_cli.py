@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -30,7 +31,7 @@ from prevmap.direct import read_direct_csv
 from prevmap.bym import read_posterior_csv
 from prevmap.errors import SchemaError
 from prevmap.graph import AdjacencyGraph, export_graph, load_graph
-from prevmap.synthetic import make_grid_regions
+from prevmap.synthetic import make_grid_regions, read_truth_csv
 from test_records_property import damaged_records
 
 SCENARIO = (
@@ -117,6 +118,12 @@ class TestSubcommands:
 
     def test_unknown_flag_exits_2(self):
         assert main(["adjacency", "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "direct", "adjacency", "smooth", "render",
+                                         "compare", "pipeline"])
+    def test_only_simulate_and_pipeline_take_config(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert ("--config" in capsys.readouterr().out) == (command in ("simulate", "pipeline"))
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
@@ -514,17 +521,22 @@ def smooth_inputs(tmp_path_factory):
     return direct, out / "graph.txt"
 
 
-def run_smooth(direct, graph, out):
+def run_step(argv, written):
+    """Run one command: exit 0 having written ``written``, or exit 2 with an error line."""
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(["smooth", "--direct", str(direct), "--graph", str(graph),
-                     "--out", str(out)] + SHORT_FIT)
+        code = main(argv)
     if code == 0:
-        assert (out / "posterior.csv").exists()
+        assert written.exists()
     else:
         assert code == 2
         assert stderr.getvalue().startswith("error: ")
     return code
+
+
+def run_smooth(direct, graph, out):
+    return run_step(["smooth", "--direct", str(direct), "--graph", str(graph),
+                     "--out", str(out)] + SHORT_FIT, out / "posterior.csv")
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,3 +604,127 @@ def test_cli_import_leaves_out_the_exact_engine_and_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Damaged boundaries, posterior and values files, and truth.csv
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Every artifact of a 2 x 3 pipeline run."""
+    out = tmp_path_factory.mktemp("artifacts")
+    config = out / "scenario.cfg"
+    config.write_text(SCENARIO)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["pipeline", "--config", str(config), "--out", str(out)] + SHORT_FIT) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["features"].__setitem__(2, 7), "feature 2 must be an object, got a number"),
+        (lambda doc: doc.__setitem__("features", {"a": doc["features"][0]}),
+         "features must be an array, got an object"),
+        (lambda doc: doc["features"][2].__setitem__("properties", ["R_0_2"]),
+         "feature 2: properties must be an object, got an array"),
+        (lambda doc: doc["features"][2].__setitem__("geometry", "Polygon"),
+         "feature 'R_0_2': geometry must be an object, got a string"),
+        (lambda doc: doc["features"][2]["geometry"].__setitem__("coordinates", 4),
+         "feature 'R_0_2': MultiPolygon coordinates must be nested arrays"),
+    ],
+    ids=["feature_number", "features_object", "properties_list", "geometry_string",
+         "coordinates_number"],
+)
+def test_misshapen_geojson_exits_2_naming_file_and_feature(artifacts, tmp_path, capsys, edit, message):
+    doc = json.loads((artifacts / "boundaries.geojson").read_text())
+    edit(doc)
+    broken = tmp_path / "boundaries.geojson"
+    broken.write_text(json.dumps(doc))
+    assert main(["adjacency", "--boundaries", str(broken), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _positions(node):
+    """(container, key) of every value inside the parsed JSON ``node``."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _positions(node[key])
+
+
+@st.composite
+def damaged_geojson(draw, data):
+    """``data`` truncated, with bytes injected, features permuted, or one JSON value replaced or deleted."""
+    kind = draw(st.sampled_from(["truncate", "inject", "permute", "replace", "delete"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "inject":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(max_size=4)) + data[at:]
+    doc = json.loads(data)
+    if kind == "permute":
+        doc["features"] = draw(st.permutations(doc["features"]))
+    else:
+        container, key = draw(st.sampled_from(list(_positions(doc))))
+        if kind == "replace":
+            container[key] = draw(JSON_VALUES)
+        else:
+            del container[key]
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.data())
+def test_damaged_boundaries_exit_0_or_2(tmp_path_factory, artifacts, case):
+    out = tmp_path_factory.mktemp("damaged_boundaries")
+    damaged = out / "boundaries.geojson"
+    damaged.write_bytes(case.draw(damaged_geojson((artifacts / "boundaries.geojson").read_bytes())))
+    run_step(["adjacency", "--boundaries", str(damaged), "--out", str(out)], out / "graph.txt")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.data())
+def test_damaged_posterior_csv_exits_0_or_2(tmp_path_factory, artifacts, case):
+    out = tmp_path_factory.mktemp("damaged_posterior")
+    damaged = out / "posterior.csv"
+    damaged.write_bytes(case.draw(damaged_records((artifacts / "posterior.csv").read_bytes())))
+    run_step(["compare", "--direct", str(artifacts / "direct.csv"), "--posterior", str(damaged),
+              "--out", str(out)], out / "comparison.svg")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.data())
+def test_damaged_values_csv_exits_0_or_2(tmp_path_factory, artifacts, case):
+    out = tmp_path_factory.mktemp("damaged_values")
+    damaged = out / "posterior.csv"
+    damaged.write_bytes(case.draw(damaged_records((artifacts / "posterior.csv").read_bytes())))
+    layout = case.draw(st.sampled_from([
+        ["--column", "prev_mean"],
+        ["--column", "prev_mean", "--zoom-per-country"],
+        ["--column", "prev_mean", "--column", "prev_q025", "--column", "prev_q975"],
+    ]))
+    run_step(["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+              "--values", str(damaged), *layout, "--output-name", "map.svg", "--out", str(out)],
+             out / "map.svg")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.data())
+def test_damaged_truth_csv_reads_or_raises_schema_error(tmp_path_factory, artifacts, case):
+    damaged = tmp_path_factory.mktemp("damaged_truth") / "truth.csv"
+    damaged.write_bytes(case.draw(damaged_records((artifacts / "truth.csv").read_bytes())))
+    try:
+        truth = read_truth_csv(damaged)
+    except SchemaError:
+        return
+    assert all(isinstance(v, float) for v in truth.values())

@@ -18,7 +18,7 @@ import prevmap.bym
 import prevmap.exact
 from prevmap.bym import BymModelSpec, McmcConfig, ess, exact_fit, gibbs_fit
 from prevmap.direct import NONE, DirectEstimate, estimate_all
-from prevmap.exact import _Collapsed, _grid, _rcm_components
+from prevmap.exact import _Collapsed, _grid, icar_draws, rcm_components
 from prevmap.graph import AdjacencyGraph, build_adjacency, icar_precision
 from prevmap.synthetic import (
     SamplingPlan,
@@ -113,7 +113,7 @@ class TestKernel:
 
     def test_band_order_is_a_narrow_permutation(self):
         prec = grid_spec().precision
-        comps = _rcm_components(prec)
+        comps = rcm_components(prec)
         order = np.concatenate(comps)
         assert sorted(order.tolist()) == list(range(prec.dimension))
         pos = np.empty_like(order)
@@ -121,8 +121,28 @@ class TestKernel:
         width = np.abs(pos[prec.edge_i] - pos[prec.edge_j]).max()
         assert width <= 6  # a 5 x 9 grid in node order has width 9
         # each component keeps its nodes together
-        split = _rcm_components(two_component_spec().precision)
+        split = rcm_components(two_component_spec().precision)
         assert [sorted(c.tolist()) for c in split] == [[0, 2, 4], [1, 3], [5]]
+
+    @pytest.mark.parametrize("style", ["B", "W"])
+    def test_icar_draws_have_the_pseudo_inverse_covariance(self, style):
+        # two components and an isolated node, as in two_component_spec
+        ids = [f"A{k}" for k in range(6)]
+        edges = [("A0", "A2"), ("A2", "A4"), ("A0", "A4"), ("A1", "A3")]
+        prec = icar_precision(AdjacencyGraph.from_edges(ids, edges, style=style))
+        comps = rcm_components(prec)
+        nodes = np.concatenate(comps)
+        k = 200_000
+        x = np.empty((6, k))
+        x[nodes] = icar_draws(prec, comps, np.random.default_rng(12).standard_normal((6, k)))
+        for comp in prec.component_index:
+            assert np.abs(x[comp].sum(axis=0)).max() < 1e-12
+        assert np.all(x[5] == 0.0)
+        want = np.linalg.pinv(prec.to_dense())
+        got = x @ x.T / k
+        var = np.diag(want)
+        se = np.sqrt((np.outer(var, var) + want**2) / k)  # of a Gaussian sample covariance
+        assert np.all(np.abs(got - want) <= 5 * se + 1e-15)
 
 
 class TestExactFit:
@@ -191,6 +211,7 @@ class TestExactFit:
         assert abs(math.log(got / prior_median)) < 0.05
         assert np.all(post.s_draws == 0.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_posterior_is_a_model_error(self):
         spec = small_spec()
         spec.estimates[2] = DirectEstimate("R2", 0.2, 1e-3, 1e300, 1e-300, 100, 10, NONE)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import logit
@@ -83,6 +88,25 @@ class TestSpatialTruth:
             den = float(np.mean([(v - vals.mean()) ** 2 for v in vals]))
             stats.append(num / den)
         assert np.mean(stats) > 0.2  # Moran-style edge correlation clearly positive
+
+    def test_simulate_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 2000 regions: a dense eigendecomposition this size rounds differently per thread count
+        config = tmp_path / "scenario.cfg"
+        config.write_text(
+            "rows = 40\ncols = 50\ngroup_breaks = 16,33\nbase_logit = -2.4\n"
+            "spatial_sd = 0.45\nclusters_per_region = 1:8\nhouseholds_per_cluster = 22\n"
+            "weight_dispersion = 2.0\nseed = 3\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        truths = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "prevmap.cli", "simulate", "--config", str(config),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            truths.append((out / "truth.csv").read_bytes())
+        assert truths[0] == truths[1]
 
 
 class TestSampleSurvey:
