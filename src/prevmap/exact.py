@@ -10,6 +10,16 @@ their exact conditionals, so every draw is independent (the grid strategy of
 INLA, Rue, Martino & Chopin 2009, without its approximations). P is factored
 as a banded Cholesky after a reverse Cuthill-McKee ordering.
 
+The band routines are LAPACK's, called directly through
+``scipy.linalg.lapack`` (dpbtrf to factor, dpbtrs and dtbtrs to solve):
+``scipy.linalg``'s banded Cholesky factor and solve functions call the
+same routines, so the results are the same bits, but wrap each of the
+grid's thousands of calls in layers (batching, array conversion, a
+finiteness check that the engine's inputs make redundant) that took over a
+third of each density evaluation on the demo's 45 regions. A right-hand
+side stays C-ordered where a column of it feeds ``np.dot``: a contiguous
+column takes another BLAS kernel, whose rounding differs in the last bits.
+
 ``icar_draws`` is prevmap's one sampler of the ICAR prior: the engine draws
 the spatial effect of a component without usable regions with it, and
 ``prevmap.synthetic`` the simulated truth surface. This module is imported
@@ -28,8 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .bym import BymModelSpec, BymPosterior, McmcConfig, exact_fit, posterior_from_draws
 from .errors import ModelError
@@ -145,12 +154,27 @@ def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, tuple[np.
 
 
 def _band(layout, diag: np.ndarray, scale: float) -> np.ndarray:
-    """Upper band storage of diag(diag) + (Q - diag(Q)) / scale in a ``_band_layout``."""
+    """Upper band storage of diag(diag) + (Q - diag(Q)) / scale in a ``_band_layout``.
+
+    Fortran-ordered, as LAPACK takes it, so ``_cholesky`` factors it in place.
+    """
     width, slots, weight = layout
-    ab = np.zeros((width + 1, len(diag)))
+    ab = np.zeros((width + 1, len(diag)), order="F")
     ab[width] = diag
     ab[slots] = -weight / scale
     return ab
+
+
+def _cholesky(ab: np.ndarray) -> np.ndarray:
+    """Upper band Cholesky factor U of ``ab``, laid out by ``_band`` and overwritten, by dpbtrf.
+
+    Raises ``np.linalg.LinAlgError`` where the matrix is not positive
+    definite in floating point.
+    """
+    factor, info = dpbtrf(ab, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return factor
 
 
 def _levels(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -174,7 +198,7 @@ def icar_draws(prec: IcarPrecision, components: Sequence[np.ndarray], noise: np.
     starts = np.cumsum(sizes) - sizes
     pinned = prec.degree[nodes].copy()
     pinned[starts] += 1.0
-    x, _ = dtbtrs(cholesky_banded(_band(_band_layout(prec, nodes), pinned, 1.0)), noise)
+    x, _ = dtbtrs(_cholesky(_band(_band_layout(prec, nodes), pinned, 1.0)), noise)
     return x - np.repeat(_levels(x, starts, sizes), sizes, axis=0)
 
 
@@ -224,13 +248,20 @@ class _Collapsed:
         self.dead = dead
 
     def conditional(self, sig2_eps: float, sig2_sp: float) -> tuple[float, _Conditional]:
-        """log p(Y | variances), up to a constant, and z's conditional given them."""
+        """log p(Y | variances), up to a constant, and z's conditional given them.
+
+        Nothing here checks for inf or nan: ``BymModelSpec.validate`` rejects
+        non-finite usable estimates, and the variances come from log
+        variances under 100 in size, so P and W Y are finite.
+        """
         w = np.where(self.use, 1.0 / (self.v_live + sig2_eps), 0.0)
-        factor = cholesky_banded(_band(self.layout, self.degree / sig2_sp + w, sig2_sp))
+        factor = _cholesky(_band(self.layout, self.degree / sig2_sp + w, sig2_sp))
+        # C-ordered, so that wy below is a strided view: np.dot runs another
+        # BLAS kernel on a contiguous one, which moves the last bits
         rhs = np.empty((len(w), 2))
         wy = np.multiply(w, self.y_live, out=rhs[:, 0])
         rhs[:, 1] = self.average
-        sol = cho_solve_banded((factor, False), rhs)
+        sol, _ = dpbtrs(factor, rhs)
         mean, gain = sol[:, 0], sol[:, 1]
         level, level_var = _levels(sol, self.live_starts, self.live_sizes).T
         tau = 1.0 / level_var
@@ -251,11 +282,11 @@ class _Collapsed:
     def draw_live(self, cond: _Conditional, noise: np.ndarray, b0: np.ndarray) -> np.ndarray:
         """z over the live nodes, (live nodes, k), given k draws of b0 and standard normals.
 
-        ``noise`` is (live nodes, k): one banded triangular solve draws
-        x ~ N(m, P^-1) for all k columns, then each component's level is
-        moved to its draw of b0 by kriging.
+        ``noise`` is (live nodes, k), and is overwritten when Fortran-ordered:
+        one banded triangular solve draws x ~ N(m, P^-1) for all k columns,
+        then each component's level is moved to its draw of b0 by kriging.
         """
-        x, _ = dtbtrs(cond.factor, noise)
+        x, _ = dtbtrs(cond.factor, noise, overwrite_b=1)
         x += cond.mean[:, None]
         shift = (_levels(x, self.live_starts, self.live_sizes) - b0) / cond.level_var[:, None]
         x -= cond.level_gain[:, None] * np.repeat(shift, self.live_sizes, axis=0)
@@ -324,16 +355,20 @@ def _flood(f, center: np.ndarray, basis: np.ndarray, spacing: float):
     which points were not expanded (the grid's edge).
     """
     d = len(center)
+
+    def levels_of(point: np.ndarray, value: float) -> list[float]:
+        return [value] + [value + x for x in point.tolist()]
+
     origin = (0,) * d
     value = f(center)
     keys, points, values = [origin], [center], [value]
     index = {origin}
-    levels = [value + np.append(0.0, center)]
-    best = levels[0].copy()
+    levels = [levels_of(center, value)]
+    best = list(levels[0])
     expanded = []
     i = 0
     while i < len(keys) and len(keys) < _GRID_MAX_POINTS:
-        if (levels[i] >= best - GRID_LOG_DROP).any():
+        if any(level >= top - GRID_LOG_DROP for level, top in zip(levels[i], best)):
             expanded.append(i)
             k = keys[i]
             for axis in range(d):
@@ -345,8 +380,8 @@ def _flood(f, center: np.ndarray, basis: np.ndarray, spacing: float):
                         points.append(center + basis @ (spacing * np.array(nb)))
                         value = f(points[-1])
                         values.append(value)
-                        levels.append(value + np.append(0.0, points[-1]))
-                        np.maximum(best, levels[-1], out=best)
+                        levels.append(levels_of(points[-1], value))
+                        best = [max(top, level) for top, level in zip(best, levels[-1])]
         i += 1
     edge = np.ones(len(keys), dtype=bool)
     edge[expanded] = False
@@ -380,32 +415,38 @@ class _Grid:
     variances: np.ndarray  # (k, 2) sig2_eps, sig2_sp; 1.0 where sig2_sp meets no data
     logp: np.ndarray  # log p(log sig2 | Y) over the gridded axes, up to a constant
     edge_mass: float
+    singular_points: int  # points where P is singular in floating point (logp -inf)
 
 
 def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
     """The grid over each variance that is neither fixed nor without data.
 
     With neither left it is one point. sig2_sp meets no data when no live
-    component has an edge (rank 0).
+    component has an edge (rank 0). A point where the banded factorization
+    of P fails has zero density, and is counted.
     """
     pri = spec.priors
     fixed = (spec.fixed_sigma2_eps, spec.fixed_sigma2_sp)
     gridded = (fixed[0] is None, fixed[1] is None and kernel.rank > 0)
     priors = [(a, b) for (a, b), g in zip(((pri.a_eps, pri.b_eps), (pri.a_sp, pri.b_sp)), gridded) if g]
 
-    def variances(t: np.ndarray) -> list[float]:
-        it = iter(t.tolist())
+    def variances(t: list[float]) -> list[float]:
+        it = iter(t)
         return [math.exp(next(it)) if g else (v if v is not None else 1.0) for g, v in zip(gridded, fixed)]
 
-    def log_density(t: np.ndarray) -> float:
+    singular = set()  # the bytes of each point where P is singular
+
+    def log_density(point: np.ndarray) -> float:
         """log p(log sig2 | Y) over the gridded axes, up to a constant."""
-        if not np.all(np.abs(t) < 100.0):
+        t = point.tolist()
+        if not all(abs(x) < 100.0 for x in t):
             return -math.inf
         try:
             value = kernel.conditional(*variances(t))[0]
         except np.linalg.LinAlgError:
+            singular.add(point.tobytes())
             return -math.inf
-        for x, (a, b) in zip(t.tolist(), priors):
+        for x, (a, b) in zip(t, priors):
             value -= a * x + b * math.exp(-x)
         return value if math.isfinite(value) else -math.inf
 
@@ -415,7 +456,12 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
         spread = float(np.var(kernel.y[kernel.usable]))
     start = np.full(len(priors), math.log(max(spread, 1e-4) / 2))
     points, logp, edge = _variance_grid(log_density, start)
-    return _Grid(np.array([variances(t) for t in points]), logp, _edge_mass(points, logp, edge))
+    return _Grid(
+        np.array([variances(t) for t in points.tolist()]),
+        logp,
+        _edge_mass(points, logp, edge),
+        sum(p.tobytes() in singular for p in points[np.isneginf(logp)]),
+    )
 
 
 @_one_blas_thread()
@@ -472,7 +518,7 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         b0 = beta0_flat[rows] / math.sqrt(cond.b0_prec) + cond.b0_mean
         beta0_flat[rows] = b0
         z = np.empty((len(rows), n))
-        z[:, kernel.live] = kernel.draw_live(cond, theta_flat[np.ix_(rows, kernel.live)].T, b0).T
+        z[:, kernel.live] = kernel.draw_live(cond, theta_flat[rows[:, None], kernel.live].T, b0).T
         if kernel.dead:
             z[:, dead] = b0[:, None] + s_dead[:, rows].T
         # eps | z: shrunk residual where a region is usable, the prior elsewhere
@@ -481,12 +527,21 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         theta_flat[rows] = z + shrink * (y - z) + sd * s_flat[rows]
         s_flat[rows] = z - b0[:, None]
 
-    return posterior_from_draws(
+    meta = {"grid_points": str(len(cdf)), "grid_edge_mass": f"{grid.edge_mass:.3e}"}
+    if grid.singular_points:
+        meta["grid_singular_points"] = str(grid.singular_points)
+    posterior = posterior_from_draws(
         spec, config, theta_draws, s_draws, beta0_draws, sig2e_draws, sig2s_draws,
         region_diagnostics=False,
         grid_edge_mass=grid.edge_mass,
-        extra_meta={"grid_points": str(len(cdf)), "grid_edge_mass": f"{grid.edge_mass:.3e}"},
+        extra_meta=meta,
     )
+    if grid.singular_points:
+        posterior.report.notes.append(
+            f"variance grid: {grid.singular_points} of {len(cdf)} points have a precision "
+            "matrix that is singular in floating point; they count as zero density"
+        )
+    return posterior
 
 
 fit.__doc__ = exact_fit.__doc__  # the engine and its entry point share one text

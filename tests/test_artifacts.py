@@ -1,11 +1,17 @@
 """The shared artifact format: metadata-headed CSV tables, written atomically."""
 
+import csv
+import io
 import os
 import stat
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prevmap.data_model
 from prevmap.bym import PosteriorRow, read_posterior_csv, write_posterior_csv
 from prevmap.cli import main
 from prevmap.data_model import (
@@ -21,13 +27,14 @@ from prevmap.synthetic import read_truth_csv, write_truth_csv
 
 DEMO_CFG = Path(__file__).resolve().parents[1] / "demo.cfg"
 
-# ids that need CSV quoting, and floats that only repr/float() round-trip
-ODD_IDS = ["R,1", 'R"2', "R 3"]
-ODD_FLOATS = [float("nan"), float("inf"), float("-inf")]
+# ids that need CSV quoting (a lone "\r" ends a line for the readers), and
+# floats that only repr/float() round-trip
+ODD_IDS = ["R,1", 'R"2', "R 3", "R\r4"]
+ODD_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0]
 
 
 def records_table():
-    weights = [1e-300, 0.1, 5e300]
+    weights = [1e-300, 0.1, 5e300, 2.5]
     return SurveyTable.from_records(
         IndividualRecord(rid, f"{rid}-c", w, k % 2, "u,1" if k else "")
         for k, (rid, w) in enumerate(zip(ODD_IDS, weights))
@@ -106,3 +113,47 @@ def test_pipeline_leaves_only_the_listed_artifacts(tmp_path):
         "fig3_country_zoom.svg", "fig4_comparison.svg", "graph.txt", "posterior.csv",
         "records.csv", "trace.csv", "truth.csv",
     ]
+
+
+def csv_writer_text(rows, lineterminator):
+    """``rows`` as ``csv.writer`` writes them, each ended by "\\n"."""
+    out = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=lineterminator).writerow(row)
+        out.append(buf.getvalue().removesuffix(lineterminator) + "\n")
+    return "".join(out)
+
+
+ID_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "Z", "7", "é", "中", "\u2028"]),
+                  max_size=6) | st.text(max_size=4)
+CELLS = {
+    str: ID_TEXT,
+    int: st.integers(-(2**63), 2**63 - 1),
+    float: st.floats(width=64),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.data())
+def test_write_table_writes_what_csv_writer_writes(tmp_path_factory, case):
+    kinds = case.draw(st.lists(st.sampled_from([str, int, float]), min_size=2, max_size=4))
+    names = case.draw(st.lists(ID_TEXT, min_size=len(kinds), max_size=len(kinds), unique=True))
+    n_rows = case.draw(st.integers(0, 12))
+    columns = [case.draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    chunk = case.draw(st.integers(1, 5))
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    with mock.patch.object(prevmap.data_model, "WRITE_CHUNK_ROWS", chunk):
+        write_table(path, dict(zip(names, kinds)), columns, {"seed": "1"})
+    rows = [names] + [
+        [cell if kind is str else repr(cell) for kind, cell in zip(kinds, row)]
+        for row in zip(*columns)
+    ]
+    text = path.read_bytes().decode()
+    assert text.startswith("# seed: 1\n")
+    body = text.removeprefix("# seed: 1\n")
+    # "\r\n" ends a row, so csv.writer quotes a cell with "\r" on every
+    # Python version; 3.11's writer leaves it bare under "\n"
+    assert body == csv_writer_text(rows, "\r\n")
+    if not any("\r" in cell for row in rows for cell in row):
+        assert body == csv_writer_text(rows, "\n")

@@ -13,6 +13,7 @@ from prevmap.bym import (
     PosteriorRow,
     diagnostics,
     ess,
+    exact_fit,
     gibbs_fit,
     read_posterior_csv,
     rhat,
@@ -350,6 +351,24 @@ class TestPosteriorCsv:
         # change to its draws, its R-hat/ESS or the writers moves these bytes
         spec = make_spec()
         post = gibbs_fit(spec, QUICK)
+        write_posterior_csv(post.rows(spec.estimates), tmp_path / "posterior.csv", {"seed": "99"})
+        write_trace_csv(post, tmp_path / "trace.csv", {"seed": "99"})
+        for name, want in (("posterior.csv", posterior_sha), ("trace.csv", trace_sha)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    @pytest.mark.parametrize("make_spec, posterior_sha, trace_sha", [
+        (lambda: degenerate_component_spec(),
+         "aa9fb3868731f1f3b481bcd1de1286dd4b1fbaf92b478d3b2150a8c6f24a91c2",
+         "6d32a99370b1e4cc571ca29191f88cb2a9df6c7faa0c5f3e91d73e7001eee603"),
+        (lambda: two_component_spec(),
+         "45af6e6da2c3f8845066cfb7aa33e607c502a3a0f7662c0c51fb9718b1387591",
+         "c39d801b3c5f8e43d3348f56bed0083c6b472d3074560b8407219011093537cf"),
+    ], ids=["isolated_and_degenerate_component", "two_component"])
+    def test_exact_output_bytes_are_pinned(self, tmp_path, make_spec, posterior_sha, trace_sha):
+        # exact_fit is what smooth runs: any change to its grid, its draws,
+        # its summaries or the writers moves these bytes
+        spec = make_spec()
+        post = exact_fit(spec, QUICK)
         write_posterior_csv(post.rows(spec.estimates), tmp_path / "posterior.csv", {"seed": "99"})
         write_trace_csv(post, tmp_path / "trace.csv", {"seed": "99"})
         for name, want in (("posterior.csv", posterior_sha), ("trace.csv", trace_sha)):

@@ -27,7 +27,7 @@ from prevmap.data_model import (
     write_boundaries_geojson,
     write_records_csv,
 )
-from prevmap.direct import read_direct_csv
+from prevmap.direct import read_direct_csv, write_direct_csv
 from prevmap.bym import read_posterior_csv
 from prevmap.errors import SchemaError
 from prevmap.graph import AdjacencyGraph, export_graph, load_graph
@@ -321,6 +321,23 @@ class TestDegenerateAndMalformedInputs:
                      str(pipeline_dir / "graph.txt"), "--out", str(tmp_path)] + MCMC)
         assert code == 2
         assert "row 7" in capsys.readouterr().err
+
+    def test_overflowing_estimate_exits_2(self, pipeline_dir, tmp_path, capsys):
+        # finite, so it passes the checks on read and BymModelSpec.validate,
+        # but its spread overflows float64 in the fit
+        estimates = read_direct_csv(pipeline_dir / "direct.csv")
+        k = next(i for i, e in enumerate(estimates) if e.likelihood_usable)
+        estimates[k] = replace(estimates[k], logit_y=1e300)
+        direct = tmp_path / "direct.csv"
+        write_direct_csv(estimates, direct)
+        assert "1e+300" in direct.read_text()
+        code = main(["smooth", "--direct", str(direct), "--graph",
+                     str(pipeline_dir / "graph.txt"), "--out", str(tmp_path)] + MCMC)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "posterior.csv").exists()
 
     @pytest.mark.parametrize("bad_row", ["R_0_0\n", "R_0_0,lots\n"])
     def test_malformed_values_csv_exits_2(self, tmp_path, capsys, bad_row):

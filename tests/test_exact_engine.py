@@ -187,6 +187,29 @@ class TestExactFit:
         assert not post.converged
         assert "grid_edge_mass" in post.report.failing()
 
+    def test_singular_grid_points_are_counted(self, monkeypatch):
+        # a drop of 20 log units grows the grid out to sig2_sp ~ 1e19, where
+        # P = Q/sig2_sp + W is singular in floating point
+        assert "grid_singular_points" not in exact_fit(mixed_spec(), QUICK).meta
+        monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 20.0)
+        spec = mixed_spec()
+        kernel = _Collapsed(spec)
+        grid = _grid(spec, kernel)
+        singular = 0
+        for variances in grid.variances[np.isneginf(grid.logp)]:
+            try:
+                kernel.conditional(*variances)
+            except np.linalg.LinAlgError:
+                singular += 1
+        assert grid.singular_points == singular > 0
+        post = exact_fit(spec, QUICK)
+        assert post.meta["grid_singular_points"] == str(singular)
+        assert [note for note in post.report.notes if "singular" in note] == [
+            f"variance grid: {singular} of {post.meta['grid_points']} points have a precision "
+            "matrix that is singular in floating point; they count as zero density"
+        ]
+        assert np.isfinite(post.theta_draws).all()
+
     def test_fixed_variances_leave_their_axes_out(self):
         post = exact_fit(small_spec(fixed_sigma2_sp=0.02), QUICK)
         assert np.all(post.sigma2_sp_draws == 0.02)
