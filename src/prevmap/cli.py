@@ -10,6 +10,7 @@ in sequence. Exit codes: 0 success, 2 validation/usage error, 3 when
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -198,6 +199,8 @@ def cmd_smooth(args) -> int:
     if args.traces:
         write_trace_csv(posterior, out / "trace.csv", meta)
         _wrote(out / "trace.csv")
+    for note in posterior.report.notes:
+        print(f"note: {note}", file=sys.stderr)
     if not posterior.converged:
         failing = ", ".join(posterior.report.failing()[:8])
         print(f"WARNING: fit not converged (failing scalars: {failing})", file=sys.stderr)
@@ -341,20 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic survey from a scenario")
     p.add_argument("--config", required=True, help="scenario config file")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("direct", help="design-based per-region estimates")
     p.add_argument("--records", required=True)
     p.add_argument("--boundaries", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_direct)
 
     p = sub.add_parser("adjacency", help="build the region contiguity graph")
     p.add_argument("--boundaries", required=True)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--style", choices=["B", "W"], default="B")
     _add_common(p)
-    p.set_defaults(func=cmd_adjacency)
 
     p = sub.add_parser("smooth", help="fit the spatial smoothing model")
     p.add_argument("--direct", required=True)
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-b-sp", type=float, default=0.0005)
     _add_mcmc(p)
     _add_common(p)
-    p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("render", help="choropleth map(s) from a values CSV")
     p.add_argument("--boundaries", required=True)
@@ -376,33 +375,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-name", default=None)
     _add_render_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("compare", help="direct-vs-smoothed comparison figure")
     p.add_argument("--direct", required=True)
     p.add_argument("--posterior", required=True)
     p.add_argument("--output-name", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("pipeline", help="run all steps from a scenario config")
     p.add_argument("--style", choices=["B", "W"], default="B")
     _add_mcmc(p)
     p.add_argument("--config", required=True, help="scenario config file")
     _add_common(p)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``pipeline`` calls ``main`` for every step."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up at each call: the cached parser must not pin the cmd_* it first saw
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (PrevmapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -355,6 +355,28 @@ def _text_lines(text: str) -> Iterator[str]:
     return filterfalse(_skipped, io.StringIO(text, newline=""))
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The csv reader's rows of ``text``, without '#' comment lines and blank lines.
+
+    A line is skipped only where a record starts: inside a quoted cell that
+    runs over several lines, a blank line or one starting with '#' belongs
+    to the cell. The reader asks for the next line only while a record is
+    open, so whether one is open is known when each line is asked for.
+    """
+    at_start = True
+
+    def lines() -> Iterator[str]:
+        nonlocal at_start
+        for line in io.StringIO(text, newline=""):
+            if not (at_start and _skipped(line)):
+                at_start = False
+                yield line
+
+    for row in csv.reader(lines()):
+        yield row
+        at_start = True
+
+
 def data_lines(path: Path) -> list[str]:
     """The UTF-8 file's lines without '#' comment lines and blank lines.
 
@@ -408,6 +430,26 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
+def _string_chunks(column: Iterable[str]) -> Iterator[list[str]]:
+    """The column's cells as ``_csv_cells`` writes them, WRITE_CHUNK_ROWS at a time."""
+    cells = iter(column)
+    while chunk := list(islice(cells, WRITE_CHUNK_ROWS)):
+        yield _csv_cells(chunk)
+
+
+def _number_chunks(values: np.ndarray) -> Iterator[list[str]]:
+    """The ``repr`` of each value, WRITE_CHUNK_ROWS at a time.
+
+    Each distinct value is formatted once and its text shared. Floats are
+    told apart by their bits, so ``-0.0`` and ``0.0`` keep their own texts.
+    """
+    keys = values.view(np.int64) if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
+    for lo in range(0, len(inverse), WRITE_CHUNK_ROWS):
+        yield texts[inverse[lo : lo + WRITE_CHUNK_ROWS]].tolist()
+
+
 def write_table(
     path: str | Path,
     schema: Mapping[str, type],
@@ -420,24 +462,21 @@ def write_table(
     ``columns`` holds one iterable per name; rows stop at the shortest.
     Strings are written as they are, quoted as ``csv.writer`` quotes them,
     and numbers with ``repr``, so each float reads back as the same double.
-    Numeric columns are converted once, as an array, not cell by cell.
-    Rows are joined WRITE_CHUNK_ROWS at a time. For two or more columns the
-    bytes are those of ``csv.writer(lineterminator="\\n")``, except that a
-    cell holding a ``\\r`` is always quoted: ``read_table`` ends a line at a
-    lone ``\\r``, and some Python versions' writers leave it bare.
+    A numeric column is converted once, as an array, and each of its
+    distinct values is formatted once. Rows are joined WRITE_CHUNK_ROWS at
+    a time. For two or more columns the bytes are those of
+    ``csv.writer(lineterminator="\\n")``, except that a cell holding a
+    ``\\r`` is always quoted: ``read_table`` ends a line at a lone ``\\r``,
+    and some Python versions' writers leave it bare.
     """
-    kinds = list(schema.values())
-    sources = [iter(column) if kind is str else np.asarray(column, dtype=kind)
-               for kind, column in zip(kinds, columns)]
+    sources = [_string_chunks(column) if kind is str
+               else _number_chunks(np.asarray(column, dtype=kind))
+               for kind, column in zip(schema.values(), columns)]
     with artifact_file(path) as fh:
         fh.writelines(metadata_lines(metadata))
         fh.write(",".join(_csv_cells(list(schema))) + "\n")
-        for lo in count(0, WRITE_CHUNK_ROWS):
-            cells = [
-                _csv_cells(list(islice(src, WRITE_CHUNK_ROWS))) if kind is str
-                else list(map(repr, src[lo : lo + WRITE_CHUNK_ROWS].tolist()))
-                for kind, src in zip(kinds, sources)
-            ]
+        while True:
+            cells = [next(src, []) for src in sources]
             rows = min(map(len, cells))
             if rows:
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
@@ -448,14 +487,15 @@ def write_table(
 def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
     """The rows of a CSV artifact, as dicts from each ``schema`` column to its value.
 
-    Comment and blank lines are skipped and header names stripped; columns
+    Comment and blank lines are skipped, except inside a quoted cell
+    (``_csv_rows``), and header names stripped; columns
     are looked up by name, so the file may hold others. Each cell is
     converted by its column's type. A row whose field count differs from the
     header's, or whose cell does not convert, raises ``SchemaError`` naming
     the row (1-based, data rows only).
     """
     path = Path(path)
-    reader = csv.reader(data_lines(path))
+    reader = _csv_rows(_utf8(path, _read_bytes(path)))
     header = [h.strip() for h in next(reader, [])]
     missing = [name for name in schema if name not in header]
     if missing:
@@ -952,11 +992,21 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     if not path.exists():
         raise SchemaError(f"boundaries file not found: {path}")
     text = _utf8(path, path.read_bytes())
+    # the collector stays off until the document is gone: turned back on
+    # while it lives, its next collections walk every vertex list
     with _gc_paused():
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+        boundaries = _boundaries(doc, path)
+        del doc
+    log.info("loaded %d boundaries from %s", len(boundaries), path)
+    return boundaries
+
+
+def _boundaries(doc: object, path: Path) -> list[RegionBoundary]:
+    """The regions of a parsed GeoJSON document, checked as ``load_boundaries`` says."""
     kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
     if kind != "FeatureCollection":
         raise SchemaError(f"{path}: expected a FeatureCollection, got {kind!r}")
@@ -1003,7 +1053,6 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
         )
         boundary.validate()
         boundaries.append(boundary)
-    log.info("loaded %d boundaries from %s", len(boundaries), path)
     return boundaries
 
 

@@ -4,9 +4,11 @@ import csv
 import io
 import os
 import stat
+import struct
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,11 @@ import prevmap.data_model
 from prevmap.bym import PosteriorRow, read_posterior_csv, write_posterior_csv
 from prevmap.cli import main
 from prevmap.data_model import (
+    WRITE_CHUNK_ROWS,
     IndividualRecord,
     SurveyTable,
     load_records,
+    read_table,
     write_records_csv,
     write_table,
 )
@@ -157,3 +161,52 @@ def test_write_table_writes_what_csv_writer_writes(tmp_path_factory, case):
     assert body == csv_writer_text(rows, "\r\n")
     if not any("\r" in cell for row in rows for cell in row):
         assert body == csv_writer_text(rows, "\n")
+
+
+# a few values, each repeated many times: -0.0 beside 0.0, NaNs of two payloads
+NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+REPEATED_FLOATS = st.sampled_from(ODD_FLOATS + [0.0, 1.5, NAN_WITH_PAYLOAD])
+ROW_COUNTS = (st.sampled_from([WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1, 2 * WRITE_CHUNK_ROWS + 3])
+              | st.integers(0, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    floats=st.lists(REPEATED_FLOATS | st.floats(width=64), min_size=1, max_size=6),
+    ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4),
+    n_rows=ROW_COUNTS,
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 7, WRITE_CHUNK_ROWS]),
+)
+def test_write_table_writes_each_number_as_its_repr(tmp_path_factory, floats, ints, n_rows, seed, chunk):
+    # numbers are formatted once per distinct value; the bytes are a per-cell repr writer's
+    rng = np.random.default_rng(seed)
+    x = np.array(floats)[rng.integers(len(floats), size=n_rows)]
+    n = np.array(ints, dtype=np.int64)[rng.integers(len(ints), size=n_rows)]
+    ids = [f"R{k % 3}" for k in range(n_rows)]
+    columns = [ids, x, n, x[::-1]]  # the last one a strided view
+    path = tmp_path_factory.mktemp("numbers") / "table.csv"
+    with mock.patch.object(prevmap.data_model, "WRITE_CHUNK_ROWS", chunk):
+        write_table(path, {"region_id": str, "x": float, "n": int, "y": float}, columns)
+    rows = zip(ids, x.tolist(), n.tolist(), x[::-1].tolist())
+    want = "region_id,x,n,y\n" + "".join(f"{i},{a!r},{b!r},{c!r}\n" for i, a, b, c in rows)
+    assert path.read_bytes().decode() == want
+
+
+# line breaks, blank lines and '#' lines inside quoted cells
+MULTILINE_ID = st.lists(
+    st.sampled_from(["a", "#", " ", ",", '"', "\n", "\n\n", "\n#", "\r\n", "\r", "\n \n"]), max_size=6
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(MULTILINE_ID, max_size=5), values=st.lists(st.floats(allow_nan=False), max_size=5))
+def test_read_table_reads_back_what_write_table_wrote(tmp_path_factory, ids, values):
+    # a row's first cell starts with a letter: an unquoted cell starting with
+    # '#' at the start of a row is read as a comment line
+    ids = ["R" + i for i in ids]
+    values = (values + [0.5] * len(ids))[: len(ids)]
+    schema = {"region_id": str, "value": float}
+    path = tmp_path_factory.mktemp("multiline") / "table.csv"
+    write_table(path, schema, [ids, values], {"seed": "1"})
+    assert read_table(path, schema) == [{"region_id": i, "value": v} for i, v in zip(ids, values)]

@@ -4,6 +4,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from prevmap.bym import (
@@ -675,3 +677,30 @@ class TestBatchedDiagnosticsMatchReference:
         got = summarize(batch, batched=True)
         assert [astuple(s) for s in got] == [reference_summarize(x) for x in batch]
         assert astuple(summarize(batch[0])) == reference_summarize(batch[0])
+
+
+# ties, signed zeros, infinities, NaNs and values whose sums overflow
+SUMMARY_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, math.inf, -math.inf, math.nan]
+) | st.floats(width=64)
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, any NaN matching any NaN (payloads are not kept)."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 4), chains=st.integers(1, 3), size=st.integers(1, 9), data=st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_summarize_is_numpy_bit_for_bit(rows, chains, size, data):
+    # one sort per draw set gives np.median's and np.quantile's bits
+    n = rows * chains * size
+    batch = np.array(data.draw(st.lists(SUMMARY_VALUES, min_size=n, max_size=n)))
+    batch = batch.reshape(rows, chains, size)
+    want = [reference_summarize(x) for x in batch]
+    assert _same_bits([astuple(s) for s in summarize(batch, batched=True)], want)
+    assert _same_bits([astuple(summarize(x)) for x in batch], want)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -32,6 +33,7 @@ from prevmap.bym import read_posterior_csv
 from prevmap.errors import SchemaError
 from prevmap.graph import AdjacencyGraph, export_graph, load_graph
 from prevmap.synthetic import make_grid_regions, read_truth_csv
+from test_exact_engine import mixed_spec
 from test_records_property import damaged_records
 
 SCENARIO = (
@@ -146,6 +148,20 @@ class TestSubcommands:
         svg = (tmp_path / "zoom.svg").read_text()
         assert svg.count('<g transform="translate(') == 2  # two country groups
 
+    def test_parsed_state_does_not_leak_between_calls(self, pipeline_dir, tmp_path):
+        # main parses every call with one parser; a later render without
+        # --column must still fall back to prev_mean
+        argv = ["render", "--boundaries", str(pipeline_dir / "boundaries.geojson"),
+                "--values", str(pipeline_dir / "posterior.csv"), "--out"]
+        run_stage(argv + [str(tmp_path / "two"), "--column", "n", "--column", "prev_mean"])
+        run_stage(argv + [str(tmp_path / "default")])
+        run_stage(argv + [str(tmp_path / "named"), "--column", "prev_mean"])
+        assert os.listdir(tmp_path / "two") == ["map_n_prev_mean.svg"]
+        assert os.listdir(tmp_path / "default") == ["map_prev_mean.svg"]
+        default = (tmp_path / "default" / "map_prev_mean.svg").read_bytes()
+        assert default == (tmp_path / "named" / "map_prev_mean.svg").read_bytes()
+        assert prevmap.cli._parser() is prevmap.cli._parser()
+
     def test_fig2_matches_per_panel_rendering(self, pipeline_dir, tmp_path):
         # the map row projects its boundaries once; drawing each panel on its
         # own, as render_choropleth does, must give the same document
@@ -205,6 +221,27 @@ class TestStrictMode:
                      "--graph", str(out / "graph.txt"), "--seed", "4",
                      "--out", str(out)] + MCMC)
         assert code == 0
+
+
+def test_fit_notes_are_printed_to_stderr(tmp_path, capsys, monkeypatch):
+    # a drop of 20 log units grows the variance grid out to sig2_sp ~ 1e19,
+    # where the precision matrix of this graph is singular in floating point
+    ids = [f"A{k}" for k in range(6)]
+    graph = AdjacencyGraph.from_edges(ids, [("A0", "A2"), ("A2", "A4"), ("A0", "A4"), ("A1", "A3")])
+    export_graph(graph, tmp_path / "graph.txt")
+    write_direct_csv(mixed_spec().estimates, tmp_path / "direct.csv")
+    monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 20.0)
+    out = tmp_path / "out"
+    run_stage(["smooth", "--direct", str(tmp_path / "direct.csv"),
+               "--graph", str(tmp_path / "graph.txt"), "--out", str(out)] + MCMC)
+    captured = capsys.readouterr()
+    notes = [line for line in captured.err.splitlines() if line.startswith("note: ")]
+    assert len(notes) == 1
+    assert re.fullmatch(r"note: variance grid: [1-9]\d* of \d+ points have a precision matrix "
+                        r"that is singular in floating point; they count as zero density", notes[0])
+    assert captured.out == f"wrote {out / 'posterior.csv'}\n"
+    assert os.listdir(out) == ["posterior.csv"]
+    assert "note" not in (out / "posterior.csv").read_text()
 
 
 class TestConvergence:
@@ -268,6 +305,30 @@ class TestPipelineEquivalence:
         files_b = sorted(p.name for p in b.iterdir())
         assert files_a == files_b
         for name in files_a:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_readme_steps_write_what_pipeline_writes(self, tmp_path):
+        # the README's eight commands, run one by one, against its quickstart pipeline
+        readme = (REPO_ROOT / "README.md").read_text()
+        block = readme.split("`pipeline` is exactly equivalent to:\n\n```sh\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        a, b = tmp_path / "pipeline", tmp_path / "steps"
+
+        def local(arg):
+            if arg == "demo.cfg":
+                return str(REPO_ROOT / arg)
+            return f"{b}/{arg.removeprefix('out/')}" if arg.startswith("out/") else arg
+
+        steps = [shlex.split(line) for line in block.splitlines()]
+        assert [argv[:2] for argv in steps] == [
+            ["prevmap", name] for name in ("simulate", "direct", "adjacency", "smooth",
+                                           "render", "render", "render", "compare")]
+        run_stage(["pipeline", "--config", str(REPO_ROOT / "demo.cfg"), "--out", str(a)])
+        for argv in steps:
+            run_stage([local(arg) for arg in argv[1:]])
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_pipeline_rerun_byte_identical(self, tmp_path, scenario_file):
