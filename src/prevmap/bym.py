@@ -23,7 +23,8 @@ Hessian's eigen-axes at the mode, draws the variances from the lattice, then
 z, b0 and eps from their exact conditionals, so every draw is independent.
 P is factored as a banded Cholesky after a reverse Cuthill-McKee ordering.
 The engine's code is in ``prevmap.exact``, loaded with ``scipy.linalg`` on
-its first use.
+its first use, and ``scipy.special`` is imported in the functions that call
+it, so importing this module loads no scipy.
 
 ``gibbs_fit``, the reference ``exact_fit`` is tested against, is the
 conjugate Gibbs sweep (b0, all eps, all S single-site by graph-coloring
@@ -45,7 +46,6 @@ from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .data_model import read_table, write_table
 from .direct import DirectEstimate
@@ -192,7 +192,9 @@ def summarize(draws: np.ndarray, batched: bool = False) -> Summary | list[Summar
     is flattened and summarized on its own, and a list of summaries comes
     back in that order. The median and quantiles are read off one sort of
     each set and equal ``np.median`` and ``np.quantile`` bit for bit, but
-    for the payload of a NaN.
+    for the payload of a NaN; a set with a zero among them takes numpy's
+    own values, as the sign of that zero may depend on where numpy's
+    partition left zeros of opposite sign.
     """
     x = np.asarray(draws, dtype=float)
     rows = x.reshape(len(x) if batched else 1, -1)
@@ -202,13 +204,21 @@ def summarize(draws: np.ndarray, batched: bool = False) -> Summary | list[Summar
     # np.median's own arithmetic: the mean of the middle one or two values
     median = np.mean(srt[:, (size - 1) // 2 : size // 2 + 1], axis=-1)
     median[np.isnan(srt[:, -1])] = np.nan
+    q025, q975 = _sorted_quantile(srt, 0.025), _sorted_quantile(srt, 0.975)
+    # Only a zero result can hang on the order of zeros of opposite sign,
+    # which the sort and numpy's partition need not share: recompute it.
+    for r in np.flatnonzero((median == 0) | (q025 == 0) | (q975 == 0)):
+        median[r] = np.median(rows[r])
+        q025[r] = np.quantile(rows[r], 0.025)
+        q975[r] = np.quantile(rows[r], 0.975)
     out = [
         Summary(*fields)
         for fields in zip(
             np.mean(rows, axis=-1).tolist(),
             median.tolist(),
             sd.tolist(),
-            *(_sorted_quantile(srt, q).tolist() for q in (0.025, 0.975)),
+            q025.tolist(),
+            q975.tolist(),
         )
     ]
     return out if batched else out[0]
@@ -243,6 +253,8 @@ def _is_constant(x: np.ndarray) -> np.ndarray:
 
 def _z_table(size: int) -> np.ndarray:
     """z-score of every possible rank r = j / 2 of ``size`` values, indexed by j."""
+    from scipy.special import ndtri
+
     return ndtri((np.arange(2 * size + 1) / 2 - 0.5) / size)
 
 
@@ -717,6 +729,8 @@ def posterior_from_draws(
     The hyperparameters' R-hat and ESS, and ``grid_edge_mass``, are always
     in the report. ``extra_meta`` is appended to the fit's metadata.
     """
+    from scipy.special import expit
+
     prec = spec.precision
     n = prec.dimension
     chains, kept = beta0_draws.shape
@@ -808,8 +822,8 @@ def exact_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     hyperparameter diagnostics and the grid's edge mass decide convergence.
 
     The engine is in ``prevmap.exact``, which is loaded, with
-    ``scipy.linalg``, on the first call, so that importing the CLI does not
-    load ``scipy.linalg``. While it runs, OpenBLAS uses one thread in the
+    ``scipy.linalg``, on the first call, so that importing the CLI loads no
+    scipy module. While it runs, OpenBLAS uses one thread in the
     calling thread (its thread-local setting, restored afterwards).
     """
     from .exact import fit

@@ -430,11 +430,21 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
-def _string_chunks(column: Iterable[str]) -> Iterator[list[str]]:
-    """The column's cells as ``_csv_cells`` writes them, WRITE_CHUNK_ROWS at a time."""
+def _first_cells(cells: list[str], alone: bool) -> list[str]:
+    """A table's first cells, from ``_csv_cells``, quoted where their line
+    would read as a comment (an unquoted '#' first) or, in a one-column
+    (``alone``) table, as a blank line: ``read_table`` skips such lines."""
+    if not alone and "#" not in "".join(cells):
+        return cells
+    return ['"' + c + '"' if c[:1] == "#" or alone and _skipped(c + "\n") else c for c in cells]
+
+
+def _string_chunks(column: Iterable[str], first: bool, alone: bool) -> Iterator[list[str]]:
+    """The column's cells as ``_csv_cells`` writes them, WRITE_CHUNK_ROWS at a
+    time; a ``first`` column's as ``_first_cells`` writes them."""
     cells = iter(column)
     while chunk := list(islice(cells, WRITE_CHUNK_ROWS)):
-        yield _csv_cells(chunk)
+        yield _first_cells(_csv_cells(chunk), alone) if first else _csv_cells(chunk)
 
 
 def _number_chunks(values: np.ndarray) -> Iterator[list[str]]:
@@ -467,14 +477,18 @@ def write_table(
     a time. For two or more columns the bytes are those of
     ``csv.writer(lineterminator="\\n")``, except that a cell holding a
     ``\\r`` is always quoted: ``read_table`` ends a line at a lone ``\\r``,
-    and some Python versions' writers leave it bare.
+    and some Python versions' writers leave it bare. For the same reader a
+    row's first cell is quoted when it starts with '#', and so is a blank
+    cell of a one-column table (``_first_cells``).
     """
-    sources = [_string_chunks(column) if kind is str
+    alone = len(schema) == 1
+    sources = [_string_chunks(column, k == 0, alone) if kind is str
                else _number_chunks(np.asarray(column, dtype=kind))
-               for kind, column in zip(schema.values(), columns)]
+               for k, (kind, column) in enumerate(zip(schema.values(), columns))]
+    header = _csv_cells(list(schema))
     with artifact_file(path) as fh:
         fh.writelines(metadata_lines(metadata))
-        fh.write(",".join(_csv_cells(list(schema))) + "\n")
+        fh.write(",".join(_first_cells(header[:1], alone) + header[1:]) + "\n")
         while True:
             cells = [next(src, []) for src in sources]
             rows = min(map(len, cells))

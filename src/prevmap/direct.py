@@ -13,7 +13,8 @@ transform uses the delta method: ``var_logit = var_p / (p*(1-p))**2``.
 Regions where the transform or the variance is undefined are flagged, never
 silently zeroed: ``all_zero`` / ``all_one`` when p_hat hits the boundary,
 ``single_cluster`` when only one cluster was observed, ``zero_variance`` when
-every cluster has the same weighted mean so that var_p is exactly 0.
+every cluster has the same weighted mean so that var_p is 0 up to the
+rounding of its own sums.
 
 Sums run over the columns of a ``SurveyTable`` with ``np.bincount``, in
 record order, so every total is the same double a record-by-record loop
@@ -130,6 +131,33 @@ def _cluster_sums(
     return var_sum, np.bincount(pairs // n_clusters, minlength=len(p_hat))
 
 
+def _rounding_level(var_sum: float, n: int, cases: float, weight: float) -> bool:
+    """Whether ``var_sum`` of a region of ``n`` records, 0 < p_hat < 1, is no
+    more than the rounding error its sums make when every cluster has the
+    same weighted mean: ``sqrt(var_sum) <= k * eps * S``, S = sum w*|y - p_hat|,
+    eps = ulp(1).
+
+    With u = eps/2 and exact z_c = 0, to first order in u:
+    - ``p_hat`` is the quotient of two sums of n non-negative terms, so it is
+      within (2n - 1) u p_hat of the exact ratio, which shifts each z_c by
+      W_c (2n - 1) u p_hat, and all of them together by (2n - 1) u p_hat W;
+    - each term w*(y - p_hat) takes two roundings and a cluster's sum n_c - 1
+      more, an error of at most (n_c + 1) u times the cluster's share of S,
+      and all clusters together at most (n + 1) u S.
+    As y is 0 or 1, S = 2 p_hat (1 - p_hat) W, so sum_c |z_c| <= u S [(n + 1)
+    + (2n - 1) / (2 (1 - p_hat))]. And sqrt(var_sum) <= sqrt(2) sum_c |z_c|,
+    as m/(m-1) <= 2 and a 2-norm is at most the 1-norm: k >= sqrt(2)/2 times
+    the bracket. k = (n + 1) (1 + 1/(1 - p_hat)) is at least sqrt(2) times
+    that, room for the second-order terms. At n = 100 and p_hat = 0.5,
+    k eps = 6.7e-14, while a real variance has sqrt(var_sum) / S of order
+    1/sqrt(n p_hat (1 - p_hat)).
+    """
+    p_hat = cases / weight
+    s = cases * (1.0 - p_hat) + (weight - cases) * p_hat
+    k = (n + 1) * (1.0 + 1.0 / (1.0 - p_hat))
+    return math.sqrt(var_sum) <= k * math.ulp(1.0) * s
+
+
 def _estimate(
     region_id: str, n: int, cases: float, weight: float, var_sum: float, m_clusters: int
 ) -> DirectEstimate:
@@ -146,7 +174,7 @@ def _estimate(
     if flag == SINGLE_CLUSTER or math.isnan(var_p):
         var_p = float("nan")
         flag = flag if flag != NONE else SINGLE_CLUSTER
-    elif flag == NONE and var_p == 0.0:
+    elif flag == NONE and _rounding_level(var_sum, n, cases, weight):
         flag = ZERO_VARIANCE
     if flag == NONE:
         logit_y, var_logit = logit_transform(p_hat, var_p)

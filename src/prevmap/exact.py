@@ -23,8 +23,9 @@ column takes another BLAS kernel, whose rounding differs in the last bits.
 ``icar_draws`` is prevmap's one sampler of the ICAR prior: the engine draws
 the spatial effect of a component without usable regions with it, and
 ``prevmap.synthetic`` the simulated truth surface. This module is imported
-on first use of either: it brings in ``scipy.linalg``, which nothing else in
-prevmap needs.
+on first use of either and brings in ``scipy.linalg``. The rest of prevmap
+imports ``scipy.special`` only inside the functions that call it, so only
+``simulate`` and ``smooth`` load scipy, and importing the CLI loads none.
 """
 
 from __future__ import annotations

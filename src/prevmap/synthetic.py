@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .data_model import (
     RegionBoundary,
@@ -134,6 +133,8 @@ def spatial_truth(
     seed gives the same surface whatever the BLAS thread count.
     spatial_sd = 0 gives a constant map.
     """
+    from scipy.special import expit
+
     if spatial_sd < 0:
         raise PrevmapError("spatial_sd must be >= 0")
     ids = sorted(b.region_id for b in regions)
@@ -160,6 +161,8 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
     oversampled by the dispersion factor. Weights are inverse inclusion
     probabilities, so the two-point weight distribution undoes the bias.
     """
+    from scipy.special import expit, logit
+
     truth.validate()
     plan = truth.plan
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([truth.seed, 1])))

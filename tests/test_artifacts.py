@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prevmap.data_model
@@ -31,9 +31,10 @@ from prevmap.synthetic import read_truth_csv, write_truth_csv
 
 DEMO_CFG = Path(__file__).resolve().parents[1] / "demo.cfg"
 
-# ids that need CSV quoting (a lone "\r" ends a line for the readers), and
-# floats that only repr/float() round-trip
-ODD_IDS = ["R,1", 'R"2', "R 3", "R\r4"]
+# ids that need CSV quoting (a lone "\r" ends a line for the readers, and a
+# line that starts with '#' is a comment), and floats that only
+# repr/float() round-trip
+ODD_IDS = ["R,1", 'R"2', "# 3", "R\r4"]
 ODD_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0]
 
 
@@ -120,16 +121,20 @@ def test_pipeline_leaves_only_the_listed_artifacts(tmp_path):
 
 
 def csv_writer_text(rows, lineterminator):
-    """``rows`` as ``csv.writer`` writes them, each ended by "\\n"."""
+    """``rows`` as ``csv.writer`` writes them, each ended by "\\n", with a
+    first cell that starts a line with '#' quoted, as ``write_table`` does."""
     out = []
     for row in rows:
         buf = io.StringIO()
         csv.writer(buf, lineterminator=lineterminator).writerow(row)
-        out.append(buf.getvalue().removesuffix(lineterminator) + "\n")
+        line = buf.getvalue().removesuffix(lineterminator)
+        if line.startswith("#"):
+            line = f'"{row[0]}"' + line[len(row[0]):]
+        out.append(line + "\n")
     return "".join(out)
 
 
-ID_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "a", "Z", "7", "é", "中", "\u2028"]),
+ID_TEXT = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "#", "a", "Z", "7", "é", "中", "\u2028"]),
                   max_size=6) | st.text(max_size=4)
 CELLS = {
     str: ID_TEXT,
@@ -193,20 +198,24 @@ def test_write_table_writes_each_number_as_its_repr(tmp_path_factory, floats, in
     assert path.read_bytes().decode() == want
 
 
-# line breaks, blank lines and '#' lines inside quoted cells
+# ids that start with '#', blank ones, and line breaks, blank lines and '#'
+# lines inside quoted cells
 MULTILINE_ID = st.lists(
-    st.sampled_from(["a", "#", " ", ",", '"', "\n", "\n\n", "\n#", "\r\n", "\r", "\n \n"]), max_size=6
+    st.sampled_from(["a", "#", " ", "\t", "\u3000", ",", '"', "\n", "\n\n", "\n#", "\r\n", "\r",
+                     "\n \n"]),
+    max_size=6,
 ).map("".join)
 
 
 @settings(max_examples=150, deadline=None)
-@given(ids=st.lists(MULTILINE_ID, max_size=5), values=st.lists(st.floats(allow_nan=False), max_size=5))
-def test_read_table_reads_back_what_write_table_wrote(tmp_path_factory, ids, values):
-    # a row's first cell starts with a letter: an unquoted cell starting with
-    # '#' at the start of a row is read as a comment line
-    ids = ["R" + i for i in ids]
+@given(ids=st.lists(MULTILINE_ID, max_size=5), values=st.lists(st.floats(allow_nan=False), max_size=5),
+       one_column=st.booleans())
+@example(ids=["#1", "", " ", "# 2"], values=[], one_column=True)
+@example(ids=["#1", "", " ", "# 2"], values=[], one_column=False)
+def test_read_table_reads_back_what_write_table_wrote(tmp_path_factory, ids, values, one_column):
+    # a one-column table's row is a blank line when its cell is blank
     values = (values + [0.5] * len(ids))[: len(ids)]
-    schema = {"region_id": str, "value": float}
+    schema = {"region_id": str} if one_column else {"region_id": str, "value": float}
     path = tmp_path_factory.mktemp("multiline") / "table.csv"
     write_table(path, schema, [ids, values], {"seed": "1"})
-    assert read_table(path, schema) == [{"region_id": i, "value": v} for i, v in zip(ids, values)]
+    assert read_table(path, schema) == [dict(zip(schema, row)) for row in zip(ids, values)]

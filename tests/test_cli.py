@@ -557,19 +557,6 @@ def test_directory_as_input_exits_2(tmp_path, capsys):
     assert f"cannot read input file {tmp_path}: Is a directory" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_stats_and_sparse():
-    # keeps the start-up cost of every command down
-    src = Path(prevmap.bym.__file__).resolve().parents[1]
-    probe = (
-        "import sys, prevmap.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
 # ---------------------------------------------------------------------------
 # Damaged inputs of `smooth`: exit 0, or exit 2 with an error line
 # ---------------------------------------------------------------------------
@@ -669,21 +656,6 @@ def test_damaged_graph_exits_0_or_2(tmp_path_factory, smooth_inputs, case):
     run_smooth(direct, damaged, out)
 
 
-def test_cli_import_leaves_out_the_exact_engine_and_scipy_linalg():
-    # the exact engine and its scipy.linalg load on first use; nothing needs
-    # scipy.optimize
-    src = Path(prevmap.bym.__file__).resolve().parents[1]
-    probe = (
-        "import sys, prevmap.cli; "
-        "print(sorted(m for m in sys.modules if m == 'prevmap.exact' or m.split('.')[:2] in "
-        "(['scipy', 'linalg'], ['scipy', 'optimize'])))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
 # ---------------------------------------------------------------------------
 # Damaged boundaries, posterior and values files, and truth.csv
 # ---------------------------------------------------------------------------
@@ -698,6 +670,42 @@ def artifacts(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["pipeline", "--config", str(config), "--out", str(out)] + SHORT_FIT) == 0
     return out
+
+
+# what a fresh interpreter prints last: its scipy modules and the exact engine
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'prevmap.exact'))"
+
+
+def fresh_python(*args):
+    """stdout of ``python *args`` in a fresh interpreter that imports this prevmap."""
+    env = {**os.environ, "PYTHONPATH": str(Path(prevmap.bym.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_cli_import_loads_no_scipy_and_not_the_exact_engine():
+    # every command starts without scipy; simulate and smooth load it on first use
+    assert fresh_python("-c", "import sys, prevmap.cli; " + LOADED_SCIPY) == "[]\n"
+
+
+def test_commands_that_fit_nothing_load_no_scipy(artifacts, tmp_path):
+    boundaries = ["--boundaries", str(artifacts / "boundaries.geojson")]
+    direct = str(tmp_path / "direct.csv")
+    commands = [
+        ["direct", "--records", str(artifacts / "records.csv"), *boundaries],
+        ["adjacency", *boundaries],
+        ["render", *boundaries, "--values", direct, "--column", "n"],
+        ["compare", "--direct", direct, "--posterior", str(artifacts / "posterior.csv")],
+    ]
+    probe = "import sys\nfrom prevmap.cli import main\n" + "".join(
+        f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0\n" for argv in commands
+    ) + LOADED_SCIPY
+    assert fresh_python("-c", probe).splitlines()[-1] == "[]"
+    assert {"direct.csv", "graph.txt", "map_n.svg", "comparison.svg"} <= set(os.listdir(tmp_path))
+
+
+def test_python_m_prevmap_runs_the_cli():
+    assert fresh_python("-m", "prevmap", "--version") == "prevmap 0.1.0\n"
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary, record, square
@@ -214,6 +215,30 @@ class TestEstimateAll:
         assert est.degenerate == ZERO_VARIANCE and not est.likelihood_usable
         assert est.p_hat == 0.5 and est.var_p == 0.0
         assert math.isnan(est.logit_y) and math.isnan(est.var_logit)
+
+    def test_rounding_level_variance_flags_zero_variance(self):
+        # both clusters have weighted mean 1/3, but p_hat and the z_c round,
+        # so the computed variance is not exactly 0
+        rows = recs([(0.1, 1), (0.2, 0), (0.1, 1), (0.2, 0)], cluster_of=["A", "A", "B", "B"])
+        est = estimate_region("R", rows)
+        assert 0.0 < est.var_p < 1e-30
+        assert est.degenerate == ZERO_VARIANCE and not est.likelihood_usable
+        assert math.isnan(est.logit_y) and math.isnan(est.var_logit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(clusters=st.lists(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(0, 1)), min_size=1, max_size=6),
+        min_size=2, max_size=5,
+    ))
+    def test_distinct_cluster_means_are_never_flagged(self, clusters):
+        # weights are multiples of 1/4, so the exact means are far apart when
+        # they differ at all
+        means = {Fraction(sum(w * y for w, y in c), sum(w for w, _ in c)) for c in clusters}
+        assume(len(means) > 1)
+        pairs = [(w / 4, y) for c in clusters for w, y in c]
+        cluster_of = [f"c{k}" for k, c in enumerate(clusters) for _ in c]
+        est = estimate_region("R", recs(pairs, cluster_of=cluster_of))
+        assert est.degenerate == NONE and est.var_p > 0
 
     def test_boundary_beats_single_cluster(self):
         est = estimate_region("R", recs([(1, 0), (2, 0)]))

@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -95,7 +96,9 @@ def ref_estimate(rows):
         flag = "all_one"
     elif m_clusters < 2 or math.isnan(var_p):
         flag = "single_cluster"
-    elif var_p == 0.0:
+    elif math.sqrt(acc) <= (len(rows) + 1) * (1 + 1 / (1 - p_hat)) * sys.float_info.epsilon * sum(
+        w * abs(y - p_hat) for _, _, _, w, y in rows
+    ):  # zero up to the rounding of its sums
         flag = "zero_variance"
     else:
         flag = "none"
