@@ -688,6 +688,26 @@ def test_cli_import_loads_no_scipy_and_not_the_exact_engine():
     assert fresh_python("-c", "import sys, prevmap.cli; " + LOADED_SCIPY) == "[]\n"
 
 
+def test_cli_import_leaves_out_scipy_stats_and_sparse():
+    # keeps the start-up cost of every command down
+    probe = (
+        "import sys, prevmap.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"
+    )
+    assert fresh_python("-c", probe).strip() == "[]"
+
+
+def test_cli_import_leaves_out_the_exact_engine_and_scipy_linalg():
+    # the exact engine and its scipy.linalg load on first use; nothing needs
+    # scipy.optimize
+    probe = (
+        "import sys, prevmap.cli; "
+        "print(sorted(m for m in sys.modules if m == 'prevmap.exact' or m.split('.')[:2] in "
+        "(['scipy', 'linalg'], ['scipy', 'optimize'])))"
+    )
+    assert fresh_python("-c", probe).strip() == "[]"
+
+
 def test_commands_that_fit_nothing_load_no_scipy(artifacts, tmp_path):
     boundaries = ["--boundaries", str(artifacts / "boundaries.geojson")]
     direct = str(tmp_path / "direct.csv")
