@@ -8,7 +8,6 @@ datasets are treated as immutable.
 
 from __future__ import annotations
 
-import csv
 import gc
 import io
 import json
@@ -18,9 +17,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -346,43 +345,13 @@ def _skipped(line: str) -> bool:
     return line.startswith("#") or line.isspace()
 
 
-def _text_lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` that ``_skipped`` keeps, with their line ends.
-
-    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a file opened
-    with ``newline=""``.
-    """
-    return filterfalse(_skipped, io.StringIO(text, newline=""))
-
-
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """The csv reader's rows of ``text``, without '#' comment lines and blank lines.
-
-    A line is skipped only where a record starts: inside a quoted cell that
-    runs over several lines, a blank line or one starting with '#' belongs
-    to the cell. The reader asks for the next line only while a record is
-    open, so whether one is open is known when each line is asked for.
-    """
-    at_start = True
-
-    def lines() -> Iterator[str]:
-        nonlocal at_start
-        for line in io.StringIO(text, newline=""):
-            if not (at_start and _skipped(line)):
-                at_start = False
-                yield line
-
-    for row in csv.reader(lines()):
-        yield row
-        at_start = True
-
-
 def data_lines(path: Path) -> list[str]:
     """The UTF-8 file's lines without '#' comment lines and blank lines.
 
-    A missing file or one that is not UTF-8 text raises ``SchemaError``.
+    Lines keep their line ends: ``\\n``, ``\\r\\n`` or a lone ``\\r``. A
+    missing file or one that is not UTF-8 text raises ``SchemaError``.
     """
-    return list(_text_lines(_utf8(path, _read_bytes(path))))
+    return list(filterfalse(_skipped, io.StringIO(_utf8(path, _read_bytes(path)), newline="")))
 
 
 def metadata_lines(metadata: Mapping[str, str] | None) -> list[str]:
@@ -498,41 +467,11 @@ def write_table(
                 break
 
 
-def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
-    """The rows of a CSV artifact, as dicts from each ``schema`` column to its value.
-
-    Comment and blank lines are skipped, except inside a quoted cell
-    (``_csv_rows``), and header names stripped; columns
-    are looked up by name, so the file may hold others. Each cell is
-    converted by its column's type. A row whose field count differs from the
-    header's, or whose cell does not convert, raises ``SchemaError`` naming
-    the row (1-based, data rows only).
-    """
-    path = Path(path)
-    reader = _csv_rows(_utf8(path, _read_bytes(path)))
-    header = [h.strip() for h in next(reader, [])]
-    missing = [name for name in schema if name not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing column(s) {', '.join(map(repr, missing))}")
-    fields = [(name, header.index(name), kind) for name, kind in schema.items()]
-    rows = []
-    for row_no, row in enumerate(reader, start=1):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: row {row_no}: {len(row)} fields, the header has {len(header)}"
-            )
-        try:
-            rows.append({name: kind(row[i]) for name, i, kind in fields})
-        except ValueError as exc:
-            raise SchemaError(f"{path}: row {row_no}: {exc}") from None
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# CSV records
+# CSV text: one tokenizer for every table prevmap reads
 # ---------------------------------------------------------------------------
 
-# lines per chunk when loading records; bounds the memory one chunk's arrays take
+# lines per window when splitting a table; bounds the memory one window's arrays take
 LOAD_CHUNK_ROWS = 1 << 16
 # the widest field cut out as a fixed-width bytes array; wider ones are decoded
 # one by one
@@ -542,211 +481,299 @@ UTF8_BOM = b"\xef\xbb\xbf"
 NEWLINE, COMMA, HASH, CR, QUOTE = b'\n,#\r"'
 # BYTE_MASKS[k] keeps the first k bytes of a little-endian 8-byte word
 BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+# ENDS_FIELD[b]: whether byte b ends a field when it is outside quotes
+ENDS_FIELD = np.isin(np.arange(256), (COMMA, NEWLINE, CR))
+
+Problem = tuple[int, str]  # (index of a record in its chunk, what is wrong with it)
 
 
-def _read_fields(
-    reader: Iterator[list[str]], usecols: list[int]
-) -> Iterator[tuple[list[np.ndarray], tuple[int, str] | None]]:
-    """Fields ``usecols`` of the csv ``reader``'s records, LOAD_CHUNK_ROWS records at a time.
+@dataclass(frozen=True, eq=False)
+class _Records:
+    """Consecutive records of a CSV file, each a run of fields ``data[left:right]``.
 
-    The fields come as object arrays of str. A chunk's columns stop before
-    the first record that cannot be read (a record too short for
-    ``usecols``, say), which is returned as (index, reason) and ends the
-    chunks.
+    Record ``i`` holds fields ``first[i]`` to ``first[i + 1] - 1``. Enclosing
+    quotes lie outside the bounds. ``doubled`` holds the position of each
+    doubled quote (None: the records hold no quote).
     """
+
+    data: bytes
+    first: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    doubled: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.first) - 1
+
+    def cells(self, i: int) -> list[str]:
+        """Record ``i``'s fields as str."""
+        a, b = self.first[i], self.first[i + 1]
+        bounds = zip(self.left[a:b].tolist(), self.right[a:b].tolist())
+        return [self.data[lo:hi].decode().replace('""', '"') for lo, hi in bounds]
+
+    def part(self, start: int, stop: int) -> _Records:
+        """Records ``start`` to ``stop - 1``."""
+        a, b = self.first[start], self.first[stop]
+        first = self.first[start:stop + 1] - a
+        return _Records(self.data, first, self.left[a:b], self.right[a:b], self.doubled)
+
+
+Chunk = tuple[_Records, Problem | None]  # consecutive records, then the first bad one
+
+
+def _records(data: bytes, pos: int) -> Iterator[Chunk]:
+    """The records of the CSV text ``data[pos:]``, a window of LOAD_CHUNK_ROWS lines at a time.
+
+    The rules are RFC 4180's. Outside quotes, a record ends at a line end
+    and a field at a comma. A field that starts with a quote runs to its
+    closing quote, which a comma or the record's end must follow, and holds
+    a quote as ``""``. Any other quote breaks the rules, as do a NUL in a
+    record and a quote open at the end of the file. A '#' line or a blank
+    line is skipped where a record starts; inside quotes it is text.
+
+    Quote parity comes from the window's sorted quote positions; only a
+    skippable line holding an odd number of quotes can move it, and those
+    few lines are looked at one by one. A chunk comes with None, or with its
+    first record that breaks a rule as (index, reason); the chunk stops
+    before that record, and the chunks end with it.
+    """
+    rows, window = LOAD_CHUNK_ROWS, 64 * LOAD_CHUNK_ROWS
+    while pos < len(data):  # a window's arrays are freed before the next window's are made
+        pos, rows, window = yield from _window(data, pos, rows, window)
+
+
+def _window(
+    data: bytes, pos: int, rows: int, window: int
+) -> Generator[Chunk, None, tuple[int, int, int]]:
+    """The ``_records`` chunk of ``rows`` lines from byte ``pos`` on, if a record ends in
+    them; returns the next window's start, rows (twice these if none does) and bytes.
+
+    Line ends are looked for in ``window`` bytes, doubled until ``rows`` are found.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = len(buf)
+    while True:  # line ends: "\n", "\r\n", or a "\r" that no "\n" follows
+        hi = min(pos + window, n)
+        marks = buf[pos:hi] == NEWLINE
+        if data.find(b"\r", pos, hi) >= 0:
+            marks[:-1] |= (buf[pos:hi - 1] == CR) & ~marks[1:]
+            marks[-1] |= buf[hi - 1] == CR and (hi == n or buf[hi] != NEWLINE)
+        ends = pos + np.flatnonzero(marks)[:rows]  # each line's last byte
+        if len(ends) == rows or hi == n:
+            break
+        window *= 2
+    del marks  # window-sized, like the other masks deleted below
+    if len(ends) < rows and (ends[-1] if len(ends) else pos - 1) < n - 1:
+        ends = np.append(ends, n)  # a last line without a line end
+    window = (int(ends[-1]) + 1 - pos) * 5 // 4 + 1  # the next window: a quarter longer
+    starts = np.concatenate(([pos], ends[:-1] + 1))
+    crlf = (buf[np.minimum(ends, n - 1)] == NEWLINE) & (buf[ends - 1] == CR) & (ends > 0)
+    stops = ends - crlf  # where each line's text stops
+    lead = buf[starts]
+    skippable = lead == HASH
+    for i in np.flatnonzero((lead <= 32) | (lead >= 128)).tolist():
+        skippable[i] = _skipped(data[starts[i]:ends[i] + 1].decode())
+    quotes, odd = None, np.zeros(len(starts), dtype=bool)  # odd: lines with an odd quote count
+    if data.find(b'"', pos, int(ends[-1])) >= 0:
+        quotes = pos + np.flatnonzero(buf[pos:ends[-1]] == QUOTE)
+        odd = np.diff(np.searchsorted(quotes, ends), prepend=0) % 2 == 1
+        # a skippable line is skipped where a record starts: its quotes do not count
+        parity, flip = np.cumsum(odd) % 2, 0
+        for i in np.flatnonzero(skippable & odd).tolist():
+            if (parity[i - 1] if i else 0) == flip:
+                odd[i], flip = False, flip ^ 1
+    open_after = np.cumsum(odd) % 2 == 1
+    at_end = ends[-1] + 1 >= n
+    k = len(starts) if at_end or open_after.all() else int(np.flatnonzero(~open_after)[-1]) + 1
+    still_open = bool(open_after[k - 1])  # a record the window's last line leaves open
+    open_after[k - 1] = False
+    starts, stops, ends, open_after = starts[:k], stops[:k], ends[:k], open_after[:k]
+    open_before = np.concatenate(([False], open_after[:-1]))
+    skip = skippable[:k] & ~open_before
+    rs, re = starts[~skip & ~open_before], stops[~skip & ~open_after]
+    if not len(rs):
+        return int(ends[-1]) + 1, LOAD_CHUNK_ROWS, window
+
+    lo, hi = int(rs[0]), int(re[-1])
+    gaps = np.flatnonzero(skip & (starts > lo) & (starts < hi))
+    text = buf[lo:hi].copy() if len(gaps) else buf[lo:hi]
+    for i in gaps.tolist():  # blank out the lines skipped between records
+        text[starts[i] - lo:ends[i] - lo] = ord(" ")
+    ends_field = np.zeros(hi + 1 - lo, dtype=bool)  # whether byte lo + i ends a field
+    np.equal(text, COMMA, out=ends_field[:-1])
+    if quotes is not None:
+        quotes = quotes[slice(*np.searchsorted(quotes, (lo, hi)))]
+        quotes = quotes[text[quotes - lo] == QUOTE]
+        inside = np.zeros(hi + 1 - lo, dtype=bool)
+        inside[quotes - lo] = True
+        ends_field &= ~np.logical_xor.accumulate(inside)  # no comma inside quotes
+        del inside
+    ends_field[re - lo] = True
+    right = np.flatnonzero(ends_field)
+    right += lo
+    del ends_field
+    first = np.concatenate(([0], np.searchsorted(right, re) + 1))
+    left = np.empty_like(right)
+    np.add(right[:-1], 1, out=left[1:])
+    left[first[:-1]] = rs
+
+    problems, doubled = [], None  # problems: (byte, reason) of the first break of each rule
+    if quotes is not None and len(quotes):
+        # quotes alternate, opening (o) and closing (c); a closing quote glued
+        # to the next opening one makes a doubled quote
+        o, c = quotes[0::2], quotes[1::2]
+        glued = c[:len(o) - 1] + 1 == o[1:]
+        after_quote = np.concatenate(([False], glued))
+        before_quote = np.concatenate((glued, np.zeros(len(c) - len(glued), dtype=bool)))
+        # a field opens at a record's start or after a separator, and closes before one
+        bad = ~after_quote & (o != lo) & ~ENDS_FIELD[buf[o - 1]]
+        if bad.any():
+            problems.append((int(o[np.argmax(bad)]), "quote inside an unquoted field at byte {}"))
+        bad = ~before_quote & (c + 1 != n) & ~ENDS_FIELD[buf[np.minimum(c + 1, n - 1)]]
+        if bad.any():
+            problems.append((int(c[np.argmax(bad)]) + 1, "text after a closing quote at byte {}"))
+        if still_open and at_end:
+            problems.append((int(o[~after_quote][-1]),
+                             "quote opened at byte {} is not closed by the end of the file"))
+        enclosed = buf[np.minimum(left, n - 1)] == QUOTE
+        left += enclosed
+        right -= enclosed
+        doubled = c[before_quote]
+    if data.find(b"\0", lo, hi) >= 0 and (nuls := np.flatnonzero(text == 0)).size:
+        problems.append((lo + int(nuls[0]), "NUL at byte {}"))
+
+    records = _Records(data, first, left, right, doubled)
+    if problems:
+        at_byte, reason = min(problems, key=lambda problem: problem[0])
+        r = int(np.searchsorted(rs, at_byte, side="right")) - 1
+        yield records.part(0, r), (r, reason.format(at_byte + 1))
+        return n, rows, window
+    if still_open:
+        return pos, 2 * rows, window
+    yield records, None
+    return int(ends[-1]) + 1, LOAD_CHUNK_ROWS, window
+
+
+def _split(path: Path) -> tuple[bytes, list[str], Iterator[Chunk]]:
+    """A CSV file's bytes, its stripped header names ([] for no record) and the
+    ``_records`` chunks after them; one leading byte-order mark is skipped. A missing
+    file, a byte that is not UTF-8 (named) or a header that breaks a rule of
+    ``_records`` raises ``SchemaError``."""
+    data = _read_bytes(path)
+    if not data.isascii():
+        _utf8(path, data)  # only to raise on a byte that is not UTF-8
+    chunks = _records(data, len(UTF8_BOM) if data.startswith(UTF8_BOM) else 0)
+    for records, problem in chunks:
+        if len(records):
+            header = [name.strip() for name in records.cells(0)]
+            rest = records.part(1, len(records)), problem and (problem[0] - 1, problem[1])
+            return data, header, chain([rest], chunks)
+        if problem is not None:
+            raise SchemaError(f"{path}: header: {problem[1]}")
+    return data, [], iter(())
+
+
+def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
+    """The rows of a CSV artifact, as dicts from each ``schema`` column to its value.
+
+    The file is split by ``_split``. Header names are stripped and columns
+    looked up by name, so the file may hold others. Each cell is converted
+    by its column's type. A row whose field count differs from the header's,
+    whose cell does not convert, or that breaks a rule of ``_records``
+    raises ``SchemaError`` naming the row (1-based, data rows only). A table
+    with a ``region_id`` column is keyed by it: a row that repeats an id
+    raises ``ConsistencyError`` naming the file, the row and the id.
+    """
+    path = Path(path)
+    _, header, chunks = _split(path)
+    missing = [name for name in schema if name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s) {', '.join(map(repr, missing))}")
+    fields = [(name, header.index(name), kind) for name, kind in schema.items()]
+    rows: list[dict] = []
+    ids: set[str] = set()
+    for records, problem in chunks:
+        for i in range(len(records)):
+            row_no, row = len(rows) + 1, records.cells(i)
+            if len(row) != len(header):
+                raise SchemaError(f"{path}: row {row_no}: {len(row)} fields, the header has "
+                                  f"{len(header)}")
+            try:
+                values = {name: kind(row[j]) for name, j, kind in fields}
+            except ValueError as exc:
+                raise SchemaError(f"{path}: row {row_no}: {exc}") from None
+            if "region_id" in values:
+                if values["region_id"] in ids:
+                    raise ConsistencyError(
+                        f"{path}: row {row_no}: duplicate region_id {values['region_id']!r}")
+                ids.add(values["region_id"])
+            rows.append(values)
+        if problem is not None:
+            raise SchemaError(f"{path}: row {len(rows) + 1}: {problem[1]}")
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# CSV records
+# ---------------------------------------------------------------------------
+
+
+def _columns(
+    data: bytes, chunks: Iterable[Chunk], usecols: list[int]
+) -> Iterator[tuple[list[np.ndarray], Problem | None]]:
+    """Fields ``usecols`` of the records in the ``_split`` chunks, a column at a time.
+
+    A column is a NUL-padded fixed-width bytes array, its fields gathered a
+    little-endian 8-byte word at a time from a zero-padded copy of the chunk;
+    a field holding a doubled quote is cut again, undoubled. A column with a
+    field wider than LOAD_FIELD_BYTES is an object array of str instead. A
+    chunk's columns stop before its first record that is too short for
+    ``usecols`` or breaks a rule of ``_records``, returned as (index,
+    reason), which ends the chunks.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
     need = max(usecols) + 1
-    while True:
-        rows: list[list[str]] = []
-        problem = None
-        try:
-            rows.extend(islice(reader, LOAD_CHUNK_ROWS))
-        except csv.Error as exc:
-            problem = (len(rows), str(exc))
-        if not rows and problem is None:
-            return
-        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    for records, problem in chunks:
+        widths = np.diff(records.first)
         short = _first_true(widths < need)
         if short is not None:
             problem = (short, f"{widths[short]} fields, need {need}")
-            rows = rows[:short]
-        yield [
-            np.fromiter(map(itemgetter(j), rows), dtype=object, count=len(rows)) for j in usecols
-        ], problem
+        stop = len(records) if problem is None else problem[0]
+        lo = int(records.left[0]) if stop else 0
+        hi = int(records.right[records.first[stop] - 1]) if stop else 0
+        padded = np.zeros(hi - lo + LOAD_FIELD_BYTES + 8, dtype=np.uint8)
+        padded[:hi - lo] = buf[lo:hi]
+        words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+        columns = []
+        for at in (records.first[:stop] + j for j in usecols):
+            left, right = records.left[at], records.right[at]
+            length = right - left
+            n_words = -(-int(length.max(initial=1)) // 8)
+            if 8 * n_words > LOAD_FIELD_BYTES:
+                bounds = zip(left.tolist(), right.tolist())
+                columns.append(np.array([data[a:b].decode().replace('""', '"') for a, b in bounds],
+                                        dtype=object))
+                continue
+            cells = np.empty((stop, n_words), dtype="<u8")
+            for k in range(n_words):
+                cells[:, k] = words[left - lo + 8 * k] & BYTE_MASKS[np.clip(length - 8 * k, 0, 8)]
+            cells = cells.view(f"S{8 * n_words}").ravel()
+            doubled = records.doubled if records.doubled is not None else ()
+            for i in np.flatnonzero(np.searchsorted(doubled, left) < np.searchsorted(doubled, right)):
+                cells[i] = data[left[i]:right[i]].replace(b'""', b'"')
+            columns.append(cells)
+        del padded, words, records  # freed before the next chunk is made
+        yield columns, problem
         if problem is not None:
             return
 
 
-def _line_chunks(buf: np.ndarray, pos: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(first byte, line end positions) of each LOAD_CHUNK_ROWS lines from byte ``pos`` on.
-
-    A last line without ``\\n`` ends at ``len(buf)``. Each chunk's line ends
-    are searched for in a window about a quarter longer than the chunk
-    before it took.
-    """
-    rows, n = LOAD_CHUNK_ROWS, len(buf)
-    window = 64 * rows
-    while pos < n:
-        ends = pos + np.flatnonzero(buf[pos:pos + window] == NEWLINE)[:rows]
-        if len(ends) < rows and pos + window < n:
-            window *= 2
-            continue
-        if len(ends) < rows and (ends[-1] if len(ends) else pos - 1) < n - 1:
-            ends = np.append(ends, n)
-        yield pos, ends
-        window = (int(ends[-1]) + 1 - pos) * 5 // 4 + 1
-        pos = int(ends[-1]) + 1
-
-
-def _kept_lines(data: bytes, pos: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(starts, ends) of the lines from byte ``pos`` on that ``_skipped`` keeps.
-
-    One pair per LOAD_CHUNK_ROWS lines; ``ends[i]`` is the position of line
-    i's ``\\n``, or ``len(buf)`` for a last line without one. Only a line
-    that starts with a control, space or non-ASCII byte can be blank, so
-    only those lines are decoded to be tested.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    for first, ends in _line_chunks(buf, pos):
-        starts = np.concatenate(([first], ends[:-1] + 1))
-        lead = buf[starts]
-        keep = lead != HASH
-        for i in np.flatnonzero(keep & ((lead <= 32) | (lead >= 128))).tolist():
-            keep[i] = not _skipped(data[starts[i]:ends[i] + 1].decode())
-        yield starts[keep], ends[keep]
-
-
-def _field_bounds(
-    data: bytes, starts: np.ndarray, ends: np.ndarray, ncol: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Byte bounds ``(left, right)``, each ``(rows, ncol)``, of the fields of the lines.
-
-    A field that is ``"..."`` with no other quote is bounded without its
-    quotes, as the csv reader reads it; the ``\\r`` of a ``\\r\\n`` is not part
-    of the last field. None when a line does not have ``ncol`` fields or
-    some other quote is found: such a quote may open a field that holds a
-    comma or spans lines.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    first, last = int(starts[0]), int(ends[-1])
-    commas = first + np.flatnonzero(buf[first:last] == COMMA)
-    lo = np.searchsorted(commas, starts)
-    if not (np.searchsorted(commas, ends) - lo == ncol - 1).all():
-        return None
-    seps = np.column_stack([
-        starts - 1,
-        commas[lo[:, None] + np.arange(ncol - 1)],
-        ends - (buf[ends - 1] == CR),
-    ])
-    left, right = seps[:, :-1] + 1, seps[:, 1:]
-    if data.find(b'"', first, last) >= 0:
-        quotes = first + np.flatnonzero(buf[first:last] == QUOTE)
-        enclosed = (
-            (right - left >= 2)
-            & (buf[np.minimum(left, len(buf) - 1)] == QUOTE)
-            & (buf[right - 1] == QUOTE)
-        )
-        in_lines = np.searchsorted(quotes, ends) - np.searchsorted(quotes, starts)
-        if 2 * np.count_nonzero(enclosed) != in_lines.sum():
-            return None
-        left, right = left + enclosed, right - enclosed
-    return left, right
-
-
-def _byte_header(
-    data: bytes, pos: int
-) -> tuple[list[str], Iterator[tuple[np.ndarray, np.ndarray]]] | None:
-    """The header's fields and the ``_kept_lines`` after it, or None if the bytes cannot be split.
-
-    They cannot be when ``data`` holds a NUL or a ``\\r`` outside a
-    ``\\r\\n`` (the csv reader ends a line at a lone ``\\r``), or when
-    ``_field_bounds`` cannot split the header. The fields are ``[]`` when
-    there is no header.
-    """
-    if b"\0" in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    lines = _kept_lines(data, pos)
-    for starts, ends in lines:
-        if len(starts):
-            first, last = starts[:1], ends[:1]
-            bounds = _field_bounds(data, first, last, data.count(b",", first[0], last[0]) + 1)
-            if bounds is None:
-                return None
-            left, right = (bound[0].tolist() for bound in bounds)
-            header = [data[a:b].decode() for a, b in zip(left, right)]
-            return header, chain([(starts[1:], ends[1:])], lines)
-    return [], lines
-
-
-def _decoded(data: bytes, lines: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """The lines of the ``_kept_lines`` chunks ``lines`` as str, with their line ends."""
-    for starts, ends in lines:
-        yield from [data[a:b + 1].decode() for a, b in zip(starts.tolist(), ends.tolist())]
-
-
-def _cut(
-    data: bytes, first: int, words: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """The fields ``data[left:right]`` of a chunk as a NUL-padded fixed-width bytes array.
-
-    ``words[i]`` is the little-endian 8-byte word at byte ``first + i``, and
-    the words run on into zeros for LOAD_FIELD_BYTES bytes past the chunk.
-    Each field is gathered a word at a time, with the bytes past its end
-    masked off. When a field is wider than LOAD_FIELD_BYTES, the fields come
-    back as an object array of str instead.
-    """
-    length = right - left
-    n_words = -(-int(length.max(initial=1)) // 8)
-    if 8 * n_words > LOAD_FIELD_BYTES:
-        return np.array([data[a:b].decode() for a, b in zip(left.tolist(), right.tolist())],
-                        dtype=object)
-    cells = np.empty((len(left), n_words), dtype="<u8")
-    for j in range(n_words):
-        cells[:, j] = words[left - first + 8 * j] & BYTE_MASKS[np.clip(length - 8 * j, 0, 8)]
-    return cells.view(f"S{8 * n_words}").ravel()
-
-
-def _split_bytes(
-    data: bytes, lines: Iterator[tuple[np.ndarray, np.ndarray]], ncol: int, usecols: list[int]
-) -> Iterator[tuple[list[np.ndarray], tuple[int, str] | None]]:
-    """Fields ``usecols`` of the records in the ``_kept_lines`` chunks ``lines``.
-
-    They come as ``_read_fields`` gives them. In a chunk that
-    ``_field_bounds`` splits into ``ncol`` fields a line, each used field is
-    cut out as a fixed-width bytes array. Any other chunk goes to the csv
-    reader in strict mode, which gives the records the lenient reader gives
-    or raises, and raises when a quoted field is still open at the chunk's
-    end. If it raises, the lenient reader reads from that chunk to the end
-    of the file, since a quoted field may run on past the chunk. Every
-    chunk before it ended a record, so it starts one.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    for starts, ends in lines:
-        if not len(starts):
-            continue
-        bounds = _field_bounds(data, starts, ends, ncol)
-        if bounds is None:
-            try:
-                rows = list(csv.reader(_decoded(data, [(starts, ends)]), strict=True))
-            except csv.Error:
-                rest = chain([(starts, ends)], lines)
-                yield from _read_fields(csv.reader(_decoded(data, rest)), usecols)
-                return
-            yield from _read_fields(iter(rows), usecols)
-            continue
-        first, last = int(starts[0]), int(ends[-1])
-        left, right = bounds
-        padded = np.zeros(last - first + LOAD_FIELD_BYTES + 8, dtype=np.uint8)
-        padded[:last - first] = buf[first:last]
-        words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-        yield [_cut(data, first, words, left[:, j], right[:, j]) for j in usecols], None
-
-
 def _text(field) -> str:
-    """A field as str: fields cut from bytes are bytes, the csv reader's are str."""
+    """A field as str: fields cut to a fixed width are bytes, wider ones str."""
     return field.decode() if isinstance(field, bytes) else field
 
 
-def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
+def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, Problem | None]:
     """float() of every entry; on a failure, the values before it and (index, reason).
 
     A bytes entry is decoded first. NumPy's bytes-to-float cast gives the
@@ -786,7 +813,8 @@ class _TableBuilder:
 
         Fields cut from bytes are coded by distinct value: each is decoded and
         stripped once, and a run of equal fields (records grouped by cluster)
-        is looked up once. The csv reader's str fields are looked up one by one.
+        is looked up once. Fields wider than LOAD_FIELD_BYTES come as str and
+        are looked up one by one.
         """
         if raw.dtype == object:
             return self.codes[name].encode(list(map(str.strip, raw)))
@@ -809,13 +837,11 @@ class _TableBuilder:
         )
         return np.repeat(coded[group], np.diff(heads, append=len(raw)))
 
-    def add(
-        self, fields: dict[str, np.ndarray], unreadable: tuple[int, str] | None
-    ) -> PrevmapError | None:
+    def add(self, fields: dict[str, np.ndarray], unreadable: Problem | None) -> PrevmapError | None:
         """Append the chunk's rows up to its first bad one; return that row's error.
 
-        ``unreadable`` is the first record the csv reader could not read, as
-        (index, reason). A row is bad when it is unreadable, its weight or
+        ``unreadable`` is the first record that ``_columns`` could not read,
+        as (index, reason). A row is bad when it is unreadable, its weight or
         outcome is not a number, or its outcome is not 0 or 1.
         """
         weight, bad_weight = _parse_floats(fields["weight"])
@@ -863,63 +889,40 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> S
     ``schema`` maps canonical column names (``region_id``, ``cluster_id``,
     ``weight``, ``outcome``, optionally ``stratum``) to the actual header
     names in the file. Extra columns are ignored. Ids are stripped of
-    surrounding whitespace. One leading byte-order mark is skipped. Errors
-    name the first bad data row (1-based, comment and blank lines not
-    counted); a file that is not UTF-8 raises ``SchemaError`` naming the
-    first bad byte.
+    surrounding whitespace. Errors name the first bad data row (1-based,
+    comment and blank lines not counted).
 
-    The file is read once as bytes and split into fields with array
-    operations, LOAD_CHUNK_ROWS lines at a time; a field enclosed in quotes
-    is read without them. The ``csv`` reader reads a chunk whose rows do not
-    all have the header's field count or that holds any other quote (a
-    quoted field holding a comma, a quote or a line break), and names the
-    first row it cannot read. When a quoted field runs on past such a chunk,
-    it reads the rest of the file, LOAD_CHUNK_ROWS records at a time. It
-    also reads the whole of a file holding a NUL or a lone ``\\r``, or one
-    whose header holds such a quote.
+    The file is read once as bytes and split into fields by ``_split``,
+    with array operations, about LOAD_CHUNK_ROWS lines at a time. A row
+    needs at least the fields up to the last column used; one with fewer,
+    or one that breaks a quoting rule of ``_records`` (a quote inside an
+    unquoted field, text after a closing quote, a quote open at the end of
+    the file, a NUL), is an unparseable row naming the row and the byte.
     """
     path = Path(path)
     mapping = dict(schema or {})
-    data = _read_bytes(path)
-    if not data.isascii():
-        _utf8(path, data)  # only to raise on a byte that is not UTF-8
-    start = len(UTF8_BOM) if data.startswith(UTF8_BOM) else 0
-    split = _byte_header(data, start)
-    if split is None:
-        reader = csv.reader(_text_lines(data[start:].decode()))
-        header = next(reader, [])
-    else:
-        header, lines = split
+    data, header, chunks = _split(path)
     if not header:
         raise SchemaError(f"records file {path} is empty")
-    header = [h.strip() for h in header]
 
     col_idx: dict[str, int] = {}
     for canonical in RECORD_COLUMNS:
         actual = mapping.get(canonical, canonical)
         if actual not in header:
-            raise SchemaError(
-                f"missing column {actual!r} (for {canonical!r}) in {path}"
-            )
+            raise SchemaError(f"missing column {actual!r} (for {canonical!r}) in {path}")
         col_idx[canonical] = header.index(actual)
     for canonical in OPTIONAL_RECORD_COLUMNS:
         actual = mapping.get(canonical, canonical)
         if actual in header:
             col_idx[canonical] = header.index(actual)
 
-    usecols = list(col_idx.values())
-    if split is None:
-        chunks = _read_fields(reader, usecols)
-    else:
-        chunks = _split_bytes(data, lines, len(header), usecols)
     names = list(col_idx)
     builder = _TableBuilder()
     pending = None
-    with _gc_paused():  # the csv reader builds one list per record
-        for columns, unreadable in chunks:
-            pending = builder.add(dict(zip(names, columns)), unreadable)
-            if pending is not None:
-                break
+    for columns, unreadable in _columns(data, chunks, list(col_idx.values())):
+        pending = builder.add(dict(zip(names, columns)), unreadable)
+        if pending is not None:
+            break
     table = builder.table()
     problem = _first_bad_row(table, "row") or pending
     if problem is not None:
@@ -946,25 +949,6 @@ def write_records_csv(
 # ---------------------------------------------------------------------------
 # GeoJSON boundaries
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector for the block.
-
-    For blocks that build many small containers without cycles: a parsed
-    GeoJSON document (one list per vertex) or the csv reader's rows (one
-    list per record). Building them triggers a collection every few hundred
-    containers, which took about a third of ``json.load``'s time on
-    400-vertex rings and 40% of reading a million records.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _as_ring(coords: Sequence[Sequence[float]], feature: str) -> Ring:
@@ -1006,15 +990,21 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     if not path.exists():
         raise SchemaError(f"boundaries file not found: {path}")
     text = _utf8(path, path.read_bytes())
-    # the collector stays off until the document is gone: turned back on
-    # while it lives, its next collections walk every vertex list
-    with _gc_paused():
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    # the cyclic collector stays off until the document is gone: parsing
+    # builds one list per vertex and sets off a collection every few hundred,
+    # which took about a third of json.loads's time on 400-vertex rings, and
+    # each collection while the document lives walks every vertex list
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = json.loads(text)
         boundaries = _boundaries(doc, path)
         del doc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
     log.info("loaded %d boundaries from %s", len(boundaries), path)
     return boundaries
 

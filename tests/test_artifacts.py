@@ -213,9 +213,10 @@ MULTILINE_ID = st.lists(
 @example(ids=["#1", "", " ", "# 2"], values=[], one_column=True)
 @example(ids=["#1", "", " ", "# 2"], values=[], one_column=False)
 def test_read_table_reads_back_what_write_table_wrote(tmp_path_factory, ids, values, one_column):
-    # a one-column table's row is a blank line when its cell is blank
+    # a one-column table's row is a blank line when its cell is blank; the
+    # column is not region_id, whose values read_table requires to be unique
     values = (values + [0.5] * len(ids))[: len(ids)]
-    schema = {"region_id": str} if one_column else {"region_id": str, "value": float}
+    schema = {"id": str} if one_column else {"id": str, "value": float}
     path = tmp_path_factory.mktemp("multiline") / "table.csv"
     write_table(path, schema, [ids, values], {"seed": "1"})
     assert read_table(path, schema) == [dict(zip(schema, row)) for row in zip(ids, values)]

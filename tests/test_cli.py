@@ -30,7 +30,7 @@ from prevmap.data_model import (
 )
 from prevmap.direct import read_direct_csv, write_direct_csv
 from prevmap.bym import read_posterior_csv
-from prevmap.errors import SchemaError
+from prevmap.errors import ConsistencyError, SchemaError
 from prevmap.graph import AdjacencyGraph, export_graph, load_graph
 from prevmap.synthetic import make_grid_regions, read_truth_csv
 from test_exact_engine import mixed_spec
@@ -672,6 +672,32 @@ def artifacts(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("step", ["render", "compare", "smooth", "truth"])
+def test_repeated_region_id_exits_2(tmp_path, artifacts, capsys, step):
+    # a second R_0_0 row used to win silently in render and compare
+    name = "truth.csv" if step == "truth" else "direct.csv"
+    text = (artifacts / name).read_text()
+    fields = next(ln for ln in text.splitlines() if ln.startswith("R_0_0,")).split(",")
+    fields[1] = "99999"
+    damaged = tmp_path / name
+    damaged.write_text(text + ",".join(fields) + "\n")
+    message = f"{damaged}: row 7: duplicate region_id 'R_0_0'"
+    if step == "truth":
+        with pytest.raises(ConsistencyError) as err:
+            read_truth_csv(damaged)
+        assert str(err.value) == message
+        return
+    argv = {
+        "render": ["--boundaries", str(artifacts / "boundaries.geojson"),
+                   "--values", str(damaged), "--column", "n"],
+        "compare": ["--direct", str(damaged), "--posterior", str(artifacts / "posterior.csv")],
+        "smooth": ["--direct", str(damaged), "--graph", str(artifacts / "graph.txt")] + SHORT_FIT,
+    }[step]
+    assert main([step, *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 # what a fresh interpreter prints last: its scipy modules and the exact engine
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'prevmap.exact'))"
 
@@ -831,6 +857,6 @@ def test_damaged_truth_csv_reads_or_raises_schema_error(tmp_path_factory, artifa
     damaged.write_bytes(case.draw(damaged_records((artifacts / "truth.csv").read_bytes())))
     try:
         truth = read_truth_csv(damaged)
-    except SchemaError:
+    except (SchemaError, ConsistencyError):  # ConsistencyError: a repeated region_id
         return
     assert all(isinstance(v, float) for v in truth.values())

@@ -117,7 +117,7 @@ class TestLoadRecords:
         # spreadsheet "CSV UTF-8" exports start with EF BB BF
         text = line_end.join([
             "region_id,cluster_id,weight,outcome",
-            f"R1,{cluster},1.0,1", f"Ré,{cluster}2,2.0,0", "",
+            f"R1,{cluster},1.0,1", f"Ré,{cluster.replace('1', '2')},2.0,0", "",
         ])
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode())
@@ -141,10 +141,10 @@ class TestLoadRecords:
 
     @pytest.mark.parametrize("chunk", [1, 2, 1 << 16])
     def test_quoted_fields_read_as_the_csv_reader_reads_them(self, tmp_path, monkeypatch, chunk):
-        # R's write.csv quotes every string; the first quote that does not
-        # enclose a whole field (a doubled quote, a quoted comma) sends the
-        # rest of the file to the csv reader, which still counts rows from
-        # the start. Ids are coded in order of first appearance.
+        # R's write.csv quotes every string; a quoted field may hold a
+        # doubled quote or a comma, and a comment line may hold quotes. Rows
+        # are counted from the start whatever the chunk size. Ids are coded
+        # in order of first appearance.
         monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
         path = write_csv(tmp_path, (
             '"region_id","cluster_id","weight","outcome"\n'

@@ -9,8 +9,11 @@ reference below reads the same file one row at a time and must agree on the
 estimates, or on the exception type and the row it names.
 
 A mutation test then damages a valid records file (truncation, a dropped
-column, injected text, permuted rows, a stray quote) and runs ``prevmap
-direct`` on it: the command must succeed or exit 2 with a message.
+column, injected text, permuted rows, a stray quote, a quote that breaks
+the quoting rules, a NUL) and runs ``prevmap direct`` on it: the command
+must succeed or exit 2 with a message. Round trips through
+``write_records_csv`` and explicit cases pin the quoting rules and the row
+and byte each error names.
 """
 
 import contextlib
@@ -21,15 +24,23 @@ import re
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary, square
 from prevmap import cli, data_model
-from prevmap.data_model import drop_unlinked, load_records
+from prevmap.data_model import (
+    IndividualRecord,
+    SurveyTable,
+    drop_unlinked,
+    load_records,
+    read_table,
+    write_records_csv,
+)
 from prevmap.direct import estimate_all
-from prevmap.errors import ConsistencyError, PrevmapError, RecordValidationError
+from prevmap.errors import ConsistencyError, PrevmapError, RecordValidationError, SchemaError
 
 CANONICAL = ("region_id", "cluster_id", "weight", "outcome", "stratum")
 KNOWN_REGIONS = ("R1", "R2", "R3", "R,4", "Zambézia")
@@ -49,10 +60,26 @@ class RefError(Exception):
         self.kind, self.row = kind, row
 
 
+def ref_rows(text):
+    """The strict csv reader's rows of ``text``; a '#' line or a blank line is
+    skipped only where a row starts, not inside a quoted cell."""
+    at_start = True
+
+    def lines():
+        nonlocal at_start
+        for line in io.StringIO(text, newline=""):
+            if not (at_start and (line.startswith("#") or line.isspace())):
+                at_start = False
+                yield line
+
+    for row in csv.reader(lines(), strict=True):
+        yield row
+        at_start = True
+
+
 def ref_load(text, schema):
     """(region, cluster, stratum, weight, outcome) per data row, or RefError."""
-    lines = [ln for ln in io.StringIO(text, newline="") if not (ln.startswith("#") or ln.isspace())]
-    reader = csv.reader(lines)
+    reader = ref_rows(text)
     header = [h.strip() for h in next(reader)]
     idx = {c: header.index(schema.get(c, c)) for c in CANONICAL if schema.get(c, c) in header}
     rows, home = [], {}
@@ -123,9 +150,8 @@ def survey_files(draw, quoting=st.booleans(), bad_rows=st.sampled_from(BAD_ROWS)
     renames = {"region_id": "area", "cluster_id": "psu", "weight": "hh_weight",
                "outcome": "result", "stratum": "strat"}
     schema = {c: renames[c] for c in CANONICAL if draw(st.booleans())}
-    # quotes that enclose whole fields are split from bytes; a chunk with any
-    # other quote goes to the csv reader, and so does the rest of the file
-    # when a quoted field runs on past the chunk
+    # quoted fields may hold commas, doubled quotes and line breaks, and may
+    # run on past a chunk's last line
     quoted = draw(quoting)
     quote_style = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])) if quoted else None
     # a suffix longer than LOAD_FIELD_BYTES makes the id too wide for a fixed-width array
@@ -230,35 +256,32 @@ def test_columnar_path_matches_row_reference(tmp_path_factory, survey, chunk):
     chunk=st.sampled_from([1, 2, 5, data_model.LOAD_CHUNK_ROWS]),
 )
 def test_unquoted_file_is_split_from_bytes(tmp_path_factory, survey, chunk):
-    # every row has the header's field count, so no chunk needs the csv reader,
-    # and quotes that enclose whole fields do not change that
+    # quotes that enclose whole fields, and a comment holding quotes, leave
+    # the table as it is
     text, schema = survey
     path = tmp_path_factory.mktemp("bytes") / "records.csv"
 
     def load(content):
         path.write_bytes(content.encode())
-        reader = mock.patch.object(data_model.csv, "reader", wraps=csv.reader)
         lines = mock.patch.object(data_model, "data_lines", wraps=data_model.data_lines)
-        with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk), reader as read, \
-                lines as split:
+        with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk), lines as split:
             try:
                 table = load_records(path, schema=schema)
             except PrevmapError as exc:
                 table = str(exc)
         assert not split.called
-        return table, read.called
+        return table
 
     assert '"' not in text
-    table, read = load(text)
-    assert not read
-    assert load(text + '# "quoted"\n') == (table, False)
+    table = load(text)
+    assert load(text + '# "quoted"\n') == table
     every_field_quoted = "".join(
         line if line.startswith("#") or line.isspace()
         else ",".join(f'"{field}"' for field in line.rstrip("\r\n").split(","))
         + line[len(line.rstrip("\r\n")):]
         for line in io.StringIO(text, newline="")
     )
-    assert load(every_field_quoted) == (table, False)
+    assert load(every_field_quoted) == table
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +301,12 @@ def direct_inputs(tmp_path_factory):
 
 @st.composite
 def damaged_records(draw, data):
-    """``data`` with one of: a truncation, a dropped column, injected text, permuted rows, a stray quote."""
-    kind = draw(st.sampled_from(["truncate", "drop_column", "inject", "permute", "quote"]))
+    """``data`` with one of: a truncation, a dropped column, injected text, permuted rows,
+    a stray quote, a quote inside an unquoted field (``a"b``, `` "a"``), text after a
+    closing quote (``"ab"c``), a quote still open at the end, a NUL."""
+    kind = draw(st.sampled_from(["truncate", "drop_column", "inject", "permute", "quote",
+                                 "inner_quote", "padded_quote", "after_close", "open_at_end",
+                                 "nul"]))
     lines = data.splitlines(keepends=True)
     body = [k for k, line in enumerate(lines) if not line.startswith(b"#")]
     if kind == "truncate":
@@ -287,6 +314,8 @@ def damaged_records(draw, data):
     if kind == "quote":
         at = draw(st.integers(0, len(data)))
         return data[:at] + b'"' + data[at:]
+    if kind == "open_at_end":
+        return data + b'"' + draw(st.sampled_from([b"", b"R_0_0", b"R_0_0,1\n2,"]))
     if kind == "permute":
         rows = draw(st.permutations([lines[k] for k in body[1:]]))
         return b"".join(lines[:body[1]] + rows)
@@ -299,10 +328,21 @@ def damaged_records(draw, data):
     k = draw(st.sampled_from(body))
     fields = lines[k].rstrip(b"\n").split(b",")
     column = draw(st.integers(0, len(fields) - 1))
-    fields[column] = draw(st.one_of(
-        st.text(alphabet="01.e-_ ,\"\r\n#xé\u3000\u0663", max_size=6).map(str.encode),
-        st.binary(max_size=4),
-    ))
+    field = fields[column]
+    if kind == "inner_quote":
+        fields[column] = b'a"' + field
+    elif kind == "padded_quote":
+        fields[column] = b' "' + field + b'"'
+    elif kind == "after_close":
+        fields[column] = b'"' + field + b'"c'
+    elif kind == "nul":
+        at = draw(st.integers(0, len(field)))
+        fields[column] = field[:at] + b"\0" + field[at:]
+    else:
+        fields[column] = draw(st.one_of(
+            st.text(alphabet="01.e-_ ,\"\r\n#xé\u3000\u0663", max_size=6).map(str.encode),
+            st.binary(max_size=4),
+        ))
     lines[k] = b",".join(fields) + b"\n"
     return b"".join(lines)
 
@@ -323,3 +363,107 @@ def test_damaged_records_exit_0_or_2(tmp_path_factory, direct_inputs, case):
     else:
         assert code == 2
         assert stderr.getvalue().startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Round trips through write_records_csv
+# ---------------------------------------------------------------------------
+
+# ids holding line breaks, blank and '#' lines inside a quoted cell, commas,
+# quotes, a leading '#' and non-ASCII text, now and then too wide for a
+# fixed-width array; they start and end with a character that strip() keeps,
+# since load_records strips ids
+ROUND_TRIP_ID = st.tuples(
+    st.sampled_from(["#", "a", "é", '"', ","]),
+    st.lists(st.sampled_from(["\n#", "\n\n", "\r", "\r\n", ",", '"', "#", " ", "中", "w" * 130]),
+             max_size=4).map("".join),
+    st.sampled_from(["a", "z", "中", '"']),
+).map("".join)
+
+
+@st.composite
+def record_tables(draw):
+    """A SurveyTable with ROUND_TRIP_ID ids, positive weights, and strata or none."""
+    regions = draw(st.lists(ROUND_TRIP_ID, min_size=1, max_size=4, unique=True))
+    clusters = draw(st.lists(ROUND_TRIP_ID, min_size=1, max_size=6, unique=True))
+    home = {cluster: draw(st.sampled_from(regions)) for cluster in clusters}
+    strata = draw(st.lists(ROUND_TRIP_ID, min_size=1, max_size=3) | st.just([""]))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(clusters),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.integers(0, 1),
+        st.sampled_from(strata),
+    ), min_size=1, max_size=12))
+    return SurveyTable.from_records(IndividualRecord(home[c], c, w, y, s) for c, w, y, s in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=record_tables(), chunk=st.sampled_from([1, 2, 5]))
+def test_load_records_reads_back_what_write_records_csv_wrote(tmp_path_factory, table, chunk):
+    path = tmp_path_factory.mktemp("round_trip") / "records.csv"
+    write_records_csv(table, path, {"seed": "1"})
+    with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk):
+        loaded = load_records(path)
+    assert loaded == table
+    assert loaded.weight.view(np.int64).tolist() == table.weight.view(np.int64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# The quoting rules: each break names its row and byte, in both readers
+# ---------------------------------------------------------------------------
+
+# comments with one quote, before the header and between quoted rows
+QUOTED_HEAD = (
+    '# 5" tall\n'
+    "region_id,cluster_id,weight,outcome\n"
+    "R1,c1,1,0\n"
+    '# 5" tall\n'
+    '"R3","c""3",1,0\n'
+)
+BROKEN_ROWS = [  # (data row 3, the byte named, the reason)
+    ('R2,a"b,1,0\n', '"', "quote inside an unquoted field at byte {}"),
+    ('R2, "b",1,0\n', '"', "quote inside an unquoted field at byte {}"),
+    ('R2,"ab"c,1,0\n', "c", "text after a closing quote at byte {}"),
+    ("R2,b\0,1,0\n", "\0", "NUL at byte {}"),
+    ('R2,"b,1,0\n', '"', "quote opened at byte {} is not closed by the end of the file"),
+]
+
+
+@pytest.mark.parametrize("row, at, reason", BROKEN_ROWS)
+@pytest.mark.parametrize("chunk", [1, 2, data_model.LOAD_CHUNK_ROWS])
+def test_quoting_errors_name_the_row_and_byte(tmp_path, monkeypatch, row, at, reason, chunk):
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+    tail = "" if "not closed" in reason else "R4,c4,1,0\n"
+    path = tmp_path / "records.csv"
+    path.write_bytes((QUOTED_HEAD + row + tail).encode())
+    message = reason.format(len(QUOTED_HEAD.encode()) + row.index(at) + 1)
+    with pytest.raises(RecordValidationError) as err:
+        load_records(path)
+    assert str(err.value) == f"row 3: unparseable row ({message})"
+    with pytest.raises(SchemaError) as err:
+        read_table(path, {"region_id": str, "weight": float})
+    assert str(err.value) == f"{path}: row 3: {message}"
+
+
+def test_a_header_that_breaks_the_quoting_rules_names_the_byte(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text('# 5" tall\nregion_id,"cluster_id"x,weight,outcome\nR1,c1,1,0\n')
+    message = f"{path}: header: text after a closing quote at byte 33"
+    for read in (load_records, lambda p: read_table(p, {"region_id": str})):
+        with pytest.raises(SchemaError) as err:
+            read(path)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("chunk", [1, 2, data_model.LOAD_CHUNK_ROWS])
+def test_comments_holding_one_quote_are_skipped(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+    path = tmp_path / "records.csv"
+    path.write_text(QUOTED_HEAD + '"R1","c,1",2,1\n# 5" tall\nR3,c5,3,1\n')
+    table = load_records(path)
+    assert list(table.column("region_id")) == ["R1", "R3", "R1", "R3"]
+    assert list(table.column("cluster_id")) == ["c1", 'c"3', "c,1", "c5"]
+    assert table.weight.tolist() == [1.0, 1.0, 2.0, 3.0]
+    rows = read_table(path, {"cluster_id": str, "outcome": int})
+    assert rows == [{"cluster_id": c, "outcome": y} for c, y in
+                    [("c1", 0), ('c"3', 0), ("c,1", 1), ("c5", 1)]]
