@@ -431,16 +431,21 @@ class RegionSummary:
 
 @dataclass
 class BymPosterior:
-    """Draws, per-region summaries and diagnostics from one fit."""
+    """What one fit returns: the draws prevmap reads, summaries and diagnostics.
 
-    region_ids: tuple[str, ...]
+    The draws are theta per region and the three hyperparameters b0,
+    sig2_eps and sig2_sp. The spatial effect S and eps are steps toward
+    theta, and are not kept. ``summaries`` holds each region's theta and
+    prevalence summary in graph node order, with its R-hat and ESS.
+    ``report`` holds the diagnostics that decide ``converged``, and ``meta``
+    holds the fit's settings as its artifacts' headers write them.
+    """
+
     theta_draws: np.ndarray  # (chains, kept, regions)
-    s_draws: np.ndarray  # (chains, kept, regions)
     beta0_draws: np.ndarray  # (chains, kept)
     sigma2_eps_draws: np.ndarray
     sigma2_sp_draws: np.ndarray
     summaries: list[RegionSummary]
-    hyper_summaries: dict[str, Summary]
     report: DiagnosticsReport
     meta: dict[str, str]
 
@@ -596,7 +601,6 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     chains, kept = config.chains, config.retained_per_chain()
 
     theta_draws = np.empty((chains, kept, n))
-    s_draws = np.empty((chains, kept, n))
     beta0_draws = np.empty((chains, kept))
     sig2e_draws = np.empty((chains, kept))
     sig2s_draws = np.empty((chains, kept))
@@ -697,22 +701,18 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
             eps = state[:, 3 : 3 + n].take(eps_at, axis=1)
             np.add(beta0_col + eps, s, out=theta_draws[:, keep])
-            s_draws[:, keep] = s
             beta0_draws[:, keep] = beta0
             sig2e_draws[:, keep] = sig2e
             sig2s_draws[:, keep] = sig2s
             keep += 1
 
-    return posterior_from_draws(
-        spec, config, theta_draws, s_draws, beta0_draws, sig2e_draws, sig2s_draws
-    )
+    return posterior_from_draws(spec, config, theta_draws, beta0_draws, sig2e_draws, sig2s_draws)
 
 
 def posterior_from_draws(
     spec: BymModelSpec,
     config: McmcConfig,
     theta_draws: np.ndarray,
-    s_draws: np.ndarray,
     beta0_draws: np.ndarray,
     sig2e_draws: np.ndarray,
     sig2s_draws: np.ndarray,
@@ -770,11 +770,6 @@ def posterior_from_draws(
     per_scalar.update(hyper_report.per_scalar)
     report = DiagnosticsReport(per_scalar, hyper_report.notes, grid_edge_mass)
 
-    hyper_summaries = {
-        "beta0": summarize(beta0_draws),
-        "sigma2_eps": summarize(sig2e_draws),
-        "sigma2_sp": summarize(sig2s_draws),
-    }
     meta = {
         "chains": str(config.chains),
         "iterations": str(config.iterations),
@@ -791,14 +786,11 @@ def posterior_from_draws(
         meta["fixed_sigma2_sp"] = repr(fixed_s)
     meta.update(extra_meta or {})
     return BymPosterior(
-        region_ids=prec.node_ids,
         theta_draws=theta_draws,
-        s_draws=s_draws,
         beta0_draws=beta0_draws,
         sigma2_eps_draws=sig2e_draws,
         sigma2_sp_draws=sig2s_draws,
         summaries=summaries,
-        hyper_summaries=hyper_summaries,
         report=report,
         meta=meta,
     )

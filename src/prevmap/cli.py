@@ -41,7 +41,6 @@ from .errors import PrevmapError, SchemaError
 from .graph import build_adjacency, export_graph, icar_precision, load_graph
 from .render import (
     ChoroplethSpec,
-    render_choropleth,
     render_comparison,
     render_country_panels,
     render_map_row,
@@ -222,6 +221,8 @@ def _choropleth_spec(args, column: str) -> ChoroplethSpec:
 
 def cmd_render(args) -> int:
     columns = args.column or ["prev_mean"]
+    if args.title is not None and (len(columns) != 1 or args.zoom_per_country):
+        raise SchemaError("--title takes exactly one --column and no --zoom-per-country")
     desc = (
         f"columns={','.join(columns)} bins={args.bins} breaks={args.breaks} "
         f"scope={args.scope} ramp={args.ramp or 'default'} zoom={args.zoom_per_country}"
@@ -234,13 +235,10 @@ def cmd_render(args) -> int:
             raise SchemaError("--zoom-per-country takes exactly one --column")
         values = _read_values(args.values, columns[0])
         svg = render_country_panels(boundaries, values, spec, meta)
-    elif len(columns) == 1:
-        values = _read_values(args.values, columns[0])
-        svg = render_choropleth(
-            boundaries, values, spec, args.title or columns[0], meta
-        )
     else:
         panels = [(col, _read_values(args.values, col)) for col in columns]
+        if args.title:  # one column, as checked above
+            panels = [(args.title, panels[0][1])]
         svg = render_map_row(boundaries, panels, spec, meta)
     out = _out_dir(args)
     name = args.output_name or f"map_{'_'.join(columns)}.svg"

@@ -60,6 +60,9 @@ _NEWTON_STEPS = 100
 _NEWTON_MAX_STEP = 1.0  # log units
 _FD_STEP = 1e-3
 _MIN_CURVATURE = 1e-2  # an axis spans at most 10 log units per lattice unit
+# standard normals of eps drawn per call: bounds each of the eps loop's
+# temporaries to 512 KiB whatever the number of draws
+_EPS_BLOCK = 1 << 16
 
 
 @functools.cache
@@ -465,17 +468,12 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
     )
 
 
-@_one_blas_thread()
-def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
-    spec.validate()
-    config.validate()
-
+def _draws(spec: BymModelSpec, config: McmcConfig, kernel: _Collapsed, grid: _Grid) -> tuple[np.ndarray, ...]:
+    """Draws of theta, (chains, kept, regions), then of b0, sig2_eps and sig2_sp, (chains, kept)."""
     prec = spec.precision
     n = prec.dimension
     pri = spec.priors
-    kernel = _Collapsed(spec)
     sp_from_prior = spec.fixed_sigma2_sp is None and kernel.rank == 0
-    grid = _grid(spec, kernel)
     cdf = np.cumsum(np.exp(grid.logp - grid.logp.max()))
 
     # The hyperparameters first, per chain in stream order: grid cells, b0's
@@ -497,24 +495,24 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     if not sp_from_prior:
         sig2s_draws = grid.variances[cells, 1]
 
-    # Then z and eps: each chain's standard normals for them go straight
-    # into the arrays that will hold its draws of theta and S.
+    # Then z: each chain's standard normals for it go straight into the
+    # array that will hold its draws of theta, which the cell loop turns
+    # into the mean of theta given z.
     theta_draws = np.empty((chains, kept, n))
-    s_draws = np.empty((chains, kept, n))
     for c, rng in enumerate(rngs):
         rng.standard_normal(out=theta_draws[c])
-        rng.standard_normal(out=s_draws[c])
     theta_flat = theta_draws.reshape(-1, n)
-    s_flat = s_draws.reshape(-1, n)
     beta0_flat = beta0_draws.reshape(-1)
     cells_flat = cells.reshape(-1)
     if kernel.dead:
         dead = np.concatenate(kernel.dead)
         s_dead = icar_draws(prec, kernel.dead, theta_flat[:, dead].T) * np.sqrt(sig2s_draws.reshape(-1))
     usable, y, v = kernel.usable, kernel.y, kernel.v
+    eps_sd = np.empty((len(cdf), n))  # sd of eps | z in each drawn grid cell
     by_cell = np.argsort(cells_flat, kind="stable")
     for rows in np.split(by_cell, np.flatnonzero(np.diff(cells_flat[by_cell])) + 1):
-        sig2_eps, sig2_sp = grid.variances[cells_flat[rows[0]]]
+        cell = cells_flat[rows[0]]
+        sig2_eps, sig2_sp = grid.variances[cell]
         cond = kernel.conditional(sig2_eps, sig2_sp)[1]
         b0 = beta0_flat[rows] / math.sqrt(cond.b0_prec) + cond.b0_mean
         beta0_flat[rows] = b0
@@ -524,22 +522,43 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
             z[:, dead] = b0[:, None] + s_dead[:, rows].T
         # eps | z: shrunk residual where a region is usable, the prior elsewhere
         shrink = np.where(usable, sig2_eps / (sig2_eps + v), 0.0)
-        sd = np.where(usable, np.sqrt(shrink * v), math.sqrt(sig2_eps))
-        theta_flat[rows] = z + shrink * (y - z) + sd * s_flat[rows]
-        s_flat[rows] = z - b0[:, None]
+        eps_sd[cell] = np.where(usable, np.sqrt(shrink * v), math.sqrt(sig2_eps))
+        theta_flat[rows] = z + shrink * (y - z)
 
-    meta = {"grid_points": str(len(cdf)), "grid_edge_mass": f"{grid.edge_mass:.3e}"}
+    # Last eps: each chain's stream draws its eps normals where its z normals
+    # ended, in draw order, _EPS_BLOCK values at most at a time, and each
+    # draw adds its cell's sd times them to theta. The numbers and the order
+    # of the arithmetic are those of a second (chains, kept, regions) array
+    # of normals drawn after theta's, without holding one.
+    step = max(1, _EPS_BLOCK // n)
+    for c, rng in enumerate(rngs):
+        for lo in range(0, kept, step):
+            noise = rng.standard_normal((min(step, kept - lo), n))
+            noise *= eps_sd[cells[c, lo : lo + step]]
+            theta_draws[c, lo : lo + step] += noise
+    return theta_draws, beta0_draws, sig2e_draws, sig2s_draws
+
+
+@_one_blas_thread()
+def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
+    spec.validate()
+    config.validate()
+    kernel = _Collapsed(spec)
+    grid = _grid(spec, kernel)
+    points = len(grid.logp)
+    meta = {"grid_points": str(points), "grid_edge_mass": f"{grid.edge_mass:.3e}"}
     if grid.singular_points:
         meta["grid_singular_points"] = str(grid.singular_points)
+    # _draws's scratch (the cell sort, the sd table) is freed before the summaries
     posterior = posterior_from_draws(
-        spec, config, theta_draws, s_draws, beta0_draws, sig2e_draws, sig2s_draws,
+        spec, config, *_draws(spec, config, kernel, grid),
         region_diagnostics=False,
         grid_edge_mass=grid.edge_mass,
         extra_meta=meta,
     )
     if grid.singular_points:
         posterior.report.notes.append(
-            f"variance grid: {grid.singular_points} of {len(cdf)} points have a precision "
+            f"variance grid: {grid.singular_points} of {points} points have a precision "
             "matrix that is singular in floating point; they count as zero density"
         )
     return posterior

@@ -282,20 +282,6 @@ def _panel_row(
     return _document(PANEL_W * len(panels), height, groups, metadata, HATCH_DEFS)
 
 
-def render_choropleth(
-    boundaries: Sequence[RegionBoundary],
-    values: Mapping[str, float],
-    spec: ChoroplethSpec,
-    title: str = "",
-    metadata: Mapping[str, str] | None = None,
-) -> str:
-    """One filled path per region plus a legend; missing values hatched."""
-    return _panel_row(
-        [_choropleth_panel(boundaries, values, spec, title or spec.column)],
-        metadata,
-    )
-
-
 def render_map_row(
     boundaries: Sequence[RegionBoundary],
     panels: Sequence[tuple[str, Mapping[str, float]]],

@@ -12,9 +12,9 @@ unbiased; that is exactly the failure mode the weighted estimator corrects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -210,22 +210,13 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
 # Scenario config file
 # ---------------------------------------------------------------------------
 
-SCENARIO_FIELDS = (
-    "rows",
-    "cols",
-    "group_breaks",
-    "base_logit",
-    "spatial_sd",
-    "clusters_per_region",
-    "households_per_cluster",
-    "weight_dispersion",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario config: grid, truth surface and sampling plan."""
+    """Parsed scenario config: grid, truth surface and sampling plan.
+
+    Each field is a key of the scenario file; the ones with a default, the
+    sampling plan's, may be left out.
+    """
 
     rows: int
     cols: int
@@ -236,9 +227,9 @@ class Scenario:
     households_per_cluster: int
     weight_dispersion: float
     seed: int
-    cluster_sd: float = 0.3
-    high_risk_share: float = 0.3
-    risk_ratio: float = 2.0
+    cluster_sd: float = SamplingPlan.cluster_sd
+    high_risk_share: float = SamplingPlan.high_risk_share
+    risk_ratio: float = SamplingPlan.risk_ratio
 
     def plan(self) -> SamplingPlan:
         return SamplingPlan(
@@ -264,12 +255,24 @@ class Scenario:
         return truth
 
 
+# the scenario file's required keys, in the order a missing one is named
+SCENARIO_FIELDS = tuple(f.name for f in fields(Scenario) if f.default is MISSING)
+
+
 def _parse_cluster_range(raw: str) -> tuple[int, int]:
     if ":" in raw:
         lo, hi = raw.split(":", 1)
         return int(lo), int(hi)
     k = int(raw)
     return k, k
+
+
+# how each key's value is read: the field's type, but for the two tuples
+_SCENARIO_PARSERS = {
+    **get_type_hints(Scenario),
+    "group_breaks": lambda raw: tuple(int(tok) for tok in raw.split(",") if tok.strip()),
+    "clusters_per_region": _parse_cluster_range,
+}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -281,26 +284,14 @@ def load_scenario(path: str | Path) -> Scenario:
             raise SchemaError(f"{path}: expected 'key = value', got {line.strip()!r}")
         key, value = line.split("=", 1)
         kv[key.strip()] = value.strip()
+    unknown = [key for key in kv if key not in _SCENARIO_PARSERS]
+    if unknown:
+        raise SchemaError(f"{path}: unknown scenario keys: {', '.join(unknown)}")
     missing = [f for f in SCENARIO_FIELDS if f not in kv]
     if missing:
         raise SchemaError(f"{path}: missing scenario fields: {', '.join(missing)}")
     try:
-        return Scenario(
-            rows=int(kv["rows"]),
-            cols=int(kv["cols"]),
-            group_breaks=tuple(
-                int(tok) for tok in kv["group_breaks"].split(",") if tok.strip()
-            ),
-            base_logit=float(kv["base_logit"]),
-            spatial_sd=float(kv["spatial_sd"]),
-            clusters_per_region=_parse_cluster_range(kv["clusters_per_region"]),
-            households_per_cluster=int(kv["households_per_cluster"]),
-            weight_dispersion=float(kv["weight_dispersion"]),
-            seed=int(kv["seed"]),
-            cluster_sd=float(kv.get("cluster_sd", "0.3")),
-            high_risk_share=float(kv.get("high_risk_share", "0.3")),
-            risk_ratio=float(kv.get("risk_ratio", "2.0")),
-        )
+        return Scenario(**{key: _SCENARIO_PARSERS[key](value) for key, value in kv.items()})
     except ValueError as exc:
         raise SchemaError(f"{path}: bad scenario value ({exc})") from None
 

@@ -164,7 +164,7 @@ class TestSubcommands:
 
     def test_fig2_matches_per_panel_rendering(self, pipeline_dir, tmp_path):
         # the map row projects its boundaries once; drawing each panel on its
-        # own, as render_choropleth does, must give the same document
+        # own, with its own projection, must give the same document
         def per_panel(boundaries, panels, spec, metadata):
             return prevmap.render._panel_row(
                 [prevmap.render._choropleth_panel(boundaries, values, spec, title)
@@ -696,6 +696,32 @@ def test_repeated_region_id_exits_2(tmp_path, artifacts, capsys, step):
     assert main([step, *argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("layout", [
+    ["--column", "prev_mean", "--column", "prev_q025"],
+    ["--column", "prev_mean", "--zoom-per-country"],
+    ["--zoom-per-country"],
+], ids=["two_columns", "zoom", "zoom_default_column"])
+def test_render_title_with_several_panels_exits_2(tmp_path, artifacts, capsys, layout):
+    # a title names one panel: it used to be dropped without a word here
+    argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+            "--values", str(artifacts / "posterior.csv"), "--title", "T", *layout]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --title takes exactly one --column and no --zoom-per-country\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_title_names_the_one_panel(tmp_path, artifacts):
+    argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+            "--values", str(artifacts / "direct.csv"), "--column", "n", "--output-name", "n.svg"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--title", "Sample size", "--out", str(tmp_path / "titled")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    heading = '<text x="10" y="20" font-size="13" font-weight="bold">{}</text>'
+    assert heading.format("Sample size") in (tmp_path / "titled" / "n.svg").read_text()
+    assert heading.format("n") in (tmp_path / "plain" / "n.svg").read_text()
 
 
 # what a fresh interpreter prints last: its scipy modules and the exact engine

@@ -8,6 +8,7 @@ demo and on a graph with an isolated node and an all-degenerate component.
 
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,15 @@ def mixed_spec():
     return spec
 
 
+def live_draws(spec, sig2_eps, sig2_sp, k=400):
+    """The kernel, k draws of z over its live nodes from ``draw_live``, and their b0."""
+    kernel = _Collapsed(spec)
+    cond = kernel.conditional(sig2_eps, sig2_sp)[1]
+    rng = np.random.default_rng(5)
+    b0 = cond.b0_mean + rng.standard_normal(k) / math.sqrt(cond.b0_prec)
+    return kernel, kernel.draw_live(cond, rng.standard_normal((len(kernel.live), k)), b0), b0
+
+
 class TestKernel:
     @pytest.mark.parametrize("make_spec", [grid_spec, two_component_spec, mixed_spec])
     def test_log_marginal_matches_dense(self, make_spec):
@@ -149,7 +159,7 @@ class TestExactFit:
     def test_rerun_bit_identical_and_seed_changes_draws(self):
         first = exact_fit(mixed_spec(), QUICK)
         again = exact_fit(mixed_spec(), QUICK)
-        for name in ("theta_draws", "s_draws", "beta0_draws", "sigma2_eps_draws", "sigma2_sp_draws"):
+        for name in ("theta_draws", "beta0_draws", "sigma2_eps_draws", "sigma2_sp_draws"):
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
         assert first.summaries == again.summaries and first.meta == again.meta
         other = exact_fit(mixed_spec(), McmcConfig(2, 1500, 500, 1, 100))
@@ -168,17 +178,21 @@ class TestExactFit:
         assert float(post.meta["grid_edge_mass"]) < prevmap.bym.GRID_EDGE_MASS_THRESHOLD
 
     def test_components_sum_to_zero_and_isolated_nodes_sit_at_beta0(self):
+        # z = b0 + S over the live nodes, as draw_live makes it: each live
+        # component's mean of z is its draw of b0
         spec = mixed_spec()
-        post = exact_fit(spec, QUICK)
-        for comp in spec.precision.component_index:
-            assert np.abs(post.s_draws[:, :, comp].sum(axis=2)).max() < 1e-10
-        assert np.all(post.s_draws[:, :, 5] == 0.0)  # A5 has no neighbour
+        kernel, z, b0 = live_draws(spec, 0.05, 0.2)
+        for block in np.split(z, kernel.live_starts[1:]):
+            assert np.abs(block.mean(axis=0) - b0).max() < 1e-10
+        assert np.all(z[kernel.live == 5] == b0)  # A5 has no neighbour
         # the all-degenerate component {A1, A3} varies as its prior does:
-        # S_A1 - S_A3 ~ N(0, sig2_sp) given sig2_sp
-        contrast = (post.s_draws[:, :, 1] - post.s_draws[:, :, 3]) / np.sqrt(post.sigma2_sp_draws)
+        # S_A1 - S_A3 ~ N(0, sig2_sp) given sig2_sp, and eps_A1, eps_A3 ~
+        # N(0, sig2_eps) apart from it
+        post = exact_fit(spec, QUICK)
+        spread = np.sqrt(post.sigma2_sp_draws + 2 * post.sigma2_eps_draws)
+        contrast = (post.theta_draws[:, :, 1] - post.theta_draws[:, :, 3]) / spread
         assert np.var(contrast) == pytest.approx(1.0, rel=0.1)
-        theta = post.theta_draws - post.s_draws - post.beta0_draws[..., None]
-        assert np.isfinite(theta).all()
+        assert np.isfinite(post.theta_draws).all()
 
     def test_narrow_grid_is_flagged(self, monkeypatch):
         monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 0.5)
@@ -232,7 +246,9 @@ class TestExactFit:
         prior_median = pri.b_sp / gammaincinv(pri.a_sp, 0.5)
         got = float(np.median(post.sigma2_sp_draws))
         assert abs(math.log(got / prior_median)) < 0.05
-        assert np.all(post.s_draws == 0.0)
+        # every node is isolated, so z = b0 exactly: S = 0
+        _, z, b0 = live_draws(spec, 0.1, 1.0)
+        assert np.all(z == b0)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_posterior_is_a_model_error(self):
@@ -240,6 +256,36 @@ class TestExactFit:
         spec.estimates[2] = DirectEstimate("R2", 0.2, 1e-3, 1e300, 1e-300, 100, 10, NONE)
         with pytest.raises(prevmap.bym.ModelError, match="not finite"):
             exact_fit(spec, QUICK)
+
+    def test_peak_memory_is_one_draws_array(self):
+        # 120 regions in one component, every one usable, and D = 33,600
+        # draws: theta_draws is 32.3 MB, and nothing else scales with
+        # draws x regions. What else the fit holds is at most, in units of
+        # theta (D x 120 x 8 B):
+        # - while drawing: five per-draw arrays (cells, b0, both variances,
+        #   the cell sort), 5/120 = 0.04; the sd table, about 1,300 grid
+        #   points x 120 regions, 0.04; the largest cell's temporaries,
+        #   about four arrays of 1.6% of the draws, 0.06; two eps blocks of
+        #   512 KiB, 0.03;
+        # - while summarizing: the three hyperparameter draws, 0.03; R-hat
+        #   of one hyperparameter trace, up to 11 per-draw arrays, 0.09;
+        #   about four summary blocks of 512 KiB, 0.07.
+        # Either phase stays under 0.2, so 0.25 leaves a margin; a second
+        # draws x regions array, as S was, takes it past 2.
+        prec = icar_precision(build_adjacency(make_grid_regions(10, 12)))
+        rng = np.random.default_rng(8)
+        spec = BymModelSpec(
+            [make_estimate(rid, float(rng.uniform(0.05, 0.3)), 6e-4) for rid in prec.node_ids], prec
+        )
+        exact_fit(spec, QUICK)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            post = exact_fit(spec, McmcConfig(chains=4, iterations=9_400, burn_in=1_000, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.theta_draws.nbytes >= 32_000_000
+        assert peak < 1.25 * post.theta_draws.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from prevmap.render import (
     assign_bins,
     compute_breaks,
     default_ramp,
-    render_choropleth,
     render_comparison,
     render_country_panels,
     render_map_row,
@@ -125,7 +124,7 @@ class TestRenderChoropleth:
 
     def test_two_paths_and_two_legend_entries(self):
         spec = ChoroplethSpec(column="v", strategy="equal_interval", bins=2)
-        svg = render_choropleth(self.two_regions(), {"R1": 0.1, "R2": 0.2}, spec)
+        svg = render_map_row(self.two_regions(), [("v", {"R1": 0.1, "R2": 0.2})], spec)
         assert len(region_paths(svg)) == 2
         assert svg.count("<rect") >= 2  # legend swatches
         assert "0.1 - 0.15" in svg or "0.1 - 0.2" in svg
@@ -133,25 +132,23 @@ class TestRenderChoropleth:
     def test_unknown_region_named(self):
         spec = ChoroplethSpec(column="v", bins=2)
         with pytest.raises(PrevmapError, match="R9"):
-            render_choropleth(self.two_regions(), {"R1": 0.1, "R9": 0.5}, spec)
+            render_map_row(self.two_regions(), [("v", {"R1": 0.1, "R9": 0.5})], spec)
 
     def test_missing_region_hatched(self):
         spec = ChoroplethSpec(column="v", bins=2)
-        svg = render_choropleth(self.two_regions(), {"R1": 0.1}, spec)
+        svg = render_map_row(self.two_regions(), [("v", {"R1": 0.1})], spec)
         assert "url(#hatch)" in svg
 
     def test_nan_value_hatched(self):
         spec = ChoroplethSpec(column="v", bins=2)
-        svg = render_choropleth(
-            self.two_regions(), {"R1": 0.1, "R2": float("nan")}, spec
-        )
+        svg = render_map_row(self.two_regions(), [("v", {"R1": 0.1, "R2": float("nan")})], spec)
         assert "url(#hatch)" in svg
 
     def test_byte_deterministic(self):
         spec = ChoroplethSpec(column="v", bins=3)
         values = {"R1": 0.37, "R2": 0.11}
-        a = render_choropleth(self.two_regions(), values, spec, metadata={"seed": "1"})
-        b = render_choropleth(self.two_regions(), values, spec, metadata={"seed": "1"})
+        a = render_map_row(self.two_regions(), [("v", values)], spec, metadata={"seed": "1"})
+        b = render_map_row(self.two_regions(), [("v", values)], spec, metadata={"seed": "1"})
         assert a == b
 
     def test_legend_matches_break_computation(self):
@@ -161,7 +158,7 @@ class TestRenderChoropleth:
         ]
         values = {b.region_id: float(rng.uniform(0, 0.5)) for b in cells}
         spec = ChoroplethSpec(column="v", strategy="quantile", bins=4)
-        svg = render_choropleth(cells, values, spec)
+        svg = render_map_row(cells, [("v", values)], spec)
         edges = compute_breaks(list(values.values()), "quantile", 4)
         full = [min(values.values())] + edges + [max(values.values())]
         for lo, hi in zip(full, full[1:]):
@@ -172,15 +169,15 @@ class TestRenderChoropleth:
         spec = ChoroplethSpec(
             column="v", strategy="equal_interval", bins=2, scope="per_group"
         )
-        svg = render_choropleth(cells, {"R1": 0.1, "R2": 100.0}, spec)
+        svg = render_map_row(cells, [("v", {"R1": 0.1, "R2": 100.0})], spec)
         # each single-region group ranges over its own value only
         assert "0.1 - 0.1" in svg
         assert "100 - 100" in svg
 
     def test_metadata_comment_embedded(self):
         spec = ChoroplethSpec(column="v", bins=2)
-        svg = render_choropleth(
-            self.two_regions(), {"R1": 0.1, "R2": 0.2}, spec,
+        svg = render_map_row(
+            self.two_regions(), [("v", {"R1": 0.1, "R2": 0.2})], spec,
             metadata={"prevmap-version": "0.1.0", "seed": "7"},
         )
         assert "<!-- prevmap-version: 0.1.0; seed: 7 -->" in svg
@@ -270,8 +267,8 @@ class TestRenderComparison:
 def test_metadata_comment_escapes_double_dash(figure):
     metadata = {"seed": "7", "argv": "--bins 5"}
     if figure == "choropleth":
-        svg = render_choropleth(
-            TestRenderChoropleth.two_regions(), {"R1": 0.1, "R2": 0.2},
+        svg = render_map_row(
+            TestRenderChoropleth.two_regions(), [("v", {"R1": 0.1, "R2": 0.2})],
             ChoroplethSpec(column="v", bins=2), metadata=metadata,
         )
     else:
@@ -353,7 +350,7 @@ def test_maps_match_tuple_ring_reference(case, scope):
 
     def draw_all():
         return (
-            render_choropleth(regions, values, spec, "t", {"seed": "1"}),
+            render_map_row(regions, [("t", values)], spec, {"seed": "1"}),
             render_map_row(regions, panels, spec),
             render_country_panels(regions, values, spec),
         )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logit
 
+from prevmap.cli import main
 from prevmap.data_model import validate_dataset
 from prevmap.direct import direct_prevalence
 from prevmap.errors import PrevmapError, SchemaError
@@ -199,6 +200,25 @@ class TestScenario:
         path.write_text("rows = 2\ncols = 2\n")
         with pytest.raises(SchemaError, match="base_logit"):
             load_scenario(path)
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        # a misspelled optional key used to run with the default
+        path = tmp_path / "typo.cfg"
+        path.write_text(Path("demo.cfg").read_text() + "cluster_SD = 0.5\n")
+        with pytest.raises(SchemaError, match="unknown scenario keys: cluster_SD$"):
+            load_scenario(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "cluster_SD" in capsys.readouterr().err
+
+    def test_optional_keys_default_to_the_sampling_plan(self, tmp_path):
+        # demo.cfg leaves out every optional key
+        assert load_scenario("demo.cfg").plan() == SamplingPlan((14, 88), 22, 2.0)
+        path = tmp_path / "s.cfg"
+        path.write_text(
+            Path("demo.cfg").read_text() + "cluster_sd = 0.5\nhigh_risk_share = 0.2\nrisk_ratio = 3\n"
+        )
+        plan = load_scenario(path).plan()
+        assert (plan.cluster_sd, plan.high_risk_share, plan.risk_ratio) == (0.5, 0.2, 3.0)
 
     def test_fixed_cluster_count_syntax(self, tmp_path):
         path = tmp_path / "s.cfg"
