@@ -508,25 +508,19 @@ POSTERIOR_CSV_COLUMNS = get_type_hints(PosteriorRow)
 # ---------------------------------------------------------------------------
 
 
-def _greedy_coloring(n: int, edge_i: np.ndarray, edge_j: np.ndarray) -> list[np.ndarray]:
+def _greedy_coloring(prec: IcarPrecision) -> list[np.ndarray]:
     """Partition non-isolated nodes into classes with no within-class edge."""
-    nbrs: dict[int, set[int]] = {}
-    for i, j in zip(edge_i, edge_j):
-        nbrs.setdefault(int(i), set()).add(int(j))
-        nbrs.setdefault(int(j), set()).add(int(i))
-    order = sorted(nbrs, key=lambda k: (-len(nbrs[k]), k))
-    color: dict[int, int] = {}
-    for node in order:
-        used = {color[v] for v in nbrs[node] if v in color}
+    start, nbr = prec.nbr_start, prec.nbr
+    count = np.diff(start)
+    order = np.lexsort((np.arange(prec.dimension), -count))
+    color = np.full(prec.dimension, -1)
+    for node in order[count[order] > 0].tolist():
+        used = set(color[nbr[start[node] : start[node + 1]]].tolist())
         c = 0
         while c in used:
             c += 1
         color[node] = c
-    n_colors = max(color.values()) + 1 if color else 0
-    return [
-        np.array(sorted(k for k, c in color.items() if c == cc), dtype=np.intp)
-        for cc in range(n_colors)
-    ]
+    return [np.flatnonzero(color == c) for c in range(color.max(initial=-1) + 1)]
 
 
 def _neighbour_tables(
@@ -534,25 +528,19 @@ def _neighbour_tables(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per class: (k, width) neighbour indices and weights.
 
-    Each row lists a node's neighbours in increasing index order, the order
-    of its row in a sorted sparse adjacency matrix, so a running sum along
-    the row adds the terms as a sparse matrix-vector product does. Short
-    rows are padded with weight 0 at the end, where adding a zero term
-    leaves the sum as it is.
+    Each row is the node's row of ``prec``'s neighbour lists, so a running
+    sum along it adds the terms as a sparse matrix-vector product does.
+    Short rows are padded with weight 0 at the end, where adding a zero
+    term leaves the sum as it is.
     """
-    src = np.concatenate([prec.edge_i, prec.edge_j])
-    dst = np.concatenate([prec.edge_j, prec.edge_i])
-    wgt = np.concatenate([prec.edge_w, prec.edge_w])
-    order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
     tables = []
     for cls in classes:
-        start = np.searchsorted(src, cls)
-        count = np.searchsorted(src, cls, side="right") - start
+        start = prec.nbr_start[cls]
+        count = prec.nbr_start[cls + 1] - start
         width = np.arange(count.max())
         real = width < count[:, None]
         slot = np.where(real, start[:, None] + width, 0)
-        tables.append((dst[slot], np.where(real, wgt[slot], 0.0)))
+        tables.append((prec.nbr[slot], np.where(real, prec.nbr_w[slot], 0.0)))
     return tables
 
 
@@ -626,7 +614,7 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     # One sweep's normal draws per chain, in stream order: beta0, active
     # eps, inactive eps, then S class by class. Per-node S terms that do not
     # wait on a neighbour are computed for all classes at once, in this order.
-    classes = _greedy_coloring(n, prec.edge_i, prec.edge_j)
+    classes = _greedy_coloring(prec)
     in_classes = np.concatenate(classes) if classes else np.zeros(0, dtype=np.intp)
     z = np.empty((chains, 1 + k_act + k_inact + len(in_classes)))
     z_act = z[:, 1 : 1 + k_act]

@@ -87,10 +87,10 @@ def _meta(config_hash: str, seed: int | None = None) -> dict[str, str]:
     return meta
 
 
-def _read_values(path: str | Path, column: str) -> dict[str, float]:
-    """region_id -> float value from any CSV artifact with a header row."""
-    rows = read_table(path, {"region_id": str, column: float})
-    return {r["region_id"]: r[column] for r in rows}
+def _read_values(path: str | Path, columns: Sequence[str]) -> dict[str, dict[str, float]]:
+    """Per column, region_id -> float value from any CSV artifact with a header row."""
+    rows = read_table(path, {"region_id": str, **dict.fromkeys(columns, float)})
+    return {col: {r["region_id"]: r[col] for r in rows} for col in columns}
 
 
 def _out_dir(args) -> Path:
@@ -208,10 +208,9 @@ def cmd_smooth(args) -> int:
     return EXIT_OK
 
 
-def _choropleth_spec(args, column: str) -> ChoroplethSpec:
+def _choropleth_spec(args) -> ChoroplethSpec:
     ramp = tuple(args.ramp.split(",")) if args.ramp else None
     return ChoroplethSpec(
-        column=column,
         strategy=args.breaks,
         bins=args.bins,
         scope=args.scope,
@@ -227,18 +226,19 @@ def cmd_render(args) -> int:
         f"columns={','.join(columns)} bins={args.bins} breaks={args.breaks} "
         f"scope={args.scope} ramp={args.ramp or 'default'} zoom={args.zoom_per_country}"
     )
+    if args.title:
+        desc += f" title={args.title}"
     meta = _meta(_config_hash([args.boundaries, args.values], desc), args.seed)
     boundaries = load_boundaries(args.boundaries)
-    spec = _choropleth_spec(args, columns[0])
+    spec = _choropleth_spec(args)
+    if args.zoom_per_country and len(columns) != 1:
+        raise SchemaError("--zoom-per-country takes exactly one --column")
+    values = _read_values(args.values, columns)
     if args.zoom_per_country:
-        if len(columns) != 1:
-            raise SchemaError("--zoom-per-country takes exactly one --column")
-        values = _read_values(args.values, columns[0])
-        svg = render_country_panels(boundaries, values, spec, meta)
+        svg = render_country_panels(boundaries, values[columns[0]], spec, columns[0], meta)
     else:
-        panels = [(col, _read_values(args.values, col)) for col in columns]
-        if args.title:  # one column, as checked above
-            panels = [(args.title, panels[0][1])]
+        # a title comes with one column, as checked above
+        panels = [(args.title or col, col, values[col]) for col in columns]
         svg = render_map_row(boundaries, panels, spec, meta)
     out = _out_dir(args)
     name = args.output_name or f"map_{'_'.join(columns)}.svg"

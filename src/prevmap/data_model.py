@@ -62,6 +62,16 @@ class IndividualRecord:
     stratum: str = ""
 
 
+def first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes for the distinct values of ``key`` in order of first appearance,
+    and the index where each code first appears."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
 class _Codes:
     """Integer codes for string ids, assigned in order of first appearance."""
 
@@ -822,19 +832,8 @@ class _TableBuilder:
         heads[1:] = raw[1:] != raw[:-1]
         heads = np.flatnonzero(heads)
         fields = raw[heads]
-        # group equal fields by sorting their 8-byte words as integers; the
-        # sort is stable, so each group starts at its first appearance
-        words = fields.view("<u8").reshape(len(fields), fields.itemsize // 8)
-        order = np.lexsort(words.T[::-1])
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
-        group = np.empty(len(order), dtype=np.intp)
-        group[order] = np.cumsum(new) - 1
-        first = np.sort(order[new])
-        coded = np.empty(len(first), dtype=np.intp)
-        coded[group[first]] = self.codes[name].encode(
-            [field.decode().strip() for field in fields[first].tolist()]
-        )
+        group, first = first_appearance(fields)
+        coded = self.codes[name].encode([f.decode().strip() for f in fields[first].tolist()])
         return np.repeat(coded[group], np.diff(heads, append=len(raw)))
 
     def add(self, fields: dict[str, np.ndarray], unreadable: Problem | None) -> PrevmapError | None:

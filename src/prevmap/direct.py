@@ -30,7 +30,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import IndividualRecord, SurveyDataset, SurveyTable, read_table, write_table
+from .data_model import (
+    IndividualRecord,
+    SurveyDataset,
+    SurveyTable,
+    first_appearance,
+    read_table,
+    write_table,
+)
 from .errors import EmptyDatasetError
 
 # degeneracy flags
@@ -90,16 +97,6 @@ def _single_region(table: SurveyTable) -> str:
     return present[0]
 
 
-def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes for the distinct values of ``key`` in order of first appearance,
-    and the index where each code first appears."""
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
-
-
 def _weighted_sums(table: SurveyTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per region code: record count, ``sum(w*y)`` and ``sum(w)``."""
     k = len(table.region_ids)
@@ -119,8 +116,8 @@ def _cluster_sums(
     order of first appearance, the order a record-by-record pass would take.
     """
     n_strata, n_clusters = len(table.stratum_ids), len(table.cluster_ids)
-    group, group_first = _first_appearance(region * n_strata + table.stratum)
-    unit, unit_first = _first_appearance(group * n_clusters + table.cluster)
+    group, group_first = first_appearance(region * n_strata + table.stratum)
+    unit, unit_first = first_appearance(group * n_clusters + table.cluster)
     z = np.bincount(unit, weights=table.weight * (table.outcome - p_hat[region]))
     unit_group = group[unit_first]
     m = np.bincount(unit_group)

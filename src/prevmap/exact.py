@@ -114,13 +114,10 @@ def rcm_components(prec: IcarPrecision) -> list[np.ndarray]:
     takes each level's new nodes parent by parent and, under one parent, by
     increasing degree; reversing the visit order keeps Q in a narrow band.
     """
-    n = prec.dimension
-    src = np.concatenate([prec.edge_i, prec.edge_j])
-    dst = np.concatenate([prec.edge_j, prec.edge_i])
-    degree = np.bincount(src, minlength=n)
-    by = np.lexsort((dst, degree[dst], src))
-    dst = dst[by]
-    start = np.searchsorted(src[by], np.arange(n + 1))
+    n, start = prec.dimension, prec.nbr_start
+    degree = np.diff(start)
+    # the sort is stable, so neighbours of equal degree keep their row's index order
+    dst = prec.nbr[np.lexsort((degree[prec.nbr], np.repeat(np.arange(n), degree)))]
     seen = np.zeros(n, dtype=bool)
     out = []
     for comp in prec.component_index:

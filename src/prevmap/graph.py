@@ -181,6 +181,13 @@ class IcarPrecision:
     Edge arrays hold each undirected edge once; ``degree`` is the weighted
     row sum, so Q = diag(degree) - A_w. ``rank`` equals the dimension minus
     the number of connected components (one constant null vector each).
+
+    ``nbr_start``, ``nbr`` and ``nbr_w`` hold A_w's rows in compressed
+    sparse row form: node k's neighbours are ``nbr[nbr_start[k]:nbr_start[k + 1]]``,
+    in increasing index order, with their edge weights at the same slots
+    of ``nbr_w``. A sum along a row so adds its terms as a sparse
+    matrix-vector product with sorted indices does (Rue & Held 2005), and
+    ``np.diff(nbr_start)`` is each node's number of neighbours.
     """
 
     dimension: int
@@ -192,12 +199,13 @@ class IcarPrecision:
     rank: int
     style: str
     component_index: tuple[np.ndarray, ...]
+    nbr_start: np.ndarray
+    nbr: np.ndarray
+    nbr_w: np.ndarray
 
     def to_dense(self) -> np.ndarray:
         q = np.diag(self.degree.astype(float).copy())
-        for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
-            q[i, j] -= w
-            q[j, i] -= w
+        q[np.repeat(np.arange(self.dimension), np.diff(self.nbr_start)), self.nbr] = -self.nbr_w
         return q
 
 
@@ -205,22 +213,17 @@ def icar_precision(graph: AdjacencyGraph) -> IcarPrecision:
     """Precision structure for the graph under its weighting style."""
     index = {nid: k for k, nid in enumerate(graph.node_ids)}
     n = len(graph.node_ids)
-    binary_degree = np.zeros(n)
     pairs = sorted(graph.edges)
-    for a, b in pairs:
-        binary_degree[index[a]] += 1
-        binary_degree[index[b]] += 1
     edge_i = np.array([index[a] for a, _ in pairs], dtype=np.intp)
     edge_j = np.array([index[b] for _, b in pairs], dtype=np.intp)
+    src, dst = np.concatenate([edge_i, edge_j]), np.concatenate([edge_j, edge_i])
+    by_row = np.lexsort((dst, src))
+    nbr_start = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).astype(np.intp)
     if graph.style == "B":
         edge_w = np.ones(len(pairs))
     else:
-        edge_w = np.array(
-            [
-                0.5 * (1.0 / binary_degree[i] + 1.0 / binary_degree[j])
-                for i, j in zip(edge_i, edge_j)
-            ]
-        )
+        binary_degree = np.diff(nbr_start).astype(float)
+        edge_w = 0.5 * (1.0 / binary_degree[edge_i] + 1.0 / binary_degree[edge_j])
     degree = np.zeros(n)
     np.add.at(degree, edge_i, edge_w)
     np.add.at(degree, edge_j, edge_w)
@@ -238,6 +241,9 @@ def icar_precision(graph: AdjacencyGraph) -> IcarPrecision:
         rank=n - graph.n_components(),
         style=graph.style,
         component_index=comp_index,
+        nbr_start=nbr_start,
+        nbr=dst[by_row],
+        nbr_w=np.concatenate([edge_w, edge_w])[by_row],
     )
 
 

@@ -31,9 +31,8 @@ SWATCH = 14.0
 
 @dataclass(frozen=True)
 class ChoroplethSpec:
-    """How to bin and color a value column on the map."""
+    """How to bin and color values on the map: the color scale its panels share."""
 
-    column: str
     strategy: str = "quantile"
     bins: int = 5
     scope: str = "global"
@@ -177,11 +176,13 @@ def _choropleth_panel(
     values: Mapping[str, float],
     spec: ChoroplethSpec,
     title: str,
+    column: str,
     paths: list[str] | None = None,
 ) -> tuple[str, float]:
     """Inner SVG fragment (no outer tag) and the height it needs.
 
-    ``paths``, when given, are the boundaries' ``_region_paths`` in
+    The legend is titled ``column``, or under per_group scope each group's
+    legend by its country. ``paths``, when given, are the boundaries' ``_region_paths`` in
     region_id order, for panels that draw the same boundaries.
     """
     _check_values(boundaries, values, spec)
@@ -227,7 +228,7 @@ def _choropleth_panel(
         if g not in edges_by_group:
             continue
         _, legend_edges = edges_by_group[g]
-        legend_title = g if g else spec.column
+        legend_title = g if g else column
         lines, y_cursor = _legend_block(LEGEND_X, y_cursor, legend_title, legend_edges, colors)
         body.extend(lines)
         y_cursor += 14
@@ -284,17 +285,21 @@ def _panel_row(
 
 def render_map_row(
     boundaries: Sequence[RegionBoundary],
-    panels: Sequence[tuple[str, Mapping[str, float]]],
+    panels: Sequence[tuple[str, str, Mapping[str, float]]],
     spec: ChoroplethSpec,
     metadata: Mapping[str, str] | None = None,
 ) -> str:
-    """Several value maps of the same boundary set, side by side, projected once."""
+    """Several value maps of the same boundary set, side by side, projected once.
+
+    Each panel is (title, column, values).
+    """
     paths = None
     if panels:  # the first panel's value errors come before projection's
-        _check_values(boundaries, panels[0][1], spec)
+        _check_values(boundaries, panels[0][2], spec)
         paths = _region_paths(sorted(boundaries, key=lambda b: b.region_id))
     rendered = [
-        _choropleth_panel(boundaries, values, spec, title, paths) for title, values in panels
+        _choropleth_panel(boundaries, values, spec, title, column, paths)
+        for title, column, values in panels
     ]
     return _panel_row(rendered, metadata)
 
@@ -303,6 +308,7 @@ def render_country_panels(
     boundaries: Sequence[RegionBoundary],
     values: Mapping[str, float],
     spec: ChoroplethSpec,
+    column: str,
     metadata: Mapping[str, str] | None = None,
 ) -> str:
     """One zoomed panel per country, each with its own extent and color scale."""
@@ -313,7 +319,7 @@ def render_country_panels(
         ids = {b.region_id for b in subset}
         sub_values = {rid: v for rid, v in values.items() if rid in ids}
         rendered.append(
-            _choropleth_panel(subset, sub_values, spec, country or spec.column)
+            _choropleth_panel(subset, sub_values, spec, country or column, column)
         )
     return _panel_row(rendered, metadata)
 

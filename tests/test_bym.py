@@ -421,7 +421,7 @@ def reference_draws(spec, config):
         ),
         shape=(n, n),
     )
-    classes = _greedy_coloring(n, prec.edge_i, prec.edge_j)
+    classes = _greedy_coloring(prec)
     class_rows = [adj[cls] for cls in classes]
     pri = spec.priors
     fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp

@@ -167,8 +167,8 @@ class TestSubcommands:
         # own, with its own projection, must give the same document
         def per_panel(boundaries, panels, spec, metadata):
             return prevmap.render._panel_row(
-                [prevmap.render._choropleth_panel(boundaries, values, spec, title)
-                 for title, values in panels],
+                [prevmap.render._choropleth_panel(boundaries, values, spec, title, column)
+                 for title, column, values in panels],
                 metadata,
             )
 
@@ -407,7 +407,7 @@ class TestDegenerateAndMalformedInputs:
         values = tmp_path / "values.csv"
         values.write_text("# seed: 1\nregion_id,n\nR_0_1,4\n" + bad_row)
         with pytest.raises(SchemaError, match=r"values\.csv: row 2"):
-            _read_values(values, "n")
+            _read_values(values, ["n"])
         code = main(["render", "--boundaries", str(tmp_path / "boundaries.geojson"),
                      "--values", str(values), "--column", "n", "--out", str(tmp_path)])
         assert code == 2
@@ -722,6 +722,44 @@ def test_render_title_names_the_one_panel(tmp_path, artifacts):
     heading = '<text x="10" y="20" font-size="13" font-weight="bold">{}</text>'
     assert heading.format("Sample size") in (tmp_path / "titled" / "n.svg").read_text()
     assert heading.format("n") in (tmp_path / "plain" / "n.svg").read_text()
+
+
+
+def test_render_title_is_in_the_config_hash(tmp_path, artifacts):
+    argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+            "--values", str(artifacts / "direct.csv"), "--column", "n", "--output-name", "n.svg"]
+    headers = []
+    for title in ("A", "B"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--title", title, "--out", str(tmp_path / title)]) == 0
+        svg = (tmp_path / title / "n.svg").read_text()
+        headers.append(re.search(r"config-sha256: (\w+)", svg).group(1))
+    assert headers[0] != headers[1]
+
+
+def test_fig2_legends_name_their_columns(tmp_path, artifacts):
+    # every panel's legend used to be titled by the first --column
+    argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+            "--values", str(artifacts / "posterior.csv"),
+            "--column", "prev_mean", "--column", "prev_q025", "--column", "prev_q975",
+            "--output-name", "fig2.svg", "--out", str(tmp_path)]
+    spy = mock.patch.object(prevmap.cli, "read_table", wraps=prevmap.cli.read_table)
+    with spy as read, contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert read.call_count == 1
+    for svg in (tmp_path / "fig2.svg", artifacts / "fig2_smoothed_ci.svg"):
+        legends = re.findall(r'<text x="324.00" y="[\d.]+" font-size="11" '
+                             r'font-weight="bold">([^<]*)</text>', svg.read_text())
+        assert legends == ["prev_mean", "prev_q025", "prev_q975"]
+
+
+def test_render_names_a_missing_column_among_several(tmp_path, artifacts, capsys):
+    argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+            "--values", str(artifacts / "posterior.csv"),
+            "--column", "prev_mean", "--column", "prev_q99", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {artifacts / 'posterior.csv'}: missing column(s) 'prev_q99'\n")
 
 
 # what a fresh interpreter prints last: its scipy modules and the exact engine

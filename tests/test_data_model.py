@@ -13,6 +13,7 @@ from prevmap.data_model import (
     SurveyDataset,
     SurveyTable,
     drop_unlinked,
+    first_appearance,
     load_boundaries,
     load_records,
     validate_dataset,
@@ -164,6 +165,34 @@ class TestLoadRecords:
         with pytest.raises(RecordValidationError) as err:
             load_records(path)
         assert str(err.value) == "row 5: outcome must be 0 or 1, got '2'"
+
+    def test_first_appearance_codes_bytes_fields(self):
+        fields = np.array([b"zone-b", b"zone-a", b"zone-b", b"long-zone-c", b"zone-a"])
+        codes, first = first_appearance(fields)
+        assert codes.tolist() == [0, 1, 0, 2, 1]
+        assert first.tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+    def test_ids_coded_by_first_appearance_across_chunks(self, tmp_path, monkeypatch, chunk):
+        # ids that differ only in surrounding whitespace share one code,
+        # whichever chunk each appears in; ids span one and two 8-byte words
+        monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+        path = write_csv(tmp_path, (
+            "region_id,cluster_id,weight,outcome\n"
+            "North-Zone-3,c1,1,0\n"
+            " R1,c2,1,1\n"
+            "North-Zone-3 ,c1 ,1,0\n"
+            "North-Zone-1,cluster-0003,1,1\n"
+            "R1,c2 ,1,0\n"
+            "R1,c2,1,0\n"
+            "  North-Zone-1  , cluster-0003,1,1\n"
+            "R1 ,c4,1,0\n"
+        ))
+        table = load_records(path)
+        assert table.region_ids == ("North-Zone-3", "R1", "North-Zone-1")
+        assert table.region.tolist() == [0, 1, 0, 2, 1, 1, 2, 1]
+        assert table.cluster_ids == ("c1", "c2", "cluster-0003", "c4")
+        assert table.cluster.tolist() == [0, 1, 0, 2, 1, 1, 2, 3]
 
     def test_not_utf8_names_the_byte(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -7,6 +7,7 @@ from conftest import boundary, square
 from prevmap.data_model import RegionBoundary
 from prevmap.errors import GeometryError, PrevmapError, SchemaError
 from prevmap.graph import (
+    STYLES,
     AdjacencyGraph,
     build_adjacency,
     export_graph,
@@ -303,6 +304,47 @@ class TestIcarPrecision:
             ind = np.zeros(5)
             ind[comp] = 1.0
             assert np.abs(q @ ind).max() < 1e-12
+
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs with ids whose string order is not their number order, some
+    nodes isolated, in either weighting style."""
+    n = draw(st.integers(1, 30))
+    ids = [f"r{k}" for k in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    edges = [(ids[a], ids[b]) for a, b in pairs if a != b]
+    return AdjacencyGraph.from_edges(ids, edges, draw(st.sampled_from(STYLES)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=random_graphs())
+def test_neighbour_lists_are_the_sorted_sparse_adjacency_rows(graph):
+    from scipy import sparse
+
+    from prevmap.bym import _greedy_coloring
+
+    prec = icar_precision(graph)
+    n = prec.dimension
+    index = {nid: k for k, nid in enumerate(graph.node_ids)}
+    count = {nid: sum(nid in edge for edge in graph.edges) for nid in graph.node_ids}
+    rows, cols, weights = [], [], []
+    for a, b in graph.edges:
+        w = 1.0 if graph.style == "B" else 0.5 * (1.0 / count[a] + 1.0 / count[b])
+        rows += [index[a], index[b]]
+        cols += [index[b], index[a]]
+        weights += [w, w]
+    adj = sparse.csr_matrix((weights, (rows, cols)), shape=(n, n))
+    adj.sort_indices()
+    assert prec.nbr_start.tolist() == adj.indptr.tolist()
+    assert prec.nbr.tolist() == adj.indices.tolist()
+    assert prec.nbr_w.tolist() == adj.data.tolist()
+    classes = _greedy_coloring(prec)
+    for cls in classes:
+        assert adj[cls][:, cls].nnz == 0
+    colored = np.sort(np.concatenate(classes)) if classes else np.zeros(0, dtype=int)
+    assert colored.tolist() == np.flatnonzero(np.diff(adj.indptr)).tolist()
 
 
 class TestQuadraticForm:

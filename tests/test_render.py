@@ -102,15 +102,15 @@ class TestBreaks:
 class TestChoroplethSpecValidation:
     def test_bad_bins(self):
         with pytest.raises(PrevmapError, match="bin count"):
-            ChoroplethSpec(column="v", bins=1).validate()
+            ChoroplethSpec(bins=1).validate()
 
     def test_ramp_length_mismatch(self):
         with pytest.raises(PrevmapError, match="ramp length"):
-            ChoroplethSpec(column="v", bins=3, ramp=("#000", "#fff")).validate()
+            ChoroplethSpec(bins=3, ramp=("#000", "#fff")).validate()
 
     def test_bad_strategy(self):
         with pytest.raises(PrevmapError, match="strategy"):
-            ChoroplethSpec(column="v", strategy="jenks").validate()
+            ChoroplethSpec(strategy="jenks").validate()
 
     def test_default_ramp_matches_bins(self):
         for bins in range(2, 8):
@@ -123,32 +123,32 @@ class TestRenderChoropleth:
         return [boundary("R1", square(0, 0), "A"), boundary("R2", square(1, 0), "B")]
 
     def test_two_paths_and_two_legend_entries(self):
-        spec = ChoroplethSpec(column="v", strategy="equal_interval", bins=2)
-        svg = render_map_row(self.two_regions(), [("v", {"R1": 0.1, "R2": 0.2})], spec)
+        spec = ChoroplethSpec(strategy="equal_interval", bins=2)
+        svg = render_map_row(self.two_regions(), [("v", "v", {"R1": 0.1, "R2": 0.2})], spec)
         assert len(region_paths(svg)) == 2
         assert svg.count("<rect") >= 2  # legend swatches
         assert "0.1 - 0.15" in svg or "0.1 - 0.2" in svg
 
     def test_unknown_region_named(self):
-        spec = ChoroplethSpec(column="v", bins=2)
+        spec = ChoroplethSpec(bins=2)
         with pytest.raises(PrevmapError, match="R9"):
-            render_map_row(self.two_regions(), [("v", {"R1": 0.1, "R9": 0.5})], spec)
+            render_map_row(self.two_regions(), [("v", "v", {"R1": 0.1, "R9": 0.5})], spec)
 
     def test_missing_region_hatched(self):
-        spec = ChoroplethSpec(column="v", bins=2)
-        svg = render_map_row(self.two_regions(), [("v", {"R1": 0.1})], spec)
+        spec = ChoroplethSpec(bins=2)
+        svg = render_map_row(self.two_regions(), [("v", "v", {"R1": 0.1})], spec)
         assert "url(#hatch)" in svg
 
     def test_nan_value_hatched(self):
-        spec = ChoroplethSpec(column="v", bins=2)
-        svg = render_map_row(self.two_regions(), [("v", {"R1": 0.1, "R2": float("nan")})], spec)
+        spec = ChoroplethSpec(bins=2)
+        svg = render_map_row(self.two_regions(), [("v", "v", {"R1": 0.1, "R2": float("nan")})], spec)
         assert "url(#hatch)" in svg
 
     def test_byte_deterministic(self):
-        spec = ChoroplethSpec(column="v", bins=3)
+        spec = ChoroplethSpec(bins=3)
         values = {"R1": 0.37, "R2": 0.11}
-        a = render_map_row(self.two_regions(), [("v", values)], spec, metadata={"seed": "1"})
-        b = render_map_row(self.two_regions(), [("v", values)], spec, metadata={"seed": "1"})
+        a = render_map_row(self.two_regions(), [("v", "v", values)], spec, metadata={"seed": "1"})
+        b = render_map_row(self.two_regions(), [("v", "v", values)], spec, metadata={"seed": "1"})
         assert a == b
 
     def test_legend_matches_break_computation(self):
@@ -157,8 +157,8 @@ class TestRenderChoropleth:
             boundary(f"R{k}", square(k % 4, k // 4)) for k in range(12)
         ]
         values = {b.region_id: float(rng.uniform(0, 0.5)) for b in cells}
-        spec = ChoroplethSpec(column="v", strategy="quantile", bins=4)
-        svg = render_map_row(cells, [("v", values)], spec)
+        spec = ChoroplethSpec(strategy="quantile", bins=4)
+        svg = render_map_row(cells, [("v", "v", values)], spec)
         edges = compute_breaks(list(values.values()), "quantile", 4)
         full = [min(values.values())] + edges + [max(values.values())]
         for lo, hi in zip(full, full[1:]):
@@ -166,18 +166,16 @@ class TestRenderChoropleth:
 
     def test_per_group_scope_uses_group_values_only(self):
         cells = self.two_regions()
-        spec = ChoroplethSpec(
-            column="v", strategy="equal_interval", bins=2, scope="per_group"
-        )
-        svg = render_map_row(cells, [("v", {"R1": 0.1, "R2": 100.0})], spec)
+        spec = ChoroplethSpec(strategy="equal_interval", bins=2, scope="per_group")
+        svg = render_map_row(cells, [("v", "v", {"R1": 0.1, "R2": 100.0})], spec)
         # each single-region group ranges over its own value only
         assert "0.1 - 0.1" in svg
         assert "100 - 100" in svg
 
     def test_metadata_comment_embedded(self):
-        spec = ChoroplethSpec(column="v", bins=2)
+        spec = ChoroplethSpec(bins=2)
         svg = render_map_row(
-            self.two_regions(), [("v", {"R1": 0.1, "R2": 0.2})], spec,
+            self.two_regions(), [("v", "v", {"R1": 0.1, "R2": 0.2})], spec,
             metadata={"prevmap-version": "0.1.0", "seed": "7"},
         )
         assert "<!-- prevmap-version: 0.1.0; seed: 7 -->" in svg
@@ -186,10 +184,10 @@ class TestRenderChoropleth:
 class TestRenderRows:
     def test_map_row_has_one_group_per_panel(self):
         cells = TestRenderChoropleth.two_regions()
-        spec = ChoroplethSpec(column="v", bins=2)
+        spec = ChoroplethSpec(bins=2)
         svg = render_map_row(
             cells,
-            [("mean", {"R1": 0.1, "R2": 0.2}), ("upper", {"R1": 0.3, "R2": 0.4})],
+            [("mean", "v", {"R1": 0.1, "R2": 0.2}), ("upper", "v", {"R1": 0.3, "R2": 0.4})],
             spec,
         )
         assert svg.count('<g transform="translate(') == 2
@@ -202,9 +200,9 @@ class TestRenderRows:
             boundary("R3", square(5, 0), "B"),
             boundary("R4", square(6, 0), "B"),
         ]
-        spec = ChoroplethSpec(column="v", strategy="equal_interval", bins=2)
+        spec = ChoroplethSpec(strategy="equal_interval", bins=2)
         svg = render_country_panels(
-            cells, {"R1": 0.0, "R2": 1.0, "R3": 100.0, "R4": 200.0}, spec
+            cells, {"R1": 0.0, "R2": 1.0, "R3": 100.0, "R4": 200.0}, spec, "v"
         )
         assert svg.count('<g transform="translate(') == 2
         assert "0 - 0.5" in svg      # country A's own scale
@@ -268,8 +266,8 @@ def test_metadata_comment_escapes_double_dash(figure):
     metadata = {"seed": "7", "argv": "--bins 5"}
     if figure == "choropleth":
         svg = render_map_row(
-            TestRenderChoropleth.two_regions(), [("v", {"R1": 0.1, "R2": 0.2})],
-            ChoroplethSpec(column="v", bins=2), metadata=metadata,
+            TestRenderChoropleth.two_regions(), [("v", "v", {"R1": 0.1, "R2": 0.2})],
+            ChoroplethSpec(bins=2), metadata=metadata,
         )
     else:
         svg = render_comparison(*TestRenderComparison.inputs(), metadata)
@@ -345,14 +343,14 @@ def jagged_regions(draw):
 @given(case=jagged_regions(), scope=st.sampled_from(["global", "per_group"]))
 def test_maps_match_tuple_ring_reference(case, scope):
     regions, values = case
-    spec = ChoroplethSpec(column="v", bins=3, scope=scope)
-    panels = [("a", values), ("b", {rid: 2.0 * v for rid, v in values.items()})]
+    spec = ChoroplethSpec(bins=3, scope=scope)
+    panels = [("a", "v", values), ("b", "v", {rid: 2.0 * v for rid, v in values.items()})]
 
     def draw_all():
         return (
-            render_map_row(regions, [("t", values)], spec, {"seed": "1"}),
+            render_map_row(regions, [("t", "v", values)], spec, {"seed": "1"}),
             render_map_row(regions, panels, spec),
-            render_country_panels(regions, values, spec),
+            render_country_panels(regions, values, spec, "v"),
         )
 
     arrays = draw_all()
