@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .data_model import (
     drop_unlinked,
     load_boundaries,
     load_records,
+    read_input,
     read_table,
     validate_dataset,
     write_boundaries_geojson,
@@ -52,29 +54,15 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 
-# bytes read per call when hashing an input file
-HASH_CHUNK = 1 << 20
-
-
 def _config_hash(paths: Sequence[str | Path], *texts: str) -> str:
     """The config-sha256 of a step: its input files' bytes, then its settings.
 
-    Each file's bytes and each UTF-8 text is followed by one NUL byte. Files
-    are read in ``HASH_CHUNK`` pieces, so no input is held in memory whole.
+    Each file's bytes and each UTF-8 text is followed by one NUL byte. Each
+    file is read whole, as its loader reads it next.
     """
     h = hashlib.sha256()
-    for path in paths:
-        try:
-            with open(path, "rb") as fh:
-                while chunk := fh.read(HASH_CHUNK):
-                    h.update(chunk)
-        except (FileNotFoundError, NotADirectoryError):
-            raise SchemaError(f"input file not found: {Path(path)}") from None
-        except OSError as exc:
-            raise SchemaError(f"cannot read input file {Path(path)}: {exc.strerror}") from None
-        h.update(b"\x00")
-    for text in texts:
-        h.update(text.encode())
+    for part in chain(map(read_input, paths), map(str.encode, texts)):
+        h.update(part)
         h.update(b"\x00")
     return h.hexdigest()[:16]
 
@@ -95,7 +83,10 @@ def _read_values(path: str | Path, columns: Sequence[str]) -> dict[str, dict[str
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {out}: {exc.strerror}") from None
     return out
 
 
@@ -111,8 +102,7 @@ def _wrote(path: Path) -> None:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
-    config_text = Path(args.config).read_text()
-    meta = _meta(_config_hash([], config_text, str(seed)), seed)
+    meta = _meta(_config_hash([args.config], str(seed)), seed)
     truth = scenario.realize(seed)
     dataset = sample_survey(truth)
     out = _out_dir(args)
@@ -404,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (PrevmapError, FileNotFoundError) as exc:
+    except PrevmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, islice
 from operator import attrgetter
@@ -335,17 +335,20 @@ def validate_dataset(dataset: SurveyDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_bytes(path: Path) -> bytes:
+def read_input(path: str | Path) -> bytes:
+    """An input file's bytes; every input is read here. SchemaError names a file it cannot read."""
     try:
-        return path.read_bytes()
-    except FileNotFoundError:
-        raise SchemaError(f"file not found: {path}") from None
+        return Path(path).read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise SchemaError(f"input file not found: {Path(path)}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read input file {Path(path)}: {exc.strerror}") from None
 
 
 def _utf8(path: Path, data: bytes) -> str:
-    """``data`` decoded as UTF-8; SchemaError naming the first byte (from 1) that is not."""
+    """UTF-8 ``data`` without one leading byte-order mark; SchemaError naming a bad byte (from 1)."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start + 1})") from None
 
@@ -355,13 +358,14 @@ def _skipped(line: str) -> bool:
     return line.startswith("#") or line.isspace()
 
 
-def data_lines(path: Path) -> list[str]:
-    """The UTF-8 file's lines without '#' comment lines and blank lines.
+def text_lines(path: Path) -> list[str]:
+    """The UTF-8 file's lines, with their line ends: ``\\n``, ``\\r\\n`` or a lone ``\\r``."""
+    return io.StringIO(_utf8(path, read_input(path)), newline="").readlines()
 
-    Lines keep their line ends: ``\\n``, ``\\r\\n`` or a lone ``\\r``. A
-    missing file or one that is not UTF-8 text raises ``SchemaError``.
-    """
-    return list(filterfalse(_skipped, io.StringIO(_utf8(path, _read_bytes(path)), newline="")))
+
+def data_lines(path: Path) -> list[str]:
+    """``text_lines`` without '#' comment lines and blank lines."""
+    return list(filterfalse(_skipped, text_lines(path)))
 
 
 def metadata_lines(metadata: Mapping[str, str] | None) -> list[str]:
@@ -371,23 +375,26 @@ def metadata_lines(metadata: Mapping[str, str] | None) -> list[str]:
 
 @contextmanager
 def artifact_file(path: str | Path) -> Iterator[TextIO]:
-    """A text file to write ``path`` through, replacing it only if the block completes.
+    """A UTF-8 text file to write ``path`` through, replacing it only if the block completes.
 
     The text goes to a temporary file in the same directory, which is moved
     over ``path`` at the end, so an interrupted step never leaves a truncated
     artifact for the next step to read. The temporary file is created as
     ``open(path, "w")`` creates one, so the umask sets the permissions. There
     is no fsync: the guard is against an interrupted step, not a power loss.
+    UTF-8 is used whatever the locale. A failed write raises ``SchemaError``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="") as fh:
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        with suppress(OSError):  # gone after the replace, or never made
+            tmp.unlink()
 
 
 # rows per chunk when writing a table; bounds the text held at once (with
@@ -494,7 +501,9 @@ BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 # ENDS_FIELD[b]: whether byte b ends a field when it is outside quotes
 ENDS_FIELD = np.isin(np.arange(256), (COMMA, NEWLINE, CR))
 
-Problem = tuple[int, str]  # (index of a record in its chunk, what is wrong with it)
+
+class _BadRecord(Exception):
+    """The first record of a CSV text that breaks a rule; the message says which rule."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,10 +537,7 @@ class _Records:
         return _Records(self.data, first, self.left[a:b], self.right[a:b], self.doubled)
 
 
-Chunk = tuple[_Records, Problem | None]  # consecutive records, then the first bad one
-
-
-def _records(data: bytes, pos: int) -> Iterator[Chunk]:
+def _records(data: bytes, pos: int) -> Iterator[_Records]:
     """The records of the CSV text ``data[pos:]``, a window of LOAD_CHUNK_ROWS lines at a time.
 
     The rules are RFC 4180's. Outside quotes, a record ends at a line end
@@ -543,9 +549,9 @@ def _records(data: bytes, pos: int) -> Iterator[Chunk]:
 
     Quote parity comes from the window's sorted quote positions; only a
     skippable line holding an odd number of quotes can move it, and those
-    few lines are looked at one by one. A chunk comes with None, or with its
-    first record that breaks a rule as (index, reason); the chunk stops
-    before that record, and the chunks end with it.
+    few lines are looked at one by one. The records before the first one
+    that breaks a rule are yielded, then that record raises ``_BadRecord``;
+    its reader names the row.
     """
     rows, window = LOAD_CHUNK_ROWS, 64 * LOAD_CHUNK_ROWS
     while pos < len(data):  # a window's arrays are freed before the next window's are made
@@ -554,7 +560,7 @@ def _records(data: bytes, pos: int) -> Iterator[Chunk]:
 
 def _window(
     data: bytes, pos: int, rows: int, window: int
-) -> Generator[Chunk, None, tuple[int, int, int]]:
+) -> Generator[_Records, None, tuple[int, int, int]]:
     """The ``_records`` chunk of ``rows`` lines from byte ``pos`` on, if a record ends in
     them; returns the next window's start, rows (twice these if none does) and bytes.
 
@@ -655,31 +661,30 @@ def _window(
     records = _Records(data, first, left, right, doubled)
     if problems:
         at_byte, reason = min(problems, key=lambda problem: problem[0])
-        r = int(np.searchsorted(rs, at_byte, side="right")) - 1
-        yield records.part(0, r), (r, reason.format(at_byte + 1))
-        return n, rows, window
+        yield records.part(0, int(np.searchsorted(rs, at_byte, side="right")) - 1)
+        raise _BadRecord(reason.format(at_byte + 1))
     if still_open:
         return pos, 2 * rows, window
-    yield records, None
+    yield records
     return int(ends[-1]) + 1, LOAD_CHUNK_ROWS, window
 
 
-def _split(path: Path) -> tuple[bytes, list[str], Iterator[Chunk]]:
+def _split(path: Path) -> tuple[bytes, list[str], Iterator[_Records]]:
     """A CSV file's bytes, its stripped header names ([] for no record) and the
-    ``_records`` chunks after them; one leading byte-order mark is skipped. A missing
-    file, a byte that is not UTF-8 (named) or a header that breaks a rule of
-    ``_records`` raises ``SchemaError``."""
-    data = _read_bytes(path)
+    ``_records`` chunks after them; one leading byte-order mark is skipped. An
+    unreadable file, a byte that is not UTF-8 (named) or a header that breaks a
+    rule of ``_records`` raises ``SchemaError``."""
+    data = read_input(path)
     if not data.isascii():
         _utf8(path, data)  # only to raise on a byte that is not UTF-8
     chunks = _records(data, len(UTF8_BOM) if data.startswith(UTF8_BOM) else 0)
-    for records, problem in chunks:
-        if len(records):
-            header = [name.strip() for name in records.cells(0)]
-            rest = records.part(1, len(records)), problem and (problem[0] - 1, problem[1])
-            return data, header, chain([rest], chunks)
-        if problem is not None:
-            raise SchemaError(f"{path}: header: {problem[1]}")
+    try:
+        for records in chunks:
+            if len(records):
+                header = [name.strip() for name in records.cells(0)]
+                return data, header, chain([records.part(1, len(records))], chunks)
+    except _BadRecord as exc:
+        raise SchemaError(f"{path}: header: {exc}") from None
     return data, [], iter(())
 
 
@@ -702,24 +707,25 @@ def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
     fields = [(name, header.index(name), kind) for name, kind in schema.items()]
     rows: list[dict] = []
     ids: set[str] = set()
-    for records, problem in chunks:
-        for i in range(len(records)):
-            row_no, row = len(rows) + 1, records.cells(i)
-            if len(row) != len(header):
-                raise SchemaError(f"{path}: row {row_no}: {len(row)} fields, the header has "
-                                  f"{len(header)}")
-            try:
-                values = {name: kind(row[j]) for name, j, kind in fields}
-            except ValueError as exc:
-                raise SchemaError(f"{path}: row {row_no}: {exc}") from None
-            if "region_id" in values:
-                if values["region_id"] in ids:
-                    raise ConsistencyError(
-                        f"{path}: row {row_no}: duplicate region_id {values['region_id']!r}")
-                ids.add(values["region_id"])
-            rows.append(values)
-        if problem is not None:
-            raise SchemaError(f"{path}: row {len(rows) + 1}: {problem[1]}")
+    try:
+        for records in chunks:
+            for i in range(len(records)):
+                row_no, row = len(rows) + 1, records.cells(i)
+                if len(row) != len(header):
+                    raise SchemaError(f"{path}: row {row_no}: {len(row)} fields, the header has "
+                                      f"{len(header)}")
+                try:
+                    values = {name: kind(row[j]) for name, j, kind in fields}
+                except ValueError as exc:
+                    raise SchemaError(f"{path}: row {row_no}: {exc}") from None
+                if "region_id" in values:
+                    if values["region_id"] in ids:
+                        raise ConsistencyError(
+                            f"{path}: row {row_no}: duplicate region_id {values['region_id']!r}")
+                    ids.add(values["region_id"])
+                rows.append(values)
+    except _BadRecord as exc:
+        raise SchemaError(f"{path}: row {len(rows) + 1}: {exc}") from None
     return rows
 
 
@@ -729,8 +735,8 @@ def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
 
 
 def _columns(
-    data: bytes, chunks: Iterable[Chunk], usecols: list[int]
-) -> Iterator[tuple[list[np.ndarray], Problem | None]]:
+    data: bytes, chunks: Iterable[_Records], usecols: list[int]
+) -> Iterator[list[np.ndarray]]:
     """Fields ``usecols`` of the records in the ``_split`` chunks, a column at a time.
 
     A column is a NUL-padded fixed-width bytes array, its fields gathered a
@@ -738,17 +744,15 @@ def _columns(
     a field holding a doubled quote is cut again, undoubled. A column with a
     field wider than LOAD_FIELD_BYTES is an object array of str instead. A
     chunk's columns stop before its first record that is too short for
-    ``usecols`` or breaks a rule of ``_records``, returned as (index,
-    reason), which ends the chunks.
+    ``usecols``, which then raises ``_BadRecord``, as ``_records`` does for
+    a record that breaks one of its rules.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     need = max(usecols) + 1
-    for records, problem in chunks:
+    for records in chunks:
         widths = np.diff(records.first)
         short = _first_true(widths < need)
-        if short is not None:
-            problem = (short, f"{widths[short]} fields, need {need}")
-        stop = len(records) if problem is None else problem[0]
+        stop = len(records) if short is None else short
         lo = int(records.left[0]) if stop else 0
         hi = int(records.right[records.first[stop] - 1]) if stop else 0
         padded = np.zeros(hi - lo + LOAD_FIELD_BYTES + 8, dtype=np.uint8)
@@ -773,9 +777,9 @@ def _columns(
                 cells[i] = data[left[i]:right[i]].replace(b'""', b'"')
             columns.append(cells)
         del padded, words, records  # freed before the next chunk is made
-        yield columns, problem
-        if problem is not None:
-            return
+        yield columns
+        if short is not None:
+            raise _BadRecord(f"{widths[short]} fields, need {need}")
 
 
 def _text(field) -> str:
@@ -783,7 +787,7 @@ def _text(field) -> str:
     return field.decode() if isinstance(field, bytes) else field
 
 
-def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, Problem | None]:
+def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
     """float() of every entry; on a failure, the values before it and (index, reason).
 
     A bytes entry is decoded first. NumPy's bytes-to-float cast gives the
@@ -836,24 +840,23 @@ class _TableBuilder:
         coded = self.codes[name].encode([f.decode().strip() for f in fields[first].tolist()])
         return np.repeat(coded[group], np.diff(heads, append=len(raw)))
 
-    def add(self, fields: dict[str, np.ndarray], unreadable: Problem | None) -> PrevmapError | None:
+    def add(self, fields: dict[str, np.ndarray]) -> PrevmapError | None:
         """Append the chunk's rows up to its first bad one; return that row's error.
 
-        ``unreadable`` is the first record that ``_columns`` could not read,
-        as (index, reason). A row is bad when it is unreadable, its weight or
-        outcome is not a number, or its outcome is not 0 or 1.
+        A row is bad when its weight or outcome is not a number, or its
+        outcome is not 0 or 1.
         """
         weight, bad_weight = _parse_floats(fields["weight"])
         outcome, bad_outcome = _parse_floats(fields["outcome"])
         problems: list[tuple[int, int, str]] = []  # (row, rank in the row, message)
-        for rank, bad in enumerate((unreadable, bad_weight, bad_outcome)):
+        for rank, bad in enumerate((bad_weight, bad_outcome)):
             if bad is not None:
                 problems.append((bad[0], rank, f"unparseable row ({bad[1]})"))
         parsed = min(len(weight), len(outcome))
         i = _first_true((outcome[:parsed] != 0) & (outcome[:parsed] != 1))
         if i is not None:
             got = _text(fields["outcome"][i])
-            problems.append((i, 3, f"outcome must be 0 or 1, got {got!r}"))
+            problems.append((i, 2, f"outcome must be 0 or 1, got {got!r}"))
         stop, _, message = min(problems, default=(len(fields["weight"]), 0, ""))
         for name in ID_COLUMNS:
             if name in fields:
@@ -918,10 +921,14 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> S
     names = list(col_idx)
     builder = _TableBuilder()
     pending = None
-    for columns, unreadable in _columns(data, chunks, list(col_idx.values())):
-        pending = builder.add(dict(zip(names, columns)), unreadable)
-        if pending is not None:
-            break
+    try:
+        for columns in _columns(data, chunks, list(col_idx.values())):
+            pending = builder.add(dict(zip(names, columns)))
+            if pending is not None:
+                break
+    except _BadRecord as exc:
+        pending = RecordValidationError(f"row {builder.n_rows + 1}: unparseable row ({exc})")
+    del data, chunks  # the file's bytes are not needed to join the parts
     table = builder.table()
     problem = _first_bad_row(table, "row") or pending
     if problem is not None:
@@ -986,9 +993,7 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     ``SchemaError`` or ``GeometryError`` naming the file and the feature.
     """
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"boundaries file not found: {path}")
-    text = _utf8(path, path.read_bytes())
+    text = _utf8(path, read_input(path))
     # the cyclic collector stays off until the document is gone: parsing
     # builds one list per vertex and sets off a collection every few hundred,
     # which took about a third of json.loads's time on 400-vertex rings, and
@@ -1026,7 +1031,7 @@ def _boundaries(doc: object, path: Path) -> list[RegionBoundary]:
         if not isinstance(props, dict):
             raise SchemaError(f"{path}: feature {k}: properties must be an object, got {_json_kind(props)}")
         region_id = props.get("region_id")
-        if not region_id:
+        if region_id is None or region_id == "":
             raise SchemaError(f"{path}: feature {k} without properties.region_id")
         region_id = str(region_id)
         if region_id in seen:

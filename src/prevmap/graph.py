@@ -24,12 +24,13 @@ and rank(Q) = n - (number of connected components).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import dropwhile
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_model import RegionBoundary, artifact_file, data_lines, metadata_lines
+from .data_model import RegionBoundary, artifact_file, metadata_lines, text_lines
 from .errors import EmptyDatasetError, GeometryError, SchemaError
 
 STYLES = ("B", "W")
@@ -289,7 +290,9 @@ def export_graph(
 
 def load_graph(path: str | Path) -> AdjacencyGraph:
     path = Path(path)
-    lines = [ln.rstrip("\n") for ln in data_lines(path)]
+    lines = [ln.rstrip("\r\n") for ln in text_lines(path) if not ln.isspace()]
+    # '#' lines are metadata only before the style line: a region id may start with '#'
+    lines = list(dropwhile(lambda ln: ln.startswith("#"), lines))
     pos = 0
 
     def take() -> str:

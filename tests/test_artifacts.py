@@ -107,6 +107,15 @@ def test_interrupted_write_keeps_the_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
+def test_write_under_a_file_raises_schema_error_naming_the_target(tmp_path):
+    # the temp file's cleanup fails there too, and must not replace the error
+    (tmp_path / "a_file").write_text("x")
+    path = tmp_path / "a_file" / "table.csv"
+    with pytest.raises(SchemaError) as err:
+        write_table(path, {"region_id": str}, [["a"]])
+    assert str(err.value) == f"cannot write {path}: Not a directory"
+
+
 def test_pipeline_leaves_only_the_listed_artifacts(tmp_path):
     out = tmp_path / "out"
     code = main(["pipeline", "--config", str(DEMO_CFG), "--traces", "--seed", "1",

@@ -534,8 +534,7 @@ class TestDegenerateAndMalformedInputs:
         assert not (tmp_path / "step").exists()
 
 
-def test_config_hash_is_sha256_of_files_then_texts(tmp_path, monkeypatch):
-    monkeypatch.setattr(prevmap.cli, "HASH_CHUNK", 7)  # several reads per file
+def test_config_hash_is_sha256_of_files_then_texts(tmp_path):
     first = tmp_path / "records.csv"
     first.write_bytes(bytes(range(256)) * 3)
     second = tmp_path / "boundaries.geojson"
@@ -555,6 +554,78 @@ def test_directory_as_input_exits_2(tmp_path, capsys):
     code = main(["adjacency", "--boundaries", str(tmp_path), "--out", str(tmp_path)])
     assert code == 2
     assert f"cannot read input file {tmp_path}: Is a directory" in capsys.readouterr().err
+    code = main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot read input file {tmp_path}: Is a directory\n"
+
+
+def test_unwritable_output_exits_2_naming_the_target(tmp_path, capsys):
+    boundaries = tmp_path / "boundaries.geojson"
+    write_boundaries_geojson(make_grid_regions(1, 2), boundaries)
+    values = tmp_path / "values.csv"
+    values.write_text("region_id,n\nR_0_0,4\nR_0_1,5\n")
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    code = main(["adjacency", "--boundaries", str(boundaries), "--out", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+    code = main(["render", "--boundaries", str(boundaries), "--values", str(values),
+                 "--column", "n", "--output-name", "sub/x.svg", "--out", str(tmp_path)])
+    assert code == 2
+    target = tmp_path / "sub" / "x.svg"
+    assert capsys.readouterr().err == (
+        f"error: cannot write {target}: No such file or directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["boundaries.geojson", "taken", "values.csv"]
+
+
+def test_region_ids_starting_with_hash_pass_adjacency_and_smooth(tmp_path):
+    # graph.txt's node line '#a' used to be read as a comment
+    ids = ["#a", "b", "c"]
+    regions = [replace(r, region_id=rid) for r, rid in zip(make_grid_regions(1, 3), ids)]
+    write_boundaries_geojson(regions, tmp_path / "boundaries.geojson")
+    rows = [IndividualRecord(rid, f"{rid}-c{c}", 1.0, int(i <= (c + k) % 3))
+            for k, rid in enumerate(ids) for c in range(3) for i in range(5)]
+    write_records_csv(SurveyTable.from_records(rows), tmp_path / "records.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_stage(["direct", "--records", str(tmp_path / "records.csv"),
+                   "--boundaries", str(tmp_path / "boundaries.geojson"), "--out", str(tmp_path)])
+        run_stage(["adjacency", "--boundaries", str(tmp_path / "boundaries.geojson"),
+                   "--out", str(tmp_path)])
+        assert load_graph(tmp_path / "graph.txt").node_ids == ("#a", "b", "c")
+        run_stage(["smooth", "--direct", str(tmp_path / "direct.csv"),
+                   "--graph", str(tmp_path / "graph.txt"), "--out", str(tmp_path)] + MCMC)
+    assert [r.region_id for r in read_posterior_csv(tmp_path / "posterior.csv")] == ids
+
+
+# the settings of a locale whose encoding is ASCII, with Python's UTF-8 mode
+# and C-locale coercion off (Windows' cp1252 is the common real case)
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_inputs_and_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(("# Zambézia, Mozambique\n" + SCENARIO).encode())
+    regions = make_grid_regions(1, 2)
+    boundaries = tmp_path / "boundaries.geojson"
+    write_boundaries_geojson([replace(regions[0], region_id="Zambézia"), regions[1]], boundaries)
+    env = {**os.environ, **ASCII_LOCALE,
+           "PYTHONPATH": str(Path(prevmap.bym.__file__).resolve().parents[1])}
+    probe = "import locale; print(locale.getpreferredencoding(False))"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True).stdout.strip() != "UTF-8"
+    for argv in (["simulate", "--config", str(config)],
+                 ["adjacency", "--boundaries", str(boundaries)]):
+        ascii_out, default_out = tmp_path / f"{argv[0]}_ascii", tmp_path / f"{argv[0]}_default"
+        done = subprocess.run([sys.executable, "-m", "prevmap", *argv, "--out", str(ascii_out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_stage(argv + ["--out", str(default_out)])
+        names = sorted(os.listdir(default_out))
+        assert sorted(os.listdir(ascii_out)) == names
+        for name in names:
+            assert (ascii_out / name).read_bytes() == (default_out / name).read_bytes(), name
+    assert "\nZambézia\n" in (tmp_path / "adjacency_ascii" / "graph.txt").read_text("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from prevmap.errors import (
     RecordValidationError,
     SchemaError,
 )
+from prevmap.graph import AdjacencyGraph, export_graph, load_graph
+from prevmap.synthetic import load_scenario
 
 
 def write_csv(tmp_path, text, name="records.csv"):
@@ -321,6 +323,52 @@ class TestLoadBoundaries:
         path.write_text(text)
         with pytest.raises(GeometryError, match="region 'R2': ring has a non-finite coordinate"):
             load_boundaries(path)
+
+    def test_numeric_region_ids_load_as_text_and_link(self, tmp_path):
+        # 0 used to read as a missing id, while 1 and 2 loaded
+        doc = {"type": "FeatureCollection",
+               "features": [geojson_feature(k, [square(k, 0)]) for k in range(3)]}
+        path = tmp_path / "numbers.geojson"
+        path.write_text(json.dumps(doc))
+        boundaries = load_boundaries(path)
+        assert [b.region_id for b in boundaries] == ["0", "1", "2"]
+        records = write_csv(tmp_path, "region_id,cluster_id,weight,outcome\n"
+                            "0,c0,1.0,0\n1,c1,1.0,1\n2,c2,1.0,0\n")
+        dataset, report = drop_unlinked(load_records(records), boundaries)
+        assert report.n_dropped == 0 and dataset.region_ids() == ["0", "1", "2"]
+        for region_id in (None, "", "missing"):  # these are still no id
+            feature = geojson_feature(region_id, [square(0, 0)])
+            if region_id == "missing":
+                del feature["properties"]["region_id"]
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+            with pytest.raises(SchemaError, match="feature 0 without properties.region_id"):
+                load_boundaries(path)
+
+
+SCENARIO_TEXT = (
+    "rows = 1\ncols = 2\ngroup_breaks =\nbase_logit = -2\nspatial_sd = 0\n"
+    "clusters_per_region = 6\nhouseholds_per_cluster = 4\nweight_dispersion = 1.0\nseed = 1\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["scenario", "geojson", "graph"])
+def test_byte_order_mark_skipped_in_every_input(tmp_path, kind):
+    # CSV inputs skipped one already; JSON, graph and scenario files used to reject it
+    plain = tmp_path / f"plain.{kind}"
+    if kind == "scenario":
+        plain.write_text("# Zambézia\n" + SCENARIO_TEXT, encoding="utf-8")
+        load = load_scenario
+    elif kind == "geojson":
+        regions = [boundary("Zambézia", square(0, 0)), boundary("Niassa", square(1, 0))]
+        write_boundaries_geojson(regions, plain, {"seed": "1"})
+        load = load_boundaries
+    else:
+        graph = AdjacencyGraph.from_edges(["Zambézia", "Niassa"], [("Niassa", "Zambézia")])
+        export_graph(graph, plain, {"seed": "1"})
+        load = load_graph
+    marked = tmp_path / f"marked.{kind}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load(marked) == load(plain)
 
 
 class TestRegionBoundary:

@@ -401,6 +401,24 @@ class TestGraphFile:
         export_graph(graph, path, metadata={"seed": "5"})
         assert load_graph(path) == graph
 
+    def test_crlf_line_ends_load_as_lf(self, tmp_path):
+        # a node line used to keep its '\r', so no edge matched it
+        graph = build_adjacency(grid_2x2())
+        path = tmp_path / "graph.txt"
+        export_graph(graph, path, metadata={"seed": "5"})
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_graph(path) == graph
+
+    def test_ids_starting_with_hash_round_trip(self, tmp_path):
+        # a '#' line after the style line is a node, an edge or a component, not a comment
+        graph = AdjacencyGraph.from_edges(
+            ["#a", "b", "c", "#", "##"], [("#a", "b"), ("b", "c"), ("#", "##")]
+        )
+        path = tmp_path / "graph.txt"
+        export_graph(graph, path, metadata={"seed": "5"})
+        assert "\n#a\n" in path.read_text()
+        assert load_graph(path) == graph
+
     def test_component_mismatch_detected(self, tmp_path):
         graph = build_adjacency(grid_2x2())
         path = tmp_path / "graph.txt"
