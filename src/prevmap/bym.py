@@ -825,8 +825,8 @@ def write_posterior_csv(
     write_table(path, POSTERIOR_CSV_COLUMNS, columns, metadata)
 
 
-def read_posterior_csv(path: str | Path) -> list[PosteriorRow]:
-    return [PosteriorRow(**row) for row in read_table(path, POSTERIOR_CSV_COLUMNS)]
+def read_posterior_csv(path: str | Path, digest=None) -> list[PosteriorRow]:
+    return [PosteriorRow(**row) for row in read_table(path, POSTERIOR_CSV_COLUMNS, digest)]
 
 
 def write_trace_csv(

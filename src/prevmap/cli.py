@@ -1,19 +1,17 @@
 """Command-line pipeline: simulate, estimate, smooth, and render.
 
-Every artifact is written with a metadata header (tool version, seed, config
-hash) and is byte-deterministic for fixed inputs, so the `pipeline`
-subcommand produces exactly the same files as running the individual steps
-in sequence. Exit codes: 0 success, 2 validation/usage error, 3 when
-`--strict` is set and the fit did not converge.
+Each step is a function on parsed objects; its ``cmd_*`` loads the files its
+flags name, hashing the bytes it parses. ``pipeline`` parses only its config
+and hands each step what earlier steps made, so it writes the same bytes as
+the steps run one by one. Artifacts are byte-deterministic for fixed inputs.
+Exit codes: 0 success, 2 validation/usage error, 3 a non-converged fit under `--strict`.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -22,12 +20,14 @@ from .bym import (
     BymModelSpec,
     Hyperpriors,
     McmcConfig,
+    PosteriorRow,
     exact_fit,
     read_posterior_csv,
     write_posterior_csv,
     write_trace_csv,
 )
 from .data_model import (
+    SurveyDataset,
     artifact_file,
     drop_unlinked,
     load_boundaries,
@@ -38,9 +38,9 @@ from .data_model import (
     write_boundaries_geojson,
     write_records_csv,
 )
-from .direct import estimate_all, read_direct_csv, write_direct_csv
+from .direct import DirectEstimate, estimate_all, read_direct_csv, write_direct_csv
 from .errors import PrevmapError, SchemaError
-from .graph import build_adjacency, export_graph, icar_precision, load_graph
+from .graph import AdjacencyGraph, build_adjacency, export_graph, icar_precision, load_graph
 from .render import (
     ChoroplethSpec,
     render_comparison,
@@ -54,30 +54,32 @@ EXIT_VALIDATION = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _config_hash(paths: Sequence[str | Path], *texts: str) -> str:
-    """The config-sha256 of a step: its input files' bytes, then its settings.
-
-    Each file's bytes and each UTF-8 text is followed by one NUL byte. Each
-    file is read whole, as its loader reads it next.
-    """
-    h = hashlib.sha256()
-    for part in chain(map(read_input, paths), map(str.encode, texts)):
-        h.update(part)
-        h.update(b"\x00")
-    return h.hexdigest()[:16]
+def _config_hash(digest, *texts: str) -> str:
+    """A step's config-sha256: ``digest`` holds each input file and a NUL, then each text and a NUL."""
+    for text in texts:
+        digest.update(text.encode() + b"\x00")
+    return digest.hexdigest()[:16]
 
 
-def _meta(config_hash: str, seed: int | None = None) -> dict[str, str]:
+def _hashed(*paths: str | Path):
+    """The digest of the files as their loaders leave it, for a step given their objects."""
+    digest = hashlib.sha256()
+    for path in paths:
+        read_input(path, digest)
+    return digest
+
+
+def _meta(digest, seed: int | None, *texts: str) -> dict[str, str]:
     meta = {"prevmap-version": __version__}
     if seed is not None:
         meta["seed"] = str(seed)
-    meta["config-sha256"] = config_hash
+    meta["config-sha256"] = _config_hash(digest, *texts)
     return meta
 
 
-def _read_values(path: str | Path, columns: Sequence[str]) -> dict[str, dict[str, float]]:
+def _read_values(path: str | Path, columns: Sequence[str], digest=None) -> dict[str, dict[str, float]]:
     """Per column, region_id -> float value from any CSV artifact with a header row."""
-    rows = read_table(path, {"region_id": str, **dict.fromkeys(columns, float)})
+    rows = read_table(path, {"region_id": str, **dict.fromkeys(columns, float)}, digest)
     return {col: {r["region_id"]: r[col] for r in rows} for col in columns}
 
 
@@ -95,14 +97,13 @@ def _wrote(path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Steps (parsed inputs, their files' digest, flags -> what later steps read)
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.config)
+def _simulate(scenario, digest, args) -> SurveyDataset:
     seed = args.seed if args.seed is not None else scenario.seed
-    meta = _meta(_config_hash([args.config], str(seed)), seed)
+    meta = _meta(digest, seed, str(seed))
     truth = scenario.realize(seed)
     dataset = sample_survey(truth)
     out = _out_dir(args)
@@ -117,13 +118,17 @@ def cmd_simulate(args) -> int:
     )
     for name in ("records.csv", "boundaries.geojson", "truth.csv"):
         _wrote(out / name)
+    return dataset
+
+
+def cmd_simulate(args) -> int:
+    digest = hashlib.sha256()
+    _simulate(load_scenario(args.config, digest), digest, args)
     return EXIT_OK
 
 
-def cmd_direct(args) -> int:
-    meta = _meta(_config_hash([args.records, args.boundaries]), args.seed)
-    records = load_records(args.records)
-    boundaries = load_boundaries(args.boundaries)
+def _direct(records, boundaries, digest, args) -> list[DirectEstimate]:
+    meta = _meta(digest, args.seed)
     dataset, report = drop_unlinked(records, boundaries)
     validate_dataset(dataset)
     if report.n_dropped:
@@ -141,15 +146,18 @@ def cmd_direct(args) -> int:
     out = _out_dir(args)
     write_direct_csv(estimates, out / "direct.csv", meta)
     _wrote(out / "direct.csv")
+    return estimates
+
+
+def cmd_direct(args) -> int:
+    digest = hashlib.sha256()
+    records = load_records(args.records, digest=digest)
+    _direct(records, load_boundaries(args.boundaries, digest), digest, args)
     return EXIT_OK
 
 
-def cmd_adjacency(args) -> int:
-    meta = _meta(
-        _config_hash([args.boundaries], f"tolerance={args.tolerance!r} style={args.style}"),
-        args.seed,
-    )
-    boundaries = load_boundaries(args.boundaries)
+def _adjacency(boundaries, digest, args) -> AdjacencyGraph:
+    meta = _meta(digest, args.seed, f"tolerance={args.tolerance!r} style={args.style}")
     graph = build_adjacency(boundaries, tolerance=args.tolerance, style=args.style)
     out = _out_dir(args)
     export_graph(graph, out / "graph.txt", meta)
@@ -158,19 +166,24 @@ def cmd_adjacency(args) -> int:
         f"{graph.n_components()} component(s)"
     )
     _wrote(out / "graph.txt")
+    return graph
+
+
+def cmd_adjacency(args) -> int:
+    digest = hashlib.sha256()
+    _adjacency(load_boundaries(args.boundaries, digest), digest, args)
     return EXIT_OK
 
 
-def cmd_smooth(args) -> int:
+def _smooth(estimates, graph, digest, args) -> tuple[int, list[PosteriorRow]]:
     priors = Hyperpriors(args.prior_a_eps, args.prior_b_eps, args.prior_a_sp, args.prior_b_sp)
     seed = args.seed if args.seed is not None else 0
     mcmc_desc = (
         f"chains={args.chains} iterations={args.iterations} "
         f"burn_in={args.burn_in} thin={args.thin} priors={priors.describe()}"
     )
-    meta = _meta(_config_hash([args.direct, args.graph], mcmc_desc, str(seed)), seed)
-    estimates = sorted(read_direct_csv(args.direct), key=lambda e: e.region_id)
-    graph = load_graph(args.graph)
+    meta = _meta(digest, seed, mcmc_desc, str(seed))
+    estimates = sorted(estimates, key=lambda e: e.region_id)
     precision = icar_precision(graph)
     spec = BymModelSpec(estimates=estimates, precision=precision, priors=priors)
     config = McmcConfig(
@@ -183,7 +196,8 @@ def cmd_smooth(args) -> int:
     posterior = exact_fit(spec, config)
     meta.update({k: v for k, v in posterior.meta.items() if k != "seed"})
     out = _out_dir(args)
-    write_posterior_csv(posterior.rows(estimates), out / "posterior.csv", meta)
+    rows = posterior.rows(estimates)
+    write_posterior_csv(rows, out / "posterior.csv", meta)
     _wrote(out / "posterior.csv")
     if args.traces:
         write_trace_csv(posterior, out / "trace.csv", meta)
@@ -194,40 +208,31 @@ def cmd_smooth(args) -> int:
         failing = ", ".join(posterior.report.failing()[:8])
         print(f"WARNING: fit not converged (failing scalars: {failing})", file=sys.stderr)
         if args.strict:
-            return EXIT_NOT_CONVERGED
-    return EXIT_OK
+            return EXIT_NOT_CONVERGED, rows
+    return EXIT_OK, rows
 
 
-def _choropleth_spec(args) -> ChoroplethSpec:
-    ramp = tuple(args.ramp.split(",")) if args.ramp else None
-    return ChoroplethSpec(
-        strategy=args.breaks,
-        bins=args.bins,
-        scope=args.scope,
-        ramp=ramp,
-    )
+def cmd_smooth(args) -> int:
+    digest = hashlib.sha256()
+    estimates = read_direct_csv(args.direct, digest)
+    return _smooth(estimates, load_graph(args.graph, digest), digest, args)[0]
 
 
-def cmd_render(args) -> int:
+def _render(boundaries, values, digest, args) -> None:
     columns = args.column or ["prev_mean"]
-    if args.title is not None and (len(columns) != 1 or args.zoom_per_country):
-        raise SchemaError("--title takes exactly one --column and no --zoom-per-country")
     desc = (
         f"columns={','.join(columns)} bins={args.bins} breaks={args.breaks} "
         f"scope={args.scope} ramp={args.ramp or 'default'} zoom={args.zoom_per_country}"
     )
     if args.title:
         desc += f" title={args.title}"
-    meta = _meta(_config_hash([args.boundaries, args.values], desc), args.seed)
-    boundaries = load_boundaries(args.boundaries)
-    spec = _choropleth_spec(args)
-    if args.zoom_per_country and len(columns) != 1:
-        raise SchemaError("--zoom-per-country takes exactly one --column")
-    values = _read_values(args.values, columns)
+    meta = _meta(digest, args.seed, desc)
+    ramp = tuple(args.ramp.split(",")) if args.ramp else None
+    spec = ChoroplethSpec(strategy=args.breaks, bins=args.bins, scope=args.scope, ramp=ramp)
     if args.zoom_per_country:
         svg = render_country_panels(boundaries, values[columns[0]], spec, columns[0], meta)
     else:
-        # a title comes with one column, as checked above
+        # a title comes with one column, as cmd_render checks
         panels = [(args.title or col, col, values[col]) for col in columns]
         svg = render_map_row(boundaries, panels, spec, meta)
     out = _out_dir(args)
@@ -235,24 +240,40 @@ def cmd_render(args) -> int:
     with artifact_file(out / name) as fh:
         fh.write(svg)
     _wrote(out / name)
+
+
+def cmd_render(args) -> int:
+    columns = args.column or ["prev_mean"]  # usage errors come before any read
+    if args.title is not None and (len(columns) != 1 or args.zoom_per_country):
+        raise SchemaError("--title takes exactly one --column and no --zoom-per-country")
+    if args.zoom_per_country and len(columns) != 1:
+        raise SchemaError("--zoom-per-country takes exactly one --column")
+    digest = hashlib.sha256()
+    boundaries = load_boundaries(args.boundaries, digest)
+    _render(boundaries, _read_values(args.values, columns, digest), digest, args)
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    meta = _meta(_config_hash([args.direct, args.posterior]), args.seed)
-    estimates = read_direct_csv(args.direct)
-    rows = read_posterior_csv(args.posterior)
+def _compare(estimates, rows, digest, args) -> None:
+    meta = _meta(digest, args.seed)
     svg = render_comparison(estimates, rows, meta)
     out = _out_dir(args)
     name = args.output_name or "comparison.svg"
     with artifact_file(out / name) as fh:
         fh.write(svg)
     _wrote(out / name)
+
+
+def cmd_compare(args) -> int:
+    digest = hashlib.sha256()
+    estimates = read_direct_csv(args.direct, digest)
+    _compare(estimates, read_posterior_csv(args.posterior, digest), digest, args)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    scenario = load_scenario(args.config)
+    digest = hashlib.sha256()
+    scenario = load_scenario(args.config, digest)
     seed = args.seed if args.seed is not None else scenario.seed
     out = str(args.out)
     common = ["--seed", str(seed), "--out", out]
@@ -262,37 +283,35 @@ def cmd_pipeline(args) -> int:
         "--burn-in", str(args.burn_in),
         "--thin", str(args.thin),
     ]
-    steps: list[list[str]] = [
-        ["simulate", "--config", args.config] + common,
-        ["direct", "--records", f"{out}/records.csv",
-         "--boundaries", f"{out}/boundaries.geojson"] + common,
-        ["adjacency", "--boundaries", f"{out}/boundaries.geojson",
-         "--style", args.style] + common,
-        ["smooth", "--direct", f"{out}/direct.csv", "--graph", f"{out}/graph.txt"]
-        + mcmc + (["--strict"] if args.strict else [])
-        + (["--traces"] if args.traces else []) + common,
-        ["render", "--boundaries", f"{out}/boundaries.geojson",
-         "--values", f"{out}/direct.csv", "--column", "n",
-         "--title", "Sample size by region",
-         "--output-name", "fig1_sample_size.svg"] + common,
-        ["render", "--boundaries", f"{out}/boundaries.geojson",
-         "--values", f"{out}/posterior.csv",
-         "--column", "prev_mean", "--column", "prev_q025", "--column", "prev_q975",
-         "--output-name", "fig2_smoothed_ci.svg"] + common,
-        ["render", "--boundaries", f"{out}/boundaries.geojson",
-         "--values", f"{out}/posterior.csv", "--column", "prev_mean",
-         "--zoom-per-country", "--output-name", "fig3_country_zoom.svg"] + common,
-        ["compare", "--direct", f"{out}/direct.csv",
-         "--posterior", f"{out}/posterior.csv",
-         "--output-name", "fig4_comparison.svg"] + common,
-    ]
-    worst = EXIT_OK
-    for argv in steps:
-        code = main(argv)
-        if code == EXIT_VALIDATION:
-            return code
-        worst = max(worst, code)
-    return worst
+    # flags as in the README's command lines; files are read only to hash them
+    parse = build_parser().parse_args
+    dataset = _simulate(scenario, digest, parse(["simulate", "--config", args.config] + common))
+    step = parse(["direct", "--records", f"{out}/records.csv",
+                  "--boundaries", f"{out}/boundaries.geojson"] + common)
+    estimates = _direct(dataset.records, dataset.regions,
+                        _hashed(step.records, step.boundaries), step)
+    step = parse(["adjacency", "--boundaries", f"{out}/boundaries.geojson",
+                  "--style", args.style] + common)
+    graph = _adjacency(dataset.regions, _hashed(step.boundaries), step)
+    step = parse(["smooth", "--direct", f"{out}/direct.csv", "--graph", f"{out}/graph.txt"]
+                 + mcmc + (["--strict"] if args.strict else [])
+                 + (["--traces"] if args.traces else []) + common)
+    code, rows = _smooth(estimates, graph, _hashed(step.direct, step.graph), step)
+    for source, flags in [
+        (estimates, ["--values", f"{out}/direct.csv", "--column", "n",
+                     "--title", "Sample size by region", "--output-name", "fig1_sample_size.svg"]),
+        (rows, ["--values", f"{out}/posterior.csv", "--column", "prev_mean", "--column", "prev_q025",
+                "--column", "prev_q975", "--output-name", "fig2_smoothed_ci.svg"]),
+        (rows, ["--values", f"{out}/posterior.csv", "--column", "prev_mean",
+                "--zoom-per-country", "--output-name", "fig3_country_zoom.svg"]),
+    ]:
+        step = parse(["render", "--boundaries", f"{out}/boundaries.geojson"] + flags + common)
+        values = {c: {r.region_id: float(getattr(r, c)) for r in source} for c in step.column}
+        _render(dataset.regions, values, _hashed(step.boundaries, step.values), step)
+    step = parse(["compare", "--direct", f"{out}/direct.csv", "--posterior", f"{out}/posterior.csv",
+                  "--output-name", "fig4_comparison.svg"] + common)
+    _compare(estimates, rows, _hashed(step.direct, step.posterior), step)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``pipeline`` calls ``main`` for every step."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # looked up at each call: the cached parser must not pin the cmd_* it first saw
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)

@@ -335,14 +335,18 @@ def validate_dataset(dataset: SurveyDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_input(path: str | Path) -> bytes:
-    """An input file's bytes; every input is read here. SchemaError names a file it cannot read."""
+def read_input(path: str | Path, digest=None) -> bytes:
+    """An input file's bytes, also added to ``digest`` with a NUL; SchemaError names a file it cannot read."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except (FileNotFoundError, NotADirectoryError):
         raise SchemaError(f"input file not found: {Path(path)}") from None
     except OSError as exc:
         raise SchemaError(f"cannot read input file {Path(path)}: {exc.strerror}") from None
+    if digest is not None:
+        digest.update(data)
+        digest.update(b"\x00")
+    return data
 
 
 def _utf8(path: Path, data: bytes) -> str:
@@ -358,14 +362,14 @@ def _skipped(line: str) -> bool:
     return line.startswith("#") or line.isspace()
 
 
-def text_lines(path: Path) -> list[str]:
+def text_lines(path: Path, digest=None) -> list[str]:
     """The UTF-8 file's lines, with their line ends: ``\\n``, ``\\r\\n`` or a lone ``\\r``."""
-    return io.StringIO(_utf8(path, read_input(path)), newline="").readlines()
+    return io.StringIO(_utf8(path, read_input(path, digest)), newline="").readlines()
 
 
-def data_lines(path: Path) -> list[str]:
+def data_lines(path: Path, digest=None) -> list[str]:
     """``text_lines`` without '#' comment lines and blank lines."""
-    return list(filterfalse(_skipped, text_lines(path)))
+    return list(filterfalse(_skipped, text_lines(path, digest)))
 
 
 def metadata_lines(metadata: Mapping[str, str] | None) -> list[str]:
@@ -669,12 +673,12 @@ def _window(
     return int(ends[-1]) + 1, LOAD_CHUNK_ROWS, window
 
 
-def _split(path: Path) -> tuple[bytes, list[str], Iterator[_Records]]:
+def _split(path: Path, digest) -> tuple[bytes, list[str], Iterator[_Records]]:
     """A CSV file's bytes, its stripped header names ([] for no record) and the
     ``_records`` chunks after them; one leading byte-order mark is skipped. An
     unreadable file, a byte that is not UTF-8 (named) or a header that breaks a
     rule of ``_records`` raises ``SchemaError``."""
-    data = read_input(path)
+    data = read_input(path, digest)
     if not data.isascii():
         _utf8(path, data)  # only to raise on a byte that is not UTF-8
     chunks = _records(data, len(UTF8_BOM) if data.startswith(UTF8_BOM) else 0)
@@ -688,7 +692,7 @@ def _split(path: Path) -> tuple[bytes, list[str], Iterator[_Records]]:
     return data, [], iter(())
 
 
-def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
+def read_table(path: str | Path, schema: Mapping[str, type], digest=None) -> list[dict]:
     """The rows of a CSV artifact, as dicts from each ``schema`` column to its value.
 
     The file is split by ``_split``. Header names are stripped and columns
@@ -700,7 +704,7 @@ def read_table(path: str | Path, schema: Mapping[str, type]) -> list[dict]:
     raises ``ConsistencyError`` naming the file, the row and the id.
     """
     path = Path(path)
-    _, header, chunks = _split(path)
+    _, header, chunks = _split(path, digest)
     missing = [name for name in schema if name not in header]
     if missing:
         raise SchemaError(f"{path}: missing column(s) {', '.join(map(repr, missing))}")
@@ -885,7 +889,7 @@ class _TableBuilder:
         )
 
 
-def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> SurveyTable:
+def load_records(path: str | Path, schema: Mapping[str, str] | None = None, digest=None) -> SurveyTable:
     """Read and validate individual records from a UTF-8 CSV file.
 
     ``schema`` maps canonical column names (``region_id``, ``cluster_id``,
@@ -903,7 +907,7 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None) -> S
     """
     path = Path(path)
     mapping = dict(schema or {})
-    data, header, chunks = _split(path)
+    data, header, chunks = _split(path, digest)
     if not header:
         raise SchemaError(f"records file {path} is empty")
 
@@ -985,7 +989,7 @@ def _json_kind(value: object) -> str:
     return kinds.get(type(value), "a number")
 
 
-def load_boundaries(path: str | Path) -> list[RegionBoundary]:
+def load_boundaries(path: str | Path, digest=None) -> list[RegionBoundary]:
     """Read region boundaries from a GeoJSON FeatureCollection.
 
     A document of the wrong shape (a feature, its properties or its geometry
@@ -993,7 +997,7 @@ def load_boundaries(path: str | Path) -> list[RegionBoundary]:
     ``SchemaError`` or ``GeometryError`` naming the file and the feature.
     """
     path = Path(path)
-    text = _utf8(path, read_input(path))
+    text = _utf8(path, read_input(path, digest))
     # the cyclic collector stays off until the document is gone: parsing
     # builds one list per vertex and sets off a collection every few hundred,
     # which took about a third of json.loads's time on 400-vertex rings, and
@@ -1030,6 +1034,10 @@ def _boundaries(doc: object, path: Path) -> list[RegionBoundary]:
         props = feat.get("properties") or {}
         if not isinstance(props, dict):
             raise SchemaError(f"{path}: feature {k}: properties must be an object, got {_json_kind(props)}")
+        for key in ("region_id", "country"):  # only these have one text form; a bool is no int
+            if props.get(key) is not None and type(props[key]) not in (str, int):
+                raise SchemaError(f"{path}: feature {k}: properties.{key} must be a string or an "
+                                  f"integer, got {_json_kind(props[key])}")
         region_id = props.get("region_id")
         if region_id is None or region_id == "":
             raise SchemaError(f"{path}: feature {k} without properties.region_id")

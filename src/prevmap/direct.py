@@ -278,5 +278,5 @@ def write_direct_csv(
     write_table(path, DIRECT_CSV_COLUMNS, columns, metadata)
 
 
-def read_direct_csv(path: str | Path) -> list[DirectEstimate]:
-    return [DirectEstimate(**row) for row in read_table(path, DIRECT_CSV_COLUMNS)]
+def read_direct_csv(path: str | Path, digest=None) -> list[DirectEstimate]:
+    return [DirectEstimate(**row) for row in read_table(path, DIRECT_CSV_COLUMNS, digest)]

@@ -288,9 +288,9 @@ def export_graph(
         fh.write("\n".join(lines) + "\n")
 
 
-def load_graph(path: str | Path) -> AdjacencyGraph:
+def load_graph(path: str | Path, digest=None) -> AdjacencyGraph:
     path = Path(path)
-    lines = [ln.rstrip("\r\n") for ln in text_lines(path) if not ln.isspace()]
+    lines = [ln.rstrip("\r\n") for ln in text_lines(path, digest) if not ln.isspace()]
     # '#' lines are metadata only before the style line: a region id may start with '#'
     lines = list(dropwhile(lambda ln: ln.startswith("#"), lines))
     pos = 0

@@ -275,11 +275,11 @@ _SCENARIO_PARSERS = {
 }
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, digest=None) -> Scenario:
     """Read a key = value scenario file ('#' lines are comments)."""
     path = Path(path)
     kv: dict[str, str] = {}
-    for line in data_lines(path):
+    for line in data_lines(path, digest):
         if "=" not in line:
             raise SchemaError(f"{path}: expected 'key = value', got {line.strip()!r}")
         key, value = line.split("=", 1)

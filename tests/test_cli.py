@@ -7,7 +7,9 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 import prevmap.bym
 import prevmap.cli
+import prevmap.data_model
 import prevmap.exact
 import prevmap.render
-from prevmap.cli import _config_hash, _read_values, main
+from prevmap.cli import _config_hash, _hashed, _read_values, main
 from prevmap.data_model import (
     IndividualRecord,
     SurveyTable,
@@ -160,7 +163,6 @@ class TestSubcommands:
         assert os.listdir(tmp_path / "default") == ["map_prev_mean.svg"]
         default = (tmp_path / "default" / "map_prev_mean.svg").read_bytes()
         assert default == (tmp_path / "named" / "map_prev_mean.svg").read_bytes()
-        assert prevmap.cli._parser() is prevmap.cli._parser()
 
     def test_fig2_matches_per_panel_rendering(self, pipeline_dir, tmp_path):
         # the map row projects its boundaries once; drawing each panel on its
@@ -269,12 +271,13 @@ class TestConvergence:
 
 
 class TestPipelineEquivalence:
-    def test_pipeline_matches_stepwise(self, tmp_path, scenario_file):
+    def test_pipeline_matches_stepwise(self, tmp_path, scenario_file, capsys):
         a = tmp_path / "a"
         b = tmp_path / "b"
         seed = ["--seed", "21"]
         run_stage(["pipeline", "--config", str(scenario_file), "--out", str(a)]
                   + seed + MCMC)
+        pipeline_output = capsys.readouterr()
         steps = [
             ["simulate", "--config", str(scenario_file), "--out", str(b)] + seed,
             ["direct", "--records", f"{b}/records.csv",
@@ -306,6 +309,11 @@ class TestPipelineEquivalence:
         assert files_a == files_b
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # perfbench's checker reads "simulated N records" from the pipeline's stdout
+        steps_output = capsys.readouterr()
+        assert pipeline_output.out.startswith("simulated ")
+        assert pipeline_output.out.replace(str(a), "OUT") == steps_output.out.replace(str(b), "OUT")
+        assert pipeline_output.err == steps_output.err
 
     def test_readme_steps_write_what_pipeline_writes(self, tmp_path):
         # the README's eight commands, run one by one, against its quickstart pipeline
@@ -339,6 +347,29 @@ class TestPipelineEquivalence:
                        "--out", str(out)] + MCMC)
         for p in sorted(a.iterdir()):
             assert p.read_bytes() == (b / p.name).read_bytes(), p.name
+
+
+class TestPipelineControlFlow:
+    def test_failing_step_stops_the_pipeline_with_exit_2(self, tmp_path, capsys):
+        # one cluster per region: every region is single_cluster, so smooth has nothing to fit
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SCENARIO.replace("clusters_per_region = 3:5", "clusters_per_region = 1:1"))
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(config), "--out", str(out)] + MCMC)
+        assert code == 2
+        assert "need at least 2 non-degenerate regions, have 0" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["boundaries.geojson", "direct.csv", "graph.txt",
+                                           "records.csv", "truth.csv"]
+
+    def test_strict_pipeline_exits_3_and_still_renders(self, tmp_path, scenario_file, monkeypatch):
+        monkeypatch.setattr(prevmap.bym, "RHAT_THRESHOLD", 0.5)  # force failure
+        out = tmp_path / "out"
+        code = main(["pipeline", "--config", str(scenario_file), "--strict",
+                     "--out", str(out)] + MCMC)
+        assert code == 3
+        for name in ("fig1_sample_size.svg", "fig2_smoothed_ci.svg", "fig3_country_zoom.svg",
+                     "fig4_comparison.svg"):
+            assert (out / name).read_text().startswith("<?xml"), name
 
 
 class TestDegenerateAndMalformedInputs:
@@ -544,10 +575,10 @@ def test_config_hash_is_sha256_of_files_then_texts(tmp_path):
         first.read_bytes() + b"\0" + second.read_bytes() + b"\0"
         + b"".join(t.encode() + b"\0" for t in texts)
     ).hexdigest()[:16]
-    assert _config_hash([str(first), second], *texts) == expected
-    assert _config_hash([], "x") == hashlib.sha256(b"x\0").hexdigest()[:16]
+    assert _config_hash(_hashed(str(first), second), *texts) == expected
+    assert _config_hash(_hashed(), "x") == hashlib.sha256(b"x\0").hexdigest()[:16]
     with pytest.raises(SchemaError, match="input file not found: .*none.csv"):
-        _config_hash([first, tmp_path / "none.csv"])
+        _hashed(first, tmp_path / "none.csv")
 
 
 def test_directory_as_input_exits_2(tmp_path, capsys):
@@ -784,6 +815,19 @@ def test_render_title_with_several_panels_exits_2(tmp_path, artifacts, capsys, l
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("layout, message", [
+    (["--column", "prev_mean", "--column", "prev_q025", "--zoom-per-country"],
+     "--zoom-per-country takes exactly one --column"),
+    (["--title", "T", "--zoom-per-country"],
+     "--title takes exactly one --column and no --zoom-per-country"),
+], ids=["zoom_two_columns", "title_zoom"])
+def test_render_usage_errors_come_before_any_read(tmp_path, capsys, layout, message):
+    argv = ["render", "--boundaries", str(tmp_path / "none.geojson"),
+            "--values", str(tmp_path / "none.csv"), *layout, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_render_title_names_the_one_panel(tmp_path, artifacts):
     argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
             "--values", str(artifacts / "direct.csv"), "--column", "n", "--output-name", "n.svg"]
@@ -914,6 +958,40 @@ def test_misshapen_geojson_exits_2_naming_file_and_feature(artifacts, tmp_path, 
     assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
 
+@pytest.mark.parametrize("key", ["region_id", "country"])
+@pytest.mark.parametrize("value, kind", [(True, "a boolean"), (1.0, "a number"), ([1], "an array"),
+                                         ({"a": 1}, "an object")], ids=["bool", "float", "array", "object"])
+def test_geojson_property_without_one_text_form_exits_2(artifacts, tmp_path, capsys, key, value, kind):
+    # such ids used to load as Python's str of the value: "True", "1.0", "[1]", "{'a': 1}"
+    doc = json.loads((artifacts / "boundaries.geojson").read_text())
+    doc["features"][2]["properties"][key] = value
+    broken = tmp_path / "boundaries.geojson"
+    broken.write_text(json.dumps(doc))
+    argv = ["direct", "--records", str(artifacts / "records.csv"), "--boundaries", str(broken),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {broken}: feature 2: properties.{key} must be a string or an integer, got {kind}\n")
+
+
+@pytest.mark.parametrize("region_id", [0, "0", "R1"])
+def test_geojson_string_and_integer_ids_load(tmp_path, region_id):
+    regions = make_grid_regions(1, 2)
+    boundaries = tmp_path / "boundaries.geojson"
+    write_boundaries_geojson(regions, boundaries)
+    doc = json.loads(boundaries.read_text())
+    doc["features"][0]["properties"].update(region_id=region_id, country=region_id)
+    boundaries.write_text(json.dumps(doc))
+    ids = [str(region_id), regions[1].region_id]
+    rows = [IndividualRecord(rid, f"{rid}-c{c}", 1.0, int(i <= c)) for rid in ids
+            for c in range(3) for i in range(4)]
+    write_records_csv(SurveyTable.from_records(rows), tmp_path / "records.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_stage(["direct", "--records", str(tmp_path / "records.csv"),
+                   "--boundaries", str(boundaries), "--out", str(tmp_path)])
+    assert sorted(e.region_id for e in read_direct_csv(tmp_path / "direct.csv")) == sorted(ids)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -995,3 +1073,55 @@ def test_damaged_truth_csv_reads_or_raises_schema_error(tmp_path_factory, artifa
     except (SchemaError, ConsistencyError):  # ConsistencyError: a repeated region_id
         return
     assert all(isinstance(v, float) for v in truth.values())
+
+
+# ---------------------------------------------------------------------------
+# I/O: one read per input file and step; the pipeline parses only its config
+# ---------------------------------------------------------------------------
+
+# the loaders the commands call, by their names in prevmap.cli
+CLI_LOADERS = ("load_scenario", "load_records", "load_boundaries", "load_graph",
+               "read_direct_csv", "read_posterior_csv", "read_table")
+
+
+@contextlib.contextmanager
+def spied_io():
+    """Counters, by path, of the files read (``read_input``) and of those parsed
+    (a loader call); they are filled when the block ends."""
+    reads, parses = Counter(), Counter()
+    targets = [(prevmap.data_model, "read_input"), (prevmap.cli, "read_input")]
+    targets += [(prevmap.cli, name) for name in CLI_LOADERS]
+    with contextlib.ExitStack() as stack, contextlib.redirect_stdout(io.StringIO()):
+        spies = [stack.enter_context(mock.patch.object(owner, name, wraps=getattr(owner, name)))
+                 for owner, name in targets]
+        yield reads, parses
+    for (_, name), spy in zip(targets, spies):
+        counter = reads if name == "read_input" else parses
+        counter.update(Path(call.args[0]) for call in spy.call_args_list)
+
+
+def test_pipeline_parses_only_its_config(tmp_path, scenario_file):
+    with spied_io() as (reads, parses):
+        run_stage(["pipeline", "--config", str(scenario_file), "--out", str(tmp_path)] + MCMC)
+    assert parses == Counter([scenario_file])
+    assert reads[scenario_file] == 1
+
+
+STEP_INPUTS = {
+    "direct": {"--records": "records.csv", "--boundaries": "boundaries.geojson"},
+    "adjacency": {"--boundaries": "boundaries.geojson"},
+    "smooth": {"--direct": "direct.csv", "--graph": "graph.txt"},
+    "render": {"--boundaries": "boundaries.geojson", "--values": "posterior.csv"},
+    "compare": {"--direct": "direct.csv", "--posterior": "posterior.csv"},
+}
+
+
+@pytest.mark.parametrize("command", STEP_INPUTS)
+def test_each_step_reads_each_input_once(artifacts, tmp_path, command):
+    inputs = STEP_INPUTS[command]
+    argv = [command, *chain.from_iterable((flag, str(artifacts / name)) for flag, name in inputs.items())]
+    with spied_io() as (reads, parses):
+        run_stage(argv + (SHORT_FIT if command == "smooth" else []) + ["--out", str(tmp_path)])
+    files = Counter(artifacts / name for name in inputs.values())
+    assert reads == files
+    assert parses == files
