@@ -4,8 +4,8 @@ The pipeline: load (or simulate) multistage cluster survey records and region
 boundaries, compute per-region design-based prevalence estimates with
 ultimate-cluster variances, build the region contiguity graph, smooth the
 logit-scale estimates with a BYM (iid + ICAR) random-effect model (exact
-independent draws by default, or Gibbs sampling), and render choropleth /
-comparison figures as deterministic SVG.
+mixtures over a variance grid by default, or Gibbs sampling), and render
+choropleth / comparison figures as deterministic SVG.
 """
 
 __version__ = "0.1.0"

@@ -19,9 +19,10 @@ predictions.
 z is Gaussian with precision P = Q/sig2_sp + W, W = diag(1/(V_i + sig2_eps))
 over the usable regions, and p(sig2 | Y) has a closed form. It evaluates
 that density on a lattice of (log sig2_eps, log sig2_sp) laid along the
-Hessian's eigen-axes at the mode, draws the variances from the lattice, then
-z, b0 and eps from their exact conditionals, so every draw is independent.
-P is factored as a banded Cholesky after a reverse Cuthill-McKee ordering.
+Hessian's eigen-axes at the mode. Each region's theta is then a Gaussian
+mixture over the lattice, summarized exactly; b0 and the variances are
+drawn from the lattice, independently. P is factored as a banded Cholesky
+after a reverse Cuthill-McKee ordering.
 The engine's code is in ``prevmap.exact``, loaded with ``scipy.linalg`` on
 its first use, and ``scipy.special`` is imported in the functions that call
 it, so importing this module loads no scipy.
@@ -255,7 +256,12 @@ def _z_table(size: int) -> np.ndarray:
     """z-score of every possible rank r = j / 2 of ``size`` values, indexed by j."""
     from scipy.special import ndtri
 
-    return ndtri((np.arange(2 * size + 1) / 2 - 0.5) / size)
+    # (j / 2 - 0.5) / size, in place
+    p = np.arange(2 * size + 1, dtype=float)
+    p /= 2
+    p -= 0.5
+    p /= size
+    return ndtri(p, out=p)
 
 
 def _z_scale(srt: np.ndarray, at: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -267,10 +273,11 @@ def _z_scale(srt: np.ndarray, at: np.ndarray, table: np.ndarray) -> np.ndarray:
     ``scipy.stats.rankdata(method="average")``: a tie group at sorted
     positions first..last has rank (first + last + 2) / 2, exact in float64.
     A draw set holding a NaN maps to all NaN. Tied values get one z, so the
-    order of a tie group's members in ``at`` does not matter.
+    order of a tie group's members in ``at`` does not matter. ``srt`` is
+    overwritten with the sorted z-scores, to hold one array less.
     """
     size = srt.shape[-1]
-    doubled_rank = np.broadcast_to(2 * np.arange(size) + 2, srt.shape)
+    doubled_rank = np.broadcast_to(np.arange(2, 2 * size + 2, 2), srt.shape)
     row, left = np.nonzero(srt[..., 1:] == srt[..., :-1])  # srt[row, left + 1] ties
     if len(left):
         # a tie group is a run of consecutive ``left`` in one row
@@ -282,8 +289,11 @@ def _z_scale(srt: np.ndarray, at: np.ndarray, table: np.ndarray) -> np.ndarray:
         doubled_rank = doubled_rank.copy()
         doubled_rank[row, left] = shared
         doubled_rank[row, left + 1] = shared
-    z_sorted = table[doubled_rank]
-    z_sorted[np.isnan(srt[..., -1])] = np.nan  # NaN sorts last
+    nan_sets = np.isnan(srt[..., -1])  # NaN sorts last
+    # mode="clip" writes straight into out, where "raise" buffers a copy
+    z_sorted = np.take(table, doubled_rank, out=srt, mode="clip")
+    del doubled_rank
+    z_sorted[nan_sets] = np.nan
     z = np.empty(srt.shape)
     z.put(at, z_sorted)
     return z
@@ -318,14 +328,17 @@ def rhat(draws: np.ndarray) -> float | np.ndarray:
         offset = np.arange(0, rows * size, size)[:, None]
         order = np.argsort(flat, axis=-1)
         order += offset
-        srt = flat.take(order)
-        bulk = _rhat_classic(_z_scale(srt, order, table).reshape(split.shape))
+        bulk = _rhat_classic(_z_scale(flat.take(order), order, table).reshape(split.shape))
+        del order  # each pass's sort is freed before the next one's is made
         # the median of the unsplit draws: an odd chain's middle draw counts
         median = np.median(sets.reshape(len(sets), -1), axis=-1)[:, None]
-        folded = np.abs(flat - median)
-        tail_order = np.argsort(folded, axis=-1)
-        tail_order += offset
-        tail = _rhat_classic(_z_scale(folded.take(tail_order), tail_order, table).reshape(split.shape))
+        folded = flat - median
+        np.abs(folded, out=folded)
+        order = np.argsort(folded, axis=-1)
+        order += offset
+        srt = folded.take(order)
+        del folded
+        tail = _rhat_classic(_z_scale(srt, order, table).reshape(split.shape))
         out = np.where(_is_constant(sets), np.nan, np.fmax(bulk, tail))
     return float(out[0]) if x.ndim == 2 else out
 
@@ -333,10 +346,11 @@ def rhat(draws: np.ndarray) -> float | np.ndarray:
 def _autocovariance(x: np.ndarray) -> np.ndarray:
     """Autocovariance of each row of the last axis, via a zero-padded FFT."""
     n = x.shape[-1]
-    xc = x - np.mean(x, axis=-1, keepdims=True)
-    f = np.fft.rfft(xc, 2 * n, axis=-1)
-    # f first: complex products may round by operand order
-    return np.fft.irfft(np.multiply(f, np.conj(f)), 2 * n, axis=-1)[..., :n] / n
+    f = np.fft.rfft(x - np.mean(x, axis=-1, keepdims=True), 2 * n, axis=-1)
+    # f first: complex products may round by operand order; in place, as
+    # f is the largest buffer here
+    np.multiply(f, np.conj(f), out=f)
+    return np.fft.irfft(f, 2 * n, axis=-1)[..., :n] / n
 
 
 def ess(draws: np.ndarray) -> float | np.ndarray:
@@ -433,15 +447,17 @@ class RegionSummary:
 class BymPosterior:
     """What one fit returns: the draws prevmap reads, summaries and diagnostics.
 
-    The draws are theta per region and the three hyperparameters b0,
-    sig2_eps and sig2_sp. The spatial effect S and eps are steps toward
-    theta, and are not kept. ``summaries`` holds each region's theta and
-    prevalence summary in graph node order, with its R-hat and ESS.
-    ``report`` holds the diagnostics that decide ``converged``, and ``meta``
-    holds the fit's settings as its artifacts' headers write them.
+    The draws are the three hyperparameters b0, sig2_eps and sig2_sp, and,
+    from ``gibbs_fit``, theta per region; ``exact_fit`` computes its region
+    summaries without draws of theta, and its ``theta_draws`` is None. The
+    spatial effect S and eps are steps toward theta, and are not kept.
+    ``summaries`` holds each region's theta and prevalence summary in graph
+    node order, with its R-hat and ESS. ``report`` holds the diagnostics
+    that decide ``converged``, and ``meta`` holds the fit's settings as its
+    artifacts' headers write them.
     """
 
-    theta_draws: np.ndarray  # (chains, kept, regions)
+    theta_draws: np.ndarray | None  # (chains, kept, regions); None from exact_fit
     beta0_draws: np.ndarray  # (chains, kept)
     sigma2_eps_draws: np.ndarray
     sigma2_sp_draws: np.ndarray
@@ -704,25 +720,17 @@ def posterior_from_draws(
     beta0_draws: np.ndarray,
     sig2e_draws: np.ndarray,
     sig2s_draws: np.ndarray,
-    *,
-    region_diagnostics: bool = True,
-    grid_edge_mass: float = 0.0,
-    extra_meta: Mapping[str, str] | None = None,
 ) -> BymPosterior:
-    """A fit's posterior from its draws: summaries, diagnostics and metadata.
+    """``gibbs_fit``'s posterior from its draws: summaries, diagnostics and metadata.
 
-    Regions are summarized a block at a time. With ``region_diagnostics``
-    each region's theta gets its R-hat and ESS, which join the report;
-    without (independent draws) R-hat is nan and ESS the number of draws.
-    The hyperparameters' R-hat and ESS, and ``grid_edge_mass``, are always
-    in the report. ``extra_meta`` is appended to the fit's metadata.
+    Regions are summarized a block at a time, and each region's theta gets
+    its R-hat and ESS, which join the report.
     """
     from scipy.special import expit
 
     prec = spec.precision
     n = prec.dimension
     chains, kept = beta0_draws.shape
-    fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
 
     # Summaries and diagnostics per region, a block of regions per call
     step = max(1, _DIAG_BLOCK_DRAWS // (chains * kept))
@@ -734,26 +742,46 @@ def posterior_from_draws(
         block = np.ascontiguousarray(theta_draws[:, :, lo : lo + step].transpose(2, 0, 1))
         theta_sums += summarize(block, batched=True)
         prev_sums += summarize(expit(block), batched=True)
-        if region_diagnostics:
-            rhats += rhat(block).tolist()
-            esss += ess(block).tolist()
-    if not region_diagnostics:
-        rhats = [math.nan] * n
-        esss = [float(chains * kept)] * n
+        rhats += rhat(block).tolist()
+        esss += ess(block).tolist()
     summaries = [
         RegionSummary(rid, theta, prev, r, e)
         for rid, theta, prev, r, e in zip(prec.node_ids, theta_sums, prev_sums, rhats, esss)
     ]
+    per_region = {f"theta[{s.region_id}]": ScalarDiag(s.rhat_theta, s.ess_theta) for s in summaries}
+    return posterior_from_summaries(
+        spec, config, summaries, beta0_draws, sig2e_draws, sig2s_draws,
+        theta_draws=theta_draws, per_region=per_region,
+    )
 
+
+def posterior_from_summaries(
+    spec: BymModelSpec,
+    config: McmcConfig,
+    summaries: list[RegionSummary],
+    beta0_draws: np.ndarray,
+    sig2e_draws: np.ndarray,
+    sig2s_draws: np.ndarray,
+    *,
+    theta_draws: np.ndarray | None = None,
+    per_region: Mapping[str, ScalarDiag] | None = None,
+    grid_edge_mass: float = 0.0,
+    extra_meta: Mapping[str, str] | None = None,
+) -> BymPosterior:
+    """A fit's posterior from its region summaries and hyperparameter draws.
+
+    The report holds the regions' diagnostics in ``per_region``, then the
+    hyperparameters' R-hat and ESS, and ``grid_edge_mass``. ``extra_meta``
+    is appended to the fit's metadata.
+    """
+    prec = spec.precision
+    fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
     hyper_traces: dict[str, np.ndarray] = {"beta0": beta0_draws}
     if fixed_e is None:
         hyper_traces["sigma2_eps"] = sig2e_draws
     if fixed_s is None and prec.rank > 0:
         hyper_traces["sigma2_sp"] = sig2s_draws
-    per_scalar = {}
-    if region_diagnostics:
-        per_scalar = {f"theta[{rid}]": ScalarDiag(s.rhat_theta, s.ess_theta)
-                      for rid, s in zip(prec.node_ids, summaries)}
+    per_scalar = dict(per_region or {})
     hyper_report = diagnostics(hyper_traces)
     per_scalar.update(hyper_report.per_scalar)
     report = DiagnosticsReport(per_scalar, hyper_report.notes, grid_edge_mass)
@@ -790,16 +818,21 @@ def posterior_from_draws(
 
 
 def exact_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
-    """Independent draws from the posterior, with eps integrated out.
+    """The posterior with eps integrated out, on a grid over the variances.
 
-    The variances come from a grid over p(log sig2_eps, log sig2_sp | Y); a
-    fixed variance leaves its axis out, and sig2_sp is drawn from its prior
-    when no component with a usable region has an edge (it then meets no
-    data). Each chain is a stream from ``SeedSequence(seed).spawn(chains)``
-    with ``retained_per_chain()`` draws; draws that fall in one grid cell
-    share one factorization of P. Reruns are bit-identical. Per-region
-    R-hat is nan and ESS the draw count, as the draws are independent; the
-    hyperparameter diagnostics and the grid's edge mass decide convergence.
+    The variances take a grid's points over p(log sig2_eps, log sig2_sp | Y);
+    a fixed variance leaves its axis out. Given them, theta is Gaussian, so
+    each region's summary is that of a Gaussian mixture over the grid, with
+    no Monte Carlo error: mean and sd in closed form, median and 95%
+    interval by Newton's method on the mixture's CDF, the prevalence's mean
+    and sd by Gauss-Hermite quadrature. sig2_sp is drawn from its prior when
+    no component with a usable region has an edge (it then meets no data),
+    and the regions it moves are summarized over those draws. Only b0 and
+    the variances are drawn: each chain is a stream from
+    ``SeedSequence(seed).spawn(chains)`` with ``retained_per_chain()``
+    independent draws. ``theta_draws`` is None. Reruns are bit-identical.
+    Per-region R-hat is nan and ESS the number of draws; the hyperparameter
+    diagnostics and the grid's edge mass decide convergence.
 
     The engine is in ``prevmap.exact``, which is loaded, with
     ``scipy.linalg``, on the first call, so that importing the CLI loads no

@@ -1005,11 +1005,14 @@ def load_boundaries(path: str | Path, digest=None) -> list[RegionBoundary]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        # ValueError holds JSONDecodeError and an integer past Python's digit
+        # limit; RecursionError, arrays nested past the parser's depth
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
         boundaries = _boundaries(doc, path)
         del doc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     finally:
         if enabled:
             gc.enable()

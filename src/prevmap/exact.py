@@ -5,10 +5,15 @@ With eps integrated out (the Fay-Herriot form of the model in
 P = Q/sig2_sp + W, W = diag(1/(V_i + sig2_eps)) over the usable regions, and
 p(sig2 | Y) has a closed form. The engine evaluates that density on a
 lattice of (log sig2_eps, log sig2_sp) laid along the Hessian's eigen-axes
-at the mode, draws the variances from the lattice, then b0, z and eps from
-their exact conditionals, so every draw is independent (the grid strategy of
-INLA, Rue, Martino & Chopin 2009, without its approximations). P is factored
-as a banded Cholesky after a reverse Cuthill-McKee ordering.
+at the mode (the grid strategy of INLA, Rue, Martino & Chopin 2009, without
+its approximations). Given the variances, each region's theta is Gaussian,
+so its posterior is a finite Gaussian mixture over the grid: the engine
+writes each region's summary from that mixture, with no Monte Carlo error,
+and draws only the hyperparameters, b0 and the variances, from the grid.
+P is factored as a banded Cholesky after a reverse Cuthill-McKee ordering,
+point by point while the grid grows and a chunk of points per call for the
+mixture; the diagonal of P^-1 comes from Takahashi's selected inversion of
+the factor (Takahashi, Fagan & Chen 1973).
 
 The band routines are LAPACK's, called directly through
 ``scipy.linalg.lapack`` (dpbtrf to factor, dpbtrs and dtbtrs to solve):
@@ -20,11 +25,12 @@ third of each density evaluation on the demo's 45 regions. A right-hand
 side stays C-ordered where a column of it feeds ``np.dot``: a contiguous
 column takes another BLAS kernel, whose rounding differs in the last bits.
 
-``icar_draws`` is prevmap's one sampler of the ICAR prior: the engine draws
-the spatial effect of a component without usable regions with it, and
-``prevmap.synthetic`` the simulated truth surface. This module is imported
-on first use of either and brings in ``scipy.linalg``. The rest of prevmap
-imports ``scipy.special`` only inside the functions that call it, so only
+``icar_draws`` is prevmap's one sampler of the ICAR prior, which
+``prevmap.synthetic`` draws the simulated truth surface with;
+``icar_variances`` gives the engine the same prior's variances for a
+component without usable regions. This module is imported on first use of
+either and brings in ``scipy.linalg``. The rest of prevmap imports
+``scipy.special`` only inside the functions that call it, so only
 ``simulate`` and ``smooth`` load scipy, and importing the CLI loads none.
 """
 
@@ -36,12 +42,20 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .bym import BymModelSpec, BymPosterior, McmcConfig, exact_fit, posterior_from_draws
+from .bym import (
+    BymModelSpec,
+    BymPosterior,
+    McmcConfig,
+    RegionSummary,
+    Summary,
+    exact_fit,
+    posterior_from_summaries,
+)
 from .errors import ModelError
 from .graph import IcarPrecision
 
@@ -60,9 +74,18 @@ _NEWTON_STEPS = 100
 _NEWTON_MAX_STEP = 1.0  # log units
 _FD_STEP = 1e-3
 _MIN_CURVATURE = 1e-2  # an axis spans at most 10 log units per lattice unit
-# standard normals of eps drawn per call: bounds each of the eps loop's
-# temporaries to 512 KiB whatever the number of draws
-_EPS_BLOCK = 1 << 16
+# band storage of the grid points factored per LAPACK call: bounds the
+# chunk's factor, and each of its temporaries, to 16 MiB whatever the number
+# of regions
+_CHUNK_BYTES = 1 << 24
+# nodes whose factor rows the selected inversion gathers at a time
+_INVERSE_NODES = 64
+# each (grid points, regions) array of the region summaries: 1 MiB a block
+_SUMMARY_BYTES = 1 << 20
+# the mixture quantiles' Newton steps stop below this relative size
+_QUANTILE_TOL = 1e-12
+# 12 and 48 nodes gave the demo's prevalence means and sds to the same digits
+_HERMITE_NODES = 16
 
 
 @functools.cache
@@ -139,8 +162,8 @@ def rcm_components(prec: IcarPrecision) -> list[np.ndarray]:
     return out
 
 
-def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Band width, upper-band slots and weights of Q's off-diagonal entries over ``nodes``.
+def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Band width, and the upper band's flat slots and weights of Q's off-diagonal entries over ``nodes``.
 
     Rows and columns follow ``nodes``, a union of whole components, so an
     edge has both ends in it or neither.
@@ -151,36 +174,58 @@ def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, tuple[np.
     a, b = pos[prec.edge_i[inside]], pos[prec.edge_j[inside]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     width = int((hi - lo).max(initial=0))
-    return width, (width + lo - hi, hi), prec.edge_w[inside]
+    # entry (lo, hi) is row width + lo - hi of column hi in the Fortran-ordered band
+    return width, hi * (width + 1) + width + lo - hi, prec.edge_w[inside]
 
 
-def _band(layout, diag: np.ndarray, scale: float) -> np.ndarray:
-    """Upper band storage of diag(diag) + (Q - diag(Q)) / scale in a ``_band_layout``.
+def _band(layout, diag: np.ndarray, scale) -> np.ndarray:
+    """Upper band storage of diag(d) + (Q - diag(Q)) / s in a ``_band_layout``.
 
-    Fortran-ordered, as LAPACK takes it, so ``_cholesky`` factors it in place.
+    For k rows d of ``diag`` and k scales s, shaped (k, 1) (or one number),
+    the k matrices side by side: one block-diagonal band of the same width,
+    no entry coupling two blocks. Fortran-ordered, as LAPACK takes it, so
+    ``_cholesky`` factors it in place.
     """
     width, slots, weight = layout
-    ab = np.zeros((width + 1, len(diag)), order="F")
-    ab[width] = diag
-    ab[slots] = -weight / scale
-    return ab
+    k, n = diag.shape
+    ab = np.zeros((k, n * (width + 1)))  # row p is matrix p's band, column by column
+    ab[:, width :: width + 1] = diag
+    ab[:, slots] = -weight / scale
+    return ab.reshape(k * n, width + 1).T
+
+
+class _NotPositiveDefinite(np.linalg.LinAlgError):
+    """dpbtrf's failure, with the band column where it stopped."""
+
+    def __init__(self, column: int) -> None:
+        super().__init__(f"{column + 1}-th leading minor not positive definite")
+        self.column = column
 
 
 def _cholesky(ab: np.ndarray) -> np.ndarray:
     """Upper band Cholesky factor U of ``ab``, laid out by ``_band`` and overwritten, by dpbtrf.
 
-    Raises ``np.linalg.LinAlgError`` where the matrix is not positive
+    Raises ``_NotPositiveDefinite`` where the matrix is not positive
     definite in floating point.
     """
     factor, info = dpbtrf(ab, overwrite_ab=1)
     if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+        raise _NotPositiveDefinite(info - 1)
     return factor
 
 
-def _levels(x: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Mean of each component's block of rows of the 2-d ``x``."""
-    return np.add.reduceat(x, starts, axis=0) / sizes[:, None]
+def _pinned_factor(prec: IcarPrecision, components: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Band factor of Q over ``components`` with each one's first node held at unit precision.
+
+    Returns the factor, and each component's start and size in the
+    concatenation of ``components``, which the factor's rows follow.
+    """
+    nodes = np.concatenate(components)
+    sizes = np.array([len(c) for c in components])
+    starts = np.cumsum(sizes) - sizes
+    pinned = prec.degree[nodes].copy()
+    pinned[starts] += 1.0
+    return _cholesky(_band(_band_layout(prec, nodes), pinned[None], 1.0)), starts, sizes
 
 
 @_one_blas_thread()
@@ -194,25 +239,76 @@ def icar_draws(prec: IcarPrecision, components: Sequence[np.ndarray], noise: np.
     recentred per component, has exactly the sum-to-zero distribution
     (Rue & Held 2005, 2.3.3), so an isolated node draws exactly 0.
     """
-    nodes = np.concatenate(components)
-    sizes = np.array([len(c) for c in components])
-    starts = np.cumsum(sizes) - sizes
-    pinned = prec.degree[nodes].copy()
-    pinned[starts] += 1.0
-    x, _ = dtbtrs(_cholesky(_band(_band_layout(prec, nodes), pinned, 1.0)), noise)
-    return x - np.repeat(_levels(x, starts, sizes), sizes, axis=0)
+    factor, starts, sizes = _pinned_factor(prec, components)
+    x, _ = dtbtrs(factor, noise)
+    return x - np.repeat(np.add.reduceat(x, starts, axis=0) / sizes[:, None], sizes, axis=0)
 
 
-@dataclass(frozen=True)
-class _Conditional:
-    """z over the live nodes given both variances, before its levels are tied to b0."""
+def icar_variances(prec: IcarPrecision, components: Sequence[np.ndarray]) -> np.ndarray:
+    """Diagonal of the unit-scale sum-to-zero ICAR covariance, in ``icar_draws``'s row order.
 
-    factor: np.ndarray  # upper band Cholesky factor U of P = U'U
+    With Sigma the inverse of ``icar_draws``'s pinned Q, its draws are
+    (I - J/n) x per component of n nodes, x ~ N(0, Sigma), so node i's
+    variance is Sigma_ii - 2 (Sigma 1)_i / n + 1'Sigma 1 / n^2.
+    """
+    factor, starts, sizes = _pinned_factor(prec, components)
+    row_sums, _ = dpbtrs(factor, np.ones(factor.shape[1]))
+    total = np.add.reduceat(row_sums, starts) / sizes**2
+    return (_selected_inverse(factor, 1)[0] - 2 * row_sums / np.repeat(sizes, sizes)
+            + np.repeat(total, sizes))
+
+
+def _selected_inverse(factor: np.ndarray, k: int) -> np.ndarray:
+    """diag(P^-1), (k, n), for k band factors U of P = U'U side by side in ``factor``.
+
+    Takahashi's recursion (Takahashi, Fagan & Chen 1973) runs from the last
+    node back: Sigma_ij = (delta_ij / U_ii - sum_{l>i} U_il Sigma_lj) / U_ii
+    for j = i..i+width reads Sigma only inside the band. So it carries a
+    window of width + 1 rows and columns of Sigma, node j in slot j mod
+    (width + 1), and each step rewrites one row and one column of it, for
+    all k factors at once.
+    """
+    width = factor.shape[0] - 1
+    slots = width + 1
+    n = factor.shape[1] // k
+    band = factor.T.reshape(k, n, slots)  # band[p, j, width - t] = U_p[j - t, j]
+    inv_pivot = 1.0 / band[:, :, width]
+    window = np.zeros((k, slots, slots))
+    out = np.empty((k, n))
+    for stop in range(n, 0, -_INVERSE_NODES):
+        start = max(stop - _INVERSE_NODES, 0)
+        # rows[p, i - start, s] = U_p[i, j] for the node j > i in slot s, 0 in
+        # i's own slot and past the last node
+        i = np.arange(start, stop)[:, None]
+        t = (np.arange(slots) - i) % slots
+        rows = band[:, np.minimum(i + t, n - 1), width - t]
+        rows[:, (t == 0) | (i + t >= n)] = 0.0
+        for i in range(stop - 1, start - 1, -1):
+            u, inv_d, s = rows[:, i - start], inv_pivot[:, i], i % slots
+            row = np.matmul(window, u[:, :, None])[:, :, 0]
+            row *= -inv_d[:, None]
+            row[:, s] = out[:, i] = inv_d * (inv_d - np.einsum("ps,ps->p", u, row))
+            window[:, s] = row
+            window[:, :, s] = row
+    return out
+
+
+class _Solved(NamedTuple):
+    """z over the live nodes at k variance pairs, before its levels are tied to b0.
+
+    Every array has one row per pair.
+    """
+
+    factor: np.ndarray  # the k upper band Cholesky factors U of P = U'U, side by side
+    w: np.ndarray  # W's diagonal
+    wy: np.ndarray  # W Y
     mean: np.ndarray  # m = P^-1 W Y
-    level_gain: np.ndarray  # P^-1 a, a = each component's averaging vector
+    gain: np.ndarray  # P^-1 a, a = each component's averaging vector
+    level: np.ndarray  # a' m, one per live component
     level_var: np.ndarray  # a' P^-1 a, one per live component
-    b0_mean: float
-    b0_prec: float
+    tau: np.ndarray  # 1 / level_var
+    b0_mean: np.ndarray  # b0 | variances, Y, one per pair
+    b0_prec: np.ndarray
 
 
 class _Collapsed:
@@ -223,8 +319,8 @@ class _Collapsed:
     to b0 by conditioning on it (Rue & Held 2005, 2.3.3); b0, under its flat
     prior, is integrated out of p(sig2 | Y) in closed form. A component with
     no usable region adds nothing to p(sig2 | Y) once its S is integrated
-    out, so it is left out of P and of the rank term, and its S is drawn
-    from the sum-to-zero prior by ``icar_draws``.
+    out, so it is left out of P and of the rank term, and its S has the
+    sum-to-zero prior's variances, ``icar_variances``.
     """
 
     def __init__(self, spec: BymModelSpec) -> None:
@@ -246,53 +342,111 @@ class _Collapsed:
         self.y_live, self.v_live = self.y[self.live], self.v[self.live]
         self.average = np.repeat(1.0 / self.live_sizes, self.live_sizes)
         self.isolated = self.live_starts[self.live_sizes == 1]
-        self.dead = dead
+        # each region's S variance at unit sig2_sp: 0 where live (P holds
+        # it), the sum-to-zero prior's where dead
+        self.prior_var = np.zeros(len(self.y))
+        if dead:
+            self.prior_var[np.concatenate(dead)] = icar_variances(prec, dead)
 
-    def conditional(self, sig2_eps: float, sig2_sp: float) -> tuple[float, _Conditional]:
-        """log p(Y | variances), up to a constant, and z's conditional given them.
+    def solve(self, variances: np.ndarray) -> _Solved:
+        """z's conditional at each row (sig2_eps, sig2_sp) of ``variances``, (k, 2).
 
+        One dpbtrf call factors the k precisions, laid side by side by
+        ``_band``, and one dpbtrs call solves them. Raises
+        ``_NotPositiveDefinite`` where one is singular in floating point.
         Nothing here checks for inf or nan: ``BymModelSpec.validate`` rejects
         non-finite usable estimates, and the variances come from log
         variances under 100 in size, so P and W Y are finite.
         """
+        k, n = len(variances), len(self.live)
+        sig2_eps, sig2_sp = variances[:, :1], variances[:, 1:]
         w = np.where(self.use, 1.0 / (self.v_live + sig2_eps), 0.0)
         factor = _cholesky(_band(self.layout, self.degree / sig2_sp + w, sig2_sp))
-        # C-ordered, so that wy below is a strided view: np.dot runs another
-        # BLAS kernel on a contiguous one, which moves the last bits
-        rhs = np.empty((len(w), 2))
-        wy = np.multiply(w, self.y_live, out=rhs[:, 0])
-        rhs[:, 1] = self.average
-        sol, _ = dpbtrs(factor, rhs)
-        mean, gain = sol[:, 0], sol[:, 1]
-        level, level_var = _levels(sol, self.live_starts, self.live_sizes).T
+        # C-ordered, so that each row of wy, and of level below, is a strided
+        # view: np.dot runs another BLAS kernel on a contiguous one, which
+        # moves the last bits
+        rhs = np.empty((k, n, 2))
+        wy = np.multiply(w, self.y_live, out=rhs[:, :, 0])
+        rhs[:, :, 1] = self.average
+        sol, _ = dpbtrs(factor, rhs.reshape(k * n, 2))
+        mean, gain = sol.T.reshape(2, k, n)  # dpbtrs returns the columns Fortran-ordered
+        levels = np.empty((k, len(self.live_sizes), 2))
+        np.divide(np.add.reduceat(sol.T.reshape(2, k, n), self.live_starts, axis=2), self.live_sizes,
+                  out=levels.transpose(2, 0, 1))
+        level, level_var = levels[:, :, 0], levels[:, :, 1]
         tau = 1.0 / level_var
-        b0_prec = float(tau.sum())
-        b0_mean = float(np.dot(tau, level)) / b0_prec
-        log_marginal = 0.5 * (
+        b0_prec = np.add.reduce(tau, axis=1)
+        b0_mean = np.fromiter(map(np.dot, tau, level), float, k) / b0_prec
+        return _Solved(factor, w, wy, mean, gain, level, level_var, tau, b0_mean, b0_prec)
+
+    def log_marginal(self, sig2_eps: float, sig2_sp: float) -> float:
+        """log p(Y | variances), up to a constant."""
+        s = self.solve(np.array([[sig2_eps, sig2_sp]]))
+        w, wy, mean, level, tau = s.w[0], s.wy[0], s.mean[0], s.level[0], s.tau[0]
+        b0_mean, b0_prec = float(s.b0_mean[0]), float(s.b0_prec[0])
+        return 0.5 * (
             float(np.log(w[self.use]).sum())
-            - 2.0 * float(np.log(factor[-1]).sum())
+            - 2.0 * float(np.log(s.factor[-1]).sum())
             - (float(np.dot(wy, self.y_live)) - float(np.dot(wy, mean)))
             - self.rank * math.log(sig2_sp)
             # the live levels agree, at b0, with b0 integrated out
-            - float(np.log(level_var).sum())
+            - float(np.log(s.level_var[0]).sum())
             - math.log(b0_prec)
             - float(np.dot(tau, (level - b0_mean) ** 2))
         )
-        return log_marginal, _Conditional(factor, mean, gain, level_var, b0_mean, b0_prec)
 
-    def draw_live(self, cond: _Conditional, noise: np.ndarray, b0: np.ndarray) -> np.ndarray:
-        """z over the live nodes, (live nodes, k), given k draws of b0 and standard normals.
+    def moments(self, variances: np.ndarray) -> tuple[np.ndarray, ...]:
+        """b0's mean and precision, (k,), and theta's mean and variance, (k, regions), at each variance pair.
 
-        ``noise`` is (live nodes, k), and is overwritten when Fortran-ordered:
-        one banded triangular solve draws x ~ N(m, P^-1) for all k columns,
-        then each component's level is moved to its draw of b0 by kriging.
+        Pairs go ``_CHUNK_BYTES`` of band storage at a time, one dpbtrf call
+        per chunk. The grid factored each pair alone, so where a chunk fails
+        at a pair, the chunk is split around it and that pair is factored
+        alone again.
         """
-        x, _ = dtbtrs(cond.factor, noise, overwrite_b=1)
-        x += cond.mean[:, None]
-        shift = (_levels(x, self.live_starts, self.live_sizes) - b0) / cond.level_var[:, None]
-        x -= cond.level_gain[:, None] * np.repeat(shift, self.live_sizes, axis=0)
-        x[self.isolated] = b0  # exactly: an isolated node has S = 0
-        return x
+        n = len(self.live)
+        step = max(1, _CHUNK_BYTES // (8 * (self.layout[0] + 1) * n))
+        todo = [np.arange(lo, min(lo + step, len(variances))) for lo in range(0, len(variances), step)]
+        b0_mean, b0_prec = np.empty(len(variances)), np.empty(len(variances))
+        theta_mean, theta_var = np.empty((2, len(variances), len(self.y)))
+        while todo:
+            chunk = todo.pop()
+            try:
+                b0_mean[chunk], b0_prec[chunk], theta_mean[chunk], theta_var[chunk] = self._chunk(variances[chunk])
+            except _NotPositiveDefinite as exc:
+                if len(chunk) == 1:
+                    raise
+                bad = exc.column // n
+                todo += [part for part in (chunk[:bad], chunk[bad : bad + 1], chunk[bad + 1 :]) if len(part)]
+        return b0_mean, b0_prec, theta_mean, theta_var
+
+    def _chunk(self, variances: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``moments`` of one chunk of variance pairs, from one ``solve``.
+
+        Given the variances, b0 is N(b0_mean, 1/b0_prec), and z over a live
+        component is x ~ N(m, P^-1) with its level a'x kriged to b0, so
+        integrating b0 out gives z_i mean m_i - g_i (a'm - b0_mean) / lv and
+        variance diag(P^-1)_i - g_i^2 / lv + (g_i / lv)^2 / b0_prec (g = P^-1 a,
+        lv = a'P^-1 a); an isolated node has z = b0. A dead component's z is
+        b0 plus S from its prior. Then theta = z + shrink (Y - z) + eps with
+        eps | z ~ N(0, shrink V) where the region is usable, N(0, sig2_eps)
+        elsewhere.
+        """
+        s = self.solve(variances)
+        lv = np.repeat(s.level_var, self.live_sizes, axis=1)
+        shift = np.repeat((s.level - s.b0_mean[:, None]) / s.level_var, self.live_sizes, axis=1)
+        live_mean = s.mean - s.gain * shift
+        live_var = _selected_inverse(s.factor, len(variances)) - s.gain**2 / lv
+        live_var += (s.gain / lv) ** 2 / s.b0_prec[:, None]
+        live_mean[:, self.isolated] = s.b0_mean[:, None]
+        live_var[:, self.isolated] = 1.0 / s.b0_prec[:, None]
+        z_mean = np.repeat(s.b0_mean[:, None], len(self.y), axis=1)
+        z_var = variances[:, 1:] * self.prior_var + 1.0 / s.b0_prec[:, None]
+        z_mean[:, self.live], z_var[:, self.live] = live_mean, live_var
+        sig2_eps = variances[:, :1]
+        shrink = np.where(self.usable, sig2_eps / (sig2_eps + self.v), 0.0)
+        theta_mean = z_mean + shrink * (self.y - z_mean)
+        theta_var = (1.0 - shrink) ** 2 * z_var + np.where(self.usable, shrink * self.v, sig2_eps)
+        return s.b0_mean, s.b0_prec, theta_mean, theta_var
 
 
 def _derivatives(f, t: np.ndarray, ft: float) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +597,7 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
         if not all(abs(x) < 100.0 for x in t):
             return -math.inf
         try:
-            value = kernel.conditional(*variances(t))[0]
+            value = kernel.log_marginal(*variances(t))
         except np.linalg.LinAlgError:
             singular.add(point.tobytes())
             return -math.inf
@@ -465,17 +619,15 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
     )
 
 
-def _draws(spec: BymModelSpec, config: McmcConfig, kernel: _Collapsed, grid: _Grid) -> tuple[np.ndarray, ...]:
-    """Draws of theta, (chains, kept, regions), then of b0, sig2_eps and sig2_sp, (chains, kept)."""
-    prec = spec.precision
-    n = prec.dimension
-    pri = spec.priors
-    sp_from_prior = spec.fixed_sigma2_sp is None and kernel.rank == 0
-    cdf = np.cumsum(np.exp(grid.logp - grid.logp.max()))
+def _hyper_draws(config: McmcConfig, grid: _Grid, b0_mean: np.ndarray, b0_prec: np.ndarray,
+                 sp_prior: tuple[float, float] | None) -> tuple[np.ndarray, ...]:
+    """Each draw's grid cell, then its b0, sig2_eps and sig2_sp, (chains, kept).
 
-    # The hyperparameters first, per chain in stream order: grid cells, b0's
-    # standard normals (scaled in its grid cell below), and sig2_sp from its
-    # prior when it meets no data.
+    Per chain in stream order: grid cells, b0's standard normals (scaled in
+    its grid cell below), and sig2_sp from its inverse-gamma prior
+    ``sp_prior`` (a, b) when it meets no data.
+    """
+    cdf = np.cumsum(np.exp(grid.logp - grid.logp.max()))
     chains, kept = config.chains, config.retained_per_chain()
     rngs = [np.random.Generator(np.random.PCG64(stream))
             for stream in np.random.SeedSequence(config.seed).spawn(chains)]
@@ -485,55 +637,75 @@ def _draws(spec: BymModelSpec, config: McmcConfig, kernel: _Collapsed, grid: _Gr
     for c, rng in enumerate(rngs):
         cells[c] = np.searchsorted(cdf, rng.random(kept) * cdf[-1], side="right")
         rng.standard_normal(out=beta0_draws[c])
-        if sp_from_prior:
-            sig2s_draws[c] = pri.b_sp / np.maximum(rng.standard_gamma(pri.a_sp, kept), 1e-300)
+        if sp_prior is not None:
+            a, b = sp_prior
+            sig2s_draws[c] = b / np.maximum(rng.standard_gamma(a, kept), 1e-300)
     np.minimum(cells, len(cdf) - 1, out=cells)
-    sig2e_draws = grid.variances[cells, 0]
-    if not sp_from_prior:
+    beta0_draws /= np.sqrt(b0_prec[cells])
+    beta0_draws += b0_mean[cells]
+    if sp_prior is None:
         sig2s_draws = grid.variances[cells, 1]
+    return cells, beta0_draws, grid.variances[cells, 0], sig2s_draws
 
-    # Then z: each chain's standard normals for it go straight into the
-    # array that will hold its draws of theta, which the cell loop turns
-    # into the mean of theta given z.
-    theta_draws = np.empty((chains, kept, n))
-    for c, rng in enumerate(rngs):
-        rng.standard_normal(out=theta_draws[c])
-    theta_flat = theta_draws.reshape(-1, n)
-    beta0_flat = beta0_draws.reshape(-1)
-    cells_flat = cells.reshape(-1)
-    if kernel.dead:
-        dead = np.concatenate(kernel.dead)
-        s_dead = icar_draws(prec, kernel.dead, theta_flat[:, dead].T) * np.sqrt(sig2s_draws.reshape(-1))
-    usable, y, v = kernel.usable, kernel.y, kernel.v
-    eps_sd = np.empty((len(cdf), n))  # sd of eps | z in each drawn grid cell
-    by_cell = np.argsort(cells_flat, kind="stable")
-    for rows in np.split(by_cell, np.flatnonzero(np.diff(cells_flat[by_cell])) + 1):
-        cell = cells_flat[rows[0]]
-        sig2_eps, sig2_sp = grid.variances[cell]
-        cond = kernel.conditional(sig2_eps, sig2_sp)[1]
-        b0 = beta0_flat[rows] / math.sqrt(cond.b0_prec) + cond.b0_mean
-        beta0_flat[rows] = b0
-        z = np.empty((len(rows), n))
-        z[:, kernel.live] = kernel.draw_live(cond, theta_flat[rows[:, None], kernel.live].T, b0).T
-        if kernel.dead:
-            z[:, dead] = b0[:, None] + s_dead[:, rows].T
-        # eps | z: shrunk residual where a region is usable, the prior elsewhere
-        shrink = np.where(usable, sig2_eps / (sig2_eps + v), 0.0)
-        eps_sd[cell] = np.where(usable, np.sqrt(shrink * v), math.sqrt(sig2_eps))
-        theta_flat[rows] = z + shrink * (y - z)
 
-    # Last eps: each chain's stream draws its eps normals where its z normals
-    # ended, in draw order, _EPS_BLOCK values at most at a time, and each
-    # draw adds its cell's sd times them to theta. The numbers and the order
-    # of the arithmetic are those of a second (chains, kept, regions) array
-    # of normals drawn after theta's, without holding one.
-    step = max(1, _EPS_BLOCK // n)
-    for c, rng in enumerate(rngs):
-        for lo in range(0, kept, step):
-            noise = rng.standard_normal((min(step, kept - lo), n))
-            noise *= eps_sd[cells[c, lo : lo + step]]
-            theta_draws[c, lo : lo + step] += noise
-    return theta_draws, beta0_draws, sig2e_draws, sig2s_draws
+def _mixture_summaries(weight: np.ndarray, mean: np.ndarray, var: np.ndarray) -> list[tuple[Summary, ...]]:
+    """Theta's and the prevalence's summaries of each column's Gaussian mixture.
+
+    Column r's theta is N(mean[k, r], var[k, r]) with probability weight[k]
+    (the weights sum to 1). Its mean and sd are sums over the components.
+    Its median and 2.5/97.5% quantiles solve F(x) = q by Newton's method on
+    the mixture CDF, inside a bracket that a step leaving it bisects. The
+    prevalence's quantiles are expit of theta's, expit being monotone; its
+    mean and sd come from Gauss-Hermite quadrature of each component, one
+    node at a time.
+    """
+    from scipy.special import expit, ndtr, ndtri
+
+    sd = np.sqrt(var)
+    theta_mean = weight @ mean
+    theta_sd = np.sqrt(weight @ (var + (mean - theta_mean) ** 2))
+    q = np.array([[0.5], [0.025], [0.975]])
+    x = theta_mean + theta_sd * ndtri(q)
+    # Phi(-40) underflows to 0, so F is 0 at lo and 1 at hi
+    lo = np.broadcast_to((mean - 40.0 * sd).min(axis=0), x.shape)
+    hi = np.broadcast_to((mean + 40.0 * sd).max(axis=0), x.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            z = (x[:, None, :] - mean) / sd
+            gap = weight @ ndtr(z) - q
+            density = weight @ (np.exp(-0.5 * z * z) / sd) / math.sqrt(2.0 * math.pi)
+            lo, hi = np.where(gap < 0, x, lo), np.where(gap > 0, x, hi)
+            step = x - gap / density
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(step - x) <= _QUANTILE_TOL * (1.0 + np.abs(x))
+            x = step
+            if done.all():
+                break
+    nodes, node_weights = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
+    moment1 = moment2 = 0.0
+    for node, h in zip(nodes * math.sqrt(2.0), node_weights / math.sqrt(math.pi)):
+        p = expit(mean + node * sd)
+        moment1 = moment1 + h * (weight @ p)
+        p *= p
+        moment2 = moment2 + h * (weight @ p)
+    prev_sd = np.sqrt(np.maximum(moment2 - moment1 * moment1, 0.0))
+    median, q025, q975 = x.tolist()
+    prev_median, prev_q025, prev_q975 = expit(x).tolist()
+    theta = zip(theta_mean.tolist(), median, theta_sd.tolist(), q025, q975)
+    prev = zip(moment1.tolist(), prev_median, prev_sd.tolist(), prev_q025, prev_q975)
+    return [(Summary(*t), Summary(*p)) for t, p in zip(theta, prev)]
+
+
+def _summaries(weight: np.ndarray, moments, count: int) -> list[tuple[Summary, ...]]:
+    """``_mixture_summaries`` of ``count`` regions, _SUMMARY_BYTES of each (points, regions) array at a time.
+
+    ``moments(lo, hi)`` gives regions lo:hi's means and variances.
+    """
+    step = max(1, _SUMMARY_BYTES // (8 * len(weight)))
+    out = []
+    for lo in range(0, count, step):
+        out += _mixture_summaries(weight, *moments(lo, min(lo + step, count)))
+    return out
 
 
 @_one_blas_thread()
@@ -546,10 +718,46 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     meta = {"grid_points": str(points), "grid_edge_mass": f"{grid.edge_mass:.3e}"}
     if grid.singular_points:
         meta["grid_singular_points"] = str(grid.singular_points)
-    # _draws's scratch (the cell sort, the sd table) is freed before the summaries
-    posterior = posterior_from_draws(
-        spec, config, *_draws(spec, config, kernel, grid),
-        region_diagnostics=False,
+
+    finite = np.flatnonzero(np.isfinite(grid.logp))
+    b0_mean, b0_prec = np.full((2, points), np.nan)
+    b0_mean[finite], b0_prec[finite], theta_mean, theta_var = kernel.moments(grid.variances[finite])
+    pri = spec.priors
+    sp_prior = (pri.a_sp, pri.b_sp) if spec.fixed_sigma2_sp is None and kernel.rank == 0 else None
+    cells, beta0_draws, sig2e_draws, sig2s_draws = _hyper_draws(config, grid, b0_mean, b0_prec, sp_prior)
+
+    # Far out on the grid, where P is close to singular, rounding can eat a
+    # variance: such a point leaves the mixture, as a singular one does
+    kept = (theta_var > 0).all(axis=1) & np.isfinite(theta_mean).all(axis=1)
+    lost = len(kept) - int(kept.sum())
+    if lost:
+        theta_mean, theta_var = theta_mean[kept], theta_var[kept]
+    weight = np.exp(grid.logp[finite[kept]] - grid.logp.max())
+    weight /= weight.sum()
+    n = spec.precision.dimension
+    mixtures = _summaries(weight, lambda lo, hi: (theta_mean[:, lo:hi], theta_var[:, lo:hi]), n)
+    spread = np.flatnonzero(kernel.prior_var > 0)
+    if sp_prior is not None and len(spread):
+        # sig2_sp drawn from its prior moves only the dead regions with
+        # edges: their theta is a mixture over the draws, one component each
+        cell = cells.ravel()
+        base = sig2e_draws.reshape(-1, 1) + 1.0 / b0_prec[cell][:, None]
+        level = b0_mean[cell][:, None]
+
+        def moments(lo, hi):
+            var = sig2s_draws.reshape(-1, 1) * kernel.prior_var[spread[lo:hi]] + base
+            return np.broadcast_to(level, var.shape), var
+
+        draws = np.full(len(cell), 1.0 / len(cell))
+        for r, summary in zip(spread.tolist(), _summaries(draws, moments, len(spread))):
+            mixtures[r] = summary
+    # no draw of theta feeds a summary: R-hat has nothing to say, and the
+    # summaries are as good as that many independent draws, or better
+    ess_theta = float(beta0_draws.size)
+    summaries = [RegionSummary(rid, theta, prev, math.nan, ess_theta)
+                 for rid, (theta, prev) in zip(spec.precision.node_ids, mixtures)]
+    posterior = posterior_from_summaries(
+        spec, config, summaries, beta0_draws, sig2e_draws, sig2s_draws,
         grid_edge_mass=grid.edge_mass,
         extra_meta=meta,
     )
@@ -557,6 +765,11 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         posterior.report.notes.append(
             f"variance grid: {grid.singular_points} of {points} points have a precision "
             "matrix that is singular in floating point; they count as zero density"
+        )
+    if lost:
+        posterior.report.notes.append(
+            f"variance grid: {lost} of {points} points lost a region's variance of theta to "
+            "rounding; they are left out of the region summaries"
         )
     return posterior
 

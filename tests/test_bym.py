@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -136,6 +137,20 @@ class TestDiagnostics:
     def test_needs_two_chains(self):
         with pytest.raises(ValueError):
             rhat(np.zeros((1, 100)))
+
+    @pytest.mark.parametrize("diagnostic, bound", [(rhat, 8.0), (ess, 7.0)], ids=["rhat", "ess"])
+    def test_peak_memory_on_one_trace(self, diagnostic, bound):
+        # the fit's largest per-draw buffers once no draw of theta is kept:
+        # a (4, 10000) hyperparameter trace of 320 kB
+        trace = np.random.default_rng(6).standard_normal((4, 10_000)).cumsum(axis=1)
+        diagnostic(trace)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            diagnostic(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * trace.nbytes
 
 
 class TestConfigValidation:
@@ -362,15 +377,15 @@ class TestPosteriorCsv:
 
     @pytest.mark.parametrize("make_spec, posterior_sha, trace_sha", [
         (lambda: degenerate_component_spec(),
-         "aa9fb3868731f1f3b481bcd1de1286dd4b1fbaf92b478d3b2150a8c6f24a91c2",
+         "06c08a2fa2c0025bb16ea4ce84e9bd90852ec0e917d08a4b49852a501a8ad4e0",
          "6d32a99370b1e4cc571ca29191f88cb2a9df6c7faa0c5f3e91d73e7001eee603"),
         (lambda: two_component_spec(),
-         "45af6e6da2c3f8845066cfb7aa33e607c502a3a0f7662c0c51fb9718b1387591",
+         "77da21a2d59ef6166194da713485a165f1457ece01598106b3003735b2b1d8fe",
          "c39d801b3c5f8e43d3348f56bed0083c6b472d3074560b8407219011093537cf"),
     ], ids=["isolated_and_degenerate_component", "two_component"])
     def test_exact_output_bytes_are_pinned(self, tmp_path, make_spec, posterior_sha, trace_sha):
         # exact_fit is what smooth runs: any change to its grid, its draws,
-        # its summaries or the writers moves these bytes
+        # its mixture summaries or the writers moves these bytes
         spec = make_spec()
         post = exact_fit(spec, QUICK)
         write_posterior_csv(post.rows(spec.estimates), tmp_path / "posterior.csv", {"seed": "99"})

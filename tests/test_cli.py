@@ -238,9 +238,16 @@ def test_fit_notes_are_printed_to_stderr(tmp_path, capsys, monkeypatch):
                "--graph", str(tmp_path / "graph.txt"), "--out", str(out)] + MCMC)
     captured = capsys.readouterr()
     notes = [line for line in captured.err.splitlines() if line.startswith("note: ")]
-    assert len(notes) == 1
+    singular = [note for note in notes if "singular" in note]
+    assert len(singular) == 1
     assert re.fullmatch(r"note: variance grid: [1-9]\d* of \d+ points have a precision matrix "
-                        r"that is singular in floating point; they count as zero density", notes[0])
+                        r"that is singular in floating point; they count as zero density", singular[0])
+    # next to the singular points, rounding can eat a region's variance of
+    # theta; such points leave the region summaries, with a note of their own
+    for note in notes:
+        assert note in singular or re.fullmatch(
+            r"note: variance grid: [1-9]\d* of \d+ points lost a region's variance of theta to "
+            r"rounding; they are left out of the region summaries", note), note
     assert captured.out == f"wrote {out / 'posterior.csv'}\n"
     assert os.listdir(out) == ["posterior.csv"]
     assert "note" not in (out / "posterior.csv").read_text()
@@ -493,6 +500,20 @@ class TestDegenerateAndMalformedInputs:
         code = main(["render", "--boundaries", str(broken),
                      "--values", str(pipeline_dir / "direct.csv"), "--column", "n",
                      "--out", str(tmp_path)])
+        assert code == 2
+        assert "boundaries.geojson: not valid JSON" in capsys.readouterr().err
+
+    def test_geojson_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "boundaries.geojson"
+        path.write_text('{"type": "FeatureCollection", "features": [], "n": ' + "7" * 5000 + "}")
+        code = main(["adjacency", "--boundaries", str(path), "--out", str(tmp_path / "graph.txt")])
+        assert code == 2
+        assert "boundaries.geojson: not valid JSON" in capsys.readouterr().err
+
+    def test_geojson_nested_past_the_parser_depth_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "boundaries.geojson"
+        path.write_text("[" * 100_000)
+        code = main(["adjacency", "--boundaries", str(path), "--out", str(tmp_path / "graph.txt")])
         assert code == 2
         assert "boundaries.geojson: not valid JSON" in capsys.readouterr().err
 

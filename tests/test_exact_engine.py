@@ -1,25 +1,37 @@
 """The exact collapsed engine.
 
-Its kernel is checked against dense linear algebra, its draws against the
-closed forms and the layout rules, the acceptance criteria c4-c8 are run on
-``exact_fit``, and its posterior is compared with long Gibbs runs on the
-demo and on a graph with an isolated node and an all-degenerate component.
+Its kernel is checked against dense linear algebra, its region summaries
+against closed forms, a long Monte Carlo run and a finer grid, the
+acceptance criteria c4-c8 are run on ``exact_fit``, and its posterior is
+compared with long Gibbs runs on the demo and on a graph with an isolated
+node and an all-degenerate component.
 """
 
 import math
 import time
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit, gammaincinv
+from scipy.integrate import quad
+from scipy.linalg import null_space
+from scipy.special import expit, gammaincinv, ndtri
 
 import prevmap.bym
 import prevmap.exact
 from prevmap.bym import BymModelSpec, McmcConfig, ess, exact_fit, gibbs_fit
 from prevmap.direct import NONE, DirectEstimate, estimate_all
-from prevmap.exact import _Collapsed, _grid, icar_draws, rcm_components
+from prevmap.exact import (
+    _Collapsed,
+    _cholesky,
+    _grid,
+    _selected_inverse,
+    icar_draws,
+    icar_variances,
+    rcm_components,
+)
 from prevmap.graph import AdjacencyGraph, build_adjacency, icar_precision
 from prevmap.synthetic import (
     SamplingPlan,
@@ -91,13 +103,41 @@ def mixed_spec():
     return spec
 
 
-def live_draws(spec, sig2_eps, sig2_sp, k=400):
-    """The kernel, k draws of z over its live nodes from ``draw_live``, and their b0."""
-    kernel = _Collapsed(spec)
-    cond = kernel.conditional(sig2_eps, sig2_sp)[1]
-    rng = np.random.default_rng(5)
-    b0 = cond.b0_mean + rng.standard_normal(k) / math.sqrt(cond.b0_prec)
-    return kernel, kernel.draw_live(cond, rng.standard_normal((len(kernel.live), k)), b0), b0
+def dense_theta(spec, sig2_eps, sig2_sp):
+    """Each region's mean and variance of theta given both variances, with dense matrices.
+
+    z = b0 + S with S = B alpha, B a basis of each component's sum-to-zero
+    vectors: the posterior of (b0, alpha) is Gaussian, with a flat prior on
+    b0 and the ICAR prior on alpha.
+    """
+    prec = spec.precision
+    n = prec.dimension
+    usable = np.array([e.likelihood_usable for e in spec.estimates])
+    y = np.array([e.logit_y if e.likelihood_usable else 0.0 for e in spec.estimates])
+    v = np.array([e.var_logit if e.likelihood_usable else 1.0 for e in spec.estimates])
+    columns = [np.ones((n, 1))]
+    for comp in prec.component_index:
+        if len(comp) > 1:
+            basis = np.zeros((n, len(comp) - 1))
+            basis[comp] = null_space(np.ones((1, len(comp))))
+            columns.append(basis)
+    x = np.hstack(columns)
+    precision = np.zeros((x.shape[1], x.shape[1]))
+    precision[1:, 1:] = x[:, 1:].T @ prec.to_dense() @ x[:, 1:] / sig2_sp
+    w = np.where(usable, 1.0 / (v + sig2_eps), 0.0)
+    cov = np.linalg.inv(precision + x.T @ (w[:, None] * x))
+    z_mean = x @ cov @ x.T @ (w * y)
+    z_var = np.einsum("ij,jk,ik->i", x, cov, x)
+    shrink = np.where(usable, sig2_eps / (sig2_eps + v), 0.0)
+    return z_mean + shrink * (y - z_mean), (1 - shrink) ** 2 * z_var + np.where(usable, shrink * v, sig2_eps)
+
+
+def grid_weights(spec):
+    """The variance grid's finite points and their weights, which sum to 1."""
+    grid = _grid(spec, _Collapsed(spec))
+    finite = np.isfinite(grid.logp)
+    weight = np.exp(grid.logp[finite] - grid.logp.max())
+    return grid.variances[finite], weight / weight.sum()
 
 
 class TestKernel:
@@ -106,7 +146,7 @@ class TestKernel:
         spec = make_spec()
         kernel = _Collapsed(spec)
         points = [(0.01, 0.05), (0.2, 0.003), (1.5, 0.8)]
-        got = [kernel.conditional(*pt)[0] for pt in points]
+        got = [kernel.log_marginal(*pt) for pt in points]
         want = [dense_log_marginal(spec, *pt) for pt in points]
         # both are defined up to one constant
         assert np.allclose(np.diff(got), np.diff(want), rtol=0, atol=1e-9)
@@ -114,12 +154,52 @@ class TestKernel:
     def test_conditional_mean_matches_dense(self):
         spec = grid_spec()
         kernel = _Collapsed(spec)
-        _, cond = kernel.conditional(0.05, 0.2)
+        solved = kernel.solve(np.array([[0.05, 0.2]]))
         q = spec.precision.to_dense()[np.ix_(kernel.live, kernel.live)]
         w = 1.0 / (kernel.v_live + 0.05)
         p = q / 0.2 + np.diag(w)
-        assert np.allclose(cond.mean, np.linalg.solve(p, w * kernel.y_live), rtol=1e-10, atol=1e-12)
-        assert 2 * np.log(cond.factor[-1]).sum() == pytest.approx(np.linalg.slogdet(p)[1], abs=1e-9)
+        assert np.allclose(solved.mean[0], np.linalg.solve(p, w * kernel.y_live), rtol=1e-10, atol=1e-12)
+        assert 2 * np.log(solved.factor[-1]).sum() == pytest.approx(np.linalg.slogdet(p)[1], abs=1e-9)
+
+    @pytest.mark.parametrize("chunk_bytes", [1 << 24, 1], ids=["one_chunk", "one_point_per_chunk"])
+    @pytest.mark.parametrize("make_spec", [grid_spec, two_component_spec, mixed_spec])
+    def test_moments_match_dense(self, make_spec, chunk_bytes, monkeypatch):
+        # mixed_spec has a dead component, an isolated node and a degenerate node
+        monkeypatch.setattr(prevmap.exact, "_CHUNK_BYTES", chunk_bytes)
+        spec = make_spec()
+        variances = np.array([[0.05, 0.2], [0.3, 0.01], [0.01, 1.5]])
+        _, _, mean, var = _Collapsed(spec).moments(variances)
+        for k, pair in enumerate(variances):
+            want_mean, want_var = dense_theta(spec, *pair)
+            assert np.abs(mean[k] - want_mean).max() < 1e-12
+            assert np.abs(var[k] / want_var - 1).max() < 1e-12
+
+    def test_selected_inverse_matches_dense(self):
+        # three band matrices side by side, each with nodes past the band width
+        rng = np.random.default_rng(3)
+        k, n, width = 3, 9, 3
+        ab = np.zeros((width + 1, k * n), order="F")
+        want = []
+        for p in range(k):
+            upper = np.tril(np.triu(rng.uniform(-1, 0, (n, n)), 1), width)
+            a = upper + upper.T
+            a += np.diag(1.0 + np.abs(a).sum(axis=1))  # diagonally dominant
+            for i, j in zip(*np.triu_indices(n)):
+                if j - i <= width:
+                    ab[width + i - j, p * n + j] = a[i, j]
+            want.append(np.diag(np.linalg.inv(a)))
+        got = _selected_inverse(_cholesky(ab), k)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("style", ["B", "W"])
+    def test_icar_variances_are_the_pseudo_inverse_diagonal(self, style):
+        ids = [f"A{k}" for k in range(6)]
+        edges = [("A0", "A2"), ("A2", "A4"), ("A0", "A4"), ("A1", "A3")]
+        prec = icar_precision(AdjacencyGraph.from_edges(ids, edges, style=style))
+        comps = rcm_components(prec)
+        got = np.empty(6)
+        got[np.concatenate(comps)] = icar_variances(prec, comps)
+        assert np.allclose(got, np.diag(np.linalg.pinv(prec.to_dense())), rtol=1e-12, atol=1e-15)
 
     def test_band_order_is_a_narrow_permutation(self):
         prec = grid_spec().precision
@@ -159,17 +239,19 @@ class TestExactFit:
     def test_rerun_bit_identical_and_seed_changes_draws(self):
         first = exact_fit(mixed_spec(), QUICK)
         again = exact_fit(mixed_spec(), QUICK)
-        for name in ("theta_draws", "beta0_draws", "sigma2_eps_draws", "sigma2_sp_draws"):
+        for name in ("beta0_draws", "sigma2_eps_draws", "sigma2_sp_draws"):
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
         assert first.summaries == again.summaries and first.meta == again.meta
         other = exact_fit(mixed_spec(), McmcConfig(2, 1500, 500, 1, 100))
-        assert not np.array_equal(first.theta_draws, other.theta_draws)
+        assert not np.array_equal(first.beta0_draws, other.beta0_draws)
+        # the summaries do not come from draws: the seed leaves them as they are
+        assert first.summaries == other.summaries
 
     def test_layout_and_diagnostics(self):
         config = McmcConfig(chains=3, iterations=1700, burn_in=200, thin=3, seed=4)
         post = exact_fit(small_spec(), config)
         kept = config.retained_per_chain()
-        assert post.theta_draws.shape == (3, kept, 6)
+        assert post.theta_draws is None
         assert post.sigma2_sp_draws.shape == (3, kept)
         assert all(math.isnan(s.rhat_theta) and s.ess_theta == 3 * kept for s in post.summaries)
         assert set(post.report.per_scalar) == {"beta0", "sigma2_eps", "sigma2_sp"}
@@ -178,21 +260,27 @@ class TestExactFit:
         assert float(post.meta["grid_edge_mass"]) < prevmap.bym.GRID_EDGE_MASS_THRESHOLD
 
     def test_components_sum_to_zero_and_isolated_nodes_sit_at_beta0(self):
-        # z = b0 + S over the live nodes, as draw_live makes it: each live
-        # component's mean of z is its draw of b0
+        # z = b0 + S over the live nodes: each live component's mean of z
+        # has b0's mean, and the isolated A5 has z = b0 exactly
         spec = mixed_spec()
-        kernel, z, b0 = live_draws(spec, 0.05, 0.2)
-        for block in np.split(z, kernel.live_starts[1:]):
-            assert np.abs(block.mean(axis=0) - b0).max() < 1e-10
-        assert np.all(z[kernel.live == 5] == b0)  # A5 has no neighbour
+        kernel = _Collapsed(spec)
+        sig2_eps, sig2_sp = 0.05, 0.2
+        b0_mean, b0_prec, mean, var = kernel.moments(np.array([[sig2_eps, sig2_sp]]))
+        shrink = np.where(kernel.usable, sig2_eps / (sig2_eps + kernel.v), 0.0)
+        z_mean = (mean[0] - shrink * kernel.y) / (1 - shrink)
+        for comp in spec.precision.component_index:
+            if kernel.usable[comp].any():
+                assert z_mean[comp].mean() == pytest.approx(b0_mean[0], abs=1e-12)
+        assert z_mean[5] == pytest.approx(b0_mean[0], abs=1e-15)
+        want = (1 - shrink[5]) ** 2 / b0_prec[0] + shrink[5] * kernel.v[5]
+        assert var[0, 5] == pytest.approx(want, rel=1e-14)
         # the all-degenerate component {A1, A3} varies as its prior does:
-        # S_A1 - S_A3 ~ N(0, sig2_sp) given sig2_sp, and eps_A1, eps_A3 ~
-        # N(0, sig2_eps) apart from it
+        # S_A1 = -S_A3 ~ N(0, sig2_sp / 4), and eps ~ N(0, sig2_eps)
+        for r in (1, 3):
+            assert mean[0, r] == b0_mean[0]
+            assert var[0, r] == pytest.approx(sig2_sp / 4 + 1 / b0_prec[0] + sig2_eps, rel=1e-14)
         post = exact_fit(spec, QUICK)
-        spread = np.sqrt(post.sigma2_sp_draws + 2 * post.sigma2_eps_draws)
-        contrast = (post.theta_draws[:, :, 1] - post.theta_draws[:, :, 3]) / spread
-        assert np.var(contrast) == pytest.approx(1.0, rel=0.1)
-        assert np.isfinite(post.theta_draws).all()
+        assert all(math.isfinite(x) for s in post.summaries for x in astuple(s.theta) + astuple(s.prevalence))
 
     def test_narrow_grid_is_flagged(self, monkeypatch):
         monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 0.5)
@@ -212,7 +300,7 @@ class TestExactFit:
         singular = 0
         for variances in grid.variances[np.isneginf(grid.logp)]:
             try:
-                kernel.conditional(*variances)
+                kernel.log_marginal(*variances)
             except np.linalg.LinAlgError:
                 singular += 1
         assert grid.singular_points == singular > 0
@@ -222,7 +310,7 @@ class TestExactFit:
             f"variance grid: {singular} of {post.meta['grid_points']} points have a precision "
             "matrix that is singular in floating point; they count as zero density"
         ]
-        assert np.isfinite(post.theta_draws).all()
+        assert all(math.isfinite(x) for s in post.summaries for x in astuple(s.theta) + astuple(s.prevalence))
 
     def test_fixed_variances_leave_their_axes_out(self):
         post = exact_fit(small_spec(fixed_sigma2_sp=0.02), QUICK)
@@ -246,9 +334,11 @@ class TestExactFit:
         prior_median = pri.b_sp / gammaincinv(pri.a_sp, 0.5)
         got = float(np.median(post.sigma2_sp_draws))
         assert abs(math.log(got / prior_median)) < 0.05
-        # every node is isolated, so z = b0 exactly: S = 0
-        _, z, b0 = live_draws(spec, 0.1, 1.0)
-        assert np.all(z == b0)
+        # every node is isolated, so z = b0 exactly: S = 0, and sig2_sp moves nothing
+        kernel = _Collapsed(spec)
+        at_one, at_hundred = (kernel.moments(np.array([[0.1, sp]])) for sp in (1.0, 100.0))
+        for a, b in zip(at_one, at_hundred):
+            assert np.array_equal(a, b)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_posterior_is_a_model_error(self):
@@ -257,35 +347,28 @@ class TestExactFit:
         with pytest.raises(prevmap.bym.ModelError, match="not finite"):
             exact_fit(spec, QUICK)
 
-    def test_peak_memory_is_one_draws_array(self):
-        # 120 regions in one component, every one usable, and D = 33,600
-        # draws: theta_draws is 32.3 MB, and nothing else scales with
-        # draws x regions. What else the fit holds is at most, in units of
-        # theta (D x 120 x 8 B):
-        # - while drawing: five per-draw arrays (cells, b0, both variances,
-        #   the cell sort), 5/120 = 0.04; the sd table, about 1,300 grid
-        #   points x 120 regions, 0.04; the largest cell's temporaries,
-        #   about four arrays of 1.6% of the draws, 0.06; two eps blocks of
-        #   512 KiB, 0.03;
-        # - while summarizing: the three hyperparameter draws, 0.03; R-hat
-        #   of one hyperparameter trace, up to 11 per-draw arrays, 0.09;
-        #   about four summary blocks of 512 KiB, 0.07.
-        # Either phase stays under 0.2, so 0.25 leaves a margin; a second
-        # draws x regions array, as S was, takes it past 2.
+    def test_fit_holds_no_draws_by_regions_array(self):
+        # 120 regions in one component, every one usable. Quadrupling the
+        # draws adds only per-draw arrays: the hyperparameters' draws and
+        # cells, and R-hat and ESS of one trace at a time, at most about 20
+        # per-draw arrays in all; one (draws x regions) array would add 120.
         prec = icar_precision(build_adjacency(make_grid_regions(10, 12)))
         rng = np.random.default_rng(8)
         spec = BymModelSpec(
             [make_estimate(rid, float(rng.uniform(0.05, 0.3)), 6e-4) for rid in prec.node_ids], prec
         )
         exact_fit(spec, QUICK)  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            post = exact_fit(spec, McmcConfig(chains=4, iterations=9_400, burn_in=1_000, seed=2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert post.theta_draws.nbytes >= 32_000_000
-        assert peak < 1.25 * post.theta_draws.nbytes
+        peaks = []
+        for kept in (2_100, 8_400):
+            tracemalloc.start()
+            try:
+                post = exact_fit(spec, McmcConfig(chains=4, iterations=1_000 + kept, burn_in=1_000, seed=2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert post.theta_draws is None
+        draws = 4 * 2_100
+        assert peaks[1] - peaks[0] < draws * 120 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +505,9 @@ def test_exact_agrees_with_long_gibbs(make_spec, linear):
     assert exact.converged, exact.report.failing()
     worst = 0.0
     for r in range(spec.precision.dimension):
-        a, b = exact.theta_draws[:, :, r], gibbs.theta_draws[:, :, r]
-        gap = abs(a.mean() - b.mean()) / math.hypot(_mc_error(a), _mc_error(b))
+        # the exact engine's mean is the mixture's, with no Monte Carlo error
+        b = gibbs.theta_draws[:, :, r]
+        gap = abs(exact.summaries[r].theta.mean - b.mean()) / _mc_error(b)
         worst = max(worst, gap)
     # The variances are compared on the log scale, and on the demo also as
     # they are: on the small graph their posterior variance is infinite (the
@@ -453,7 +537,7 @@ def quadrature_means(spec, step=0.25):
     for i, a in enumerate(t_eps):
         for j, b in enumerate(t_sp):
             try:
-                value = kernel.conditional(math.exp(a), math.exp(b))[0]
+                value = kernel.log_marginal(math.exp(a), math.exp(b))
             except np.linalg.LinAlgError:  # P is singular in floating point far out
                 continue
             logp[i, j] = (value - pri.a_eps * a - pri.b_eps * math.exp(-a)
@@ -475,3 +559,127 @@ def test_grid_holds_the_variances_means(make_spec):
     got = w @ grid.variances / w.sum()
     assert got == pytest.approx(quadrature_means(spec), rel=0.005)
     assert grid.edge_mass < prevmap.bym.GRID_EDGE_MASS_THRESHOLD
+
+
+# ---------------------------------------------------------------------------
+# Region summaries from the variance grid: closed form, Monte Carlo, refinement
+# ---------------------------------------------------------------------------
+
+
+def test_summaries_match_the_closed_form_without_edges():
+    # the c4 setup: no edges and a fixed sig2_eps leave one grid point, so
+    # each region's theta is one Gaussian: z = b0 ~ N(sum(w y) / sum(w),
+    # 1 / sum(w)), and theta = z + shrink (y - z) + eps, eps ~ N(0, shrink v)
+    rng = np.random.default_rng(404)
+    ids = [f"R{k:02d}" for k in range(45)]
+    y = rng.normal(-2.2, 0.5, size=45)
+    v = rng.uniform(0.03, 0.35, size=45)
+    s2 = 0.2
+    ests = [DirectEstimate(rid, float(expit(yy)), 0.0, float(yy), float(vv), 100, 10, NONE)
+            for rid, yy, vv in zip(ids, y, v)]
+    spec = BymModelSpec(ests, icar_precision(AdjacencyGraph.from_edges(ids, [])), fixed_sigma2_eps=s2)
+    post = exact_fit(spec, QUICK)
+    assert post.meta["grid_points"] == "1"
+    w = 1.0 / (v + s2)
+    b0_mean, b0_var = float(w @ y / w.sum()), float(1.0 / w.sum())
+    shrink = s2 / (s2 + v)
+    mean = b0_mean + shrink * (y - b0_mean)
+    sd = np.sqrt((1 - shrink) ** 2 * b0_var + shrink * v)
+    for k, s in enumerate(post.summaries):
+        quantiles = mean[k] + sd[k] * ndtri(np.array([0.5, 0.025, 0.975]))
+        assert (s.theta.mean, s.theta.sd) == pytest.approx((mean[k], sd[k]), rel=1e-12)
+        assert (s.theta.median, s.theta.q025, s.theta.q975) == pytest.approx(quantiles, rel=1e-11)
+        assert (s.prevalence.median, s.prevalence.q025, s.prevalence.q975) == pytest.approx(
+            expit(quantiles), rel=1e-11)
+
+        def moment(power):
+            return quad(lambda x: expit(x) ** power * math.exp(-0.5 * ((x - mean[k]) / sd[k]) ** 2),
+                        mean[k] - 12 * sd[k], mean[k] + 12 * sd[k], epsabs=0, epsrel=1e-13)[0] / (
+                math.sqrt(2 * math.pi) * sd[k])
+
+        m1, m2 = moment(1), moment(2)
+        assert s.prevalence.mean == pytest.approx(m1, rel=1e-11)
+        assert s.prevalence.sd == pytest.approx(math.sqrt(m2 - m1 * m1), rel=1e-8)
+
+
+def test_summaries_agree_with_a_long_monte_carlo_run():
+    # A5 is isolated and {A1, A3} has no usable region. Draws of the
+    # variances from the grid's weights, then of each region's theta from
+    # its Gaussian given them (dense_theta, not the banded kernel)
+    spec = degenerate_component_spec()
+    variances, weight = grid_weights(spec)
+    rng = np.random.default_rng(21)
+    draws = 400_000
+    cells = rng.choice(len(weight), size=draws, p=weight)
+    moments = [dense_theta(spec, *pair) for pair in variances]
+    mean = np.array([m for m, _ in moments])[cells]
+    sd = np.sqrt(np.array([v for _, v in moments]))[cells]
+    theta = mean + sd * rng.standard_normal(mean.shape)
+    prevalence = expit(theta)
+    post = exact_fit(spec, EXACT)
+    limit = 4.0 / math.sqrt(draws)
+    for r, s in enumerate(post.summaries):
+        for draws_r, summary in ((theta[:, r], s.theta), (prevalence[:, r], s.prevalence)):
+            assert abs(draws_r.mean() - summary.mean) < limit * draws_r.std(), (r, summary)
+            assert summary.sd == pytest.approx(draws_r.std(), rel=0.01)
+            # the share of draws below each quantile, against its binomial error
+            for q, at in ((0.5, summary.median), (0.025, summary.q025), (0.975, summary.q975)):
+                assert abs(np.mean(draws_r < at) - q) < limit * math.sqrt(q * (1 - q)), (r, q, summary)
+
+
+def test_sigma2_sp_from_its_prior_summarizes_dead_regions_over_the_draws():
+    # no live component has an edge, so sig2_sp meets no data and is drawn
+    # from its prior; the dead pair {R4, R5} has S_R4 = -S_R5 ~ N(0, sig2_sp / 4)
+    ids = [f"R{k}" for k in range(6)]
+    ests = [make_estimate(rid, 0.1 + 0.03 * k, 5e-4) for k, rid in enumerate(ids[:4])]
+    ests += [make_estimate(rid, 0.0, 0.0, flag="all_zero") for rid in ids[4:]]
+    spec = BymModelSpec(ests, icar_precision(AdjacencyGraph.from_edges(ids, [("R4", "R5")])))
+    post = exact_fit(spec, McmcConfig(4, 6_000, 1_000, 1, 8))
+    rng = np.random.default_rng(4)
+    copies = 10
+    b0, sig2e, sig2s = (np.repeat(x.ravel(), copies) for x in
+                        (post.beta0_draws, post.sigma2_eps_draws, post.sigma2_sp_draws))
+    theta = b0 + np.sqrt(sig2s / 4 + sig2e) * rng.standard_normal(len(b0))
+    limit = 4.0 / math.sqrt(len(b0))
+    for r in (4, 5):
+        s = post.summaries[r].theta
+        for q, at in ((0.5, s.median), (0.025, s.q025), (0.975, s.q975)):
+            assert abs(np.mean(theta < at) - q) < limit * math.sqrt(q * (1 - q)), (r, q)
+
+
+def test_grid_refinement_bounds_the_grid_error_on_the_demo(monkeypatch):
+    spec = demo_spec()
+    coarse = exact_fit(spec, QUICK)
+    monkeypatch.setattr(prevmap.exact, "GRID_POINTS", 4 * prevmap.exact.GRID_POINTS)
+    fine = exact_fit(spec, QUICK)
+    assert int(fine.meta["grid_points"]) > 3 * int(coarse.meta["grid_points"])
+    prev = max(abs(a - b) for c, f in zip(coarse.summaries, fine.summaries)
+               for a, b in zip(astuple(c.prevalence), astuple(f.prevalence)))
+    theta = max(abs(c.theta.mean - f.theta.mean) for c, f in zip(coarse.summaries, fine.summaries))
+    print(f"\ngrid error by refinement: prevalence {prev:.1e}, theta mean {theta:.1e}")
+    assert prev < 1e-6 and theta < 1e-5
+
+
+def test_a_chunk_that_fails_is_split_around_the_point(monkeypatch):
+    # dpbtrf reports a failure at the third point of the first stacked
+    # call; that point is factored alone, and the summaries do not move
+    spec = mixed_spec()
+    want = exact_fit(spec, QUICK)
+    n = len(_Collapsed(spec).live)
+    real = prevmap.exact.dpbtrf
+    failed = []
+
+    def dpbtrf(ab, **kwargs):
+        factor, info = real(ab, **kwargs)
+        if ab.shape[1] > 2 * n and not failed:
+            failed.append(ab.shape[1] // n)
+            return factor, 2 * n + 1
+        return factor, info
+
+    monkeypatch.setattr(prevmap.exact, "dpbtrf", dpbtrf)
+    got = exact_fit(spec, QUICK)
+    assert failed and failed[0] > 3
+    assert np.array_equal(got.beta0_draws, want.beta0_draws)
+    for a, b in zip(got.summaries, want.summaries):
+        for x, y in ((a.theta, b.theta), (a.prevalence, b.prevalence)):
+            assert astuple(x) == pytest.approx(astuple(y), rel=1e-13)
