@@ -11,9 +11,10 @@ so its posterior is a finite Gaussian mixture over the grid: the engine
 writes each region's summary from that mixture, with no Monte Carlo error,
 and draws only the hyperparameters, b0 and the variances, from the grid.
 P is factored as a banded Cholesky after a reverse Cuthill-McKee ordering,
-point by point while the grid grows and a chunk of points per call for the
-mixture; the diagonal of P^-1 comes from Takahashi's selected inversion of
-the factor (Takahashi, Fagan & Chen 1973).
+the points of a batch side by side in one call: about one generation of the
+grid's flood per call while the grid grows, and a chunk of points per call
+for the mixture, with one solve per point. The diagonal of P^-1 comes from
+Takahashi's selected inversion of the factor (Takahashi, Fagan & Chen 1973).
 
 The band routines are LAPACK's, called directly through
 ``scipy.linalg.lapack`` (dpbtrf to factor, dpbtrs and dtbtrs to solve):
@@ -39,6 +40,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -311,6 +313,15 @@ class _Solved(NamedTuple):
     b0_prec: np.ndarray
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``.
+
+    np.matmul on a stack of (1, n) by (n, 1) products makes the BLAS dot
+    call that np.dot makes on one row, so each row has the bits it has alone.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 class _Collapsed:
     """The model with eps integrated out, on banded Cholesky factors.
 
@@ -352,7 +363,11 @@ class _Collapsed:
         """z's conditional at each row (sig2_eps, sig2_sp) of ``variances``, (k, 2).
 
         One dpbtrf call factors the k precisions, laid side by side by
-        ``_band``, and one dpbtrs call solves them. Raises
+        ``_band``, and one dpbtrs call per pair solves on that pair's columns
+        of the factor. Each pair's results have the bits it has alone: a
+        slice of the stacked factor is the pair's own factor, bit for bit,
+        while one dpbtrs over the stack would run its dot products over the
+        zeros between two pairs, which moves the last bits. Raises
         ``_NotPositiveDefinite`` where one is singular in floating point.
         Nothing here checks for inf or nan: ``BymModelSpec.validate`` rejects
         non-finite usable estimates, and the variances come from log
@@ -368,55 +383,79 @@ class _Collapsed:
         rhs = np.empty((k, n, 2))
         wy = np.multiply(w, self.y_live, out=rhs[:, :, 0])
         rhs[:, :, 1] = self.average
-        sol, _ = dpbtrs(factor, rhs.reshape(k * n, 2))
-        mean, gain = sol.T.reshape(2, k, n)  # dpbtrs returns the columns Fortran-ordered
+        # sol[p].T is pair p's right-hand side Fortran-ordered, which dpbtrs
+        # overwrites with the solution in place
+        sol = rhs.transpose(0, 2, 1).copy()
+        for p in range(k):
+            dpbtrs(factor[:, p * n : (p + 1) * n], sol[p].T, overwrite_b=1)
         levels = np.empty((k, len(self.live_sizes), 2))
-        np.divide(np.add.reduceat(sol.T.reshape(2, k, n), self.live_starts, axis=2), self.live_sizes,
-                  out=levels.transpose(2, 0, 1))
+        np.divide(np.add.reduceat(sol, self.live_starts, axis=2), self.live_sizes, out=levels.transpose(0, 2, 1))
         level, level_var = levels[:, :, 0], levels[:, :, 1]
         tau = 1.0 / level_var
         b0_prec = np.add.reduce(tau, axis=1)
-        b0_mean = np.fromiter(map(np.dot, tau, level), float, k) / b0_prec
-        return _Solved(factor, w, wy, mean, gain, level, level_var, tau, b0_mean, b0_prec)
+        b0_mean = _row_dots(tau, level) / b0_prec
+        return _Solved(factor, w, wy, sol[:, 0], sol[:, 1], level, level_var, tau, b0_mean, b0_prec)
 
-    def log_marginal(self, sig2_eps: float, sig2_sp: float) -> float:
-        """log p(Y | variances), up to a constant."""
-        s = self.solve(np.array([[sig2_eps, sig2_sp]]))
-        w, wy, mean, level, tau = s.w[0], s.wy[0], s.mean[0], s.level[0], s.tau[0]
-        b0_mean, b0_prec = float(s.b0_mean[0]), float(s.b0_prec[0])
+    def log_marginals(self, variances: np.ndarray) -> np.ndarray:
+        """log p(Y | variances), up to a constant, at each row of ``variances``, (k, 2).
+
+        Raises ``_NotPositiveDefinite`` as ``solve`` does. Each row's value
+        has the bits it has alone: the sums run over C-ordered rows, the dot
+        products are ``_row_dots``'s, and the logs of the variances and of
+        b0's precision are ``math.log``'s.
+        """
+        s = self.solve(variances)
+        k = len(variances)
+        log_sp = np.array([math.log(x) for x in variances[:, 1].tolist()])
+        log_b0_prec = np.array([math.log(x) for x in s.b0_prec.tolist()])
         return 0.5 * (
-            float(np.log(w[self.use]).sum())
-            - 2.0 * float(np.log(s.factor[-1]).sum())
-            - (float(np.dot(wy, self.y_live)) - float(np.dot(wy, mean)))
-            - self.rank * math.log(sig2_sp)
+            np.log(np.ascontiguousarray(s.w[:, self.use])).sum(axis=1)
+            - 2.0 * np.log(s.factor[-1]).reshape(k, -1).sum(axis=1)
+            - (_row_dots(s.wy, np.broadcast_to(self.y_live, s.wy.shape)) - _row_dots(s.wy, s.mean))
+            - self.rank * log_sp
             # the live levels agree, at b0, with b0 integrated out
-            - float(np.log(s.level_var[0]).sum())
-            - math.log(b0_prec)
-            - float(np.dot(tau, (level - b0_mean) ** 2))
+            - np.log(s.level_var).sum(axis=1)
+            - log_b0_prec
+            - _row_dots(s.tau, (s.level - s.b0_mean[:, None]) ** 2)
         )
 
-    def moments(self, variances: np.ndarray) -> tuple[np.ndarray, ...]:
-        """b0's mean and precision, (k,), and theta's mean and variance, (k, regions), at each variance pair.
+    def by_chunks(self, f, variances: np.ndarray) -> Iterator[tuple[np.ndarray, object]]:
+        """``f`` of each chunk of rows of ``variances``, as (rows, f(variances[rows])) pairs.
 
-        Pairs go ``_CHUNK_BYTES`` of band storage at a time, one dpbtrf call
-        per chunk. The grid factored each pair alone, so where a chunk fails
-        at a pair, the chunk is split around it and that pair is factored
-        alone again.
+        Rows go ``_CHUNK_BYTES`` of band storage at a time, one dpbtrf call
+        per chunk. Where a chunk fails at a row, it is split around that
+        row, which is tried alone; the rows beside it keep their bits, since
+        each row's factor is the same stacked or alone. A row that fails
+        alone, P being singular there in floating point, comes with None.
         """
         n = len(self.live)
         step = max(1, _CHUNK_BYTES // (8 * (self.layout[0] + 1) * n))
         todo = [np.arange(lo, min(lo + step, len(variances))) for lo in range(0, len(variances), step)]
+        while todo:
+            rows = todo.pop()
+            try:
+                out = f(variances[rows])
+            except _NotPositiveDefinite as exc:
+                if len(rows) == 1:
+                    yield rows, None
+                    continue
+                bad = exc.column // n
+                todo += [part for part in (rows[:bad], rows[bad : bad + 1], rows[bad + 1 :]) if len(part)]
+                continue
+            yield rows, out
+
+    def moments(self, variances: np.ndarray) -> tuple[np.ndarray, ...]:
+        """b0's mean and precision, (k,), and theta's mean and variance, (k, regions), at each variance pair.
+
+        Pairs go through ``by_chunks``. Each one is a grid point that
+        factored alone, so none is singular here.
+        """
         b0_mean, b0_prec = np.empty(len(variances)), np.empty(len(variances))
         theta_mean, theta_var = np.empty((2, len(variances), len(self.y)))
-        while todo:
-            chunk = todo.pop()
-            try:
-                b0_mean[chunk], b0_prec[chunk], theta_mean[chunk], theta_var[chunk] = self._chunk(variances[chunk])
-            except _NotPositiveDefinite as exc:
-                if len(chunk) == 1:
-                    raise
-                bad = exc.column // n
-                todo += [part for part in (chunk[:bad], chunk[bad : bad + 1], chunk[bad + 1 :]) if len(part)]
+        for rows, out in self.by_chunks(self._chunk, variances):
+            if out is None:
+                raise np.linalg.LinAlgError(f"the precision at variance pair {rows[0]} is not positive definite")
+            b0_mean[rows], b0_prec[rows], theta_mean[rows], theta_var[rows] = out
         return b0_mean, b0_prec, theta_mean, theta_var
 
     def _chunk(self, variances: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -450,23 +489,26 @@ class _Collapsed:
 
 
 def _derivatives(f, t: np.ndarray, ft: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central finite-difference gradient and Hessian of ``f`` at ``t``."""
+    """Central finite-difference gradient and Hessian of ``f`` at ``t``, from one call of ``f`` on the stencil."""
     d = len(t)
     e = np.eye(d) * _FD_STEP
-    up = [f(t + e[i]) for i in range(d)]
-    down = [f(t - e[i]) for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(i)]
+    stencil = [t + e[i] for i in range(d)] + [t - e[i] for i in range(d)]
+    for i, j in pairs:
+        stencil += [t + e[i] + e[j], t + e[i] - e[j], t - e[i] + e[j], t - e[i] - e[j]]
+    values = f(np.array(stencil)).tolist()
+    up, down = values[:d], values[d : 2 * d]
     grad = np.array([(u - dn) / (2 * _FD_STEP) for u, dn in zip(up, down)])
     hess = np.diag([(u - 2 * ft + dn) / _FD_STEP**2 for u, dn in zip(up, down)])
-    for i in range(d):
-        for j in range(i):
-            cross = f(t + e[i] + e[j]) - f(t + e[i] - e[j]) - f(t - e[i] + e[j]) + f(t - e[i] - e[j])
-            hess[i, j] = hess[j, i] = cross / (4 * _FD_STEP**2)
+    for k, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = values[2 * d + 4 * k : 2 * d + 4 * k + 4]
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * _FD_STEP**2)
     return grad, hess
 
 
-def _mode(f, t: np.ndarray) -> np.ndarray:
-    """Newton ascent on ``f`` with finite differences, bounded and backtracking steps."""
-    ft = f(t)
+def _mode(f, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton ascent on ``f`` with finite differences, bounded and backtracking steps: the mode and ``f`` there."""
+    ft = float(f(t[None])[0])
     for _ in range(_NEWTON_STEPS):
         grad, hess = _derivatives(f, t, ft)
         if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
@@ -476,7 +518,7 @@ def _mode(f, t: np.ndarray) -> np.ndarray:
         step = axes @ ((axes.T @ grad) / np.maximum(np.abs(curv), _MIN_CURVATURE))
         step *= min(1.0, _NEWTON_MAX_STEP / max(float(np.linalg.norm(step)), 1e-300))
         for _ in range(40):
-            f_new = f(t + step)
+            f_new = float(f((t + step)[None])[0])
             if f_new > ft:
                 break
             step /= 2
@@ -485,7 +527,7 @@ def _mode(f, t: np.ndarray) -> np.ndarray:
         t, gain, ft = t + step, f_new - ft, f_new
         if np.abs(step).max() < 1e-7 or gain < 1e-10:
             break
-    return t
+    return t, ft
 
 
 def _edge_mass(points: np.ndarray, logp: np.ndarray, edge: np.ndarray) -> float:
@@ -499,44 +541,74 @@ def _edge_mass(points: np.ndarray, logp: np.ndarray, edge: np.ndarray) -> float:
     return float((weight[edge].sum(axis=0) / weight.sum(axis=0)).max())
 
 
-def _flood(f, center: np.ndarray, basis: np.ndarray, spacing: float):
-    """Lattice points center + basis @ (spacing * k), grown breadth-first.
+def _flood(f, center: np.ndarray, value: float, basis: np.ndarray, spacing: float):
+    """Lattice points center + basis @ (spacing * k), grown breadth-first from ``center``, where ``f`` is ``value``.
 
-    ``f`` returns a point's log density. A point is expanded to its 2d axis
-    neighbours while its log density, or its log density plus one of its log
-    variances (as in ``_edge_mass``), is within GRID_LOG_DROP of the largest
-    such value seen, so the grid holds the tails of the variances' means as
-    well as the posterior mass. Returns the points, their log densities, and
-    which points were not expanded (the grid's edge).
+    ``f`` returns the log densities of a stack of points. A point is
+    expanded to its 2d axis neighbours while its log density, or its log
+    density plus one of its log variances (as in ``_edge_mass``), is within
+    GRID_LOG_DROP of the largest such value seen, so the grid holds the
+    tails of the variances' means as well as the posterior mass. Returns
+    the points, their log densities, and which points were not expanded
+    (the grid's edge).
+
+    The points are visited one at a time, in that order, but their
+    densities come a batch at a time. When a visit needs a density not yet
+    known, one call of ``f`` takes the unvisited neighbours of every queued
+    point that would expand under the largest values seen so far: about one
+    generation of the flood. The largest values only grow, so a queued
+    point that would not expand now never expands later, and the batch
+    holds every density that the visits of the queued points need. The
+    grid is the same, bit for bit, as with one call of ``f`` per point; a
+    batch may hold points that never enter it, once the largest values have
+    grown or the grid has reached _GRID_MAX_POINTS.
     """
     d = len(center)
 
     def levels_of(point: np.ndarray, value: float) -> list[float]:
         return [value] + [value + x for x in point.tolist()]
 
+    def expands(i: int) -> bool:
+        return any(map(operator.ge, levels[i], floor))
+
+    moves = [(axis, sign) for axis in range(d) for sign in (1, -1)]
+
+    def neighbours(k: tuple) -> list[tuple]:
+        return [k[:axis] + (k[axis] + sign,) + k[axis + 1 :] for axis, sign in moves]
+
     origin = (0,) * d
-    value = f(center)
     keys, points, values = [origin], [center], [value]
     index = {origin}
     levels = [levels_of(center, value)]
     best = list(levels[0])
+    floor = [top - GRID_LOG_DROP for top in best]  # a point expands while a level is at or above its floor
     expanded = []
+    known = {}  # key -> (point, log density) of points not yet in the grid
     i = 0
     while i < len(keys) and len(keys) < _GRID_MAX_POINTS:
-        if any(level >= top - GRID_LOG_DROP for level, top in zip(levels[i], best)):
+        if expands(i):
             expanded.append(i)
-            k = keys[i]
-            for axis in range(d):
-                for sign in (1, -1):
-                    nb = k[:axis] + (k[axis] + sign,) + k[axis + 1 :]
-                    if nb not in index:
-                        index.add(nb)
-                        keys.append(nb)
-                        points.append(center + basis @ (spacing * np.array(nb)))
-                        value = f(points[-1])
-                        values.append(value)
-                        levels.append(levels_of(points[-1], value))
-                        best = [max(top, level) for top, level in zip(best, levels[-1])]
+            for nb in neighbours(keys[i]):
+                if nb not in index:
+                    if nb not in known:
+                        batch = list(dict.fromkeys(
+                            k for j in range(i, len(keys)) if expands(j)
+                            for k in neighbours(keys[j]) if k not in index and k not in known))
+                        # np.matmul on a stack of vectors runs one
+                        # matrix-vector product per point, with the bits of
+                        # basis @ (spacing * k) alone
+                        scaled = spacing * np.array(batch, dtype=float)
+                        stack = center + np.matmul(basis, scaled[:, :, None])[:, :, 0]
+                        known.update(zip(batch, zip(stack, f(stack).tolist())))
+                    point, value = known.pop(nb)
+                    index.add(nb)
+                    keys.append(nb)
+                    points.append(point)
+                    values.append(value)
+                    levels.append(levels_of(point, value))
+                    if any(map(operator.gt, levels[-1], best)):
+                        best = list(map(max, best, levels[-1]))
+                        floor = [top - GRID_LOG_DROP for top in best]
         i += 1
     edge = np.ones(len(keys), dtype=bool)
     edge[expanded] = False
@@ -544,9 +616,11 @@ def _flood(f, center: np.ndarray, basis: np.ndarray, spacing: float):
 
 
 def _variance_grid(f, start: np.ndarray):
-    """Grid over the log variances of log density ``f``: points (k, d), log densities (k,), edge mask (k,)."""
-    center = _mode(f, start) if len(start) else start
-    f_center = f(center)
+    """Grid over the log variances of log density ``f``: points (k, d), log densities (k,), edge mask (k,).
+
+    ``f`` returns the log densities of a stack of points.
+    """
+    center, f_center = _mode(f, start) if len(start) else (start, float(f(start[None])[0]))
     if not math.isfinite(f_center):
         raise ModelError("the variance posterior is not finite at any tried point; "
                          "check the direct estimates' logit_y and var_logit")
@@ -557,10 +631,10 @@ def _variance_grid(f, start: np.ndarray):
         hess = -np.eye(len(start))  # a unit lattice in log units
     curv, axes = np.linalg.eigh(-hess)
     basis = axes / np.sqrt(np.maximum(curv, _MIN_CURVATURE))
-    _, coarse, _ = _flood(f, center, basis, 1.0)
+    _, coarse, _ = _flood(f, center, f_center, basis, 1.0)
     above = np.count_nonzero(coarse >= coarse.max() - GRID_LOG_DROP)
     spacing = min(1.0, (above / GRID_POINTS) ** (1.0 / len(start)))
-    return _flood(f, center, basis, spacing)
+    return _flood(f, center, f_center, basis, spacing)
 
 
 @dataclass(frozen=True)
@@ -585,25 +659,31 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
     gridded = (fixed[0] is None, fixed[1] is None and kernel.rank > 0)
     priors = [(a, b) for (a, b), g in zip(((pri.a_eps, pri.b_eps), (pri.a_sp, pri.b_sp)), gridded) if g]
 
-    def variances(t: list[float]) -> list[float]:
-        it = iter(t)
-        return [math.exp(next(it)) if g else (v if v is not None else 1.0) for g, v in zip(gridded, fixed)]
+    fill = np.array([v if v is not None else 1.0 for v in fixed])
+    axes = [j for j, g in enumerate(gridded) if g]
+
+    def variances(ts: list[list[float]]) -> np.ndarray:
+        """(sig2_eps, sig2_sp) at each point's log variances over the gridded axes, (k, 2)."""
+        out = np.tile(fill, (len(ts), 1))
+        out[:, axes] = np.array([[math.exp(x) for x in t] for t in ts]).reshape(len(ts), len(axes))
+        return out
 
     singular = set()  # the bytes of each point where P is singular
 
-    def log_density(point: np.ndarray) -> float:
-        """log p(log sig2 | Y) over the gridded axes, up to a constant."""
-        t = point.tolist()
-        if not all(abs(x) < 100.0 for x in t):
-            return -math.inf
-        try:
-            value = kernel.log_marginal(*variances(t))
-        except np.linalg.LinAlgError:
-            singular.add(point.tobytes())
-            return -math.inf
-        for x, (a, b) in zip(t, priors):
-            value -= a * x + b * math.exp(-x)
-        return value if math.isfinite(value) else -math.inf
+    def log_density(points: np.ndarray) -> np.ndarray:
+        """log p(log sig2 | Y) over the gridded axes, up to a constant, at each row of ``points``."""
+        out = np.full(len(points), -math.inf)
+        ts = points.tolist()
+        inside = np.flatnonzero([all(abs(x) < 100.0 for x in t) for t in ts])
+        for rows, marginal in kernel.by_chunks(kernel.log_marginals, variances([ts[i] for i in inside])):
+            if marginal is None:
+                singular.add(points[inside[rows[0]]].tobytes())
+                continue
+            for i, value in zip(inside[rows].tolist(), marginal.tolist()):
+                for x, (a, b) in zip(ts[i], priors):
+                    value -= a * x + b * math.exp(-x)
+                out[i] = value if math.isfinite(value) else -math.inf
+        return out
 
     # a spread too large for float64 gives an infinite start, where the
     # density is -inf and _variance_grid raises its ModelError
@@ -612,7 +692,7 @@ def _grid(spec: BymModelSpec, kernel: _Collapsed) -> _Grid:
     start = np.full(len(priors), math.log(max(spread, 1e-4) / 2))
     points, logp, edge = _variance_grid(log_density, start)
     return _Grid(
-        np.array([variances(t) for t in points.tolist()]),
+        variances(points.tolist()),
         logp,
         _edge_mass(points, logp, edge),
         sum(p.tobytes() in singular for p in points[np.isneginf(logp)]),

@@ -7,14 +7,18 @@ compared with long Gibbs runs on the demo and on a graph with an isolated
 node and an all-degenerate component.
 """
 
+import functools
 import math
 import time
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import null_space
 from scipy.special import expit, gammaincinv, ndtri
@@ -24,9 +28,12 @@ import prevmap.exact
 from prevmap.bym import BymModelSpec, McmcConfig, ess, exact_fit, gibbs_fit
 from prevmap.direct import NONE, DirectEstimate, estimate_all
 from prevmap.exact import (
+    GRID_LOG_DROP,
     _Collapsed,
     _cholesky,
+    _flood,
     _grid,
+    _NotPositiveDefinite,
     _selected_inverse,
     icar_draws,
     icar_variances,
@@ -103,6 +110,14 @@ def mixed_spec():
     return spec
 
 
+@functools.cache
+def wide_grid_spec():
+    """A 40 x 50 grid: its band, 41 wide, is over LAPACK's block size of 32, so dpbtrf takes its blocked path."""
+    prec = icar_precision(build_adjacency(make_grid_regions(40, 50)))
+    rng = np.random.default_rng(40)
+    return BymModelSpec([make_estimate(rid, float(rng.uniform(0.05, 0.3)), 6e-4) for rid in prec.node_ids], prec)
+
+
 def dense_theta(spec, sig2_eps, sig2_sp):
     """Each region's mean and variance of theta given both variances, with dense matrices.
 
@@ -146,7 +161,7 @@ class TestKernel:
         spec = make_spec()
         kernel = _Collapsed(spec)
         points = [(0.01, 0.05), (0.2, 0.003), (1.5, 0.8)]
-        got = [kernel.log_marginal(*pt) for pt in points]
+        got = kernel.log_marginals(np.array(points))
         want = [dense_log_marginal(spec, *pt) for pt in points]
         # both are defined up to one constant
         assert np.allclose(np.diff(got), np.diff(want), rtol=0, atol=1e-9)
@@ -160,6 +175,52 @@ class TestKernel:
         p = q / 0.2 + np.diag(w)
         assert np.allclose(solved.mean[0], np.linalg.solve(p, w * kernel.y_live), rtol=1e-10, atol=1e-12)
         assert 2 * np.log(solved.factor[-1]).sum() == pytest.approx(np.linalg.slogdet(p)[1], abs=1e-9)
+
+    @pytest.mark.parametrize("make_spec", [grid_spec, mixed_spec, wide_grid_spec])
+    def test_batch_has_each_rows_bits(self, make_spec):
+        # k points stacked in one dpbtrf call give each point the bits it has alone
+        kernel = _Collapsed(make_spec())
+        n = len(kernel.live)
+        if make_spec is wide_grid_spec:
+            assert kernel.layout[0] > 32
+        variances = np.exp(np.random.default_rng(5).uniform((-7.0, -7.0), (0.0, 2.0), (40, 2)))
+        for k in (1, 3, 8, 40):
+            rows = variances[:k]
+            batch = kernel.solve(rows)
+            marginals = kernel.log_marginals(rows)
+            for p in range(k):
+                one = kernel.solve(rows[p : p + 1])
+                assert batch.factor[:, p * n : (p + 1) * n].tobytes() == one.factor.tobytes(), (k, p)
+                for name in ("mean", "gain", "level", "level_var", "b0_mean", "b0_prec"):
+                    assert getattr(batch, name)[p].tobytes() == getattr(one, name)[0].tobytes(), (k, p, name)
+                assert marginals[p].tobytes() == kernel.log_marginals(rows[p : p + 1]).tobytes(), (k, p)
+
+    def test_batch_splits_at_a_singular_row(self, monkeypatch):
+        # far out in sig2_eps, W is below the rounding of Q/sig2_sp, so
+        # P = Q/sig2_sp + W is singular in floating point: a batch fails at
+        # that row and is split around it, and the rows beside it keep
+        # their bits
+        kernel = _Collapsed(mixed_spec())
+        n = len(kernel.live)
+        rows = np.array([[0.05, 0.2], [0.3, 0.01], [0.01, 1.5], [1e18, 1.0], [0.2, 0.003], [1.5, 0.8], [0.1, 0.1]])
+        with pytest.raises(_NotPositiveDefinite) as failed:
+            kernel.solve(rows)
+        assert failed.value.column // n == 3
+        real = prevmap.exact.dpbtrf
+        columns = []
+
+        def dpbtrf(ab, **kwargs):
+            columns.append(ab.shape[1] // n)
+            return real(ab, **kwargs)
+
+        monkeypatch.setattr(prevmap.exact, "dpbtrf", dpbtrf)
+        got = dict((tuple(r.tolist()), v) for r, v in kernel.by_chunks(kernel.log_marginals, rows))
+        assert columns == [7, 3, 1, 3]
+        assert got.pop((3,)) is None
+        assert sorted(got) == [(0, 1, 2), (4, 5, 6)]
+        for r, values in got.items():
+            for p, value in zip(r, values):
+                assert value.tobytes() == kernel.log_marginals(rows[p : p + 1]).tobytes()
 
     @pytest.mark.parametrize("chunk_bytes", [1 << 24, 1], ids=["one_chunk", "one_point_per_chunk"])
     @pytest.mark.parametrize("make_spec", [grid_spec, two_component_spec, mixed_spec])
@@ -290,19 +351,16 @@ class TestExactFit:
         assert "grid_edge_mass" in post.report.failing()
 
     def test_singular_grid_points_are_counted(self, monkeypatch):
-        # a drop of 20 log units grows the grid out to sig2_sp ~ 1e19, where
-        # P = Q/sig2_sp + W is singular in floating point
+        # a drop of 20 log units grows the grid out to sig2_eps ~ 1e12, where
+        # W falls below the rounding of Q/sig2_sp and P = Q/sig2_sp + W is
+        # singular in floating point
         assert "grid_singular_points" not in exact_fit(mixed_spec(), QUICK).meta
         monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 20.0)
         spec = mixed_spec()
         kernel = _Collapsed(spec)
         grid = _grid(spec, kernel)
-        singular = 0
-        for variances in grid.variances[np.isneginf(grid.logp)]:
-            try:
-                kernel.log_marginal(*variances)
-            except np.linalg.LinAlgError:
-                singular += 1
+        zero = grid.variances[np.isneginf(grid.logp)]
+        singular = sum(values is None for _, values in kernel.by_chunks(kernel.log_marginals, zero))
         assert grid.singular_points == singular > 0
         post = exact_fit(spec, QUICK)
         assert post.meta["grid_singular_points"] == str(singular)
@@ -535,13 +593,13 @@ def quadrature_means(spec, step=0.25):
     t_sp = np.arange(-16.0, 40.0, step)
     logp = np.full((len(t_eps), len(t_sp)), -np.inf)
     for i, a in enumerate(t_eps):
-        for j, b in enumerate(t_sp):
-            try:
-                value = kernel.log_marginal(math.exp(a), math.exp(b))
-            except np.linalg.LinAlgError:  # P is singular in floating point far out
+        row = np.column_stack([np.full(len(t_sp), math.exp(a)), np.exp(t_sp)])
+        for cols, values in kernel.by_chunks(kernel.log_marginals, row):
+            if values is None:  # P is singular in floating point far out
                 continue
-            logp[i, j] = (value - pri.a_eps * a - pri.b_eps * math.exp(-a)
-                          - pri.a_sp * b - pri.b_sp * math.exp(-b))
+            b = t_sp[cols]
+            logp[i, cols] = (values - pri.a_eps * a - pri.b_eps * math.exp(-a)
+                             - pri.a_sp * b - pri.b_sp * np.exp(-b))
     w = np.exp(logp - logp.max())
     w /= w.sum()
     return float(w.sum(axis=1) @ np.exp(t_eps)), float(w.sum(axis=0) @ np.exp(t_sp))
@@ -662,7 +720,8 @@ def test_grid_refinement_bounds_the_grid_error_on_the_demo(monkeypatch):
 
 def test_a_chunk_that_fails_is_split_around_the_point(monkeypatch):
     # dpbtrf reports a failure at the third point of the first stacked
-    # call; that point is factored alone, and the summaries do not move
+    # call (the mode's finite-difference stencil); that point is factored
+    # alone, and the summaries do not move
     spec = mixed_spec()
     want = exact_fit(spec, QUICK)
     n = len(_Collapsed(spec).live)
@@ -683,3 +742,114 @@ def test_a_chunk_that_fails_is_split_around_the_point(monkeypatch):
     for a, b in zip(got.summaries, want.summaries):
         for x, y in ((a.theta, b.theta), (a.prevalence, b.prevalence)):
             assert astuple(x) == pytest.approx(astuple(y), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The variance grid's flood: batched densities against one call per point
+# ---------------------------------------------------------------------------
+
+
+def reference_flood(f, center, basis, spacing):
+    """``_flood`` with one call of the one-point density ``f`` per point, in visiting order.
+
+    The reference the batched flood must match bit for bit.
+    """
+    d = len(center)
+
+    def levels_of(point, value):
+        return [value] + [value + x for x in point.tolist()]
+
+    origin = (0,) * d
+    value = f(center)
+    keys, points, values = [origin], [center], [value]
+    index = {origin}
+    levels = [levels_of(center, value)]
+    best = list(levels[0])
+    expanded = []
+    i = 0
+    while i < len(keys) and len(keys) < prevmap.exact._GRID_MAX_POINTS:
+        if any(level >= top - GRID_LOG_DROP for level, top in zip(levels[i], best)):
+            expanded.append(i)
+            k = keys[i]
+            for axis in range(d):
+                for sign in (1, -1):
+                    nb = k[:axis] + (k[axis] + sign,) + k[axis + 1 :]
+                    if nb not in index:
+                        index.add(nb)
+                        keys.append(nb)
+                        points.append(center + basis @ (spacing * np.array(nb)))
+                        value = f(points[-1])
+                        values.append(value)
+                        levels.append(levels_of(points[-1], value))
+                        best = [max(top, level) for top, level in zip(best, levels[-1])]
+        i += 1
+    edge = np.ones(len(keys), dtype=bool)
+    edge[expanded] = False
+    return np.array(points), np.array(values), edge
+
+
+@st.composite
+def flood_cases(draw):
+    """A one-point log density on d log variances, the flood's center, basis and spacing, and a point cap.
+
+    Rotated anisotropic quadratics; a heavy right tail, whose variance
+    integrands (log density plus a log variance) keep rising away from the
+    mode; and either of them with -inf holes away from the center.
+    """
+    d = draw(st.sampled_from([2, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    curv = np.exp(rng.uniform(-1.0, 2.5, d))
+    kind = draw(st.sampled_from(["quadratic", "heavy_tail"]))
+    if kind == "quadratic":
+        mode = rng.uniform(-3.0, 3.0, d)
+        hess = rotation @ np.diag(curv) @ rotation.T
+
+        def smooth(p):
+            x = p - mode
+            return float(-0.5 * x @ hess @ x)
+
+        basis = rotation / np.sqrt(curv)
+        center = mode + rng.uniform(-0.3, 0.3, d)
+    else:
+        # log density -a t - b e^-t per axis (an inverse-gamma variance in
+        # log units): the integrand adds t, so it falls only as (1 - a) t
+        a, b = rng.uniform(1.2, 2.5, d), rng.uniform(0.3, 3.0, d)
+
+        def smooth(p):
+            return float(np.sum(-a * p - b * np.exp(-p)))
+
+        basis = rotation * rng.uniform(0.4, 1.5, d)
+        center = np.log(b / a)
+    if draw(st.booleans()):
+        phase, freq = rng.uniform(0, 2 * np.pi), rng.uniform(1.0, 5.0, d)
+
+        def f(p):
+            hole = np.abs(p - center).max() > 0.5 and math.sin(phase + float(freq @ p)) > 0.9
+            return -math.inf if hole else smooth(p)
+    else:
+        f = smooth
+    spacing = draw(st.floats(0.3, 1.5))
+    # a cap of about 50 points falls inside a batch
+    cap = draw(st.sampled_from([47, 50, 53])) if draw(st.integers(0, 3)) == 0 else prevmap.exact._GRID_MAX_POINTS
+    return f, center, basis, spacing, cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=flood_cases())
+def test_prefetching_flood_matches_the_one_point_flood(case):
+    f, center, basis, spacing, cap = case
+    batches = []
+
+    def batched(points):
+        batches.append(len(points))
+        return np.array([f(p) for p in points])
+
+    with mock.patch.object(prevmap.exact, "_GRID_MAX_POINTS", cap):
+        want = reference_flood(f, center, basis, spacing)
+        got = _flood(batched, center, f(center), basis, spacing)
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.array_equal(got[2], want[2])
+    # every point of the grid but the center came from a batch
+    assert sum(batches) >= len(want[1]) - 1
