@@ -48,7 +48,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .data_model import read_table, write_table
+from .data_model import Coded, read_table, write_table
 from .direct import DirectEstimate
 from .errors import ModelError
 from .graph import IcarPrecision, quadratic_form
@@ -418,14 +418,22 @@ class DiagnosticsReport:
 
 
 def diagnostics(draws_by_name: Mapping[str, np.ndarray]) -> DiagnosticsReport:
-    """Split R-hat and effective sample size for each named scalar trace."""
-    per_scalar: dict[str, ScalarDiag] = {}
-    notes: list[str] = []
-    for name, arr in draws_by_name.items():
-        r, e = rhat(arr), ess(arr)
-        per_scalar[name] = ScalarDiag(rhat=r, ess=e)
-        if math.isnan(r):
-            notes.append(f"{name}: degenerate trace (constant or too short)")
+    """Split R-hat and effective sample size for each named scalar trace.
+
+    The traces of one shape are stacked and take one ``rhat`` and one
+    ``ess`` call, which give each trace the bits of a call on it alone.
+    """
+    traces = {name: _draw_sets(arr) for name, arr in draws_by_name.items()}
+    by_shape: dict[tuple[int, ...], list[str]] = {}
+    for name, x in traces.items():
+        by_shape.setdefault(x.shape, []).append(name)
+    diags: dict[str, ScalarDiag] = {}
+    for names in by_shape.values():
+        stack = np.stack([traces[name] for name in names])
+        diags.update(zip(names, map(ScalarDiag, rhat(stack).tolist(), ess(stack).tolist())))
+    per_scalar = {name: diags[name] for name in traces}
+    notes = [f"{name}: degenerate trace (constant or too short)"
+             for name, d in per_scalar.items() if math.isnan(d.rhat)]
     return DiagnosticsReport(per_scalar=per_scalar, notes=notes)
 
 
@@ -870,8 +878,8 @@ def write_trace_csv(
     """Hyperparameter traces, one row per (chain, retained draw)."""
     chains, kept = posterior.beta0_draws.shape
     columns = [
-        np.repeat(np.arange(chains), kept),
-        np.tile(np.arange(kept), chains),
+        Coded(range(chains), np.repeat(np.arange(chains), kept)),
+        Coded(range(kept), np.tile(np.arange(kept), chains)),
         posterior.beta0_draws.ravel(),
         posterior.sigma2_eps_draws.ravel(),
         posterior.sigma2_sp_draws.ravel(),

@@ -16,10 +16,10 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, islice
+from itertools import chain, compress, count, filterfalse
 from operator import attrgetter
 from pathlib import Path
-from typing import Generator, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -429,42 +429,54 @@ def _first_cells(cells: list[str], alone: bool) -> list[str]:
     return ['"' + c + '"' if c[:1] == "#" or alone and _skipped(c + "\n") else c for c in cells]
 
 
-def _string_chunks(column: Iterable[str], first: bool, alone: bool) -> Iterator[list[str]]:
-    """The column's cells as ``_csv_cells`` writes them, WRITE_CHUNK_ROWS at a
-    time; a ``first`` column's as ``_first_cells`` writes them."""
-    cells = iter(column)
-    while chunk := list(islice(cells, WRITE_CHUNK_ROWS)):
-        yield _first_cells(_csv_cells(chunk), alone) if first else _csv_cells(chunk)
+class Coded(NamedTuple):
+    """A table column as its distinct values and one integer code per row:
+    row ``i`` holds ``ids[codes[i]]``."""
+
+    ids: Sequence
+    codes: np.ndarray
 
 
-def _number_chunks(values: np.ndarray) -> Iterator[list[str]]:
-    """The ``repr`` of each value, WRITE_CHUNK_ROWS at a time.
-
-    Each distinct value is formatted once and its text shared. Floats are
-    told apart by their bits, so ``-0.0`` and ``0.0`` keep their own texts.
-    """
+def _coded(kind: type, column: Iterable) -> Coded:
+    """``column`` as a ``Coded`` column: strings coded by first appearance,
+    numbers by their bits, so ``-0.0`` and ``0.0`` are two values."""
+    if isinstance(column, Coded):
+        return column
+    if kind is str:
+        coder = _Codes()
+        codes = coder.encode(list(column))
+        return Coded(coder.ids, codes)
+    values = np.asarray(column, dtype=kind)
     keys = values.view(np.int64) if values.dtype.kind == "f" else values
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
-    for lo in range(0, len(inverse), WRITE_CHUNK_ROWS):
-        yield texts[inverse[lo : lo + WRITE_CHUNK_ROWS]].tolist()
+    distinct, codes = np.unique(keys, return_inverse=True)
+    return Coded(distinct.view(values.dtype), codes)
+
+
+def _cell_texts(kind: type, ids: Sequence) -> list[str]:
+    """Each id's cell: a string as ``_csv_cells`` quotes it, a number's ``repr``."""
+    if kind is str:
+        return _csv_cells(list(ids))
+    return list(map(repr, np.asarray(ids, dtype=kind).tolist()))
 
 
 def write_table(
     path: str | Path,
     schema: Mapping[str, type],
-    columns: Sequence[Iterable],
+    columns: Sequence[Iterable | Coded],
     metadata: Mapping[str, str] | None = None,
 ) -> None:
     """Write a CSV artifact: metadata lines, the header row, one row per entry.
 
     ``schema`` maps each header name to ``str``, ``int`` or ``float``, and
-    ``columns`` holds one iterable per name; rows stop at the shortest.
+    ``columns`` holds one column per name; rows stop at the shortest.
     Strings are written as they are, quoted as ``csv.writer`` quotes them,
     and numbers with ``repr``, so each float reads back as the same double.
-    A numeric column is converted once, as an array, and each of its
-    distinct values is formatted once. Rows are joined WRITE_CHUNK_ROWS at
-    a time. For two or more columns the bytes are those of
+    A column is an iterable of values or, of any kind, a ``Coded`` column:
+    its ids and one code per row. Every column is written through codes:
+    strings are coded by first appearance and numbers, converted once to
+    an array, by their distinct values. Each id's cell text is made once,
+    and rows are gathered from the texts by code, WRITE_CHUNK_ROWS at a
+    time. For two or more columns the bytes are those of
     ``csv.writer(lineterminator="\\n")``, except that a cell holding a
     ``\\r`` is always quoted: ``read_table`` ends a line at a lone ``\\r``,
     and some Python versions' writers leave it bare. For the same reader a
@@ -472,20 +484,20 @@ def write_table(
     cell of a one-column table (``_first_cells``).
     """
     alone = len(schema) == 1
-    sources = [_string_chunks(column, k == 0, alone) if kind is str
-               else _number_chunks(np.asarray(column, dtype=kind))
-               for k, (kind, column) in enumerate(zip(schema.values(), columns))]
+    texts, codes = [], []
+    for k, (kind, column) in enumerate(zip(schema.values(), columns)):
+        ids, column_codes = _coded(kind, column)
+        cells = _cell_texts(kind, ids)
+        texts.append(np.array(_first_cells(cells, alone) if k == 0 else cells, dtype=object))
+        codes.append(np.asarray(column_codes))
+    rows = min(map(len, codes))
     header = _csv_cells(list(schema))
     with artifact_file(path) as fh:
         fh.writelines(metadata_lines(metadata))
         fh.write(",".join(_first_cells(header[:1], alone) + header[1:]) + "\n")
-        while True:
-            cells = [next(src, []) for src in sources]
-            rows = min(map(len, cells))
-            if rows:
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-            if rows < WRITE_CHUNK_ROWS:
-                break
+        for lo in range(0, rows, WRITE_CHUNK_ROWS):
+            cells = [t[c[lo : lo + WRITE_CHUNK_ROWS]].tolist() for t, c in zip(texts, codes)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -947,12 +959,12 @@ def write_records_csv(
     metadata: Mapping[str, str] | None = None,
 ) -> None:
     schema = {"region_id": str, "cluster_id": str, "weight": float, "outcome": int}
-    columns = [records.column("region_id"), records.column("cluster_id"),
+    columns = [Coded(records.region_ids, records.region), Coded(records.cluster_ids, records.cluster),
                records.weight, records.outcome]
     used = np.bincount(records.stratum, minlength=len(records.stratum_ids)) > 0
     if any(compress(records.stratum_ids, used)):
         schema["stratum"] = str
-        columns.append(records.column("stratum"))
+        columns.append(Coded(records.stratum_ids, records.stratum))
     write_table(path, schema, columns, metadata)
 
 

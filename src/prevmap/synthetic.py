@@ -160,6 +160,13 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
     mixture preserves the cluster mean, and the high-risk stratum is
     oversampled by the dispersion factor. Weights are inverse inclusion
     probabilities, so the two-point weight distribution undoes the bias.
+
+    The generator's stream, region by region in id order: the region's
+    cluster count (unless the range is one value), then per cluster one
+    normal shock (unless ``cluster_sd`` is 0) and 2k uniforms, the first k
+    deciding high-risk membership and the next k the outcomes. The
+    arithmetic then runs on (clusters, k) arrays, element by element the
+    scalar operations, so a seed gives the same table.
     """
     from scipy.special import expit, logit
 
@@ -171,37 +178,36 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
     q_hi = share * rho / (share * rho + (1.0 - share))
     k = plan.households_per_cluster
     regions = sorted(truth.regions, key=lambda b: b.region_id)
-    cluster_region: list[int] = []
-    cluster_ids: list[str] = []
-    weights: list[np.ndarray] = []
-    outcomes: list[np.ndarray] = []
+    counts: list[int] = []
+    shocks: list[float] = []
+    uniforms: list[np.ndarray] = []
     lo, hi = plan.clusters_per_region
-    for code, boundary in enumerate(regions):
-        rid = boundary.region_id
-        p_region = truth.true_prevalence[rid]
+    for _ in regions:
         n_clusters = int(rng.integers(lo, hi + 1)) if hi > lo else lo
-        for j in range(n_clusters):
+        counts.append(n_clusters)
+        for _ in range(n_clusters):
             if plan.cluster_sd > 0:
-                p_c = float(expit(logit(p_region) + rng.normal(0.0, plan.cluster_sd)))
-            else:
-                p_c = p_region
-            p_hi = min(plan.risk_ratio * p_c, 0.95)
-            p_lo = (p_c - share * p_hi) / (1.0 - share)
-            p_lo = min(max(p_lo, 0.0), 1.0)
-            is_hi = rng.random(k) < q_hi
-            p_vec = np.where(is_hi, p_hi, p_lo)
-            outcomes.append(rng.random(k) < p_vec)
-            weights.append(np.where(is_hi, 1.0 / rho, 1.0))
-            cluster_region.append(code)
-            cluster_ids.append(f"{rid}-c{j:03d}")
+                shocks.append(rng.normal(0.0, plan.cluster_sd))
+            uniforms.append(rng.random(2 * k))
+    cluster_region = np.repeat(np.arange(len(regions), dtype=np.intp), counts)
+    p_c = np.array([truth.true_prevalence[b.region_id] for b in regions])[cluster_region]
+    if plan.cluster_sd > 0:
+        p_c = expit(logit(p_c) + np.array(shocks))
+    p_hi = np.minimum(plan.risk_ratio * p_c, 0.95)
+    p_lo = np.minimum(np.maximum((p_c - share * p_hi) / (1.0 - share), 0.0), 1.0)
+    u = np.array(uniforms).reshape(len(cluster_region), 2, k)
+    is_hi = u[:, 0] < q_hi
+    outcome = u[:, 1] < np.where(is_hi, p_hi[:, None], p_lo[:, None])
+    cluster_ids = tuple(f"{b.region_id}-c{j:03d}" for b, n in zip(regions, counts)
+                        for j in range(n))
     records = SurveyTable(
-        region=np.repeat(np.array(cluster_region, dtype=np.intp), k),
+        region=np.repeat(cluster_region, k),
         cluster=np.repeat(np.arange(len(cluster_ids), dtype=np.intp), k),
         stratum=np.zeros(k * len(cluster_ids), dtype=np.intp),
-        weight=np.concatenate(weights),
-        outcome=np.concatenate(outcomes).astype(np.int8),
+        weight=np.where(is_hi, 1.0 / rho, 1.0).ravel(),
+        outcome=outcome.ravel().astype(np.int8),
         region_ids=tuple(b.region_id for b in regions),
-        cluster_ids=tuple(cluster_ids),
+        cluster_ids=cluster_ids,
     )
     return SurveyDataset(records=records, regions=regions)
 

@@ -18,6 +18,7 @@ from prevmap.bym import PosteriorRow, read_posterior_csv, write_posterior_csv
 from prevmap.cli import main
 from prevmap.data_model import (
     WRITE_CHUNK_ROWS,
+    Coded,
     IndividualRecord,
     SurveyTable,
     load_records,
@@ -152,6 +153,17 @@ CELLS = {
 }
 
 
+def coded_column(kind, column):
+    """``column`` as a ``Coded`` column: a str column's ids sorted, an int
+    column's ids the range from its least to its greatest value (its
+    distinct values, sorted, where that range is long)."""
+    if kind is float:
+        return column
+    lo, hi = min(column, default=0), max(column, default=0)
+    ids = range(lo, hi + 1) if kind is int and hi - lo < 1 << 10 else sorted(set(column))
+    return Coded(ids, np.array([ids.index(c) for c in column], dtype=np.intp))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=st.data())
 def test_write_table_writes_what_csv_writer_writes(tmp_path_factory, case):
@@ -163,6 +175,13 @@ def test_write_table_writes_what_csv_writer_writes(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("table") / "table.csv"
     with mock.patch.object(prevmap.data_model, "WRITE_CHUNK_ROWS", chunk):
         write_table(path, dict(zip(names, kinds)), columns, {"seed": "1"})
+    # each str column again as ids and codes, in an order other than first
+    # appearance, and each int column as codes into the range it spans
+    coded = [coded_column(kind, column) for kind, column in zip(kinds, columns)]
+    coded_path = path.with_name("coded.csv")
+    with mock.patch.object(prevmap.data_model, "WRITE_CHUNK_ROWS", chunk):
+        write_table(coded_path, dict(zip(names, kinds)), coded, {"seed": "1"})
+    assert coded_path.read_bytes() == path.read_bytes()
     rows = [names] + [
         [cell if kind is str else repr(cell) for kind, cell in zip(kinds, row)]
         for row in zip(*columns)

@@ -63,10 +63,11 @@ GRAPH_45 = build_adjacency(GRID_45)
 PREC_45 = icar_precision(GRAPH_45)
 
 
-def demo_spec():
-    """The shipped demo's direct estimates and graph, as ``prevmap pipeline`` fits them."""
+def demo_spec(seed=None):
+    """The shipped demo's direct estimates and graph, as ``prevmap pipeline`` fits them
+    (at the config's seed, or ``seed``)."""
     scenario = load_scenario(REPO_ROOT / "demo.cfg")
-    dataset = sample_survey(scenario.realize())
+    dataset = sample_survey(scenario.realize(seed))
     estimates = sorted(estimate_all(dataset), key=lambda e: e.region_id)
     return BymModelSpec(estimates, icar_precision(build_adjacency(dataset.regions)))
 
@@ -705,8 +706,8 @@ def test_sigma2_sp_from_its_prior_summarizes_dead_regions_over_the_draws():
             assert abs(np.mean(theta < at) - q) < limit * math.sqrt(q * (1 - q)), (r, q)
 
 
-def test_grid_refinement_bounds_the_grid_error_on_the_demo(monkeypatch):
-    spec = demo_spec()
+def assert_grid_refinement_bounds_the_grid_error(monkeypatch, seed=None):
+    spec = demo_spec(seed)
     coarse = exact_fit(spec, QUICK)
     monkeypatch.setattr(prevmap.exact, "GRID_POINTS", 4 * prevmap.exact.GRID_POINTS)
     fine = exact_fit(spec, QUICK)
@@ -716,6 +717,17 @@ def test_grid_refinement_bounds_the_grid_error_on_the_demo(monkeypatch):
     theta = max(abs(c.theta.mean - f.theta.mean) for c, f in zip(coarse.summaries, fine.summaries))
     print(f"\ngrid error by refinement: prevalence {prev:.1e}, theta mean {theta:.1e}")
     assert prev < 1e-6 and theta < 1e-5
+
+
+def test_grid_refinement_bounds_the_grid_error_on_the_demo(monkeypatch):
+    assert_grid_refinement_bounds_the_grid_error(monkeypatch)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: at demo seed 3 the 600-point grid is off by 4.4e-5 on the "
+    "prevalence columns and 5.3e-4 on theta_mean against a four times finer grid"))
+def test_grid_refinement_bounds_the_grid_error_on_the_demo_at_seed_3(monkeypatch):
+    assert_grid_refinement_bounds_the_grid_error(monkeypatch, seed=3)
 
 
 def test_a_chunk_that_fails_is_split_around_the_point(monkeypatch):

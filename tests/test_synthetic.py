@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from scipy.special import logit
 
 from prevmap.cli import main
-from prevmap.data_model import validate_dataset
+from prevmap.data_model import SurveyTable, validate_dataset
 from prevmap.direct import direct_prevalence
 from prevmap.errors import PrevmapError, SchemaError
 from prevmap.graph import build_adjacency
@@ -23,6 +25,8 @@ from prevmap.synthetic import (
     spatial_truth,
     write_truth_csv,
 )
+
+DEMO_CFG = Path(__file__).resolve().parents[1] / "demo.cfg"
 
 
 class TestGridRegions:
@@ -185,6 +189,93 @@ class TestSampleSurvey:
         assert u_err > w_err
         assert float(np.mean(unweighted)) > p_true + 0.01  # oversampling inflates
 
+
+# ---------------------------------------------------------------------------
+# The per-cluster survey loop: ``sample_survey`` draws each cluster's
+# uniforms in one call and computes on arrays, and must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_survey(truth):
+    """``sample_survey`` one cluster at a time, with scalar arithmetic."""
+    from scipy.special import expit
+
+    plan = truth.plan
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([truth.seed, 1])))
+    rho = plan.weight_dispersion
+    share = plan.high_risk_share
+    q_hi = share * rho / (share * rho + (1.0 - share))
+    k = plan.households_per_cluster
+    regions = sorted(truth.regions, key=lambda b: b.region_id)
+    cluster_region, cluster_ids, weights, outcomes = [], [], [], []
+    lo, hi = plan.clusters_per_region
+    for code, boundary in enumerate(regions):
+        rid = boundary.region_id
+        p_region = truth.true_prevalence[rid]
+        n_clusters = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+        for j in range(n_clusters):
+            if plan.cluster_sd > 0:
+                p_c = float(expit(logit(p_region) + rng.normal(0.0, plan.cluster_sd)))
+            else:
+                p_c = p_region
+            p_hi = min(plan.risk_ratio * p_c, 0.95)
+            p_lo = (p_c - share * p_hi) / (1.0 - share)
+            p_lo = min(max(p_lo, 0.0), 1.0)
+            is_hi = rng.random(k) < q_hi
+            p_vec = np.where(is_hi, p_hi, p_lo)
+            outcomes.append(rng.random(k) < p_vec)
+            weights.append(np.where(is_hi, 1.0 / rho, 1.0))
+            cluster_region.append(code)
+            cluster_ids.append(f"{rid}-c{j:03d}")
+    return SurveyTable(
+        region=np.repeat(np.array(cluster_region, dtype=np.intp), k),
+        cluster=np.repeat(np.arange(len(cluster_ids), dtype=np.intp), k),
+        stratum=np.zeros(k * len(cluster_ids), dtype=np.intp),
+        weight=np.concatenate(weights),
+        outcome=np.concatenate(outcomes).astype(np.int8),
+        region_ids=tuple(b.region_id for b in regions),
+        cluster_ids=tuple(cluster_ids),
+    )
+
+
+def demo_truth(seed=None, **plan):
+    truth = load_scenario(DEMO_CFG).realize(seed)
+    return replace(truth, plan=replace(truth.plan, **plan))
+
+
+@pytest.mark.parametrize("truth", [
+    *(pytest.param(lambda seed=seed: demo_truth(seed), id=f"demo_seed{seed}") for seed in (1, 3, 7, 11)),
+    pytest.param(lambda: demo_truth(cluster_sd=0.0), id="no_cluster_shock"),
+    pytest.param(lambda: demo_truth(clusters_per_region=(6, 6)), id="fixed_cluster_count"),
+    pytest.param(lambda: demo_truth(weight_dispersion=1.0), id="equal_weights"),
+    pytest.param(lambda: demo_truth(3, clusters_per_region=(1, 8)), id="one_to_eight_clusters"),
+])
+def test_sample_survey_matches_the_per_cluster_loop(truth):
+    truth = truth()
+    got, want = sample_survey(truth).records, reference_survey(truth)
+    for name in ("region", "cluster", "stratum", "weight", "outcome"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in ("region_ids", "cluster_ids", "stratum_ids"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+
+@pytest.mark.parametrize("seed, hashes", [
+    (7, {"records.csv": "e999af192a8cd6982ceed0af356631e04df2e09bed71f6648b92a799bd573a4d",
+         "boundaries.geojson": "01847b4d3b6f7cc75ce240aee81f4e7a02bbfffc083e3daf2a4b4cccd8db0cee",
+         "truth.csv": "5f1ce8c8dce88da3348157ad7922d2095b912cf655b8461b087000285e867875"}),
+    (3, {"records.csv": "380dd13c3b4ba59436f2067794deaa5a86e1618a45fe9793e3156d37b970b75b",
+         "boundaries.geojson": "0592cd98f25fa76ea1f4b3a3404c0a15fc5d9eed6b7f4a6150461851c22bf64a",
+         "truth.csv": "ee29360bdc0bfcdb4189f8e1853b7374df326cdd5ed98c9bfa4aea8dd9314b6c"}),
+])
+def test_simulate_output_bytes_are_pinned(tmp_path, seed, hashes):
+    # any change to the truth surface, the survey's draws or the writers
+    # moves these bytes
+    assert main(["simulate", "--config", str(DEMO_CFG), "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    for name, want in hashes.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 class TestScenario:
     def test_demo_config_parses(self):
