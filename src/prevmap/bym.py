@@ -418,20 +418,8 @@ class DiagnosticsReport:
 
 
 def diagnostics(draws_by_name: Mapping[str, np.ndarray]) -> DiagnosticsReport:
-    """Split R-hat and effective sample size for each named scalar trace.
-
-    The traces of one shape are stacked and take one ``rhat`` and one
-    ``ess`` call, which give each trace the bits of a call on it alone.
-    """
-    traces = {name: _draw_sets(arr) for name, arr in draws_by_name.items()}
-    by_shape: dict[tuple[int, ...], list[str]] = {}
-    for name, x in traces.items():
-        by_shape.setdefault(x.shape, []).append(name)
-    diags: dict[str, ScalarDiag] = {}
-    for names in by_shape.values():
-        stack = np.stack([traces[name] for name in names])
-        diags.update(zip(names, map(ScalarDiag, rhat(stack).tolist(), ess(stack).tolist())))
-    per_scalar = {name: diags[name] for name in traces}
+    """Split R-hat and effective sample size for each named scalar trace."""
+    per_scalar = {name: ScalarDiag(rhat(x), ess(x)) for name, x in draws_by_name.items()}
     notes = [f"{name}: degenerate trace (constant or too short)"
              for name, d in per_scalar.items() if math.isnan(d.rhat)]
     return DiagnosticsReport(per_scalar=per_scalar, notes=notes)
@@ -732,7 +720,7 @@ def posterior_from_draws(
     """``gibbs_fit``'s posterior from its draws: summaries, diagnostics and metadata.
 
     Regions are summarized a block at a time, and each region's theta gets
-    its R-hat and ESS, which join the report.
+    its R-hat and ESS, which join the hyperparameters' in the report.
     """
     from scipy.special import expit
 
@@ -756,10 +744,17 @@ def posterior_from_draws(
         RegionSummary(rid, theta, prev, r, e)
         for rid, theta, prev, r, e in zip(prec.node_ids, theta_sums, prev_sums, rhats, esss)
     ]
-    per_region = {f"theta[{s.region_id}]": ScalarDiag(s.rhat_theta, s.ess_theta) for s in summaries}
+    hyper_traces = {"beta0": beta0_draws}
+    if spec.fixed_sigma2_eps is None:
+        hyper_traces["sigma2_eps"] = sig2e_draws
+    if spec.fixed_sigma2_sp is None and prec.rank > 0:
+        hyper_traces["sigma2_sp"] = sig2s_draws
+    hyper = diagnostics(hyper_traces)
+    per_scalar = {f"theta[{s.region_id}]": ScalarDiag(s.rhat_theta, s.ess_theta) for s in summaries}
+    per_scalar.update(hyper.per_scalar)
     return posterior_from_summaries(
         spec, config, summaries, beta0_draws, sig2e_draws, sig2s_draws,
-        theta_draws=theta_draws, per_region=per_region,
+        DiagnosticsReport(per_scalar, hyper.notes), theta_draws=theta_draws,
     )
 
 
@@ -770,30 +765,17 @@ def posterior_from_summaries(
     beta0_draws: np.ndarray,
     sig2e_draws: np.ndarray,
     sig2s_draws: np.ndarray,
+    report: DiagnosticsReport,
     *,
     theta_draws: np.ndarray | None = None,
-    per_region: Mapping[str, ScalarDiag] | None = None,
-    grid_edge_mass: float = 0.0,
     extra_meta: Mapping[str, str] | None = None,
 ) -> BymPosterior:
-    """A fit's posterior from its region summaries and hyperparameter draws.
+    """A fit's posterior from its region summaries, hyperparameter draws and report.
 
-    The report holds the regions' diagnostics in ``per_region``, then the
-    hyperparameters' R-hat and ESS, and ``grid_edge_mass``. ``extra_meta``
-    is appended to the fit's metadata.
+    ``extra_meta`` is appended to the fit's metadata.
     """
     prec = spec.precision
     fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
-    hyper_traces: dict[str, np.ndarray] = {"beta0": beta0_draws}
-    if fixed_e is None:
-        hyper_traces["sigma2_eps"] = sig2e_draws
-    if fixed_s is None and prec.rank > 0:
-        hyper_traces["sigma2_sp"] = sig2s_draws
-    per_scalar = dict(per_region or {})
-    hyper_report = diagnostics(hyper_traces)
-    per_scalar.update(hyper_report.per_scalar)
-    report = DiagnosticsReport(per_scalar, hyper_report.notes, grid_edge_mass)
-
     meta = {
         "chains": str(config.chains),
         "iterations": str(config.iterations),
@@ -839,8 +821,9 @@ def exact_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     the variances are drawn: each chain is a stream from
     ``SeedSequence(seed).spawn(chains)`` with ``retained_per_chain()``
     independent draws. ``theta_draws`` is None. Reruns are bit-identical.
-    Per-region R-hat is nan and ESS the number of draws; the hyperparameter
-    diagnostics and the grid's edge mass decide convergence.
+    Independent draws leave nothing for R-hat or ESS to find, so the fit runs
+    neither: per-region R-hat is nan and ESS the number of draws, and the
+    report holds the grid's checks, whose edge mass decides convergence.
 
     The engine is in ``prevmap.exact``, which is loaded, with
     ``scipy.linalg``, on the first call, so that importing the CLI loads no

@@ -103,6 +103,8 @@ def _wrote(path: Path) -> None:
 
 def _simulate(scenario, digest, args) -> SurveyDataset:
     seed = args.seed if args.seed is not None else scenario.seed
+    if not 0 <= seed < 2**64:
+        raise PrevmapError(f"seed must be in [0, 2**64), got {seed}")
     meta = _meta(digest, seed, str(seed))
     truth = scenario.realize(seed)
     dataset = sample_survey(truth)

@@ -52,6 +52,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from .bym import (
     BymModelSpec,
     BymPosterior,
+    DiagnosticsReport,
     McmcConfig,
     RegionSummary,
     Summary,
@@ -836,22 +837,17 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     ess_theta = float(beta0_draws.size)
     summaries = [RegionSummary(rid, theta, prev, math.nan, ess_theta)
                  for rid, (theta, prev) in zip(spec.precision.node_ids, mixtures)]
-    posterior = posterior_from_summaries(
-        spec, config, summaries, beta0_draws, sig2e_draws, sig2s_draws,
-        grid_edge_mass=grid.edge_mass,
-        extra_meta=meta,
-    )
+    notes = []
     if grid.singular_points:
-        posterior.report.notes.append(
-            f"variance grid: {grid.singular_points} of {points} points have a precision "
-            "matrix that is singular in floating point; they count as zero density"
-        )
+        notes.append(f"variance grid: {grid.singular_points} of {points} points have a precision "
+                     "matrix that is singular in floating point; they count as zero density")
     if lost:
-        posterior.report.notes.append(
-            f"variance grid: {lost} of {points} points lost a region's variance of theta to "
-            "rounding; they are left out of the region summaries"
-        )
-    return posterior
+        notes.append(f"variance grid: {lost} of {points} points lost a region's variance of theta "
+                     "to rounding; they are left out of the region summaries")
+    return posterior_from_summaries(
+        spec, config, summaries, beta0_draws, sig2e_draws, sig2s_draws,
+        DiagnosticsReport({}, notes, grid.edge_mass), extra_meta=meta,
+    )
 
 
 fit.__doc__ = exact_fit.__doc__  # the engine and its entry point share one text

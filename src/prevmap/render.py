@@ -10,6 +10,7 @@ by cos(mean latitude).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,6 +50,9 @@ class ChoroplethSpec:
             raise PrevmapError(
                 f"ramp length {len(self.ramp)} must equal bin count {self.bins}"
             )
+        for color in self.ramp or ():
+            if not re.fullmatch(r"#(?:[0-9a-fA-F]{3}){1,2}", color):
+                raise PrevmapError(f"ramp color {color!r} is not #rgb or #rrggbb")
 
     def colors(self) -> tuple[str, ...]:
         return self.ramp if self.ramp is not None else default_ramp(self.bins)

@@ -53,13 +53,13 @@ class SamplingPlan:
             raise PrevmapError(f"bad clusters_per_region range ({lo}, {hi})")
         if self.households_per_cluster < 1:
             raise PrevmapError("households_per_cluster must be >= 1")
-        if self.weight_dispersion < 1.0:
+        if not self.weight_dispersion >= 1.0:
             raise PrevmapError("weight_dispersion must be >= 1")
         if not 0.0 < self.high_risk_share < 1.0:
             raise PrevmapError("high_risk_share must be in (0, 1)")
-        if self.risk_ratio * self.high_risk_share >= 1.0:
+        if not self.risk_ratio * self.high_risk_share < 1.0:
             raise PrevmapError("risk_ratio * high_risk_share must stay below 1")
-        if self.cluster_sd < 0:
+        if not self.cluster_sd >= 0:
             raise PrevmapError("cluster_sd must be >= 0")
 
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from unittest import mock
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,7 @@ class TestStrictMode:
                    "--boundaries", str(out / "boundaries.geojson"), "--out", str(out)])
         run_stage(["adjacency", "--boundaries", str(out / "boundaries.geojson"),
                    "--out", str(out)])
-        monkeypatch.setattr(prevmap.bym, "RHAT_THRESHOLD", 0.5)  # force failure
+        monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 0.5)  # force failure: a narrow grid
         code = main(["smooth", "--direct", str(out / "direct.csv"),
                      "--graph", str(out / "graph.txt"), "--seed", "4",
                      "--strict", "--out", str(out)] + MCMC)
@@ -218,7 +219,7 @@ class TestStrictMode:
                    "--boundaries", str(out / "boundaries.geojson"), "--out", str(out)])
         run_stage(["adjacency", "--boundaries", str(out / "boundaries.geojson"),
                    "--out", str(out)])
-        monkeypatch.setattr(prevmap.bym, "RHAT_THRESHOLD", 0.5)
+        monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 0.5)
         code = main(["smooth", "--direct", str(out / "direct.csv"),
                      "--graph", str(out / "graph.txt"), "--seed", "4",
                      "--out", str(out)] + MCMC)
@@ -275,6 +276,32 @@ class TestConvergence:
         edge = next(line for line in (tmp_path / "posterior.csv").read_text().splitlines()
                     if line.startswith("# grid_edge_mass: "))
         assert float(edge.split(": ")[1]) > prevmap.bym.GRID_EDGE_MASS_THRESHOLD
+
+
+def test_demo_pipeline_svgs_are_well_formed_xml(tmp_path):
+    run_stage(["pipeline", "--config", str(REPO_ROOT / "demo.cfg"), "--out", str(tmp_path)])
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert len(svgs) == 4
+    for path in svgs:
+        assert ElementTree.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg", path.name
+
+
+@pytest.mark.parametrize("command, seed_flag, scenario_seed", [
+    ("simulate", "-1", "21"),
+    ("simulate", None, "-5"),
+    ("pipeline", str(2**64), "21"),
+])
+def test_seed_out_of_range_exits_2_before_writing(tmp_path, capsys, command, seed_flag, scenario_seed):
+    # the seed is checked against McmcConfig's bound before simulate writes a file
+    config = tmp_path / "scenario.cfg"
+    config.write_text(SCENARIO.replace("seed = 21", f"seed = {scenario_seed}"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)] + (MCMC if command == "pipeline" else [])
+    code = main(argv + (["--seed", seed_flag] if seed_flag else []))
+    assert code == 2
+    seed = seed_flag or scenario_seed
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
 
 
 class TestPipelineEquivalence:
@@ -369,7 +396,7 @@ class TestPipelineControlFlow:
                                            "records.csv", "truth.csv"]
 
     def test_strict_pipeline_exits_3_and_still_renders(self, tmp_path, scenario_file, monkeypatch):
-        monkeypatch.setattr(prevmap.bym, "RHAT_THRESHOLD", 0.5)  # force failure
+        monkeypatch.setattr(prevmap.exact, "GRID_LOG_DROP", 0.5)  # force failure: a narrow grid
         out = tmp_path / "out"
         code = main(["pipeline", "--config", str(scenario_file), "--strict",
                      "--out", str(out)] + MCMC)

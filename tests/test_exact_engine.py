@@ -316,10 +316,22 @@ class TestExactFit:
         assert post.theta_draws is None
         assert post.sigma2_sp_draws.shape == (3, kept)
         assert all(math.isnan(s.rhat_theta) and s.ess_theta == 3 * kept for s in post.summaries)
-        assert set(post.report.per_scalar) == {"beta0", "sigma2_eps", "sigma2_sp"}
+        assert post.report.per_scalar == {}
         assert post.converged
         assert int(post.meta["grid_points"]) > 300
         assert float(post.meta["grid_edge_mass"]) < prevmap.bym.GRID_EDGE_MASS_THRESHOLD
+
+    def test_runs_no_chain_diagnostics(self, monkeypatch):
+        # the draws are independent: split R-hat and ESS have nothing to find,
+        # and the report holds the grid's checks alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_fit ran a chain diagnostic")
+
+        for name in ("rhat", "ess", "diagnostics"):
+            monkeypatch.setattr(prevmap.bym, name, refuse)
+        post = exact_fit(mixed_spec(), QUICK)
+        assert post.report.per_scalar == {} and post.report.notes == []
+        assert post.converged
 
     def test_components_sum_to_zero_and_isolated_nodes_sit_at_beta0(self):
         # z = b0 + S over the live nodes: each live component's mean of z
@@ -374,7 +386,7 @@ class TestExactFit:
     def test_fixed_variances_leave_their_axes_out(self):
         post = exact_fit(small_spec(fixed_sigma2_sp=0.02), QUICK)
         assert np.all(post.sigma2_sp_draws == 0.02)
-        assert "sigma2_sp" not in post.report.per_scalar
+        assert post.report.per_scalar == {}
         both = exact_fit(small_spec(fixed_sigma2_sp=0.02, fixed_sigma2_eps=0.04), QUICK)
         assert both.meta["grid_points"] == "1"
         assert np.all(both.sigma2_eps_draws == 0.04)

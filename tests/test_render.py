@@ -108,6 +108,13 @@ class TestChoroplethSpecValidation:
         with pytest.raises(PrevmapError, match="ramp length"):
             ChoroplethSpec(bins=3, ramp=("#000", "#fff")).validate()
 
+    @pytest.mark.parametrize("color", ['#fff" onload="x', "<y>&", "#ffff", "#12345g", "fff", "red", " #fff"])
+    def test_ramp_color_not_hex_rejected(self, color):
+        # a ramp entry is written into the SVG's fill attribute as it is
+        with pytest.raises(PrevmapError, match="ramp color"):
+            ChoroplethSpec(bins=2, ramp=("#000", color)).validate()
+        ChoroplethSpec(bins=3, ramp=("#000", "#A1b2C3", "#fff")).validate()
+
     def test_bad_strategy(self):
         with pytest.raises(PrevmapError, match="strategy"):
             ChoroplethSpec(strategy="jenks").validate()

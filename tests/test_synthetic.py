@@ -301,6 +301,19 @@ class TestScenario:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "cluster_SD" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["weight_dispersion", "risk_ratio", "cluster_sd"])
+    def test_nan_plan_value_exits_2(self, tmp_path, capsys, key):
+        # NaN fails no `x < bound` test: it drew an equal-weight survey or no cluster shocks
+        lines = [line for line in Path("demo.cfg").read_text().splitlines()
+                 if line.split("=")[0].strip() != key]
+        path = tmp_path / "nan.cfg"
+        path.write_text("\n".join(lines + [f"{key} = nan"]) + "\n")
+        with pytest.raises(PrevmapError, match=key):
+            load_scenario(path).plan().validate()
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+        assert not (tmp_path / "out").exists()
+
     def test_optional_keys_default_to_the_sampling_plan(self, tmp_path):
         # demo.cfg leaves out every optional key
         assert load_scenario("demo.cfg").plan() == SamplingPlan((14, 88), 22, 2.0)
