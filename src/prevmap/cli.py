@@ -103,10 +103,8 @@ def _wrote(path: Path) -> None:
 
 def _simulate(scenario, digest, args) -> SurveyDataset:
     seed = args.seed if args.seed is not None else scenario.seed
-    if not 0 <= seed < 2**64:
-        raise PrevmapError(f"seed must be in [0, 2**64), got {seed}")
     meta = _meta(digest, seed, str(seed))
-    truth = scenario.realize(seed)
+    truth = scenario.realize(seed)  # checks the seed's range before a file is written
     dataset = sample_survey(truth)
     out = _out_dir(args)
     write_records_csv(dataset.records, out / "records.csv", meta)

@@ -62,14 +62,36 @@ class IndividualRecord:
     stratum: str = ""
 
 
+def _changes(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D ``rows`` differs from the row before it
+    (the first row does), one ``!=`` per column."""
+    change = np.zeros(len(rows), dtype=bool)
+    change[:1] = True
+    for column in rows.T:
+        change[1:] |= column[1:] != column[:-1]
+    return change
+
+
 def first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes for the distinct values of ``key`` in order of first appearance,
-    and the index where each code first appears."""
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
+    and the index where each code first appears.
+
+    ``key`` is 1-D, or 2-D with one row per value (a fixed-width field as
+    its 8-byte words). Runs of equal consecutive values are collapsed first,
+    so records grouped by id cost one entry per run; one stable ``lexsort``
+    of the runs then groups equal values, each led by its earliest run.
+    """
+    rows = key if key.ndim == 2 else key[:, None]
+    starts = np.flatnonzero(_changes(rows))
+    runs = rows[starts]
+    order = np.lexsort(runs.T)
+    leads = _changes(runs[order])
+    heads = order[leads]  # each distinct value's first run
+    fresh = np.zeros(len(runs), dtype=bool)
+    fresh[heads] = True
+    run_code = np.empty(len(runs), dtype=np.intp)
+    run_code[order] = (np.cumsum(fresh) - 1)[heads][np.cumsum(leads) - 1]
+    return np.repeat(run_code, np.diff(starts, append=len(key))), starts[fresh]
 
 
 class _Codes:
@@ -516,6 +538,11 @@ NEWLINE, COMMA, HASH, CR, QUOTE = b'\n,#\r"'
 BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
 # ENDS_FIELD[b]: whether byte b ends a field when it is outside quotes
 ENDS_FIELD = np.isin(np.arange(256), (COMMA, NEWLINE, CR))
+# word constants of _decimals; PAIR_MUL* are 100 + (10**6 << 32) and 1 + (10**4 << 32)
+BYTE_ONES, LOW_NIBBLES = np.uint64(0x0101010101010101), np.uint64(0x0F0F0F0F0F0F0F0F)
+PAIR_MASK = np.uint64(0x000000FF000000FF)
+PAIR_MUL, PAIR_MUL_HIGH = np.uint64(0x000F424000000064), np.uint64(0x0000271000000001)
+POWERS_OF_TEN = 10.0 ** np.arange(8)
 
 
 class _BadRecord(Exception):
@@ -803,18 +830,56 @@ def _text(field) -> str:
     return field.decode() if isinstance(field, bytes) else field
 
 
+def _decimals(raw: np.ndarray) -> np.ndarray | None:
+    """float() of every ``S8`` field if each is ``digits[.digits]``, else None.
+
+    Such a field is M / 10**k, with M its digits as an integer (< 10**8)
+    and k the digits after the dot (<= 7). Both are exact doubles, so the
+    correctly rounded division gives ``float``'s bits (Clinger's fast path).
+    M is read from the field's little-endian word: the dot is dropped, the
+    digits right-aligned, and three multiplies combine eight digits
+    (Lemire, "Number parsing at a gigabyte per second"). Only ``np.uint64``
+    constants enter the word arithmetic, so every result stays uint64.
+    """
+    # a bool mask over the bytes, viewed as words, holds byte 1 where set
+    word, byte = raw.view("<u8"), raw.view(np.uint8)
+    digit = ((byte - np.uint8(ord("0"))) < np.uint8(10)).view("<u8")
+    dot = (byte == np.uint8(ord("."))).view("<u8")
+    used = (byte != 0).view("<u8") * np.uint64(0xFF)  # 0xFF in each byte of the field
+    if not (
+        (((digit | dot) * np.uint64(0xFF)) == used)
+        & ((dot & (dot - np.uint64(1))) == 0)  # at most one dot
+        & (digit != 0)
+        & ((used & (used + np.uint64(1))) == 0)  # no NUL before the field's last byte
+    ).all():
+        return None
+    below = dot - np.uint64(1)  # the bytes before the dot; every byte when there is none
+    digits = ((word & below) | ((word >> np.uint64(8)) & ~below)) & LOW_NIBBLES
+    n_digits = (digit * BYTE_ONES) >> np.uint64(56)
+    n_frac = n_digits - (((digit & below) * BYTE_ONES) >> np.uint64(56))
+    digits <<= np.uint64(64) - (n_digits << np.uint64(3))
+    digits = digits * np.uint64(10) + (digits >> np.uint64(8))
+    digits = (digits & PAIR_MASK) * PAIR_MUL + ((digits >> np.uint64(16)) & PAIR_MASK) * PAIR_MUL_HIGH
+    return (digits >> np.uint64(32)).astype(np.float64) / POWERS_OF_TEN[n_frac]
+
+
 def _parse_floats(raw: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
     """float() of every entry; on a failure, the values before it and (index, reason).
 
-    A bytes entry is decoded first. NumPy's bytes-to-float cast gives the
-    same double as ``float`` for every string it accepts; it rejects some
-    that ``float`` takes (non-ASCII digits), and those rows go through
-    ``float`` one at a time.
+    Fields of one 8-byte word that are all one digit (0/1 outcomes) are read
+    by one subtraction, and fields that are all ``digits[.digits]`` by
+    ``_decimals``; both give ``float``'s bits. Any other entry is decoded
+    first. NumPy's bytes-to-float cast gives the same double as ``float``
+    for every string it accepts; it rejects some that ``float`` takes
+    (non-ASCII digits), and those rows go through ``float`` one at a time.
     """
-    if raw.dtype == "S8":  # one word per field: one-digit fields (0/1 outcomes) by arithmetic
+    if raw.dtype == "S8":
         word = raw.view("<u8")
         if ((word >= ord("0")) & (word <= ord("9"))).all():
             return (word - ord("0")).astype(np.float64), None
+        values = _decimals(raw)
+        if values is not None:
+            return values, None
     try:
         return raw.astype(np.float64), None
     except ValueError:
@@ -841,20 +906,16 @@ class _TableBuilder:
     def _encode(self, name: str, raw: np.ndarray) -> np.ndarray:
         """Codes of the stripped ids ``raw``, coding each new id in order of first appearance.
 
-        Fields cut from bytes are coded by distinct value: each is decoded and
-        stripped once, and a run of equal fields (records grouped by cluster)
-        is looked up once. Fields wider than LOAD_FIELD_BYTES come as str and
-        are looked up one by one.
+        Fields cut from bytes are grouped by their 8-byte words with
+        ``first_appearance``, and each distinct field is decoded and stripped
+        once. Fields wider than LOAD_FIELD_BYTES come as str and are looked
+        up one by one.
         """
         if raw.dtype == object:
             return self.codes[name].encode(list(map(str.strip, raw)))
-        heads = np.ones(len(raw), dtype=bool)
-        heads[1:] = raw[1:] != raw[:-1]
-        heads = np.flatnonzero(heads)
-        fields = raw[heads]
-        group, first = first_appearance(fields)
-        coded = self.codes[name].encode([f.decode().strip() for f in fields[first].tolist()])
-        return np.repeat(coded[group], np.diff(heads, append=len(raw)))
+        group, first = first_appearance(raw.view("<u8").reshape(len(raw), raw.itemsize // 8))
+        coded = self.codes[name].encode([f.decode().strip() for f in raw[first].tolist()])
+        return coded[group]
 
     def add(self, fields: dict[str, np.ndarray]) -> PrevmapError | None:
         """Append the chunk's rows up to its first bad one; return that row's error.

@@ -12,6 +12,7 @@ unbiased; that is exactly the failure mode the weighted estimator corrects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -53,14 +54,16 @@ class SamplingPlan:
             raise PrevmapError(f"bad clusters_per_region range ({lo}, {hi})")
         if self.households_per_cluster < 1:
             raise PrevmapError("households_per_cluster must be >= 1")
-        if not self.weight_dispersion >= 1.0:
-            raise PrevmapError("weight_dispersion must be >= 1")
+        if not 1.0 <= self.weight_dispersion < math.inf:
+            raise PrevmapError("weight_dispersion must be finite and >= 1")
         if not 0.0 < self.high_risk_share < 1.0:
             raise PrevmapError("high_risk_share must be in (0, 1)")
+        if not self.risk_ratio > 0.0:
+            raise PrevmapError("risk_ratio must be > 0")
         if not self.risk_ratio * self.high_risk_share < 1.0:
             raise PrevmapError("risk_ratio * high_risk_share must stay below 1")
-        if not self.cluster_sd >= 0:
-            raise PrevmapError("cluster_sd must be >= 0")
+        if not 0.0 <= self.cluster_sd < math.inf:
+            raise PrevmapError("cluster_sd must be finite and >= 0")
 
 
 @dataclass
@@ -249,6 +252,8 @@ class Scenario:
 
     def realize(self, seed: int | None = None) -> SyntheticTruth:
         use_seed = self.seed if seed is None else seed
+        if not 0 <= use_seed < 2**64:  # the range SeedSequence takes, and McmcConfig's
+            raise PrevmapError(f"seed must be in [0, 2**64), got {use_seed}")
         regions = make_grid_regions(self.rows, self.cols, self.group_breaks)
         prevalence = spatial_truth(regions, self.base_logit, self.spatial_sd, use_seed)
         truth = SyntheticTruth(

@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from prevmap.data_model import IndividualRecord, RegionBoundary
+
+# `pytest --hypothesis-profile=ci`: more examples for every property test
+# that leaves max_examples unset
+settings.register_profile("ci", max_examples=300)
 
 
 def square(x0: float, y0: float, size: float = 1.0):

@@ -14,6 +14,10 @@ the quoting rules, a NUL) and runs ``prevmap direct`` on it: the command
 must succeed or exit 2 with a message. Round trips through
 ``write_records_csv`` and explicit cases pin the quoting rules and the row
 and byte each error names.
+
+Decimal fields read a machine word at a time must have ``float``'s bits,
+id grouping by words must match an ``np.unique`` reference, and a
+row-shuffled file must load as ``SurveyTable.from_records`` builds its rows.
 """
 
 import contextlib
@@ -26,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import boundary, square
@@ -467,3 +471,133 @@ def test_comments_holding_one_quote_are_skipped(tmp_path, monkeypatch, chunk):
     rows = read_table(path, {"cluster_id": str, "outcome": int})
     assert rows == [{"cluster_id": c, "outcome": y} for c, y in
                     [("c1", 0), ('c"3', 0), ("c,1", 1), ("c5", 1)]]
+
+
+# ---------------------------------------------------------------------------
+# Records a machine word at a time: decimal fields and id grouping
+# ---------------------------------------------------------------------------
+
+@st.composite
+def decimal_fields(draw):
+    """digits[.digits] of 1-8 bytes: at least one digit, at most one dot."""
+    digits = draw(st.text(alphabet="0123456789", min_size=1, max_size=8))
+    if len(digits) == 8 or draw(st.booleans()):
+        return digits
+    dot = draw(st.integers(0, len(digits)))
+    return digits[:dot] + "." + digits[dot:]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(deadline=None)
+@given(fields=st.lists(decimal_fields(), min_size=1, max_size=20))
+@example(fields=["1.", ".5", "0", "00000001", "99999999", ".0000001", "1234.567", "0.000"])
+def test_decimal_fields_by_words_have_float_bits(fields):
+    raw = np.array([f.encode() for f in fields], dtype="S8")
+    values = data_model._decimals(raw)
+    assert values is not None
+    assert bits(values) == bits([float(f) for f in fields])
+    assert bits(data_model._parse_floats(raw)[0]) == bits(values)
+
+
+def ref_parse_floats(fields):
+    """float() of each field up to the first it rejects, and (index, message)."""
+    values = []
+    for field in fields:
+        try:
+            values.append(float(field))
+        except ValueError as exc:
+            return values, (len(values), str(exc))
+    return values, None
+
+
+@pytest.mark.parametrize("odd", [".", "", "-1", "+1", "1e5", " 1", "1_0", "1.2.3", "nan", "1.5 ", "٣"])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_a_field_outside_the_decimal_form_keeps_the_cast(odd, at):
+    fields = ["2.5", "1", "0.125", "7"]
+    fields.insert(at, odd)
+    raw = np.array([f.encode() for f in fields], dtype="S8")
+    assert data_model._decimals(raw) is None
+    values, bad = data_model._parse_floats(raw)
+    ref_values, ref_bad = ref_parse_floats(fields)
+    assert bits(values) == bits(ref_values)
+    assert bad == ref_bad
+
+
+def ref_first_appearance(key):
+    """The np.unique form of data_model.first_appearance; 2-D keys compare
+    their rows as one void field each."""
+    if key.ndim == 2:
+        key = np.ascontiguousarray(key).view(f"V{key.itemsize * key.shape[1]}").ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
+
+
+@st.composite
+def grouping_keys(draw):
+    """1-D int keys or (n, 1) and (n, 2) word rows, in runs or shuffled, of length 0 up."""
+    width = draw(st.sampled_from([None, 1, 2]))
+    distinct = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(0, distinct - 1), max_size=30))
+    runs = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    codes = np.repeat(np.array(values, dtype=np.int64), runs)
+    if draw(st.booleans()):
+        codes = codes[draw(st.permutations(range(len(codes))))]
+    if width is None:
+        return codes
+    # rows that differ in either word, words with the high bit set among them
+    table = np.array([[2**63 + k, 7 - k % 2][:width] for k in range(distinct)], dtype="<u8")
+    return table[codes].reshape(len(codes), width)
+
+
+@settings(deadline=None)
+@given(key=grouping_keys())
+@example(key=np.zeros(0, dtype=np.int64))
+@example(key=np.zeros((0, 2), dtype="<u8"))
+@example(key=np.array([5]))
+@example(key=np.ones((1, 1), dtype="<u8"))
+def test_first_appearance_matches_np_unique(key):
+    codes, first = data_model.first_appearance(key)
+    ref_codes, ref_first = ref_first_appearance(key)
+    assert codes.tolist() == ref_codes.tolist()
+    assert first.tolist() == ref_first.tolist()
+
+
+# ids of one and of two 8-byte words, some differing only in the second word
+SHUFFLED_IDS = ("R1", "R2", "North-Zone-1", "North-Zone-2", "Z")
+
+
+@settings(deadline=None)
+@given(
+    clusters=st.lists(st.tuples(st.sampled_from(SHUFFLED_IDS), st.sampled_from(["urban", "rural"]),
+                                st.integers(1, 5)), min_size=1, max_size=8),
+    weights=st.lists(decimal_fields().filter(lambda f: float(f) > 0)
+                     | st.sampled_from(["2e0", "1.2345678901"]), min_size=1),
+    data=st.data(),
+    chunk=st.sampled_from([1, 2, 5, data_model.LOAD_CHUNK_ROWS]),
+)
+def test_shuffled_records_load_as_from_records(tmp_path_factory, clusters, weights, data, chunk):
+    # cluster c of region r is "r-cluster-c"; its records are spread through the file
+    rows = [
+        (region, f"{region}-cluster-{c}", weights[(c + k) % len(weights)], (c + k) % 2, stratum)
+        for c, (region, stratum, size) in enumerate(clusters) for k in range(size)
+    ]
+    rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+    path = tmp_path_factory.mktemp("shuffled") / "records.csv"
+    lines = ["region_id,cluster_id,weight,outcome,stratum"] + [",".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk):
+        table = load_records(path)
+    expected = SurveyTable.from_records(
+        IndividualRecord(region, cluster, float(weight), outcome, stratum)
+        for region, cluster, weight, outcome, stratum in rows
+    )
+    assert table == expected
+    assert (table.region_ids, table.cluster_ids, table.stratum_ids) == (
+        expected.region_ids, expected.cluster_ids, expected.stratum_ids)
+    assert bits(table.weight) == bits(expected.weight)

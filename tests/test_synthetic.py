@@ -301,18 +301,38 @@ class TestScenario:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "cluster_SD" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["weight_dispersion", "risk_ratio", "cluster_sd"])
-    def test_nan_plan_value_exits_2(self, tmp_path, capsys, key):
-        # NaN fails no `x < bound` test: it drew an equal-weight survey or no cluster shocks
+    @staticmethod
+    def assert_plan_value_exits_2(tmp_path, capsys, key, value):
         lines = [line for line in Path("demo.cfg").read_text().splitlines()
                  if line.split("=")[0].strip() != key]
-        path = tmp_path / "nan.cfg"
-        path.write_text("\n".join(lines + [f"{key} = nan"]) + "\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
         with pytest.raises(PrevmapError, match=key):
             load_scenario(path).plan().validate()
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["weight_dispersion", "risk_ratio", "cluster_sd"])
+    def test_nan_plan_value_exits_2(self, tmp_path, capsys, key):
+        # NaN fails no `x < bound` test: it drew an equal-weight survey or no cluster shocks
+        self.assert_plan_value_exits_2(tmp_path, capsys, key, "nan")
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight_dispersion", "inf"),  # wrote every weight as 1.0
+        ("cluster_sd", "inf"),  # put every cluster at prevalence 0 or 1
+        ("risk_ratio", "0"),
+        ("risk_ratio", "-1"),
+    ])
+    def test_infinite_or_non_positive_plan_value_exits_2(self, tmp_path, capsys, key, value):
+        self.assert_plan_value_exits_2(tmp_path, capsys, key, value)
+
+    def test_realize_names_a_seed_out_of_range(self):
+        # SeedSequence's own ValueError did not name the seed
+        scenario = load_scenario(DEMO_CFG)
+        for seed in (-1, 2**64):
+            with pytest.raises(PrevmapError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+                scenario.realize(seed)
 
     def test_optional_keys_default_to_the_sampling_plan(self, tmp_path):
         # demo.cfg leaves out every optional key
