@@ -77,8 +77,8 @@ class Hyperpriors:
 
     def validate(self) -> None:
         for name in ("a_eps", "b_eps", "a_sp", "b_sp"):
-            if not getattr(self, name) > 0:
-                raise ModelError(f"hyperprior {name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"hyperprior {name} must be finite and > 0")
 
 
 @dataclass
@@ -163,63 +163,27 @@ class Summary:
     q975: float
 
 
-def _sorted_quantile(srt: np.ndarray, q: float) -> np.ndarray:
-    """``np.quantile(rows, q, axis=-1)`` from the rows sorted ascending.
-
-    The arithmetic is numpy's linear method (``_get_indexes`` and ``_lerp``
-    in ``numpy/lib/_function_base_impl.py``), so the bits are the same: the
-    virtual index (size - 1) * q between two order statistics (both the
-    last one from the last index on, where the weight becomes index + 1),
-    and the interpolation taken from the upper one at a weight of 0.5 or
-    more. NaN sorts last, and a row holding one gets NaN (numpy's own NaN
-    can carry the payload of one of the row's NaNs).
-    """
-    size = srt.shape[-1]
-    at = (size - 1) * np.float64(q)
-    lo = int(np.floor(at)) if at < size - 1 else -1
-    hi = lo + 1 if lo >= 0 else -1
-    t = at - lo
-    a, b = srt[:, lo], srt[:, hi]
-    diff = b - a
-    out = b - diff * (1 - t) if t >= 0.5 else a + diff * t
-    out[np.isnan(srt[:, -1])] = np.nan
-    return out
-
-
 def summarize(draws: np.ndarray, batched: bool = False) -> Summary | list[Summary]:
     """Five-number summary of a flat draw vector (empirical quantiles).
 
     With ``batched=True`` the first axis indexes independent draw sets; each
     is flattened and summarized on its own, and a list of summaries comes
-    back in that order. The median and quantiles are read off one sort of
-    each set and equal ``np.median`` and ``np.quantile`` bit for bit, but
-    for the payload of a NaN; a set with a zero among them takes numpy's
-    own values, as the sign of that zero may depend on where numpy's
-    partition left zeros of opposite sign.
+    back in that order. The median and the 2.5% and 97.5% points are
+    ``np.median`` and ``np.quantile`` (type 7) of each set.
     """
     x = np.asarray(draws, dtype=float)
     rows = x.reshape(len(x) if batched else 1, -1)
-    size = rows.shape[-1]
-    sd = np.std(rows, axis=-1, ddof=1) if size > 1 else np.zeros(len(rows))
-    srt = np.sort(rows, axis=-1)
-    # np.median's own arithmetic: the mean of the middle one or two values
-    median = np.mean(srt[:, (size - 1) // 2 : size // 2 + 1], axis=-1)
-    median[np.isnan(srt[:, -1])] = np.nan
-    q025, q975 = _sorted_quantile(srt, 0.025), _sorted_quantile(srt, 0.975)
-    # Only a zero result can hang on the order of zeros of opposite sign,
-    # which the sort and numpy's partition need not share: recompute it.
-    for r in np.flatnonzero((median == 0) | (q025 == 0) | (q975 == 0)):
-        median[r] = np.median(rows[r])
-        q025[r] = np.quantile(rows[r], 0.025)
-        q975[r] = np.quantile(rows[r], 0.975)
+    sd = np.std(rows, axis=-1, ddof=1) if rows.shape[-1] > 1 else np.zeros(len(rows))
+    # one quantile call per probability: a call with both can order zeros of
+    # opposite sign differently and so change the sign of a zero result
     out = [
         Summary(*fields)
         for fields in zip(
             np.mean(rows, axis=-1).tolist(),
-            median.tolist(),
+            np.median(rows, axis=-1).tolist(),
             sd.tolist(),
-            q025.tolist(),
-            q975.tolist(),
+            np.quantile(rows, 0.025, axis=-1).tolist(),
+            np.quantile(rows, 0.975, axis=-1).tolist(),
         )
     ]
     return out if batched else out[0]

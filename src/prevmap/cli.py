@@ -137,7 +137,7 @@ def _direct(records, boundaries, digest, args) -> list[DirectEstimate]:
             f"(retained fraction {report.retained_fraction:.3f})"
         )
     estimates = estimate_all(dataset)
-    flagged = [e for e in estimates if e.degenerate != "none"]
+    flagged = [e for e in estimates if not e.likelihood_usable]
     if flagged:
         print(
             "degenerate regions: "

@@ -38,7 +38,7 @@ from .data_model import (
     read_table,
     write_table,
 )
-from .errors import EmptyDatasetError
+from .errors import EmptyDatasetError, SchemaError
 
 # degeneracy flags
 NONE = "none"
@@ -279,4 +279,11 @@ def write_direct_csv(
 
 
 def read_direct_csv(path: str | Path, digest=None) -> list[DirectEstimate]:
-    return [DirectEstimate(**row) for row in read_table(path, DIRECT_CSV_COLUMNS, digest)]
+    rows = read_table(path, DIRECT_CSV_COLUMNS, digest)
+    flags = (NONE, ALL_ZERO, ALL_ONE, SINGLE_CLUSTER, ZERO_VARIANCE)
+    for row_no, row in enumerate(rows, 1):
+        # any other flag would drop the region's likelihood term without a word
+        if row["degenerate"] not in flags:
+            raise SchemaError(f"{path}: row {row_no}: unknown degenerate flag "
+                              f"{row['degenerate']!r}; expected one of {', '.join(flags)}")
+    return [DirectEstimate(**row) for row in rows]

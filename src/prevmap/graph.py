@@ -110,6 +110,8 @@ def build_adjacency(
         raise EmptyDatasetError(f"need at least 2 boundaries, got {len(boundaries)}")
     if not tolerance >= 0:
         raise GeometryError(f"tolerance must be >= 0, got {tolerance!r}")
+    if tolerance == float("inf"):
+        raise GeometryError(f"tolerance must be finite, got {tolerance!r}")
     ordered = sorted(boundaries, key=lambda bb: bb.region_id)
     ids = sorted({b.region_id for b in ordered})
     code = {rid: k for k, rid in enumerate(ids)}

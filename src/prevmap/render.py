@@ -423,7 +423,7 @@ def render_comparison(
         raise PrevmapError("direct and posterior region sets differ")
     direct = sorted(direct, key=lambda e: e.region_id)
     rows = [post_by_id[e.region_id] for e in direct]
-    degen = [e.degenerate != "none" for e in direct]
+    degen = [not e.likelihood_usable for e in direct]
 
     panel_a = _scatter_panel(
         "Prevalence: direct vs smoothed",

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 from dataclasses import astuple
@@ -9,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+from conftest import haswell_sha256
 from prevmap.bym import (
     BymModelSpec,
     Hyperpriors,
@@ -200,6 +200,11 @@ class TestSpecValidation:
         with pytest.raises(ModelError, match="a_eps"):
             Hyperpriors(a_eps=0.0).validate()
 
+    @pytest.mark.parametrize("name", ["a_eps", "b_eps", "a_sp", "b_sp"])
+    def test_infinite_prior(self, name):
+        with pytest.raises(ModelError, match=f"hyperprior {name} must be finite and > 0"):
+            Hyperpriors(**{name: math.inf}).validate()
+
 
 class TestGibbsFit:
     def test_deterministic_given_seed(self):
@@ -357,41 +362,35 @@ class TestPosteriorCsv:
         loaded = read_posterior_csv(path)
         assert loaded == rows
 
-    @pytest.mark.parametrize("make_spec, posterior_sha, trace_sha", [
-        (lambda: degenerate_spec(),
-         "aa7f35242257c32089111d2e1696caf9cd9f1d041a99f8a70fdd3b3ad622fb48",
-         "79014cf6ea86dfa4fbf129729ea425dd38e4c20797a2dc010227e0e366db01ed"),
-        (lambda: two_component_spec(),
-         "5e6c03461d5ce3c067c51131715358c3093026f1021cabf287fe33ed33dec804",
-         "030fc054a07a41dc3e211791ec9b2cf5cd0857f49f8d1db379582a318b787d7c"),
+    @pytest.mark.parametrize("spec, posterior_sha, trace_sha", [
+        ("degenerate_spec",
+         "c8d634d560229acddaa36585aef03dc0424e882d97aa37f22b17f739aa77f338",
+         "dd6bc80a3895bfc0793e8d246638b66f6c5795d5f2227a52b7624bf6be60df89"),
+        ("two_component_spec",
+         "36f7d652f4e023038fe85cd708591a8bbaec5c7f8cbea8e611824b3d4e53611d",
+         "b3021c06d051080f1c393f7ba9b40155e60020477ea1961865c016dd1986b8b6"),
     ], ids=["degenerate", "two_component"])
-    def test_gibbs_output_bytes_are_pinned(self, tmp_path, make_spec, posterior_sha, trace_sha):
+    def test_gibbs_output_bytes_are_pinned(self, tmp_path, spec, posterior_sha, trace_sha):
         # gibbs_fit is the reference the exact engine is checked against: any
         # change to its draws, its R-hat/ESS or the writers moves these bytes
-        spec = make_spec()
-        post = gibbs_fit(spec, QUICK)
-        write_posterior_csv(post.rows(spec.estimates), tmp_path / "posterior.csv", {"seed": "99"})
-        write_trace_csv(post, tmp_path / "trace.csv", {"seed": "99"})
-        for name, want in (("posterior.csv", posterior_sha), ("trace.csv", trace_sha)):
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+        script = f"import test_bym as t; t.write_fit(t.gibbs_fit, t.{spec}())"
+        assert haswell_sha256(tmp_path, script) == {
+            "posterior.csv": posterior_sha, "trace.csv": trace_sha}
 
-    @pytest.mark.parametrize("make_spec, posterior_sha, trace_sha", [
-        (lambda: degenerate_component_spec(),
-         "06c08a2fa2c0025bb16ea4ce84e9bd90852ec0e917d08a4b49852a501a8ad4e0",
-         "6d32a99370b1e4cc571ca29191f88cb2a9df6c7faa0c5f3e91d73e7001eee603"),
-        (lambda: two_component_spec(),
-         "77da21a2d59ef6166194da713485a165f1457ece01598106b3003735b2b1d8fe",
-         "c39d801b3c5f8e43d3348f56bed0083c6b472d3074560b8407219011093537cf"),
+    @pytest.mark.parametrize("spec, posterior_sha, trace_sha", [
+        ("degenerate_component_spec",
+         "ad0158d0a90f464d391319ae9f5dc6c559d36143e55c52f0782dcf5e9454432a",
+         "99feabefe076846263d5018a4d7f6a511934d5d20138aedf113ee868134b9ca4"),
+        ("two_component_spec",
+         "37d744be020df395f92d031af510b5bfd6b76422feed3089656bcc8ce42a5b44",
+         "61d7325d1cf52513a98708a1301fa82f7c5f91b7aaf256f874bba6b57291a10c"),
     ], ids=["isolated_and_degenerate_component", "two_component"])
-    def test_exact_output_bytes_are_pinned(self, tmp_path, make_spec, posterior_sha, trace_sha):
+    def test_exact_output_bytes_are_pinned(self, tmp_path, spec, posterior_sha, trace_sha):
         # exact_fit is what smooth runs: any change to its grid, its draws,
         # its mixture summaries or the writers moves these bytes
-        spec = make_spec()
-        post = exact_fit(spec, QUICK)
-        write_posterior_csv(post.rows(spec.estimates), tmp_path / "posterior.csv", {"seed": "99"})
-        write_trace_csv(post, tmp_path / "trace.csv", {"seed": "99"})
-        for name, want in (("posterior.csv", posterior_sha), ("trace.csv", trace_sha)):
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+        script = f"import test_bym as t; t.write_fit(t.exact_fit, t.{spec}())"
+        assert haswell_sha256(tmp_path, script) == {
+            "posterior.csv": posterior_sha, "trace.csv": trace_sha}
 
     def test_rows_carry_direct_columns(self):
         spec = small_spec()
@@ -556,6 +555,13 @@ def reference_ess(x):
             break
         tau += pair
     return float(m * n / max(2.0 * tau - 1.0, 1e-8))
+
+
+def write_fit(fit, spec):
+    """posterior.csv and trace.csv of ``fit(spec, QUICK)`` in the working directory."""
+    post = fit(spec, QUICK)
+    write_posterior_csv(post.rows(spec.estimates), "posterior.csv", {"seed": "99"})
+    write_trace_csv(post, "trace.csv", {"seed": "99"})
 
 
 def two_component_spec(**kwargs):

@@ -37,6 +37,7 @@ from prevmap.bym import read_posterior_csv
 from prevmap.errors import ConsistencyError, SchemaError
 from prevmap.graph import AdjacencyGraph, export_graph, load_graph
 from prevmap.synthetic import make_grid_regions, read_truth_csv
+from conftest import haswell_sha256
 from test_exact_engine import mixed_spec
 from test_records_property import damaged_records
 
@@ -286,6 +287,27 @@ def test_demo_pipeline_svgs_are_well_formed_xml(tmp_path):
         assert ElementTree.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg", path.name
 
 
+def test_demo_pipeline_bytes_are_pinned(tmp_path):
+    # every artifact of the shipped demo: any change to the survey, the
+    # estimates, the graph, the fit or the figures moves these bytes
+    argv = ["pipeline", "--config", str(REPO_ROOT / "demo.cfg"), "--seed", "7", "--traces",
+            "--out", "."]
+    script = f"from prevmap.cli import main; raise SystemExit(main({argv!r}))"
+    assert haswell_sha256(tmp_path, script) == {
+        "boundaries.geojson": "01847b4d3b6f7cc75ce240aee81f4e7a02bbfffc083e3daf2a4b4cccd8db0cee",
+        "direct.csv": "bf786ec2e8c8d406e385a318a64dc21f9627b73f904792f57445028e9341ab40",
+        "fig1_sample_size.svg": "2767fb7c1f7aec167fdc5531fd175ba499e77f1328245e7a9c387a1672696345",
+        "fig2_smoothed_ci.svg": "27e9ff947242aa8433c086ead28cc68b8586b30b12ec92915eb8220a605334df",
+        "fig3_country_zoom.svg": "9c878b8aca3839b51d7c9242fb35e117fe06f765fbf97799d2838e3c9afb86ea",
+        "fig4_comparison.svg": "c5477ad27f8b5c1611f6c725ec622e98e0db63e67f102eabfe41e9e97cbd017e",
+        "graph.txt": "ecce5e1d8e5ee4de1a02907bed5cf066951b7116f5ac474e83ee0db77e0d47f4",
+        "posterior.csv": "bc8dc03ceed1762d4dd2ed58df2f65639c46a6e9611f3ec1585a4d413f2546b7",
+        "records.csv": "e999af192a8cd6982ceed0af356631e04df2e09bed71f6648b92a799bd573a4d",
+        "trace.csv": "d597e73921d029566d50895fc6356663975bbe66c1a73b03f943c3c448ac1660",
+        "truth.csv": "39022083d3e7f0515a57cb22fb4d0141bc8495e269495417ade2c307f832b569",
+    }
+
+
 @pytest.mark.parametrize("command, seed_flag, scenario_seed", [
     ("simulate", "-1", "21"),
     ("simulate", None, "-5"),
@@ -448,6 +470,37 @@ class TestDegenerateAndMalformedInputs:
         assert code == 2
         assert "row 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["smooth", "compare"])
+    def test_unknown_degenerate_flag_exits_2(self, pipeline_dir, tmp_path, capsys, step):
+        # read as "not none", an unknown flag dropped the region's likelihood silently
+        lines = (pipeline_dir / "direct.csv").read_text().splitlines(keepends=True)
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("region_id,")) + 1
+        assert lines[first].endswith(",none\n")
+        lines[first] = lines[first].replace(",none\n", ",bogus\n")
+        direct = tmp_path / "direct.csv"
+        direct.write_text("".join(lines))
+        message = f"{direct}: row 1: unknown degenerate flag 'bogus'"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read_direct_csv(direct)
+        out = tmp_path / "result"
+        argv = {"smooth": ["--graph", str(pipeline_dir / "graph.txt")] + MCMC,
+                "compare": ["--posterior", str(pipeline_dir / "posterior.csv")]}[step]
+        code = main([step, "--direct", str(direct), "--out", str(out)] + argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("flag", ["--prior-a-eps", "--prior-b-sp"])
+    def test_infinite_hyperprior_exits_2(self, pipeline_dir, tmp_path, capsys, flag):
+        # the fit used to fail on it and blame the direct estimates
+        code = main(["smooth", "--direct", str(pipeline_dir / "direct.csv"),
+                     "--graph", str(pipeline_dir / "graph.txt"), flag, "inf",
+                     "--out", str(tmp_path / "result")] + MCMC)
+        assert code == 2
+        name = flag[len("--prior-"):].replace("-", "_")
+        assert capsys.readouterr().err == f"error: hyperprior {name} must be finite and > 0\n"
+        assert not list((tmp_path / "result").glob("*"))
+
     def test_overflowing_estimate_exits_2(self, pipeline_dir, tmp_path, capsys):
         # finite, so it passes the checks on read and BymModelSpec.validate,
         # but its spread overflows float64 in the fit
@@ -552,6 +605,7 @@ class TestDegenerateAndMalformedInputs:
             ("one_feature", "need at least 2 boundaries"),
             ("space_in_region_id", "'R 0' contains whitespace"),
             ("overflowing_tolerance", "tolerance 1e-320 is too small"),
+            ("infinite_tolerance", "tolerance must be finite, got inf"),
         ],
     )
     def test_bad_input_exits_2_with_message(self, tmp_path, capsys, case, message):
@@ -567,6 +621,8 @@ class TestDegenerateAndMalformedInputs:
             argv += ["--tolerance", "-1"]
         elif case == "overflowing_tolerance":
             argv += ["--tolerance", "1e-320"]
+        elif case == "infinite_tolerance":
+            argv += ["--tolerance", "inf"]
         elif case == "group_breaks_not_integer":
             cfg = tmp_path / "scenario.cfg"
             cfg.write_text(SCENARIO.replace("group_breaks = 1", "group_breaks = a"))

@@ -258,6 +258,11 @@ class TestMatchesReferenceAdjacency:
         with pytest.raises(GeometryError, match="tolerance must be >= 0, got nan"):
             build_adjacency(grid_2x2(), tolerance=float("nan"))
 
+    def test_infinite_tolerance_rejected(self):
+        # it used to quantize every vertex to one point and blame the first region
+        with pytest.raises(GeometryError, match="tolerance must be finite, got inf"):
+            build_adjacency(grid_2x2(), tolerance=float("inf"))
+
 
 class TestIcarPrecision:
     def test_path3_hand_matrix(self):
