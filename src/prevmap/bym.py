@@ -23,9 +23,11 @@ Hessian's eigen-axes at the mode. Each region's theta is then a Gaussian
 mixture over the lattice, summarized exactly; b0 and the variances are
 drawn from the lattice, independently. P is factored as a banded Cholesky
 after a reverse Cuthill-McKee ordering.
-The engine's code is in ``prevmap.exact``, loaded with ``scipy.linalg`` on
-its first use, and ``scipy.special`` is imported in the functions that call
-it, so importing this module loads no scipy.
+The engine's code is in ``prevmap.exact``, loaded on its first use with
+only two of scipy's compiled modules (its LAPACK and its special-function
+ufuncs, without the ``scipy.linalg`` and ``scipy.special`` packages);
+``gibbs_fit``'s functions import ``scipy.special`` when they run, so
+importing this module loads no scipy.
 
 ``gibbs_fit``, the reference ``exact_fit`` is tested against, is the
 conjugate Gibbs sweep (b0, all eps, all S single-site by graph-coloring
@@ -789,9 +791,12 @@ def exact_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     neither: per-region R-hat is nan and ESS the number of draws, and the
     report holds the grid's checks, whose edge mass decides convergence.
 
-    The engine is in ``prevmap.exact``, which is loaded, with
-    ``scipy.linalg``, on the first call, so that importing the CLI loads no
-    scipy module. While it runs, OpenBLAS uses one thread in the
+    The engine is in ``prevmap.exact``, which is loaded on the first call,
+    so that importing the CLI loads no scipy module. It loads scipy's
+    compiled LAPACK and special-function modules from their files, not the
+    ``scipy.linalg`` and ``scipy.special`` packages, whose inits cost a
+    fresh process about 19 MB; where a file is not found or does not load,
+    it imports the package. While it runs, OpenBLAS uses one thread in the
     calling thread (its thread-local setting, restored afterwards).
     """
     from .exact import fit

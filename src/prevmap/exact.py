@@ -16,38 +16,54 @@ grid's flood per call while the grid grows, and a chunk of points per call
 for the mixture, with one solve per point. The diagonal of P^-1 comes from
 Takahashi's selected inversion of the factor (Takahashi, Fagan & Chen 1973).
 
-The band routines are LAPACK's, called directly through
-``scipy.linalg.lapack`` (dpbtrf to factor, dpbtrs and dtbtrs to solve):
-``scipy.linalg``'s banded Cholesky factor and solve functions call the
-same routines, so the results are the same bits, but wrap each of the
-grid's thousands of calls in layers (batching, array conversion, a
-finiteness check that the engine's inputs make redundant) that took over a
-third of each density evaluation on the demo's 45 regions. A right-hand
-side stays C-ordered where a column of it feeds ``np.dot``: a contiguous
-column takes another BLAS kernel, whose rounding differs in the last bits.
+The band routines are LAPACK's, called directly (dpbtrf to factor, dpbtrs
+and dtbtrs to solve): ``scipy.linalg``'s banded Cholesky factor and solve
+functions call the same routines, so the results are the same bits, but
+wrap each of the grid's thousands of calls in layers (batching, array
+conversion, a finiteness check that the engine's inputs make redundant)
+that took over a third of each density evaluation on the demo's 45 regions.
+A right-hand side stays C-ordered where a column of it feeds ``np.dot``: a
+contiguous column takes another BLAS kernel, whose rounding differs in the
+last bits.
+
+Of scipy the engine uses only those three routines and the ufuncs
+``expit``, ``logit`` and ``ndtr``. ``scipy_extension`` loads the two
+compiled modules that hold them, ``scipy.linalg._flapack`` and
+``scipy.special._special_ufuncs``, from their files, without the package
+inits above them: with those inits, a fresh ``pipeline`` on the demo peaked
+at 74 MB and took a median 0.85 s; without them, 55 MB and 0.50 s (10 runs
+each, 2-core VM). They are the objects that ``scipy.linalg.lapack`` and
+``scipy.special`` export, so every result keeps its bits, and a later
+import of either package reuses them. The two names are private to scipy,
+which may move or rename them: where a file is missing or does not load,
+the public module is imported instead.
 
 ``icar_draws`` is prevmap's one sampler of the ICAR prior, which
 ``prevmap.synthetic`` draws the simulated truth surface with;
 ``icar_variances`` gives the engine the same prior's variances for a
 component without usable regions. This module is imported on first use of
-either and brings in ``scipy.linalg``. The rest of prevmap imports
-``scipy.special`` only inside the functions that call it, so only
-``simulate`` and ``smooth`` load scipy, and importing the CLI loads none.
+either, or of the fit, and loads the two compiled modules. The rest of
+prevmap imports scipy only inside the functions behind ``gibbs_fit``,
+which no command calls, so importing the CLI loads no scipy, and ``simulate``,
+``smooth`` and ``pipeline`` load only those two modules of it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import operator
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .bym import (
     BymModelSpec,
@@ -61,6 +77,47 @@ from .bym import (
 )
 from .errors import ModelError
 from .graph import IcarPrecision
+
+
+def _extension_spec(name: str) -> importlib.machinery.ModuleSpec | None:
+    """The spec of scipy's module ``name`` from its file, found without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    folders = [os.path.join(root, *name.split(".")[1:-1]) for root in scipy.submodule_search_locations]
+    return importlib.machinery.PathFinder.find_spec(name, folders)
+
+
+def scipy_extension(name: str, public: str) -> ModuleType:
+    """scipy's compiled module ``name``, or its public module ``public``.
+
+    The one already in ``sys.modules`` is reused. Otherwise ``name`` is
+    loaded from its file, without its packages' inits, and registered in
+    ``sys.modules``, so that a later import of the package finds it there.
+    Where the file is missing or does not load (a scipy that lays its
+    modules out otherwise), ``public``, which exports the same functions,
+    is imported instead.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = _extension_spec(name)
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[name] = module
+            return module
+    return importlib.import_module(public)
+
+
+_lapack = scipy_extension("scipy.linalg._flapack", "scipy.linalg.lapack")
+_ufuncs = scipy_extension("scipy.special._special_ufuncs", "scipy.special")
+dpbtrf, dpbtrs, dtbtrs = _lapack.dpbtrf, _lapack.dpbtrs, _lapack.dtbtrs
+expit, logit, ndtr = _ufuncs.expit, _ufuncs.logit, _ufuncs.ndtr
 
 # The variance grid is a lattice along the Hessian's eigen-axes at the mode
 # of log p(log sig2 | Y), grown breadth-first from the mode until the log
@@ -87,6 +144,9 @@ _INVERSE_NODES = 64
 _SUMMARY_BYTES = 1 << 20
 # the mixture quantiles' Newton steps stop below this relative size
 _QUANTILE_TOL = 1e-12
+# and start from the normal quantiles of 0.5, 0.025 and 0.975, the bits of
+# scipy.special.ndtri at each (-ndtri(0.025) is not ndtri(0.975))
+_NEWTON_START_Z = np.array([[0.0], [-1.9599639845400545], [1.959963984540054]])
 # 12 and 48 nodes gave the demo's prevalence means and sds to the same digits
 _HERMITE_NODES = 16
 
@@ -740,13 +800,11 @@ def _mixture_summaries(weight: np.ndarray, mean: np.ndarray, var: np.ndarray) ->
     mean and sd come from Gauss-Hermite quadrature of each component, one
     node at a time.
     """
-    from scipy.special import expit, ndtr, ndtri
-
     sd = np.sqrt(var)
     theta_mean = weight @ mean
     theta_sd = np.sqrt(weight @ (var + (mean - theta_mean) ** 2))
     q = np.array([[0.5], [0.025], [0.975]])
-    x = theta_mean + theta_sd * ndtri(q)
+    x = theta_mean + theta_sd * _NEWTON_START_Z
     # Phi(-40) underflows to 0, so F is 0 at lo and 1 at hi
     lo = np.broadcast_to((mean - 40.0 * sd).min(axis=0), x.shape)
     hi = np.broadcast_to((mean + 40.0 * sd).max(axis=0), x.shape)

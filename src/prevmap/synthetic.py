@@ -136,15 +136,15 @@ def spatial_truth(
     seed gives the same surface whatever the BLAS thread count.
     spatial_sd = 0 gives a constant map.
     """
-    from scipy.special import expit
+    # the exact engine loads scipy's compiled LAPACK and ufunc modules,
+    # not the scipy.linalg and scipy.special packages
+    from .exact import expit, icar_draws, rcm_components
 
     if spatial_sd < 0:
         raise PrevmapError("spatial_sd must be >= 0")
     ids = sorted(b.region_id for b in regions)
     if spatial_sd == 0 or len(ids) < 2:
         return {rid: float(expit(base_logit)) for rid in ids}
-    from .exact import icar_draws, rcm_components  # brings in scipy.linalg
-
     prec = icar_precision(build_adjacency(list(regions)))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
     components = rcm_components(prec)
@@ -171,7 +171,7 @@ def sample_survey(truth: SyntheticTruth) -> SurveyDataset:
     arithmetic then runs on (clusters, k) arrays, element by element the
     scalar operations, so a seed gives the same table.
     """
-    from scipy.special import expit, logit
+    from .exact import expit, logit
 
     truth.validate()
     plan = truth.plan

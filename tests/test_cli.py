@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.machinery
 import io
 import json
 import os
@@ -993,7 +994,8 @@ def fresh_python(*args):
 
 
 def test_cli_import_loads_no_scipy_and_not_the_exact_engine():
-    # every command starts without scipy; simulate and smooth load it on first use
+    # every command starts without scipy; simulate, smooth and pipeline load
+    # the exact engine, and with it two of scipy's compiled modules, on first use
     assert fresh_python("-c", "import sys, prevmap.cli; " + LOADED_SCIPY) == "[]\n"
 
 
@@ -1007,8 +1009,8 @@ def test_cli_import_leaves_out_scipy_stats_and_sparse():
 
 
 def test_cli_import_leaves_out_the_exact_engine_and_scipy_linalg():
-    # the exact engine and its scipy.linalg load on first use; nothing needs
-    # scipy.optimize
+    # the exact engine loads on first use, and scipy.linalg never in a command;
+    # nothing needs scipy.optimize
     probe = (
         "import sys, prevmap.cli; "
         "print(sorted(m for m in sys.modules if m == 'prevmap.exact' or m.split('.')[:2] in "
@@ -1031,6 +1033,65 @@ def test_commands_that_fit_nothing_load_no_scipy(artifacts, tmp_path):
     ) + LOADED_SCIPY
     assert fresh_python("-c", probe).splitlines()[-1] == "[]"
     assert {"direct.csv", "graph.txt", "map_n.svg", "comparison.svg"} <= set(os.listdir(tmp_path))
+
+
+# the exact engine's two compiled scipy modules, and the packages that export them
+SCIPY_EXTENSIONS = [("scipy.linalg._flapack", "scipy.linalg.lapack"),
+                    ("scipy.special._special_ufuncs", "scipy.special")]
+
+
+def pipeline_probe(tmp_path):
+    """Python lines that run a short 2 x 3 pipeline into tmp_path."""
+    config = tmp_path / "scenario.cfg"
+    config.write_text(SCENARIO)
+    argv = ["pipeline", "--config", str(config), "--out", str(tmp_path / "out"), *SHORT_FIT]
+    return ("import contextlib, io, sys\nfrom prevmap.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n")
+
+
+def test_a_fit_loads_two_compiled_scipy_modules_that_scipy_then_reuses(tmp_path):
+    probe = pipeline_probe(tmp_path) + LOADED_SCIPY + (
+        "\nimport prevmap.exact, scipy.linalg.lapack, scipy.special\n"
+        "print(prevmap.exact.dpbtrf is scipy.linalg.lapack.dpbtrf, "
+        "prevmap.exact.ndtr is scipy.special.ndtr, prevmap.exact.expit is scipy.special.expit)"
+    )
+    loaded, reused = fresh_python("-c", probe).splitlines()[-2:]
+    assert loaded == "['prevmap.exact', 'scipy.linalg._flapack', 'scipy.special._special_ufuncs']"
+    assert reused == "True True True"
+
+
+def test_a_fit_after_scipy_reuses_its_modules(tmp_path):
+    probe = (
+        "import scipy.linalg.lapack, scipy.special, sys\n"
+        f"before = [sys.modules[name] for name, _ in {SCIPY_EXTENSIONS!r}]\n"
+        + pipeline_probe(tmp_path)
+        + "import prevmap.exact\n"
+        f"print([prevmap.exact.scipy_extension(*names) for names in {SCIPY_EXTENSIONS!r}] == before, "
+        "prevmap.exact.dpbtrf is scipy.linalg.lapack.dpbtrf, prevmap.exact.ndtr is scipy.special.ndtr)"
+    )
+    assert fresh_python("-c", probe).splitlines()[-1] == "True True True"
+
+
+@pytest.mark.parametrize("name, public", SCIPY_EXTENSIONS)
+def test_scipy_extension_reuses_a_loaded_module_without_a_search(monkeypatch, name, public):
+    importlib.import_module(public)
+    monkeypatch.setattr(prevmap.exact, "_extension_spec", lambda _: pytest.fail("searched"))
+    assert prevmap.exact.scipy_extension(name, public) is sys.modules[name]
+
+
+@pytest.mark.parametrize("name, public", SCIPY_EXTENSIONS)
+@pytest.mark.parametrize("found", ["missing", "not_loadable"])
+def test_scipy_extension_falls_back_to_the_public_module(monkeypatch, tmp_path, name, public, found):
+    public_module = importlib.import_module(public)
+    junk = tmp_path / "junk.so"
+    junk.write_bytes(b"not a shared object")
+    spec = {"missing": None,
+            "not_loadable": importlib.machinery.ModuleSpec(
+                name, importlib.machinery.ExtensionFileLoader(name, str(junk)), origin=str(junk))}[found]
+    monkeypatch.setattr(prevmap.exact, "_extension_spec", lambda _: spec)
+    monkeypatch.delitem(sys.modules, name)
+    assert prevmap.exact.scipy_extension(name, public) is public_module
+    assert name not in sys.modules
 
 
 def test_python_m_prevmap_runs_the_cli():

@@ -673,6 +673,16 @@ def test_summaries_match_the_closed_form_without_edges():
         assert s.prevalence.sd == pytest.approx(math.sqrt(m2 - m1 * m1), rel=1e-8)
 
 
+def test_newton_start_is_ndtri_to_the_bit():
+    # the engine loads no ndtri: its quantile Newton steps start from these
+    # literals, which are not symmetric (-ndtri(0.025) != ndtri(0.975))
+    expected = ndtri(np.array([0.5, 0.025, 0.975]))
+    start = prevmap.exact._NEWTON_START_Z
+    assert start.shape == (3, 1)
+    assert [z.hex() for z in start[:, 0].tolist()] == [z.hex() for z in expected.tolist()]
+    assert -expected[1] != expected[2]
+
+
 def test_summaries_agree_with_a_long_monte_carlo_run():
     # A5 is isolated and {A1, A3} has no usable region. Draws of the
     # variances from the grid's weights, then of each region's theta from
