@@ -185,37 +185,28 @@ def _choropleth_panel(
 ) -> tuple[str, float]:
     """Inner SVG fragment (no outer tag) and the height it needs.
 
+    ``values`` name only ``boundaries``' regions, as ``_check_values`` checks.
     The legend is titled ``column``, or under per_group scope each group's
     legend by its country. ``paths``, when given, are the boundaries' ``_region_paths`` in
     region_id order, for panels that draw the same boundaries.
     """
-    _check_values(boundaries, values, spec)
     boundaries = sorted(boundaries, key=lambda b: b.region_id)
     colors = spec.colors()
 
-    # group -> (inner_edges, legend_edges); global scope uses one group
-    if spec.scope == "per_group":
-        groups = sorted({b.country for b in boundaries})
-        group_of = {b.region_id: b.country for b in boundaries}
-    else:
-        groups = [""]
-        group_of = {b.region_id: "" for b in boundaries}
+    # group -> (inner_edges, legend_edges), in group order; global scope uses one group
+    per_group = spec.scope == "per_group"
+    group_of = {b.region_id: b.country if per_group else "" for b in boundaries}
     edges_by_group: dict[str, tuple[list[float], list[float]]] = {}
-    for g in groups:
-        vals = [
-            v
-            for rid, v in values.items()
-            if group_of[rid] == g and math.isfinite(v)
-        ]
-        if not vals:
-            continue
-        inner = compute_breaks(vals, spec.strategy, spec.bins)
-        edges_by_group[g] = (inner, [min(vals)] + inner + [max(vals)])
+    for g in sorted(set(group_of.values())):
+        vals = [v for rid, v in values.items() if group_of[rid] == g and math.isfinite(v)]
+        if vals:
+            inner = compute_breaks(vals, spec.strategy, spec.bins)
+            edges_by_group[g] = (inner, [min(vals)] + inner + [max(vals)])
 
     body = [f'<text x="10" y="20" font-size="13" font-weight="bold">{_xml_escape(title)}</text>']
     for b, d in zip(boundaries, _region_paths(boundaries) if paths is None else paths):
         v = values.get(b.region_id)
-        if v is None or not math.isfinite(v) or group_of[b.region_id] not in edges_by_group:
+        if v is None or not math.isfinite(v):  # a finite value gives its group edges
             fill = "url(#hatch)"
             label = "missing"
         else:
@@ -228,12 +219,8 @@ def _choropleth_panel(
         )
 
     y_cursor = 40.0
-    for g in groups:
-        if g not in edges_by_group:
-            continue
-        _, legend_edges = edges_by_group[g]
-        legend_title = g if g else column
-        lines, y_cursor = _legend_block(LEGEND_X, y_cursor, legend_title, legend_edges, colors)
+    for g, (_, legend_edges) in edges_by_group.items():
+        lines, y_cursor = _legend_block(LEGEND_X, y_cursor, g or column, legend_edges, colors)
         body.extend(lines)
         y_cursor += 14
     height = max(MAP_BOX[1] + MAP_BOX[3] + 10, y_cursor + 10)
@@ -297,10 +284,9 @@ def render_map_row(
 
     Each panel is (title, column, values).
     """
-    paths = None
-    if panels:  # the first panel's value errors come before projection's
-        _check_values(boundaries, panels[0][2], spec)
-        paths = _region_paths(sorted(boundaries, key=lambda b: b.region_id))
+    for _, _, values in panels:  # value errors come before projection's
+        _check_values(boundaries, values, spec)
+    paths = _region_paths(sorted(boundaries, key=lambda b: b.region_id))
     rendered = [
         _choropleth_panel(boundaries, values, spec, title, column, paths)
         for title, column, values in panels
@@ -316,15 +302,15 @@ def render_country_panels(
     metadata: Mapping[str, str] | None = None,
 ) -> str:
     """One zoomed panel per country, each with its own extent and color scale."""
-    countries = sorted({b.country for b in boundaries})
+    _check_values(boundaries, values, spec)
+    if not boundaries:  # no country, so no panel
+        raise PrevmapError("no coordinates to project")
     rendered = []
-    for country in countries:
+    for country in sorted({b.country for b in boundaries}):
         subset = [b for b in boundaries if b.country == country]
         ids = {b.region_id for b in subset}
         sub_values = {rid: v for rid, v in values.items() if rid in ids}
-        rendered.append(
-            _choropleth_panel(subset, sub_values, spec, country or column, column)
-        )
+        rendered.append(_choropleth_panel(subset, sub_values, spec, country or column, column))
     return _panel_row(rendered, metadata)
 
 
@@ -335,70 +321,67 @@ def render_country_panels(
 SCATTER_BOX = (60.0, 40.0, 240.0, 240.0)
 
 
-def _axis(box, x_label, y_label, lo, hi):
+def _frame(box, title):
+    """A panel's bold title and the outline of its plot box."""
     bx, by, bw, bh = box
-    lines = [
+    return [
+        f'<text x="{bx:.2f}" y="20" font-size="13" font-weight="bold">{_xml_escape(title)}</text>',
         f'<rect x="{bx:.2f}" y="{by:.2f}" width="{bw:.2f}" height="{bh:.2f}" '
-        'fill="none" stroke="#888" stroke-width="0.8"/>'
+        'fill="none" stroke="#888" stroke-width="0.8"/>',
     ]
-    for t in np.linspace(lo, hi, 5):
-        fx = bx + (t - lo) / (hi - lo) * bw
-        fy = by + bh - (t - lo) / (hi - lo) * bh
-        lines.append(
-            f'<line x1="{fx:.2f}" y1="{by + bh:.2f}" x2="{fx:.2f}" y2="{by + bh + 4:.2f}" stroke="#888"/>'
-        )
-        lines.append(
-            f'<text x="{fx:.2f}" y="{by + bh + 15:.2f}" font-size="9" text-anchor="middle">{sig3(float(t))}</text>'
-        )
-        lines.append(
-            f'<line x1="{bx - 4:.2f}" y1="{fy:.2f}" x2="{bx:.2f}" y2="{fy:.2f}" stroke="#888"/>'
-        )
-        lines.append(
-            f'<text x="{bx - 7:.2f}" y="{fy + 3:.2f}" font-size="9" text-anchor="end">{sig3(float(t))}</text>'
-        )
-    lines.append(
-        f'<text x="{bx + bw / 2:.2f}" y="{by + bh + 30:.2f}" font-size="11" '
-        f'text-anchor="middle">{_xml_escape(x_label)}</text>'
-    )
-    lines.append(
-        f'<text x="{bx - 40:.2f}" y="{by + bh / 2:.2f}" font-size="11" text-anchor="middle" '
-        f'transform="rotate(-90 {bx - 40:.2f} {by + bh / 2:.2f})">{_xml_escape(y_label)}</text>'
-    )
-    return lines
+
+
+def _y_tick_label(bx, y, t):
+    return f'<text x="{bx - 7:.2f}" y="{y + 3:.2f}" font-size="9" text-anchor="end">{sig3(float(t))}</text>'
+
+
+def _diamond(cx, cy, r):
+    """The open marker of a degenerate region."""
+    d = f"M {cx:.2f},{cy - r:.2f} L {cx + r:.2f},{cy:.2f} L {cx:.2f},{cy + r:.2f} L {cx - r:.2f},{cy:.2f} Z"
+    return f'<path d="{d}" fill="none" stroke="#c0392b" stroke-width="1.2"/>'
+
+
+def _interval(x, y1, y2, color):
+    return f'<line x1="{x:.2f}" y1="{y1:.2f}" x2="{x:.2f}" y2="{y2:.2f}" stroke="{color}" stroke-width="1.4"/>'
 
 
 def _scatter_panel(title, pairs, degenerate_mask, x_label, y_label):
-    """Square scatter with identity line; both axes share the same limits."""
+    """Square scatter with identity line; both axes run from 0 to the same limit."""
     finite = [
-        (x, y) for (x, y) in pairs if math.isfinite(x) and math.isfinite(y)
+        (x, y, degen)
+        for (x, y), degen in zip(pairs, degenerate_mask)
+        if math.isfinite(x) and math.isfinite(y)
     ]
-    hi = max((max(x, y) for x, y in finite), default=1.0) * 1.08
+    hi = max((max(x, y) for x, y, _ in finite), default=1.0) * 1.08
     hi = hi if hi > 0 else 1.0
-    lo = 0.0
     bx, by, bw, bh = SCATTER_BOX
 
     def fx(v):
-        return bx + (v - lo) / (hi - lo) * bw
+        return bx + v / hi * bw
 
     def fy(v):
-        return by + bh - (v - lo) / (hi - lo) * bh
+        return by + bh - v / hi * bh
 
-    lines = [f'<text x="{bx:.2f}" y="20" font-size="13" font-weight="bold">{_xml_escape(title)}</text>']
-    lines += _axis(SCATTER_BOX, x_label, y_label, lo, hi)
-    lines.append(
-        f'<line x1="{fx(lo):.2f}" y1="{fy(lo):.2f}" x2="{fx(hi):.2f}" y2="{fy(hi):.2f}" '
-        'stroke="#bbb" stroke-dasharray="4,3"/>'
-    )
-    for (x, y), degen in zip(pairs, degenerate_mask):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
+    lines = _frame(SCATTER_BOX, title)
+    for t in np.linspace(0.0, hi, 5):
+        lines += [
+            f'<line x1="{fx(t):.2f}" y1="{by + bh:.2f}" x2="{fx(t):.2f}" y2="{by + bh + 4:.2f}" stroke="#888"/>',
+            f'<text x="{fx(t):.2f}" y="{by + bh + 15:.2f}" font-size="9" '
+            f'text-anchor="middle">{sig3(float(t))}</text>',
+            f'<line x1="{bx - 4:.2f}" y1="{fy(t):.2f}" x2="{bx:.2f}" y2="{fy(t):.2f}" stroke="#888"/>',
+            _y_tick_label(bx, fy(t), t),
+        ]
+    lines += [
+        f'<text x="{bx + bw / 2:.2f}" y="{by + bh + 30:.2f}" font-size="11" '
+        f'text-anchor="middle">{_xml_escape(x_label)}</text>',
+        f'<text x="{bx - 40:.2f}" y="{by + bh / 2:.2f}" font-size="11" text-anchor="middle" '
+        f'transform="rotate(-90 {bx - 40:.2f} {by + bh / 2:.2f})">{_xml_escape(y_label)}</text>',
+        f'<line x1="{fx(0.0):.2f}" y1="{fy(0.0):.2f}" x2="{fx(hi):.2f}" y2="{fy(hi):.2f}" '
+        'stroke="#bbb" stroke-dasharray="4,3"/>',
+    ]
+    for x, y, degen in finite:
         if degen:
-            cx, cy = fx(x), fy(y)
-            d = (
-                f"M {cx:.2f},{cy - 4:.2f} L {cx + 4:.2f},{cy:.2f} "
-                f"L {cx:.2f},{cy + 4:.2f} L {cx - 4:.2f},{cy:.2f} Z"
-            )
-            lines.append(f'<path d="{d}" fill="none" stroke="#c0392b" stroke-width="1.2"/>')
+            lines.append(_diamond(fx(x), fy(y), 4))
         else:
             lines.append(
                 f'<circle cx="{fx(x):.2f}" cy="{fy(y):.2f}" r="3" fill="#2b6cb0" fill-opacity="0.75"/>'
@@ -444,61 +427,33 @@ def render_comparison(
     order = sorted(range(len(direct)), key=lambda i: (direct[i].p_hat, direct[i].region_id))
     n = len(order)
     slot = max(12.0, 560.0 / max(n, 1))
-    c_w = slot * n + 80
     c_box = (60.0, 40.0, slot * n, 240.0)
-    tops = []
+    cis, tops = {}, []  # each region's direct CI, where it has one; the panel's tops
     for i in order:
-        e, r = direct[i], rows[i]
-        tops.append(r.prev_q975)
+        e = direct[i]
+        tops.append(rows[i].prev_q975)
         if not degen[i] and math.isfinite(e.se_p):
-            tops.append(min(1.0, e.p_hat + 1.96 * e.se_p))
+            cis[i] = (max(0.0, e.p_hat - 1.96 * e.se_p), min(1.0, e.p_hat + 1.96 * e.se_p))
+            tops.append(cis[i][1])
     hi = max(tops, default=1.0) * 1.08
     bx, by, bw, bh = c_box
 
     def fy(v):
         return by + bh - v / hi * bh
 
-    panel_c = [
-        f'<text x="{bx:.2f}" y="20" font-size="13" font-weight="bold">'
-        "Per-region 95% intervals (direct vs smoothed)</text>",
-        f'<rect x="{bx:.2f}" y="{by:.2f}" width="{bw:.2f}" height="{bh:.2f}" '
-        'fill="none" stroke="#888" stroke-width="0.8"/>',
-    ]
-    for t in np.linspace(0, hi, 5):
-        panel_c.append(
-            f'<text x="{bx - 7:.2f}" y="{fy(float(t)) + 3:.2f}" font-size="9" '
-            f'text-anchor="end">{sig3(float(t))}</text>'
-        )
+    panel_c = _frame(c_box, "Per-region 95% intervals (direct vs smoothed)")
+    panel_c += [_y_tick_label(bx, fy(float(t)), t) for t in np.linspace(0, hi, 5)]
     for slot_idx, i in enumerate(order):
         e, r = direct[i], rows[i]
         xc = bx + (slot_idx + 0.5) * slot
-        if not degen[i] and math.isfinite(e.se_p):
-            lo_d = max(0.0, e.p_hat - 1.96 * e.se_p)
-            hi_d = min(1.0, e.p_hat + 1.96 * e.se_p)
-            panel_c.append(
-                f'<line x1="{xc - 2.5:.2f}" y1="{fy(lo_d):.2f}" x2="{xc - 2.5:.2f}" '
-                f'y2="{fy(hi_d):.2f}" stroke="#777" stroke-width="1.4"/>'
-            )
-            panel_c.append(
-                f'<circle cx="{xc - 2.5:.2f}" cy="{fy(e.p_hat):.2f}" r="2" fill="#777"/>'
-            )
-        panel_c.append(
-            f'<line x1="{xc + 2.5:.2f}" y1="{fy(r.prev_q025):.2f}" x2="{xc + 2.5:.2f}" '
-            f'y2="{fy(r.prev_q975):.2f}" stroke="#2b6cb0" stroke-width="1.4"/>'
-        )
+        if i in cis:
+            panel_c.append(_interval(xc - 2.5, fy(cis[i][0]), fy(cis[i][1]), "#777"))
+            panel_c.append(f'<circle cx="{xc - 2.5:.2f}" cy="{fy(e.p_hat):.2f}" r="2" fill="#777"/>')
+        panel_c.append(_interval(xc + 2.5, fy(r.prev_q025), fy(r.prev_q975), "#2b6cb0"))
         if degen[i]:
-            cy = fy(r.prev_mean)
-            d = (
-                f"M {xc + 2.5:.2f},{cy - 3.5:.2f} L {xc + 6:.2f},{cy:.2f} "
-                f"L {xc + 2.5:.2f},{cy + 3.5:.2f} L {xc - 1:.2f},{cy:.2f} Z"
-            )
-            panel_c.append(
-                f'<path d="{d}" fill="none" stroke="#c0392b" stroke-width="1.2"/>'
-            )
+            panel_c.append(_diamond(xc + 2.5, fy(r.prev_mean), 3.5))
         else:
-            panel_c.append(
-                f'<circle cx="{xc + 2.5:.2f}" cy="{fy(r.prev_mean):.2f}" r="2" fill="#2b6cb0"/>'
-            )
+            panel_c.append(f'<circle cx="{xc + 2.5:.2f}" cy="{fy(r.prev_mean):.2f}" r="2" fill="#2b6cb0"/>')
     panel_c.append(
         f'<text x="{bx + bw / 2:.2f}" y="{by + bh + 18:.2f}" font-size="10" '
         'text-anchor="middle">regions sorted by direct estimate; '
@@ -510,4 +465,4 @@ def render_comparison(
         ('id="panelB" transform="translate(340,0)"', panel_b),
         ('id="panelC" transform="translate(0,320)"', "\n".join(panel_c)),
     ]
-    return _document(max(2 * 340.0, c_w), 320.0 + 320.0, groups, metadata)
+    return _document(max(2 * 340.0, slot * n + 80), 320.0 + 320.0, groups, metadata)

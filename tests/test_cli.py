@@ -1212,20 +1212,51 @@ def test_damaged_posterior_csv_exits_0_or_2(tmp_path_factory, artifacts, case):
               "--out", str(out)], out / "comparison.svg")
 
 
+# one map, one panel per country, a row of maps
+RENDER_LAYOUTS = {
+    "one": ["--column", "prev_mean"],
+    "zoom": ["--column", "prev_mean", "--zoom-per-country"],
+    "row": ["--column", "prev_mean", "--column", "prev_q025", "--column", "prev_q975"],
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.data())
 def test_damaged_values_csv_exits_0_or_2(tmp_path_factory, artifacts, case):
     out = tmp_path_factory.mktemp("damaged_values")
     damaged = out / "posterior.csv"
     damaged.write_bytes(case.draw(damaged_records((artifacts / "posterior.csv").read_bytes())))
-    layout = case.draw(st.sampled_from([
-        ["--column", "prev_mean"],
-        ["--column", "prev_mean", "--zoom-per-country"],
-        ["--column", "prev_mean", "--column", "prev_q025", "--column", "prev_q975"],
-    ]))
+    layout = case.draw(st.sampled_from(list(RENDER_LAYOUTS.values())))
     run_step(["render", "--boundaries", str(artifacts / "boundaries.geojson"),
               "--values", str(damaged), *layout, "--output-name", "map.svg", "--out", str(out)],
              out / "map.svg")
+
+
+@pytest.mark.parametrize("layout", RENDER_LAYOUTS)
+def test_value_for_unknown_region_exits_2(tmp_path, artifacts, capsys, layout):
+    # the per-country layout used to drop a value no boundary names without a word
+    text = (artifacts / "posterior.csv").read_text()
+    row = next(ln for ln in text.splitlines() if ln.startswith("R_0_0,"))
+    values = tmp_path / "posterior.csv"
+    values.write_text(text + row.replace("R_0_0", "ZZZ", 1) + "\n")
+    argv = ["render", "--boundaries", str(artifacts / "boundaries.geojson"),
+            "--values", str(values), *RENDER_LAYOUTS[layout], "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: value for unknown region_id 'ZZZ'\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("layout", RENDER_LAYOUTS)
+def test_boundaries_without_features_exit_2(tmp_path, capsys, layout):
+    # the per-country layout used to end in a traceback over zero panels
+    boundaries = tmp_path / "boundaries.geojson"
+    boundaries.write_text('{"type": "FeatureCollection", "features": []}')
+    values = tmp_path / "values.csv"
+    values.write_text("region_id,prev_mean,prev_q025,prev_q975\n")
+    argv = ["render", "--boundaries", str(boundaries), "--values", str(values),
+            *RENDER_LAYOUTS[layout], "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: no coordinates to project\n"
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from unittest import mock
@@ -11,7 +12,7 @@ import prevmap.render
 from conftest import boundary, square
 from prevmap.bym import PosteriorRow
 from prevmap.data_model import RegionBoundary
-from prevmap.direct import ALL_ZERO, NONE, DirectEstimate
+from prevmap.direct import ALL_ONE, ALL_ZERO, NONE, SINGLE_CLUSTER, ZERO_VARIANCE, DirectEstimate
 from prevmap.errors import PrevmapError
 from prevmap.render import (
     ChoroplethSpec,
@@ -266,6 +267,36 @@ class TestRenderComparison:
     def test_deterministic(self):
         direct, rows = self.inputs(identical=False)
         assert render_comparison(direct, rows) == render_comparison(direct, rows)
+
+    def test_degenerate_input_bytes_are_pinned(self):
+        # the demo's direct estimates have no degenerate region, so its pinned
+        # fig4 never draws a diamond or skips a direct interval; this one does
+        def estimate(rid, p, var_p, flag):
+            return DirectEstimate(rid, p, var_p, float("nan"), float("nan"), 40, 4, flag)
+
+        direct = [
+            estimate("R_none", 0.12, 2e-4, NONE),
+            estimate("R_zero", 0.0, 0.0, ALL_ZERO),
+            estimate("R_one", 1.0, 0.0, ALL_ONE),
+            estimate("R_single", 0.3, float("nan"), SINGLE_CLUSTER),
+            estimate("R_flat", 0.25, 0.0, ZERO_VARIANCE),
+            estimate("R_nan_se", 0.12, float("nan"), NONE),  # same p_hat as R_none
+            estimate("R_wide", 0.45, 9e-3, NONE),
+        ]
+        rows = [
+            posterior_row("R_none", 0.13, sd=0.012),
+            posterior_row("R_zero", 0.03, lo=0.004, hi=0.08, degen=ALL_ZERO),
+            posterior_row("R_one", 0.91, lo=0.8, hi=0.97, degen=ALL_ONE),
+            posterior_row("R_single", 0.28, sd=0.05, lo=0.19, hi=0.38, degen=SINGLE_CLUSTER),
+            posterior_row("R_flat", 0.24, sd=0.03, degen=ZERO_VARIANCE),
+            posterior_row("R_nan_se", 0.14, sd=0.02),
+            posterior_row("R_wide", 0.41, sd=0.06, lo=0.3, hi=0.53),
+        ]
+        svg = render_comparison(direct, rows, {"seed": "3", "note": "degenerate"})
+        # a diamond per degenerate region and panel, but R_single's NaN SE is off panel B
+        assert svg.count("<path d=") == 4 + 3 + 4
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "645ee5d18c9bb4a0c650321ce108aef066635509a4b12cc12bec22ae07f65d06")
 
 
 @pytest.mark.parametrize("figure", ["choropleth", "comparison"])
