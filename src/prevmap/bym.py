@@ -15,30 +15,15 @@ Regions with a degenerate direct estimate contribute no likelihood term:
 their eps_i come from the prior, so their theta draws are posterior
 predictions.
 
-``exact_fit`` (what ``prevmap smooth`` runs) integrates eps out. Given the variances,
-z is Gaussian with precision P = Q/sig2_sp + W, W = diag(1/(V_i + sig2_eps))
-over the usable regions, and p(sig2 | Y) has a closed form. It evaluates
-that density on a lattice of (log sig2_eps, log sig2_sp) laid along the
-Hessian's eigen-axes at the mode. Each region's theta is then a Gaussian
-mixture over the lattice, summarized exactly; b0 and the variances are
-drawn from the lattice, independently. P is factored as a banded Cholesky
-after a reverse Cuthill-McKee ordering.
-The engine's code is in ``prevmap.exact``, loaded on its first use with
-only two of scipy's compiled modules (its LAPACK and its special-function
-ufuncs, without the ``scipy.linalg`` and ``scipy.special`` packages);
-``gibbs_fit``'s functions import ``scipy.special`` when they run, so
-importing this module loads no scipy.
-
-``gibbs_fit``, the reference ``exact_fit`` is tested against, is the
-conjugate Gibbs sweep (b0, all eps, all S single-site by graph-coloring
-class, then the two variances), recentring S per component after every S
-sweep. All chains advance in lockstep: the state
-holds one row per chain and each array operation updates every chain at
-once. Each chain still draws from its own stream, in the order a
-chain-by-chain loop would, and its row sees that loop's arithmetic, so the
-draws, and every result, are the same as running the chains one after
-another. The per-region summaries and diagnostics likewise run on blocks of
-regions at a time, with the arithmetic of a call per region.
+``exact_fit`` (what ``prevmap smooth`` runs) integrates eps out: given the
+variances, z is Gaussian with precision P = Q/sig2_sp + W, W = diag(1/(V_i
++ sig2_eps)) over the usable regions, factored as a band, and each region's
+theta is a Gaussian mixture over a grid of the variances, summarized
+exactly. ``gibbs_fit``, the reference ``exact_fit`` is tested against, is a
+block Gibbs sampler on the same band factor. Both engines' Gaussian kernel
+is in ``prevmap.exact``, loaded on first use with only two of scipy's
+compiled modules; ``gibbs_fit``'s summaries import ``scipy.special`` when
+they run, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -486,42 +471,6 @@ POSTERIOR_CSV_COLUMNS = get_type_hints(PosteriorRow)
 # ---------------------------------------------------------------------------
 
 
-def _greedy_coloring(prec: IcarPrecision) -> list[np.ndarray]:
-    """Partition non-isolated nodes into classes with no within-class edge."""
-    start, nbr = prec.nbr_start, prec.nbr
-    count = np.diff(start)
-    order = np.lexsort((np.arange(prec.dimension), -count))
-    color = np.full(prec.dimension, -1)
-    for node in order[count[order] > 0].tolist():
-        used = set(color[nbr[start[node] : start[node + 1]]].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        color[node] = c
-    return [np.flatnonzero(color == c) for c in range(color.max(initial=-1) + 1)]
-
-
-def _neighbour_tables(
-    prec: IcarPrecision, classes: Sequence[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per class: (k, width) neighbour indices and weights.
-
-    Each row is the node's row of ``prec``'s neighbour lists, so a running
-    sum along it adds the terms as a sparse matrix-vector product does.
-    Short rows are padded with weight 0 at the end, where adding a zero
-    term leaves the sum as it is.
-    """
-    tables = []
-    for cls in classes:
-        start = prec.nbr_start[cls]
-        count = prec.nbr_start[cls + 1] - start
-        width = np.arange(count.max())
-        real = width < count[:, None]
-        slot = np.where(real, start[:, None] + width, 0)
-        tables.append((prec.nbr[slot], np.where(real, prec.nbr_w[slot], 0.0)))
-    return tables
-
-
 def _initial_variance(a: float, b: float) -> float:
     # prior mean when it exists (a > 1), otherwise the prior mode
     return b / (a - 1) if a > 1 else b / (a + 1)
@@ -535,142 +484,87 @@ _DIAG_BLOCK_DRAWS = 1 << 16
 def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     """Run the Gibbs sampler and return draws, summaries and diagnostics.
 
-    All chains advance together, one state row per chain. Each chain draws
-    from its own stream, derived from (seed, chain index), in the order a
-    chain-by-chain loop would, and its row sees exactly that loop's
-    arithmetic, so reruns with the same spec and config are bit-identical
-    and a chain's draws do not depend on the other chains. Every chain
-    starts from eps = Y - mean(Y) over the usable regions and S = 0.
+    A chain's state is its two variances. Each sweep draws (b0, S) with eps
+    integrated out, from the band factor of P (``prevmap.exact._Collapsed.draw``),
+    then eps given z = b0 + S region by region, then each variance from its
+    inverse-gamma conditional: a block Gibbs scan (Knorr-Held & Rue 2002).
+    The chains share each sweep's calls; each draws from its own stream,
+    derived from (seed, chain index), with the bits it has in a run of its
+    own, so reruns are bit-identical and a chain's draws do not depend on
+    the other chains. Every chain starts at the same variances, each
+    prior's mean (or mode, where the mean is infinite) or the fixed value:
+    the first sweep draws b0, S and eps exactly given them. A state that
+    turns non-finite, or a P singular in floating point, raises a
+    ``RuntimeError`` naming the iteration and the chain. The per-region
+    summaries and diagnostics run on blocks of regions at a time, with the
+    arithmetic of a call per region.
     """
+    from .exact import _Collapsed, _NotPositiveDefinite, _one_blas_thread
+
     spec.validate()
     config.validate()
 
     prec = spec.precision
     n = prec.dimension
-    active = np.array([e.likelihood_usable for e in spec.estimates], dtype=bool)
-    idx_act = np.flatnonzero(active)
-    idx_inact = np.flatnonzero(~active)
-    y_act = np.array([spec.estimates[i].logit_y for i in idx_act])
-    v_act = np.array([spec.estimates[i].var_logit for i in idx_act])
-    inv_v = 1.0 / v_act
-    sum_inv_v = float(inv_v.sum())
-    sd_beta0 = math.sqrt(sum_inv_v)
-    k_act, k_inact = len(idx_act), len(idx_inact)
-
-    lik_prec = np.zeros(n)
-    lik_prec[idx_act] = inv_v
-
+    kernel = _Collapsed(spec)
+    usable = np.flatnonzero(kernel.usable)
+    # 1/V and Y/V, 0 where not usable
+    inv_v = np.where(kernel.usable, 1.0 / kernel.v, 0.0)
+    inv_v_y = inv_v * kernel.y
     pri = spec.priors
     fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
-    shape_e = pri.a_eps + 0.5 * k_act
+    shape_e = pri.a_eps + 0.5 * len(usable)
     shape_s = pri.a_sp + 0.5 * prec.rank
     chains, kept = config.chains, config.retained_per_chain()
 
     theta_draws = np.empty((chains, kept, n))
-    beta0_draws = np.empty((chains, kept))
-    sig2e_draws = np.empty((chains, kept))
-    sig2s_draws = np.empty((chains, kept))
-
-    # One row per chain: beta0, sig2e, sig2s, active eps, inactive eps, S.
-    state = np.zeros((chains, 3 + k_act + k_inact + n))
-    beta0, sig2e, sig2s = state[:, 0], state[:, 1], state[:, 2]
-    beta0_col, sig2e_col, sig2s_col = state[:, 0:1], state[:, 1:2], state[:, 2:3]
-    eps_act = state[:, 3 : 3 + k_act]
-    eps_inact = state[:, 3 + k_act : 3 + k_act + k_inact]
-    s = state[:, 3 + k_act + k_inact :]
-    eps_act[:] = y_act - float(y_act.mean())
-    sig2e[:] = fixed_e if fixed_e is not None else _initial_variance(pri.a_eps, pri.b_eps)
-    sig2s[:] = fixed_s if fixed_s is not None else _initial_variance(pri.a_sp, pri.b_sp)
-    # position of each node's eps in the state row, after the three scalars
-    eps_at = np.empty(n, dtype=np.intp)
-    eps_at[idx_act] = np.arange(k_act)
-    eps_at[idx_inact] = np.arange(k_act, n)
-    # likelihood terms of the active regions, then a 0 for every other region
-    lik_act = np.zeros((chains, k_act + 1))
-    lik_at = np.minimum(eps_at, k_act)
-
-    # One sweep's normal draws per chain, in stream order: beta0, active
-    # eps, inactive eps, then S class by class. Per-node S terms that do not
-    # wait on a neighbour are computed for all classes at once, in this order.
-    classes = _greedy_coloring(prec)
-    in_classes = np.concatenate(classes) if classes else np.zeros(0, dtype=np.intp)
-    z = np.empty((chains, 1 + k_act + k_inact + len(in_classes)))
-    z_act = z[:, 1 : 1 + k_act]
-    z_inact = z[:, 1 + k_act : 1 + k_act + k_inact]
-    z_s = z[:, 1 + k_act + k_inact :]
-    wdeg, lik_p, lik_s_at = prec.degree[in_classes], lik_prec[in_classes], lik_at[in_classes]
-    blocks = []
-    offset = 0
-    for cls, (nbr, nbr_w) in zip(classes, _neighbour_tables(prec, classes)):
-        blocks.append((cls, nbr, nbr_w, slice(offset, offset + len(cls))))
-        offset += len(cls)
-    # A lone node never moves from S = 0, so only larger components recentre.
-    components = [
-        slice(comp[0], comp[-1] + 1) if comp[-1] - comp[0] + 1 == len(comp) else comp
-        for comp in prec.component_index
-        if len(comp) > 1
-    ]
-
+    beta0_draws, sig2e_draws, sig2s_draws = np.empty((3, chains, kept))
+    # one row per chain: sig2_eps, sig2_sp
+    variances = np.empty((chains, 2))
+    variances[:, 0] = fixed_e if fixed_e is not None else _initial_variance(pri.a_eps, pri.b_eps)
+    variances[:, 1] = fixed_s if fixed_s is not None else _initial_variance(pri.a_sp, pri.b_sp)
+    # one sweep's normals per chain, in stream order: the (b0, z) draw's, then eps
+    noise = np.empty((chains, 1 + 2 * n))
     rngs = [
         np.random.Generator(np.random.PCG64(stream))
         for stream in np.random.SeedSequence(config.seed).spawn(chains)
     ]
-    z_rows, eps_rows = list(z), list(eps_act)
 
     keep = 0
-    for it in range(config.iterations):
-        # (1) intercept, flat prior
-        s_act = s.take(idx_act, axis=1)  # C-contiguous rows for np.dot
-        resid = y_act - eps_act - s_act
-        for c, (rng, z_row, resid_c) in enumerate(zip(rngs, z_rows, resid)):
-            rng.standard_normal(out=z_row)
-            mu0 = float(np.dot(resid_c, inv_v)) / sum_inv_v
-            beta0[c] = mu0 + float(z_row[0]) / sd_beta0
-        y_b0 = y_act - beta0_col
+    with _one_blas_thread():
+        for it in range(config.iterations):
+            for rng, row in zip(rngs, noise):
+                rng.standard_normal(out=row)
+            try:
+                b0, z = kernel.draw(variances, noise[:, : 1 + n])
+            except _NotPositiveDefinite as exc:
+                chain = exc.column // len(kernel.live)
+                raise RuntimeError(
+                    f"precision singular in floating point at iteration {it} of chain {chain}"
+                ) from None
+            # eps | z: N(var_eps (Y - z) / V, var_eps), var_eps = 1 / (1/sig2_eps
+            # + 1/V), where usable; N(0, sig2_eps) elsewhere
+            var_eps = 1.0 / (1.0 / variances[:, :1] + inv_v)
+            eps = np.sqrt(var_eps)
+            eps *= noise[:, 1 + n :]
+            eps += var_eps * (inv_v_y - inv_v * z)
+            rate_e = pri.b_eps + 0.5 * np.add.reduce(np.square(eps.take(usable, axis=1)), axis=1)
+            rate_s = pri.b_sp + 0.5 * quadratic_form(prec, z - b0[:, None])
+            for c, rng in enumerate(rngs):
+                if fixed_e is None:
+                    variances[c, 0] = rate_e[c] / max(rng.standard_gamma(shape_e), 1e-300)
+                if fixed_s is None:
+                    variances[c, 1] = rate_s[c] / max(rng.standard_gamma(shape_s), 1e-300)
+            theta = z + eps
+            if not (np.isfinite(theta).all() and np.isfinite(variances).all()):
+                finite = np.isfinite(theta).all(axis=1) & np.isfinite(variances).all(axis=1)
+                raise RuntimeError(f"non-finite sampler state at iteration {it} of chain {finite.argmin()}")
 
-        # (2) iid effects; degenerate regions refresh from the prior
-        prec_e = inv_v + 1.0 / sig2e_col
-        np.add((y_b0 - s_act) * inv_v / prec_e, z_act / np.sqrt(prec_e), out=eps_act)
-        if k_inact:
-            np.multiply(z_inact, np.sqrt(sig2e_col), out=eps_inact)
-
-        # (3) spatial effects, single-site conditionals by color class
-        np.multiply(y_b0 - eps_act, inv_v, out=lik_act[:, :k_act])
-        prec_s = wdeg / sig2s_col + lik_p
-        noise_s = z_s / np.sqrt(prec_s)
-        lik_s = lik_act.take(lik_s_at, axis=1)
-        for cls, nbr, nbr_w, part in blocks:
-            # a running sum along each padded row adds in CSR order
-            nbr_sum = np.add.accumulate(nbr_w * s.take(nbr, axis=1), axis=-1)[..., -1]
-            mu_s = (nbr_sum / sig2s_col + lik_s[:, part]) / prec_s[:, part]
-            s[:, cls] = mu_s + noise_s[:, part]
-        for comp in components:
-            s_comp = s[:, comp]
-            # s_comp.mean(axis=1) without the wrapper: the same sum and divide
-            s[:, comp] = s_comp - np.add.reduce(s_comp, axis=1, keepdims=True) / s_comp.shape[1]
-
-        # (4) iid variance from active effects only, then (5) spatial
-        # variance from the pairwise-difference quadratic form
-        qf = quadratic_form(prec, s).tolist() if fixed_s is None else None
-        for c, rng in enumerate(rngs):
-            if fixed_e is None:
-                rate = pri.b_eps + 0.5 * float(np.dot(eps_rows[c], eps_rows[c]))
-                sig2e[c] = rate / max(rng.standard_gamma(shape_e), 1e-300)
-            if fixed_s is None:
-                rate = pri.b_sp + 0.5 * qf[c]
-                sig2s[c] = rate / max(rng.standard_gamma(shape_s), 1e-300)
-
-        if not np.isfinite(state).all():
-            bad = np.flatnonzero(~np.isfinite(state).all(axis=1))[0]
-            raise RuntimeError(f"non-finite sampler state at iteration {it} of chain {bad}")
-
-        if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-            eps = state[:, 3 : 3 + n].take(eps_at, axis=1)
-            np.add(beta0_col + eps, s, out=theta_draws[:, keep])
-            beta0_draws[:, keep] = beta0
-            sig2e_draws[:, keep] = sig2e
-            sig2s_draws[:, keep] = sig2s
-            keep += 1
+            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+                theta_draws[:, keep] = theta
+                beta0_draws[:, keep] = b0
+                sig2e_draws[:, keep], sig2s_draws[:, keep] = variances.T
+                keep += 1
 
     return posterior_from_draws(spec, config, theta_draws, beta0_draws, sig2e_draws, sig2s_draws)
 

@@ -10,6 +10,9 @@ its approximations). Given the variances, each region's theta is Gaussian,
 so its posterior is a finite Gaussian mixture over the grid: the engine
 writes each region's summary from that mixture, with no Monte Carlo error,
 and draws only the hyperparameters, b0 and the variances, from the grid.
+``_Collapsed.draw`` draws (b0, z) jointly given the variances from the same
+factor; ``prevmap.bym.gibbs_fit`` sweeps with it, so both engines rest on
+one Gaussian kernel.
 P is factored as a banded Cholesky after a reverse Cuthill-McKee ordering,
 the points of a batch side by side in one call: about one generation of the
 grid's flood per call while the grid grows, and a chunk of points per call
@@ -38,12 +41,12 @@ import of either package reuses them. The two names are private to scipy,
 which may move or rename them: where a file is missing or does not load,
 the public module is imported instead.
 
-``icar_draws`` is prevmap's one sampler of the ICAR prior, which
-``prevmap.synthetic`` draws the simulated truth surface with;
-``icar_variances`` gives the engine the same prior's variances for a
-component without usable regions. This module is imported on first use of
-either, or of the fit, and loads the two compiled modules. The rest of
-prevmap imports scipy only inside the functions behind ``gibbs_fit``,
+``icar_draws`` is prevmap's one sampler of the ICAR prior:
+``prevmap.synthetic`` draws the simulated truth surface with it, and
+``_Collapsed.draw`` the S of a component without usable regions, whose
+variances ``icar_variances`` gives. This module is imported on first use of
+either, or of either engine's fit, and loads the two compiled modules. The
+rest of prevmap imports scipy only inside the functions behind ``gibbs_fit``,
 which no command calls, so importing the CLI loads no scipy, and ``simulate``,
 ``smooth`` and ``pipeline`` load only those two modules of it.
 """
@@ -225,8 +228,8 @@ def rcm_components(prec: IcarPrecision) -> list[np.ndarray]:
     return out
 
 
-def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Band width, and the upper band's flat slots and weights of Q's off-diagonal entries over ``nodes``.
+def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, np.ndarray]:
+    """Band width, and Q - diag(Q) over ``nodes`` in flat upper band storage, column by column.
 
     Rows and columns follow ``nodes``, a union of whole components, so an
     edge has both ends in it or neither.
@@ -237,8 +240,10 @@ def _band_layout(prec: IcarPrecision, nodes: np.ndarray) -> tuple[int, np.ndarra
     a, b = pos[prec.edge_i[inside]], pos[prec.edge_j[inside]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     width = int((hi - lo).max(initial=0))
+    off_diagonal = np.zeros(len(nodes) * (width + 1))
     # entry (lo, hi) is row width + lo - hi of column hi in the Fortran-ordered band
-    return width, hi * (width + 1) + width + lo - hi, prec.edge_w[inside]
+    off_diagonal[hi * (width + 1) + width + lo - hi] = -prec.edge_w[inside]
+    return width, off_diagonal
 
 
 def _band(layout, diag: np.ndarray, scale) -> np.ndarray:
@@ -249,11 +254,11 @@ def _band(layout, diag: np.ndarray, scale) -> np.ndarray:
     no entry coupling two blocks. Fortran-ordered, as LAPACK takes it, so
     ``_cholesky`` factors it in place.
     """
-    width, slots, weight = layout
+    width, off_diagonal = layout
     k, n = diag.shape
-    ab = np.zeros((k, n * (width + 1)))  # row p is matrix p's band, column by column
+    ab = np.empty((k, n * (width + 1)))  # row p is matrix p's band, column by column
+    np.divide(off_diagonal, scale, out=ab)
     ab[:, width :: width + 1] = diag
-    ab[:, slots] = -weight / scale
     return ab.reshape(k * n, width + 1).T
 
 
@@ -291,6 +296,13 @@ def _pinned_factor(prec: IcarPrecision, components: Sequence[np.ndarray]) -> tup
     return _cholesky(_band(_band_layout(prec, nodes), pinned[None], 1.0)), starts, sizes
 
 
+def _pinned_draws(pinned: tuple[np.ndarray, ...], noise: np.ndarray) -> np.ndarray:
+    """``icar_draws`` from ``_pinned_factor``'s output ``pinned``."""
+    factor, starts, sizes = pinned
+    x, _ = dtbtrs(factor, noise)
+    return x - np.repeat(np.add.reduceat(x, starts, axis=0) / sizes[:, None], sizes, axis=0)
+
+
 @_one_blas_thread()
 def icar_draws(prec: IcarPrecision, components: Sequence[np.ndarray], noise: np.ndarray) -> np.ndarray:
     """Unit-scale sum-to-zero ICAR draws over whole components, (nodes, k).
@@ -302,19 +314,17 @@ def icar_draws(prec: IcarPrecision, components: Sequence[np.ndarray], noise: np.
     recentred per component, has exactly the sum-to-zero distribution
     (Rue & Held 2005, 2.3.3), so an isolated node draws exactly 0.
     """
-    factor, starts, sizes = _pinned_factor(prec, components)
-    x, _ = dtbtrs(factor, noise)
-    return x - np.repeat(np.add.reduceat(x, starts, axis=0) / sizes[:, None], sizes, axis=0)
+    return _pinned_draws(_pinned_factor(prec, components), noise)
 
 
-def icar_variances(prec: IcarPrecision, components: Sequence[np.ndarray]) -> np.ndarray:
-    """Diagonal of the unit-scale sum-to-zero ICAR covariance, in ``icar_draws``'s row order.
+def icar_variances(pinned: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Diagonal of the unit-scale sum-to-zero ICAR covariance, from ``_pinned_factor``'s output, in its row order.
 
     With Sigma the inverse of ``icar_draws``'s pinned Q, its draws are
     (I - J/n) x per component of n nodes, x ~ N(0, Sigma), so node i's
     variance is Sigma_ii - 2 (Sigma 1)_i / n + 1'Sigma 1 / n^2.
     """
-    factor, starts, sizes = _pinned_factor(prec, components)
+    factor, starts, sizes = pinned
     row_sums, _ = dpbtrs(factor, np.ones(factor.shape[1]))
     total = np.add.reduceat(row_sums, starts) / sizes**2
     return (_selected_inverse(factor, 1)[0] - 2 * row_sums / np.repeat(sizes, sizes)
@@ -392,7 +402,8 @@ class _Collapsed:
     prior, is integrated out of p(sig2 | Y) in closed form. A component with
     no usable region adds nothing to p(sig2 | Y) once its S is integrated
     out, so it is left out of P and of the rank term, and its S has the
-    sum-to-zero prior's variances, ``icar_variances``.
+    sum-to-zero prior's variances (``icar_variances``) and draws
+    (``icar_draws``).
     """
 
     def __init__(self, spec: BymModelSpec) -> None:
@@ -411,14 +422,17 @@ class _Collapsed:
         self.layout = _band_layout(prec, self.live)
         self.degree = prec.degree[self.live]
         self.use = self.usable[self.live]
-        self.y_live, self.v_live = self.y[self.live], self.v[self.live]
+        # V is inf where not usable, so that W = 1 / (V + sig2_eps) is 0 there
+        self.y_live, self.v_live = self.y[self.live], np.where(self.use, self.v[self.live], np.inf)
         self.average = np.repeat(1.0 / self.live_sizes, self.live_sizes)
         self.isolated = self.live_starts[self.live_sizes == 1]
         # each region's S variance at unit sig2_sp: 0 where live (P holds
         # it), the sum-to-zero prior's where dead
         self.prior_var = np.zeros(len(self.y))
+        self.dead = np.concatenate(dead) if dead else np.zeros(0, dtype=np.intp)
         if dead:
-            self.prior_var[np.concatenate(dead)] = icar_variances(prec, dead)
+            self.pinned = _pinned_factor(prec, dead)
+            self.prior_var[self.dead] = icar_variances(self.pinned)
 
     def solve(self, variances: np.ndarray) -> _Solved:
         """z's conditional at each row (sig2_eps, sig2_sp) of ``variances``, (k, 2).
@@ -431,12 +445,13 @@ class _Collapsed:
         zeros between two pairs, which moves the last bits. Raises
         ``_NotPositiveDefinite`` where one is singular in floating point.
         Nothing here checks for inf or nan: ``BymModelSpec.validate`` rejects
-        non-finite usable estimates, and the variances come from log
-        variances under 100 in size, so P and W Y are finite.
+        non-finite usable estimates, and the grid's variances come from log
+        variances under 100 in size, so P and W Y are finite there;
+        ``gibbs_fit`` checks each sweep's draws.
         """
         k, n = len(variances), len(self.live)
         sig2_eps, sig2_sp = variances[:, :1], variances[:, 1:]
-        w = np.where(self.use, 1.0 / (self.v_live + sig2_eps), 0.0)
+        w = 1.0 / (self.v_live + sig2_eps)
         factor = _cholesky(_band(self.layout, self.degree / sig2_sp + w, sig2_sp))
         # C-ordered, so that each row of wy, and of level below, is a strided
         # view: np.dot runs another BLAS kernel on a contiguous one, which
@@ -456,6 +471,34 @@ class _Collapsed:
         b0_prec = np.add.reduce(tau, axis=1)
         b0_mean = _row_dots(tau, level) / b0_prec
         return _Solved(factor, w, wy, sol[:, 0], sol[:, 1], level, level_var, tau, b0_mean, b0_prec)
+
+    def draw(self, variances: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Joint draws of b0, (k,), and z = b0 + S, (k, regions), at each row (sig2_eps, sig2_sp) of ``variances``.
+
+        ``noise`` holds k rows of 1 + regions standard normals: b0's, the
+        live nodes' in band order, then the dead nodes'. b0 is N(b0_mean,
+        1/b0_prec); x = m + U^-1 xi is N(m, P^-1), and each live component's
+        level a'x is kriged to b0 (Rue & Held 2005, 2.3.3), z = x - g (a'x -
+        b0) / lv; an isolated node's z is b0. A dead component's z is b0 plus
+        sqrt(sig2_sp) times an ``icar_draws`` draw. Each pair's draw has the
+        bits it has alone. Raises ``_NotPositiveDefinite`` as ``solve`` does.
+        """
+        s = self.solve(variances)
+        k, n = len(variances), len(self.live)
+        b0 = s.b0_mean + noise[:, 0] / np.sqrt(s.b0_prec)
+        x = noise[:, 1 : 1 + n].copy()
+        for p in range(k):
+            dtbtrs(s.factor[:, p * n : (p + 1) * n], x[p], overwrite_b=1)
+        x += s.mean
+        level = np.add.reduceat(x, self.live_starts, axis=1) / self.live_sizes
+        x -= s.gain * np.repeat((level - b0[:, None]) / s.level_var, self.live_sizes, axis=1)
+        x[:, self.isolated] = b0[:, None]
+        z = np.empty((k, len(self.y)))
+        z[:, self.live] = x
+        if len(self.dead):
+            spatial = np.sqrt(variances[:, 1:]) * _pinned_draws(self.pinned, noise[:, 1 + n :].T).T
+            z[:, self.dead] = b0[:, None] + spatial
+        return b0, z
 
     def log_marginals(self, variances: np.ndarray) -> np.ndarray:
         """log p(Y | variances), up to a constant, at each row of ``variances``, (k, 2).

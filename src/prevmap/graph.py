@@ -185,12 +185,10 @@ class IcarPrecision:
     row sum, so Q = diag(degree) - A_w. ``rank`` equals the dimension minus
     the number of connected components (one constant null vector each).
 
-    ``nbr_start``, ``nbr`` and ``nbr_w`` hold A_w's rows in compressed
-    sparse row form: node k's neighbours are ``nbr[nbr_start[k]:nbr_start[k + 1]]``,
-    in increasing index order, with their edge weights at the same slots
-    of ``nbr_w``. A sum along a row so adds its terms as a sparse
-    matrix-vector product with sorted indices does (Rue & Held 2005), and
-    ``np.diff(nbr_start)`` is each node's number of neighbours.
+    ``nbr_start`` and ``nbr`` hold A's rows in compressed sparse row form:
+    node k's neighbours are ``nbr[nbr_start[k]:nbr_start[k + 1]]``, in
+    increasing index order, and ``np.diff(nbr_start)`` is each node's
+    number of neighbours.
     """
 
     dimension: int
@@ -204,11 +202,10 @@ class IcarPrecision:
     component_index: tuple[np.ndarray, ...]
     nbr_start: np.ndarray
     nbr: np.ndarray
-    nbr_w: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        q = np.diag(self.degree.astype(float).copy())
-        q[np.repeat(np.arange(self.dimension), np.diff(self.nbr_start)), self.nbr] = -self.nbr_w
+        q = np.diag(self.degree.astype(float))
+        q[self.edge_i, self.edge_j] = q[self.edge_j, self.edge_i] = -self.edge_w
         return q
 
 
@@ -246,7 +243,6 @@ def icar_precision(graph: AdjacencyGraph) -> IcarPrecision:
         component_index=comp_index,
         nbr_start=nbr_start,
         nbr=dst[by_row],
-        nbr_w=np.concatenate([edge_w, edge_w])[by_row],
     )
 
 

@@ -345,6 +345,12 @@ def _interval(x, y1, y2, color):
     return f'<line x1="{x:.2f}" y1="{y1:.2f}" x2="{x:.2f}" y2="{y2:.2f}" stroke="{color}" stroke-width="1.4"/>'
 
 
+def _axis_limit(values) -> float:
+    """A panel's axis limit: 8% above the largest finite value, or 1 where that is not positive."""
+    hi = max((v for v in values if math.isfinite(v)), default=1.0) * 1.08
+    return hi if hi > 0 else 1.0
+
+
 def _scatter_panel(title, pairs, degenerate_mask, x_label, y_label):
     """Square scatter with identity line; both axes run from 0 to the same limit."""
     finite = [
@@ -352,8 +358,7 @@ def _scatter_panel(title, pairs, degenerate_mask, x_label, y_label):
         for (x, y), degen in zip(pairs, degenerate_mask)
         if math.isfinite(x) and math.isfinite(y)
     ]
-    hi = max((max(x, y) for x, y, _ in finite), default=1.0) * 1.08
-    hi = hi if hi > 0 else 1.0
+    hi = _axis_limit(max(x, y) for x, y, _ in finite)
     bx, by, bw, bh = SCATTER_BOX
 
     def fx(v):
@@ -435,7 +440,7 @@ def render_comparison(
         if not degen[i] and math.isfinite(e.se_p):
             cis[i] = (max(0.0, e.p_hat - 1.96 * e.se_p), min(1.0, e.p_hat + 1.96 * e.se_p))
             tops.append(cis[i][1])
-    hi = max(tops, default=1.0) * 1.08
+    hi = _axis_limit(tops)
     bx, by, bw, bh = c_box
 
     def fy(v):
@@ -449,7 +454,8 @@ def render_comparison(
         if i in cis:
             panel_c.append(_interval(xc - 2.5, fy(cis[i][0]), fy(cis[i][1]), "#777"))
             panel_c.append(f'<circle cx="{xc - 2.5:.2f}" cy="{fy(e.p_hat):.2f}" r="2" fill="#777"/>')
-        panel_c.append(_interval(xc + 2.5, fy(r.prev_q025), fy(r.prev_q975), "#2b6cb0"))
+        if math.isfinite(r.prev_q025) and math.isfinite(r.prev_q975):
+            panel_c.append(_interval(xc + 2.5, fy(r.prev_q025), fy(r.prev_q975), "#2b6cb0"))
         if degen[i]:
             panel_c.append(_diamond(xc + 2.5, fy(r.prev_mean), 3.5))
         else:

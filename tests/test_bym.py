@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,20 +222,23 @@ class TestGibbsFit:
         assert not np.array_equal(post1.theta_draws, post2.theta_draws)
 
     def test_sum_to_zero_per_component_every_draw(self):
-        ids = [f"R{k}" for k in range(6)]
+        ids = [f"R{k}" for k in range(8)]
         rng = np.random.default_rng(4)
         ests = [
-            make_estimate(rid, float(rng.uniform(0.1, 0.3)), 5e-4) for rid in ids
+            make_estimate(rid, float(rng.uniform(0.1, 0.3)), 5e-4) for rid in ids[:6]
         ]
-        # two disjoint 3-chains -> two components
-        edges = [("R0", "R1"), ("R1", "R2"), ("R3", "R4"), ("R4", "R5")]
+        ests += [make_estimate(rid, 0.0, 0.0, flag=ALL_ZERO) for rid in ids[6:]]
+        # two disjoint 3-chains -> two live components; {R6, R7} has no usable region
+        edges = [("R0", "R1"), ("R1", "R2"), ("R3", "R4"), ("R4", "R5"), ("R6", "R7")]
         prec = icar_precision(AdjacencyGraph.from_edges(ids, edges))
-        # S of the chain-by-chain sweep, which gibbs_fit matches draw for draw
-        s_draws = reference_draws(BymModelSpec(estimates=ests, precision=prec), QUICK)[1]
-        assert len(prec.component_index) == 2
-        for comp in prec.component_index:
-            sums = s_draws[:, :, comp].sum(axis=2)
-            assert np.abs(sums).max() < 1e-10
+        b0, z = collapsed_draws(BymModelSpec(estimates=ests, precision=prec))
+        for comp in ([0, 1, 2], [3, 4, 5]):
+            # each live component's level is tied to b0
+            gap = z[:, comp].mean(axis=1) - b0
+            assert np.abs(gap).max() < 1e-12 * np.abs(z).max()
+        spatial = z[:, [6, 7]] - b0[:, None]
+        assert np.abs(spatial.sum(axis=1)).max() < 1e-12 * np.abs(spatial).max()
+        assert np.all(spatial != 0.0)
 
     def test_symmetric_inputs_give_equal_posteriors(self):
         ids = [f"R{k}" for k in range(5)]
@@ -339,17 +343,18 @@ class TestGibbsFit:
         assert gap < 0.05
 
     def test_isolated_region_spatial_effect_pinned_to_zero(self):
-        ids = ["R0", "R1", "R2", "Z_ISO"]  # sorted order matches estimate order
+        ids = ["R0", "R1", "R2", "Z_DEAD", "Z_ISO"]  # sorted order matches estimate order
         rng = np.random.default_rng(2)
         ests = [
             make_estimate(rid, float(rng.uniform(0.1, 0.3)), 5e-4) for rid in ids
         ]
+        ests[3] = make_estimate("Z_DEAD", 0.0, 0.0, flag=ALL_ZERO)
         edges = [("R0", "R1"), ("R1", "R2")]
         prec = icar_precision(AdjacencyGraph.from_edges(ids, edges))
-        # S of the chain-by-chain sweep, which gibbs_fit matches draw for draw
-        s_draws = reference_draws(BymModelSpec(estimates=ests, precision=prec), QUICK)[1]
-        iso_index = list(prec.node_ids).index("Z_ISO")
-        assert np.all(s_draws[:, :, iso_index] == 0.0)
+        b0, z = collapsed_draws(BymModelSpec(estimates=ests, precision=prec))
+        # a lone node's z is b0, whether it has a usable region or not
+        assert np.array_equal(z[:, 3], b0)
+        assert np.array_equal(z[:, 4], b0)
 
 
 class TestPosteriorCsv:
@@ -364,11 +369,11 @@ class TestPosteriorCsv:
 
     @pytest.mark.parametrize("spec, posterior_sha, trace_sha", [
         ("degenerate_spec",
-         "c8d634d560229acddaa36585aef03dc0424e882d97aa37f22b17f739aa77f338",
-         "dd6bc80a3895bfc0793e8d246638b66f6c5795d5f2227a52b7624bf6be60df89"),
+         "7b26b8224686e0383088841ab28cd58050645b1ee8858069707851d661b0cff1",
+         "03561b917effdf18c7c0484fba001f2dc5106eade779734a85921d40369e355a"),
         ("two_component_spec",
-         "36f7d652f4e023038fe85cd708591a8bbaec5c7f8cbea8e611824b3d4e53611d",
-         "b3021c06d051080f1c393f7ba9b40155e60020477ea1961865c016dd1986b8b6"),
+         "53ed27594ec98f7ba0f58d71f3c420da9f4a0bf93024d6fb7a745fa83019f99c",
+         "339563189630fee3b43e1c35a05d824db9fc15a867f02f20e267db3854866817"),
     ], ids=["degenerate", "two_component"])
     def test_gibbs_output_bytes_are_pinned(self, tmp_path, spec, posterior_sha, trace_sha):
         # gibbs_fit is the reference the exact engine is checked against: any
@@ -404,86 +409,9 @@ class TestPosteriorCsv:
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the chain-by-chain Gibbs sweep with sparse
-# neighbour sums, and rhat / ess / summarize on one draw set at a time. The
-# lockstep sampler and the batched diagnostics must match them bit for bit.
+# Reference implementations: rhat / ess / summarize on one draw set at a
+# time. The batched diagnostics must match them bit for bit.
 # ---------------------------------------------------------------------------
-
-
-def reference_draws(spec, config):
-    """Draws of the chain-by-chain sweep: theta, S, beta0, sig2_eps, sig2_sp."""
-    from scipy import sparse
-
-    from prevmap.bym import _greedy_coloring
-
-    prec = spec.precision
-    n = prec.dimension
-    active = np.array([e.likelihood_usable for e in spec.estimates], dtype=bool)
-    idx_act = np.flatnonzero(active)
-    idx_inact = np.flatnonzero(~active)
-    y_act = np.array([spec.estimates[i].logit_y for i in idx_act])
-    v_act = np.array([spec.estimates[i].var_logit for i in idx_act])
-    inv_v = 1.0 / v_act
-    sum_inv_v = float(inv_v.sum())
-    k_act, k_inact = len(idx_act), len(idx_inact)
-    lik_prec = np.zeros(n)
-    lik_prec[idx_act] = inv_v
-    adj = sparse.csr_matrix(
-        (
-            np.concatenate([prec.edge_w, prec.edge_w]),
-            (np.concatenate([prec.edge_i, prec.edge_j]), np.concatenate([prec.edge_j, prec.edge_i])),
-        ),
-        shape=(n, n),
-    )
-    classes = _greedy_coloring(prec)
-    class_rows = [adj[cls] for cls in classes]
-    pri = spec.priors
-    fixed_e, fixed_s = spec.fixed_sigma2_eps, spec.fixed_sigma2_sp
-    init = lambda a, b: b / (a - 1) if a > 1 else b / (a + 1)  # noqa: E731
-    kept = config.retained_per_chain()
-    theta = np.empty((config.chains, kept, n))
-    s_out = np.empty((config.chains, kept, n))
-    b_out, e_out, sp_out = (np.empty((config.chains, kept)) for _ in range(3))
-    streams = np.random.SeedSequence(config.seed).spawn(config.chains)
-    for c in range(config.chains):
-        rng = np.random.Generator(np.random.PCG64(streams[c]))
-        eps = np.zeros(n)
-        eps[idx_act] = y_act - float(y_act.mean())
-        s = np.zeros(n)
-        sig2e = fixed_e if fixed_e is not None else init(pri.a_eps, pri.b_eps)
-        sig2s = fixed_s if fixed_s is not None else init(pri.a_sp, pri.b_sp)
-        keep = 0
-        for it in range(config.iterations):
-            resid = y_act - eps[idx_act] - s[idx_act]
-            mu0 = float(np.dot(resid, inv_v)) / sum_inv_v
-            beta0 = mu0 + rng.standard_normal() / math.sqrt(sum_inv_v)
-            prec_e = inv_v + 1.0 / sig2e
-            mu_e = (y_act - beta0 - s[idx_act]) * inv_v / prec_e
-            eps[idx_act] = mu_e + rng.standard_normal(k_act) / np.sqrt(prec_e)
-            if k_inact:
-                eps[idx_inact] = rng.standard_normal(k_inact) * math.sqrt(sig2e)
-            lik_term = np.zeros(n)
-            lik_term[idx_act] = (y_act - beta0 - eps[idx_act]) * inv_v
-            for cls, rows in zip(classes, class_rows):
-                nbr_sum = rows @ s
-                prec_s = prec.degree[cls] / sig2s + lik_prec[cls]
-                mu_s = (nbr_sum / sig2s + lik_term[cls]) / prec_s
-                s[cls] = mu_s + rng.standard_normal(len(cls)) / np.sqrt(prec_s)
-            for comp in prec.component_index:
-                s[comp] -= s[comp].mean()
-            if fixed_e is None:
-                rate = pri.b_eps + 0.5 * float(np.dot(eps[idx_act], eps[idx_act]))
-                sig2e = rate / max(rng.gamma(pri.a_eps + 0.5 * k_act, 1.0), 1e-300)
-            if fixed_s is None:
-                d = s[prec.edge_i] - s[prec.edge_j] if len(prec.edge_i) else np.zeros(0)
-                rate = pri.b_sp + 0.5 * float(np.sum(prec.edge_w * d * d))
-                sig2s = rate / max(rng.gamma(pri.a_sp + 0.5 * prec.rank, 1.0), 1e-300)
-            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
-                theta[c, keep] = beta0 + eps + s
-                s_out[c, keep] = s
-                b_out[c, keep], e_out[c, keep], sp_out[c, keep] = beta0, sig2e, sig2s
-                keep += 1
-    return theta, s_out, b_out, e_out, sp_out
 
 
 def reference_summarize(draws):
@@ -557,6 +485,16 @@ def reference_ess(x):
     return float(m * n / max(2.0 * tau - 1.0, 1e-8))
 
 
+def collapsed_draws(spec, pairs=200):
+    """``_Collapsed.draw`` at ``pairs`` random variance pairs, stacked in one call: b0, z."""
+    from prevmap.exact import _Collapsed
+
+    rng = np.random.default_rng(6)
+    variances = np.exp(rng.uniform(-8.0, 3.0, size=(pairs, 2)))
+    noise = rng.standard_normal((pairs, 1 + spec.precision.dimension))
+    return _Collapsed(spec).draw(variances, noise)
+
+
 def write_fit(fit, spec):
     """posterior.csv and trace.csv of ``fit(spec, QUICK)`` in the working directory."""
     post = fit(spec, QUICK)
@@ -589,7 +527,7 @@ def degenerate_spec():
 
 
 def hub_spec():
-    # W weights and a hub with 11 neighbours: padded rows wider than 8
+    # W weights and a hub with 11 neighbours: a band wider than the others
     ids = [f"H{k:02d}" for k in range(12)]
     rng = np.random.default_rng(5)
     ests = [make_estimate(rid, float(rng.uniform(0.05, 0.3)), 8e-4) for rid in ids]
@@ -626,13 +564,14 @@ LOCKSTEP_CASES = {
 class TestLockstepMatchesChainByChain:
     @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
     def test_draw_for_draw(self, case):
+        # each chain's slice of the stacked band factor keeps the bits it has
+        # alone, so the first chains of a run with more chains are a run of
+        # those chains, draw for draw
         make_spec, config = LOCKSTEP_CASES[case]
         post = gibbs_fit(make_spec(), config)
-        theta, _, beta0, sig2e, sig2s = reference_draws(make_spec(), config)
-        got = (post.theta_draws, post.beta0_draws, post.sigma2_eps_draws, post.sigma2_sp_draws)
-        want = (theta, beta0, sig2e, sig2s)
-        for name, a, b in zip(("theta", "beta0", "sigma2_eps", "sigma2_sp"), got, want):
-            assert np.array_equal(a, b), name
+        more = gibbs_fit(make_spec(), replace(config, chains=config.chains + 2))
+        for name in ("theta_draws", "beta0_draws", "sigma2_eps_draws", "sigma2_sp_draws"):
+            assert np.array_equal(getattr(post, name), getattr(more, name)[: config.chains]), name
 
     def test_region_summaries_match_one_region_at_a_time(self):
         post = gibbs_fit(degenerate_spec(), QUICK)
@@ -650,6 +589,21 @@ class TestLockstepMatchesChainByChain:
         spec.estimates[2] = DirectEstimate("R2", 0.2, 1e-3, 1e308, 1e-300, 100, 10, NONE)
         with pytest.raises(RuntimeError, match=r"non-finite sampler state at iteration 0 of chain 0"):
             gibbs_fit(spec, QUICK)
+
+    def test_singular_precision_names_iteration_and_chain(self):
+        import prevmap.exact
+
+        factor, calls = prevmap.exact._cholesky, []
+
+        def third_fails_in_chain_1(ab):
+            calls.append(ab)
+            if len(calls) == 3:
+                raise prevmap.exact._NotPositiveDefinite(ab.shape[1] // 2 + 1)
+            return factor(ab)
+
+        with mock.patch.object(prevmap.exact, "_cholesky", third_fails_in_chain_1):
+            with pytest.raises(RuntimeError, match=r"singular in floating point at iteration 2 of chain 1"):
+                gibbs_fit(small_spec(), QUICK)
 
 
 def _trace_sets():

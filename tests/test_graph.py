@@ -328,8 +328,6 @@ def random_graphs(draw):
 def test_neighbour_lists_are_the_sorted_sparse_adjacency_rows(graph):
     from scipy import sparse
 
-    from prevmap.bym import _greedy_coloring
-
     prec = icar_precision(graph)
     n = prec.dimension
     index = {nid: k for k, nid in enumerate(graph.node_ids)}
@@ -344,12 +342,6 @@ def test_neighbour_lists_are_the_sorted_sparse_adjacency_rows(graph):
     adj.sort_indices()
     assert prec.nbr_start.tolist() == adj.indptr.tolist()
     assert prec.nbr.tolist() == adj.indices.tolist()
-    assert prec.nbr_w.tolist() == adj.data.tolist()
-    classes = _greedy_coloring(prec)
-    for cls in classes:
-        assert adj[cls][:, cls].nnz == 0
-    colored = np.sort(np.concatenate(classes)) if classes else np.zeros(0, dtype=int)
-    assert colored.tolist() == np.flatnonzero(np.diff(adj.indptr)).tolist()
 
 
 class TestQuadraticForm:

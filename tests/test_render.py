@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -297,6 +298,27 @@ class TestRenderComparison:
         assert svg.count("<path d=") == 4 + 3 + 4
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "645ee5d18c9bb4a0c650321ce108aef066635509a4b12cc12bec22ae07f65d06")
+
+    @staticmethod
+    def interval_ticks(svg):
+        return re.findall(r'text-anchor="end">([^<]*)<', svg.split('<g id="panelC"')[1])
+
+    def test_interval_panel_with_every_top_zero_runs_to_one(self):
+        # no direct CI and every posterior interval at 0: the limit would be 0
+        direct = [DirectEstimate(f"R{k}", 0.0, 0.0, math.nan, math.nan, 40, 4, ALL_ZERO) for k in range(3)]
+        rows = [posterior_row(f"R{k}", 0.0, sd=0.0, lo=0.0, hi=0.0, degen=ALL_ZERO) for k in range(3)]
+        assert self.interval_ticks(render_comparison(direct, rows)) == ["0", "0.25", "0.5", "0.75", "1"]
+
+    def test_interval_panel_skips_a_nan_top(self):
+        direct, rows = self.inputs()
+        first = min(range(len(direct)), key=lambda i: direct[i].p_hat)
+        want = self.interval_ticks(render_comparison(direct, rows))
+        rows[first] = replace(rows[first], prev_q975=math.nan)
+        svg = render_comparison(direct, rows)
+        # that region's posterior interval is left out; the axis keeps its values
+        assert "nan" not in svg
+        assert self.interval_ticks(svg) == want
+        assert svg.count('stroke="#2b6cb0"') == len(rows) - 1
 
 
 @pytest.mark.parametrize("figure", ["choropleth", "comparison"])
