@@ -555,7 +555,7 @@ class _Records:
 
     Record ``i`` holds fields ``first[i]`` to ``first[i + 1] - 1``. Enclosing
     quotes lie outside the bounds. ``doubled`` holds the position of each
-    doubled quote (None: the records hold no quote).
+    doubled quote (None: the records hold none).
     """
 
     data: bytes
@@ -608,6 +608,8 @@ def _window(
     them; returns the next window's start, rows (twice these if none does) and bytes.
 
     Line ends are looked for in ``window`` bytes, doubled until ``rows`` are found.
+    A record's first field is at a multiple of the field count where every record
+    has as many fields, and is searched for among the field ends where they differ.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     n = len(buf)
@@ -671,7 +673,11 @@ def _window(
     right = np.flatnonzero(ends_field)
     right += lo
     del ends_field
-    first = np.concatenate(([0], np.searchsorted(right, re) + 1))
+    w = len(right) // len(re)  # fields per record, when every record has as many
+    if len(right) == w * len(re) and np.array_equal(right[w - 1::w], re):
+        first = np.arange(0, len(right) + 1, w)
+    else:  # ragged records
+        first = np.concatenate(([0], np.searchsorted(right, re) + 1))
     left = np.empty_like(right)
     np.add(right[:-1], 1, out=left[1:])
     left[first[:-1]] = rs
@@ -697,7 +703,7 @@ def _window(
         enclosed = buf[np.minimum(left, n - 1)] == QUOTE
         left += enclosed
         right -= enclosed
-        doubled = c[before_quote]
+        doubled = c[before_quote] if before_quote.any() else None
     if data.find(b"\0", lo, hi) >= 0 and (nuls := np.flatnonzero(text == 0)).size:
         problems.append((lo + int(nuls[0]), "NUL at byte {}"))
 
@@ -784,11 +790,12 @@ def _columns(
 
     A column is a NUL-padded fixed-width bytes array, its fields gathered a
     little-endian 8-byte word at a time from a zero-padded copy of the chunk;
-    a field holding a doubled quote is cut again, undoubled. A column with a
-    field wider than LOAD_FIELD_BYTES is an object array of str instead. A
-    chunk's columns stop before its first record that is too short for
-    ``usecols``, which then raises ``_BadRecord``, as ``_records`` does for
-    a record that breaks one of its rules.
+    where the chunk holds a doubled quote, a field holding one is cut again,
+    undoubled. A column with a field wider than LOAD_FIELD_BYTES is an
+    object array of str instead. A chunk's columns stop before its first
+    record that is too short for ``usecols``, which then raises
+    ``_BadRecord``, as ``_records`` does for a record that breaks one of
+    its rules.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     need = max(usecols) + 1
@@ -815,9 +822,10 @@ def _columns(
             for k in range(n_words):
                 cells[:, k] = words[left - lo + 8 * k] & BYTE_MASKS[np.clip(length - 8 * k, 0, 8)]
             cells = cells.view(f"S{8 * n_words}").ravel()
-            doubled = records.doubled if records.doubled is not None else ()
-            for i in np.flatnonzero(np.searchsorted(doubled, left) < np.searchsorted(doubled, right)):
-                cells[i] = data[left[i]:right[i]].replace(b'""', b'"')
+            doubled = records.doubled
+            if doubled is not None:
+                for i in np.flatnonzero(np.searchsorted(doubled, left) < np.searchsorted(doubled, right)):
+                    cells[i] = data[left[i]:right[i]].replace(b'""', b'"')
             columns.append(cells)
         del padded, words, records  # freed before the next chunk is made
         yield columns

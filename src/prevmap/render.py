@@ -28,6 +28,12 @@ MAP_BOX = (10.0, 34.0, 300.0, 300.0)  # x, y, w, h of the map drawing area
 PANEL_W = 500.0
 LEGEND_X = 324.0
 SWATCH = 14.0
+# the ones, tens and hundreds digit of m < 1000, as bytes; and the hundredths
+# from which a value has one more digit before the dot
+DIGIT_ONES = np.tile(np.frombuffer(b"0123456789", dtype=np.uint8), 100)
+DIGIT_TENS = np.tile(np.repeat(DIGIT_ONES[:10], 10), 10)
+DIGIT_HUNDREDS = np.repeat(DIGIT_ONES[:10], 100)
+HUNDREDTHS_TENS = 10 ** np.arange(3, 12)
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,74 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _hundredths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """Each value's integer hundredths, as ``"%.2f"`` rounds them, and the width
+    of its ``"%.2f"`` text; -1 where ``"%.2f"`` prints the value itself, with
+    those texts listed in order.
+
+    The hundredths are ``rint(100 v)``. Rounding is monotone, so ``100 v``
+    lies on the side of a half-hundredth that the exact ``100 v`` does, or on
+    it; only there can ``rint``, which rounds half to even in binary, part
+    from ``"%.2f"``, which rounds by ``v``'s exact decimal value. Such values
+    (taken as those within 1e-6 of a half-hundredth), and those outside
+    [0, 1e9) or -0.0, are left to ``"%.2f"``.
+    """
+    odd = np.signbit(values) | ~(values < 1e9)  # -0.0 prints as "-0.00"
+    hundredths = 100.0 * values
+    hundredths[odd] = 0.0
+    k = np.empty(len(values), dtype=np.int64)
+    np.rint(hundredths, out=k, casting="unsafe")
+    hundredths -= k
+    odd |= np.abs(hundredths, out=hundredths) > 0.5 - 1e-6
+    del hundredths
+    texts = [("%.2f" % v).encode() for v in values[odd].tolist()]
+    k[odd] = -1
+    widths = np.full(len(k), 4, dtype=np.int64)  # a digit, ".", two digits
+    for tens in HUNDREDTHS_TENS[HUNDREDTHS_TENS <= k.max(initial=0)]:
+        widths += k >= tens
+    widths[odd] = [len(text) for text in texts]
+    return k, widths, texts
+
+
+def _put_hundredths(buf: np.ndarray, ends: np.ndarray, k: np.ndarray, texts: list[bytes]) -> None:
+    """Write the ``_hundredths`` texts into the bytes ``buf``, each stopping before its
+    ``ends``; ``ends`` and ``k`` may be overwritten."""
+    if texts:
+        odd = k < 0
+        for at, text in zip(ends[odd].tolist(), texts):
+            buf[at - len(text):at] = np.frombuffer(text, dtype=np.uint8)
+        ends, k = ends[~odd], k[~odd]
+    at = ends
+    m = k % 1000  # the cents and the last digit before the dot
+    k //= 1000
+    at -= 1
+    buf[at] = DIGIT_ONES[m]
+    at -= 1
+    buf[at] = DIGIT_TENS[m]
+    at -= 1
+    buf[at] = ord(".")
+    at -= 1
+    buf[at] = DIGIT_HUNDREDS[m]
+    live = k > 0
+    while live.any():  # the other digits before the dot, from the last
+        if not live.all():
+            at, k = at[live], k[live]
+        m = np.remainder(k, 10, out=m[:len(k)])
+        k //= 10
+        at -= 1
+        buf[at] = DIGIT_ONES[m]
+        live = k > 0
+
+
 def _region_paths(boundaries: Sequence[RegionBoundary], box=MAP_BOX) -> list[str]:
-    """SVG path data of each boundary, in order, projected together to fit ``box``."""
+    """SVG path data of each boundary, in order, projected together to fit ``box``.
+
+    A path is ``M x,y L x,y ... Z`` per ring, rings joined by a space, each
+    coordinate as ``"%.2f"`` prints it. All paths are written in one array
+    pass: the separators and each coordinate's ``_hundredths`` text are
+    scattered into one byte buffer at offsets from cumulative widths, which
+    is decoded once and sliced per region.
+    """
     rings = [ring for b in boundaries for ring in b.rings()]
     lengths = np.array([len(ring) for ring in rings], dtype=np.intp)
     if not lengths.sum():
@@ -133,16 +205,38 @@ def _region_paths(boundaries: Sequence[RegionBoundary], box=MAP_BOX) -> list[str
     # a ring's closing vertex repeats its first; "Z" closes the path instead
     keep = np.ones(len(xy), dtype=bool)
     keep[np.cumsum(lengths)[lengths > 0] - 1] = False
-    coords = xy[keep].ravel().tolist()
+    k, width, texts = _hundredths(xy[keep].ravel())  # x, y, x, y, ...
+    del xy, keep
 
-    paths, end = [], 0
-    for b in boundaries:
-        drawn = [max(len(ring) - 1, 0) for ring in b.rings()]
-        # one %-format per region; "%.2f" prints a float as "{:.2f}" does
-        template = " ".join("M " + " L ".join(["%.2f,%.2f"] * n) + " Z" for n in drawn)
-        start, end = end, end + 2 * sum(drawn)
-        paths.append(template % tuple(coords[start:end]))
-    return paths
+    # a y follows ",", an x " L ", except a ring's first x, which follows the ring's head
+    drawn = np.maximum(lengths - 1, 0)
+    first = 2 * (np.cumsum(drawn) - drawn)
+    width[0::2] += 3
+    width[1::2] += 1
+    width[first[drawn > 0]] -= 3
+    cum = np.zeros(len(width) + 1, dtype=np.int64)
+    np.cumsum(width, out=cum[1:])
+    del width
+    # a ring is its head "M " (" M " after its region's first ring), its coordinates, " Z"
+    counts = np.array([len(b.rings()) for b in boundaries], dtype=np.intp)
+    region_at = np.concatenate(([0], np.cumsum(counts)))  # each region's first ring
+    head = np.full(len(rings), 3, dtype=np.int64)
+    head[region_at[:-1][counts > 0]] = 2
+    ring_at = np.zeros(len(rings) + 1, dtype=np.int64)  # where each ring's text starts
+    np.cumsum(head + cum[first + 2 * drawn] - cum[first] + 2, out=ring_at[1:])
+    ends = np.repeat(ring_at[:-1] + head - cum[first], 2 * drawn)  # where each text stops
+    ends += cum[1:]
+    del cum
+
+    buf = np.full(int(ring_at[-1]), ord(" "), dtype=np.uint8)
+    buf[ring_at[:-1] + head - 2] = ord("M")
+    buf[ends[0::2]] = ord(",")
+    buf[ends[1::2] + 1] = ord("L")
+    buf[ring_at[1:] - 1] = ord("Z")  # over the "L" after a ring's last y
+    _put_hundredths(buf, ends, k, texts)
+    text = buf.tobytes().decode("ascii")
+    bounds = ring_at[region_at].tolist()
+    return [text[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +550,8 @@ def render_comparison(
             panel_c.append(f'<circle cx="{xc - 2.5:.2f}" cy="{fy(e.p_hat):.2f}" r="2" fill="#777"/>')
         if math.isfinite(r.prev_q025) and math.isfinite(r.prev_q975):
             panel_c.append(_interval(xc + 2.5, fy(r.prev_q025), fy(r.prev_q975), "#2b6cb0"))
+        if not math.isfinite(r.prev_mean):  # no marker, as the scatters skip such points
+            continue
         if degen[i]:
             panel_c.append(_diamond(xc + 2.5, fy(r.prev_mean), 3.5))
         else:

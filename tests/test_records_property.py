@@ -18,6 +18,8 @@ and byte each error names.
 Decimal fields read a machine word at a time must have ``float``'s bits,
 id grouping by words must match an ``np.unique`` reference, and a
 row-shuffled file must load as ``SurveyTable.from_records`` builds its rows.
+Ragged rows whose field counts cancel, and a quoted file whose one doubled
+quote sits in a later chunk, must load as the reference reads them.
 """
 
 import contextlib
@@ -601,3 +603,69 @@ def test_shuffled_records_load_as_from_records(tmp_path_factory, clusters, weigh
     assert (table.region_ids, table.cluster_ids, table.stratum_ids) == (
         expected.region_ids, expected.cluster_ids, expected.stratum_ids)
     assert bits(table.weight) == bits(expected.weight)
+
+
+# ---------------------------------------------------------------------------
+# Record starts by arithmetic or by search, and doubled quotes, by chunk
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def plain_rows(draw):
+    """(region, cluster, weight, outcome) rows of one to four clusters per SHUFFLED_IDS region."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(SHUFFLED_IDS), st.integers(0, 3),
+                                   st.sampled_from(["1", "0.5", "2.25"]), st.sampled_from("01")),
+                         min_size=2, max_size=12))
+    return [[region, f"{region}-c{c}", weight, y] for region, c, weight, y in rows]
+
+
+def assert_loads_as_row_reference(path, text, chunk):
+    with mock.patch.object(data_model, "LOAD_CHUNK_ROWS", chunk):
+        table = load_records(path)
+    expected = SurveyTable.from_records(
+        IndividualRecord(region, cluster, weight, outcome, stratum)
+        for region, cluster, stratum, weight, outcome in ref_load(text, {})
+    )
+    assert table == expected
+    assert (table.region_ids, table.cluster_ids) == (expected.region_ids, expected.cluster_ids)
+    assert bits(table.weight) == bits(expected.weight)
+
+
+@settings(deadline=None)
+@given(rows=plain_rows(), data=st.data(),
+       chunk=st.sampled_from([1, 2, 5, data_model.LOAD_CHUNK_ROWS]))
+def test_ragged_rows_whose_field_counts_cancel_load_as_row_reference(
+    tmp_path_factory, rows, data, chunk
+):
+    # the last column is unused, so a row may carry a field more or lack that
+    # one; each such pair keeps the field count a multiple of the record count
+    # (of the file, and of a window holding both), though the rows' widths differ
+    order = data.draw(st.permutations(range(len(rows))))
+    pairs = data.draw(st.integers(1, len(rows) // 2))
+    for row in rows:
+        row.append("33")
+    for longer, shorter in zip(order[0:2 * pairs:2], order[1:2 * pairs:2]):
+        rows[longer].append("x")
+        rows[shorter].pop()
+    text = "region_id,cluster_id,weight,outcome,note\n" + "".join(",".join(row) + "\n" for row in rows)
+    path = tmp_path_factory.mktemp("ragged") / "records.csv"
+    path.write_text(text)
+    assert_loads_as_row_reference(path, text, chunk)
+
+
+@settings(deadline=None)
+@given(rows=plain_rows(), data=st.data(),
+       chunk=st.sampled_from([1, 2, 5, data_model.LOAD_CHUNK_ROWS]))
+def test_a_files_one_doubled_quote_in_a_later_chunk_loads_as_row_reference(
+    tmp_path_factory, rows, data, chunk
+):
+    # every field quoted; one cluster id in the second half of the rows holds a
+    # quote, so earlier chunks hold no doubled quote
+    rows[data.draw(st.integers(len(rows) // 2, len(rows) - 1))][1] += ' "q"'
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
+        [["region_id", "cluster_id", "weight", "outcome"], *rows])
+    text = buf.getvalue()
+    path = tmp_path_factory.mktemp("late_quote") / "records.csv"
+    path.write_text(text)
+    assert_loads_as_row_reference(path, text, chunk)

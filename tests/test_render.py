@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prevmap.render
@@ -320,6 +320,20 @@ class TestRenderComparison:
         assert self.interval_ticks(svg) == want
         assert svg.count('stroke="#2b6cb0"') == len(rows) - 1
 
+    @pytest.mark.parametrize("flag", [NONE, ALL_ZERO])
+    def test_interval_panel_skips_a_nan_mean(self, flag):
+        # a NaN posterior mean draws no marker, neither a circle nor a diamond
+        direct, rows = self.inputs()
+        direct[2] = replace(direct[2], degenerate=flag)
+        want = render_comparison(direct, rows)
+        rows[2] = replace(rows[2], prev_mean=math.nan)
+        svg = render_comparison(direct, rows)
+        assert "nan" not in svg
+        panel_c = svg.split('<g id="panelC"')[1]
+        before = want.split('<g id="panelC"')[1]
+        assert panel_c.count('fill="#2b6cb0"') == before.count('fill="#2b6cb0"') - (flag == NONE)
+        assert panel_c.count('stroke="#c0392b"') == before.count('stroke="#c0392b"') - (flag != NONE)
+
 
 @pytest.mark.parametrize("figure", ["choropleth", "comparison"])
 def test_metadata_comment_escapes_double_dash(figure):
@@ -399,8 +413,26 @@ def jagged_regions(draw):
     return regions, values
 
 
+def half_hundredth_grid():
+    """Regions on a 1/64-degree grid in a 37.5-degree square centred on the
+    equator: the projection scales by 8 (cos 0 is 1), so a vertex at odd
+    multiples of 1/64 lands on x.125, x.375, ..., halves of a hundredth that
+    "%.2f" rounds to even."""
+    def ring(*corners):
+        return np.array(corners + corners[:1]) / 64
+
+    frame = ring((0, -1200), (2400, -1200), (2400, 1200), (0, 1200))
+    inner = ring((1, 3), (5, 3), (5, 7), (1, 7))
+    hole = ring((2, 4), (3, 4), (3, 5))
+    far = ring((2397, -1197), (2399, -1195), (2391, 1199))
+    regions = [RegionBoundary("R0", ((frame,),)), RegionBoundary("R1", ((inner, hole), (far,)), "X")]
+    return regions, {"R0": 0.125, "R1": 0.3}
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=jagged_regions(), scope=st.sampled_from(["global", "per_group"]))
+@example(case=half_hundredth_grid(), scope="global")
+@example(case=half_hundredth_grid(), scope="per_group")
 def test_maps_match_tuple_ring_reference(case, scope):
     regions, values = case
     spec = ChoroplethSpec(bins=3, scope=scope)
@@ -417,3 +449,27 @@ def test_maps_match_tuple_ring_reference(case, scope):
     with mock.patch.object(prevmap.render, "_region_paths", reference_region_paths):
         tuples = draw_all()
     assert arrays == tuples
+
+
+# doubles in [0, 1e4): any, exact binary halves of a hundredth, and decimal
+# half-hundredths such as 3762.385, whose 100 v rounds onto a half in binary
+kernel_values = st.lists(
+    st.floats(0.0, 1e4, exclude_max=True)
+    | st.integers(0, 8 * 10**4 - 1).map(lambda m: m / 8)
+    | st.integers(0, 2 * 10**6 - 1).map(lambda m: (2 * m + 1) / 200),
+    min_size=1, max_size=40,
+)
+
+
+@settings(deadline=None)
+@given(values=kernel_values)
+@example(values=[12.125, 0.005, 1.005, 3762.385, 2032.415, 9.995, 99.995, 0.0, 9999.999])
+@example(values=[-0.0, -0.004, math.nan, 999999999.995, 1e9, 1e300, 5.0])
+def test_path_text_kernel_prints_as_percent_2f(values):
+    values = np.array(values)
+    k, widths, texts = prevmap.render._hundredths(values)
+    ends = np.cumsum(widths + 1)  # a space before each text
+    buf = np.full(int(ends[-1]), ord("_"), dtype=np.uint8)
+    buf[ends - widths - 1] = ord(" ")
+    prevmap.render._put_hundredths(buf, ends, k, texts)
+    assert buf.tobytes().decode() == "".join(" %.2f" % v for v in values.tolist())
