@@ -130,6 +130,7 @@ def cmd_simulate(args) -> int:
 def _direct(records, boundaries, digest, args) -> list[DirectEstimate]:
     meta = _meta(digest, args.seed)
     dataset, report = drop_unlinked(records, boundaries)
+    del records  # cmd_direct holds no other name for it: the unfiltered copy is freed here
     validate_dataset(dataset)
     if report.n_dropped:
         print(
@@ -151,8 +152,8 @@ def _direct(records, boundaries, digest, args) -> list[DirectEstimate]:
 
 def cmd_direct(args) -> int:
     digest = hashlib.sha256()
-    records = load_records(args.records, digest=digest)
-    _direct(records, load_boundaries(args.boundaries, digest), digest, args)
+    _direct(load_records(args.records, digest=digest), load_boundaries(args.boundaries, digest),
+            digest, args)
     return EXIT_OK
 
 

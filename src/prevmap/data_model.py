@@ -8,6 +8,8 @@ datasets are treated as immutable.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import gc
 import io
 import json
@@ -553,9 +555,10 @@ class _BadRecord(Exception):
 class _Records:
     """Consecutive records of a CSV file, each a run of fields ``data[left:right]``.
 
-    Record ``i`` holds fields ``first[i]`` to ``first[i + 1] - 1``. Enclosing
-    quotes lie outside the bounds. ``doubled`` holds the position of each
-    doubled quote (None: the records hold none).
+    Record ``i`` holds fields ``first[i]`` to ``first[i + 1] - 1`` (``first[0]``
+    is 0). Enclosing quotes lie outside the bounds. ``doubled`` holds the
+    position of each doubled quote (None: the records hold none).
+    ``at_end``: whether the window they come from reaches the end of the file.
     """
 
     data: bytes
@@ -563,6 +566,7 @@ class _Records:
     left: np.ndarray
     right: np.ndarray
     doubled: np.ndarray | None
+    at_end: bool
 
     def __len__(self) -> int:
         return len(self.first) - 1
@@ -577,7 +581,7 @@ class _Records:
         """Records ``start`` to ``stop - 1``."""
         a, b = self.first[start], self.first[stop]
         first = self.first[start:stop + 1] - a
-        return _Records(self.data, first, self.left[a:b], self.right[a:b], self.doubled)
+        return _Records(self.data, first, self.left[a:b], self.right[a:b], self.doubled, self.at_end)
 
 
 def _records(data: bytes, pos: int) -> Iterator[_Records]:
@@ -594,7 +598,9 @@ def _records(data: bytes, pos: int) -> Iterator[_Records]:
     skippable line holding an odd number of quotes can move it, and those
     few lines are looked at one by one. The records before the first one
     that breaks a rule are yielded, then that record raises ``_BadRecord``;
-    its reader names the row.
+    its reader names the row. Past the header's window, ``_split`` runs this
+    generator on a helper thread one window ahead of its caller, so its
+    windows and errors reach the caller in file order.
     """
     rows, window = LOAD_CHUNK_ROWS, 64 * LOAD_CHUNK_ROWS
     while pos < len(data):  # a window's arrays are freed before the next window's are made
@@ -644,7 +650,7 @@ def _window(
             if (parity[i - 1] if i else 0) == flip:
                 odd[i], flip = False, flip ^ 1
     open_after = np.cumsum(odd) % 2 == 1
-    at_end = ends[-1] + 1 >= n
+    at_end = bool(ends[-1] + 1 >= n)
     k = len(starts) if at_end or open_after.all() else int(np.flatnonzero(~open_after)[-1]) + 1
     still_open = bool(open_after[k - 1])  # a record the window's last line leaves open
     open_after[k - 1] = False
@@ -707,7 +713,7 @@ def _window(
     if data.find(b"\0", lo, hi) >= 0 and (nuls := np.flatnonzero(text == 0)).size:
         problems.append((lo + int(nuls[0]), "NUL at byte {}"))
 
-    records = _Records(data, first, left, right, doubled)
+    records = _Records(data, first, left, right, doubled, at_end)
     if problems:
         at_byte, reason = min(problems, key=lambda problem: problem[0])
         yield records.part(0, int(np.searchsorted(rs, at_byte, side="right")) - 1)
@@ -718,11 +724,86 @@ def _window(
     return int(ends[-1]) + 1, LOAD_CHUNK_ROWS, window
 
 
-def _split(path: Path, digest) -> tuple[bytes, list[str], Iterator[_Records]]:
+@functools.cache
+def _malloc_trim():
+    """The C library's ``malloc_trim`` (glibc's), or None where it has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+class _ReadAhead:
+    """The items of ``items`` in order; with ``ahead``, each next one is made
+    on a helper thread while the caller works on the one before.
+
+    The helper starts item k + 1 only once the caller has taken item k, so
+    at most two items are alive at once: the caller's and the next. An
+    exception that ends ``items``, StopIteration included, is raised by
+    ``__next__`` after every item made before it, where the serial loop
+    raises it, and closes the helper. ``close`` (also on leaving a ``with``
+    block) stops the helper, joins it and trims the C heap; a caller that
+    leaves early drops the item being made, and any exception that would
+    have followed it.
+    """
+
+    def __init__(self, items: Iterator[_Records], ahead: bool) -> None:
+        self._items, self._helper, self._next = items, None, None
+        if ahead:
+            # imported here: a file of one window, as every artifact is, starts no thread
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._helper = ThreadPoolExecutor(1, "prevmap-read-ahead")
+            self._next = self._helper.submit(next, items)
+
+    def __iter__(self) -> _ReadAhead:
+        return self
+
+    def __next__(self) -> _Records:
+        if self._helper is None:
+            return next(self._items)
+        try:
+            item = self._next.result()
+        except BaseException:
+            # close drops the future: exception -> traceback -> this frame ->
+            # self -> future -> exception would be a cycle holding the file's
+            # bytes until a garbage collection
+            self.close()
+            raise
+        self._next = self._helper.submit(next, self._items)
+        return item
+
+    def close(self) -> None:
+        if self._helper is not None:
+            self._helper.shutdown(cancel_futures=True)
+            self._helper = self._next = None
+            # glibc gives the helper a malloc arena of its own, and the pages
+            # of the windows freed there stay resident after the thread ends
+            # (19 MB after a million records; 5 MB once trimmed)
+            if (trim := _malloc_trim()) is not None:
+                trim(0)
+
+    def __enter__(self) -> _ReadAhead:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _split(path: Path, digest) -> tuple[bytes, list[str], _ReadAhead]:
     """A CSV file's bytes, its stripped header names ([] for no record) and the
     ``_records`` chunks after them; one leading byte-order mark is skipped. An
     unreadable file, a byte that is not UTF-8 (named) or a header that breaks a
-    rule of ``_records`` raises ``SchemaError``."""
+    rule of ``_records`` raises ``SchemaError``.
+
+    The windows up to the header's are split on the caller's thread. Unless
+    the header's window reaches the end of the file, the chunks come from a
+    ``_ReadAhead`` whose helper thread starts here, so the next window is
+    split while the caller codes this one. The caller closes the chunks
+    (``with chunks:``) on every way out.
+    """
     data = read_input(path, digest)
     if not data.isascii():
         _utf8(path, data)  # only to raise on a byte that is not UTF-8
@@ -731,18 +812,21 @@ def _split(path: Path, digest) -> tuple[bytes, list[str], Iterator[_Records]]:
         for records in chunks:
             if len(records):
                 header = [name.strip() for name in records.cells(0)]
-                return data, header, chain([records.part(1, len(records))], chunks)
+                rest = chain([records.part(1, len(records))], chunks)
+                return data, header, _ReadAhead(rest, not records.at_end)
     except _BadRecord as exc:
         raise SchemaError(f"{path}: header: {exc}") from None
-    return data, [], iter(())
+    return data, [], _ReadAhead(iter(()), False)
 
 
 def read_table(path: str | Path, schema: Mapping[str, type], digest=None) -> list[dict]:
     """The rows of a CSV artifact, as dicts from each ``schema`` column to its value.
 
-    The file is split by ``_split``. Header names are stripped and columns
-    looked up by name, so the file may hold others. Each cell is converted
-    by its column's type. A row whose field count differs from the header's,
+    The file is split by ``_split``, the next window on a helper thread
+    while this one's rows are converted; errors surface in file order and
+    the helper is joined before this returns or raises. Header names are
+    stripped and columns looked up by name, so the file may hold others.
+    Each cell is converted by its column's type. A row whose field count differs from the header's,
     whose cell does not convert, or that breaks a rule of ``_records``
     raises ``SchemaError`` naming the row (1-based, data rows only). A table
     with a ``region_id`` column is keyed by it: a row that repeats an id
@@ -750,31 +834,32 @@ def read_table(path: str | Path, schema: Mapping[str, type], digest=None) -> lis
     """
     path = Path(path)
     _, header, chunks = _split(path, digest)
-    missing = [name for name in schema if name not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing column(s) {', '.join(map(repr, missing))}")
-    fields = [(name, header.index(name), kind) for name, kind in schema.items()]
-    rows: list[dict] = []
-    ids: set[str] = set()
-    try:
-        for records in chunks:
-            for i in range(len(records)):
-                row_no, row = len(rows) + 1, records.cells(i)
-                if len(row) != len(header):
-                    raise SchemaError(f"{path}: row {row_no}: {len(row)} fields, the header has "
-                                      f"{len(header)}")
-                try:
-                    values = {name: kind(row[j]) for name, j, kind in fields}
-                except ValueError as exc:
-                    raise SchemaError(f"{path}: row {row_no}: {exc}") from None
-                if "region_id" in values:
-                    if values["region_id"] in ids:
-                        raise ConsistencyError(
-                            f"{path}: row {row_no}: duplicate region_id {values['region_id']!r}")
-                    ids.add(values["region_id"])
-                rows.append(values)
-    except _BadRecord as exc:
-        raise SchemaError(f"{path}: row {len(rows) + 1}: {exc}") from None
+    with chunks:
+        missing = [name for name in schema if name not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing column(s) {', '.join(map(repr, missing))}")
+        fields = [(name, header.index(name), kind) for name, kind in schema.items()]
+        rows: list[dict] = []
+        ids: set[str] = set()
+        try:
+            for records in chunks:
+                for i in range(len(records)):
+                    row_no, row = len(rows) + 1, records.cells(i)
+                    if len(row) != len(header):
+                        raise SchemaError(f"{path}: row {row_no}: {len(row)} fields, the header "
+                                          f"has {len(header)}")
+                    try:
+                        values = {name: kind(row[j]) for name, j, kind in fields}
+                    except ValueError as exc:
+                        raise SchemaError(f"{path}: row {row_no}: {exc}") from None
+                    if "region_id" in values:
+                        if values["region_id"] in ids:
+                            raise ConsistencyError(
+                                f"{path}: row {row_no}: duplicate region_id {values['region_id']!r}")
+                        ids.add(values["region_id"])
+                    rows.append(values)
+        except _BadRecord as exc:
+            raise SchemaError(f"{path}: row {len(rows) + 1}: {exc}") from None
     return rows
 
 
@@ -789,13 +874,15 @@ def _columns(
     """Fields ``usecols`` of the records in the ``_split`` chunks, a column at a time.
 
     A column is a NUL-padded fixed-width bytes array, its fields gathered a
-    little-endian 8-byte word at a time from a zero-padded copy of the chunk;
-    where the chunk holds a doubled quote, a field holding one is cut again,
-    undoubled. A column with a field wider than LOAD_FIELD_BYTES is an
-    object array of str instead. A chunk's columns stop before its first
-    record that is too short for ``usecols``, which then raises
-    ``_BadRecord``, as ``_records`` does for a record that breaks one of
-    its rules.
+    little-endian 8-byte word at a time from a zero-padded copy of the chunk.
+    Where every record of the chunk has as many fields, a column's bounds are
+    strided views of the chunk's; where every field of a column has one
+    length, each of its words takes one byte mask. Where the chunk holds a
+    doubled quote, a field holding one is cut again, undoubled. A column
+    with a field wider than LOAD_FIELD_BYTES is an object array of str
+    instead. A chunk's columns stop before its first record that is too
+    short for ``usecols``, which then raises ``_BadRecord``, as ``_records``
+    does for a record that breaks one of its rules.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     need = max(usecols) + 1
@@ -808,26 +895,34 @@ def _columns(
         padded = np.zeros(hi - lo + LOAD_FIELD_BYTES + 8, dtype=np.uint8)
         padded[:hi - lo] = buf[lo:hi]
         words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+        w = int(widths[0]) if stop else 0
+        rectangular = stop > 0 and (widths[:stop] == w).all()
         columns = []
-        for at in (records.first[:stop] + j for j in usecols):
+        for j in usecols:
+            at = slice(j, w * stop, w) if rectangular else records.first[:stop] + j
             left, right = records.left[at], records.right[at]
             length = right - left
-            n_words = -(-int(length.max(initial=1)) // 8)
+            longest = int(length.max(initial=1))
+            n_words = -(-longest // 8)
             if 8 * n_words > LOAD_FIELD_BYTES:
                 bounds = zip(left.tolist(), right.tolist())
                 columns.append(np.array([data[a:b].decode().replace('""', '"') for a, b in bounds],
                                         dtype=object))
                 continue
+            start = left - lo
+            one_length = length.min(initial=longest) == longest
             cells = np.empty((stop, n_words), dtype="<u8")
             for k in range(n_words):
-                cells[:, k] = words[left - lo + 8 * k] & BYTE_MASKS[np.clip(length - 8 * k, 0, 8)]
+                mask = BYTE_MASKS[min(longest - 8 * k, 8) if one_length
+                                  else np.clip(length - 8 * k, 0, 8)]
+                cells[:, k] = words[start + 8 * k] & mask
             cells = cells.view(f"S{8 * n_words}").ravel()
             doubled = records.doubled
             if doubled is not None:
                 for i in np.flatnonzero(np.searchsorted(doubled, left) < np.searchsorted(doubled, right)):
                     cells[i] = data[left[i]:right[i]].replace(b'""', b'"')
             columns.append(cells)
-        del padded, words, records  # freed before the next chunk is made
+        del padded, words, records, left, right  # freed before the next chunk is taken
         yield columns
         if short is not None:
             raise _BadRecord(f"{widths[short]} fields, need {need}")
@@ -980,7 +1075,9 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None, dige
     comment and blank lines not counted).
 
     The file is read once as bytes and split into fields by ``_split``,
-    with array operations, about LOAD_CHUNK_ROWS lines at a time. A row
+    with array operations, about LOAD_CHUNK_ROWS lines at a time: a helper
+    thread splits the next window while this thread codes the current one,
+    and errors surface in file order, as if one thread did both. A row
     needs at least the fields up to the last column used; one with fewer,
     or one that breaks a quoting rule of ``_records`` (a quote inside an
     unquoted field, text after a closing quote, a quote open at the end of
@@ -989,30 +1086,30 @@ def load_records(path: str | Path, schema: Mapping[str, str] | None = None, dige
     path = Path(path)
     mapping = dict(schema or {})
     data, header, chunks = _split(path, digest)
-    if not header:
-        raise SchemaError(f"records file {path} is empty")
-
-    col_idx: dict[str, int] = {}
-    for canonical in RECORD_COLUMNS:
-        actual = mapping.get(canonical, canonical)
-        if actual not in header:
-            raise SchemaError(f"missing column {actual!r} (for {canonical!r}) in {path}")
-        col_idx[canonical] = header.index(actual)
-    for canonical in OPTIONAL_RECORD_COLUMNS:
-        actual = mapping.get(canonical, canonical)
-        if actual in header:
+    with chunks:
+        if not header:
+            raise SchemaError(f"records file {path} is empty")
+        col_idx: dict[str, int] = {}
+        for canonical in RECORD_COLUMNS:
+            actual = mapping.get(canonical, canonical)
+            if actual not in header:
+                raise SchemaError(f"missing column {actual!r} (for {canonical!r}) in {path}")
             col_idx[canonical] = header.index(actual)
+        for canonical in OPTIONAL_RECORD_COLUMNS:
+            actual = mapping.get(canonical, canonical)
+            if actual in header:
+                col_idx[canonical] = header.index(actual)
 
-    names = list(col_idx)
-    builder = _TableBuilder()
-    pending = None
-    try:
-        for columns in _columns(data, chunks, list(col_idx.values())):
-            pending = builder.add(dict(zip(names, columns)))
-            if pending is not None:
-                break
-    except _BadRecord as exc:
-        pending = RecordValidationError(f"row {builder.n_rows + 1}: unparseable row ({exc})")
+        names = list(col_idx)
+        builder = _TableBuilder()
+        pending = None
+        try:
+            for columns in _columns(data, chunks, list(col_idx.values())):
+                pending = builder.add(dict(zip(names, columns)))
+                if pending is not None:
+                    break
+        except _BadRecord as exc:
+            pending = RecordValidationError(f"row {builder.n_rows + 1}: unparseable row ({exc})")
     del data, chunks  # the file's bytes are not needed to join the parts
     table = builder.table()
     problem = _first_bad_row(table, "row") or pending

@@ -286,4 +286,7 @@ def read_direct_csv(path: str | Path, digest=None) -> list[DirectEstimate]:
         if row["degenerate"] not in flags:
             raise SchemaError(f"{path}: row {row_no}: unknown degenerate flag "
                               f"{row['degenerate']!r}; expected one of {', '.join(flags)}")
+        # a weighted mean of 0/1 outcomes; a NaN one would be drawn at cy="nan"
+        if not 0.0 <= row["p_hat"] <= 1.0:
+            raise SchemaError(f"{path}: row {row_no}: p_hat must be in [0, 1], got {row['p_hat']!r}")
     return [DirectEstimate(**row) for row in rows]

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
@@ -104,6 +105,31 @@ class TestSubcommands:
                    "--out", str(out)])
         text = (out / "graph.txt").read_text()
         assert "style B" in text and "nodes 6" in text
+
+    def test_direct_frees_the_loaded_records_once_filtered(self, tmp_path, scenario_file):
+        # the loaded table and its linked copy were both held while the
+        # estimates were made: on a million records, a second table
+        out = tmp_path / "o"
+        run_stage(["simulate", "--config", str(scenario_file), "--out", str(out)])
+        five = tmp_path / "five.geojson"  # one region unlinked, so the records are copied
+        write_boundaries_geojson(load_boundaries(out / "boundaries.geojson")[1:], five)
+        loaded, held = [], []
+        drop_unlinked, estimate_all = prevmap.cli.drop_unlinked, prevmap.cli.estimate_all
+
+        def spy_drop(records, boundaries):
+            loaded.append(weakref.ref(records))
+            return drop_unlinked(records, boundaries)
+
+        def spy_estimate(dataset):
+            held.append(loaded[0]() is not None)
+            return estimate_all(dataset)
+
+        with mock.patch.object(prevmap.cli, "drop_unlinked", spy_drop), \
+                mock.patch.object(prevmap.cli, "estimate_all", spy_estimate):
+            run_stage(["direct", "--records", str(out / "records.csv"), "--boundaries", str(five),
+                       "--out", str(tmp_path / "d")])
+        assert held == [False]
+        assert len(read_direct_csv(tmp_path / "d" / "direct.csv")) == 5
 
     def test_smooth_render_compare(self, pipeline_dir):
         rows = read_posterior_csv(pipeline_dir / "posterior.csv")
@@ -489,6 +515,28 @@ class TestDegenerateAndMalformedInputs:
         code = main([step, "--direct", str(direct), "--out", str(out)] + argv)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("step", ["smooth", "compare"])
+    @pytest.mark.parametrize("p_hat", ["nan", "inf", "-0.25", "1.5"])
+    def test_p_hat_outside_0_1_exits_2(self, pipeline_dir, tmp_path, capsys, step, p_hat):
+        # compare drew a NaN p_hat at cy="nan", with a direct CI over the whole axis
+        lines = (pipeline_dir / "direct.csv").read_text().splitlines(keepends=True)
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("region_id,")) + 1
+        cells = lines[first].split(",")
+        cells[3] = p_hat
+        lines[first] = ",".join(cells)
+        direct = tmp_path / "direct.csv"
+        direct.write_text("".join(lines))
+        message = f"{direct}: row 1: p_hat must be in [0, 1], got {float(p_hat)!r}"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            read_direct_csv(direct)
+        out = tmp_path / "result"
+        argv = {"smooth": ["--graph", str(pipeline_dir / "graph.txt")] + MCMC,
+                "compare": ["--posterior", str(pipeline_dir / "posterior.csv")]}[step]
+        code = main([step, "--direct", str(direct), "--out", str(out)] + argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("flag", ["--prior-a-eps", "--prior-b-sp"])

@@ -20,14 +20,23 @@ id grouping by words must match an ``np.unique`` reference, and a
 row-shuffled file must load as ``SurveyTable.from_records`` builds its rows.
 Ragged rows whose field counts cancel, and a quoted file whose one doubled
 quote sits in a later chunk, must load as the reference reads them.
+
+Past the header's window, a helper thread splits each next window while the
+caller codes the one before: errors from either thread must surface in file
+order, the helper must be joined on every way out of a load and never run
+more than one window ahead, and a file of one window must start no thread.
 """
 
 import contextlib
 import csv
+import gc
 import io
 import math
 import re
 import sys
+import threading
+import time
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -669,3 +678,156 @@ def test_a_files_one_doubled_quote_in_a_later_chunk_loads_as_row_reference(
     path = tmp_path_factory.mktemp("late_quote") / "records.csv"
     path.write_text(text)
     assert_loads_as_row_reference(path, text, chunk)
+
+
+# ---------------------------------------------------------------------------
+# Windows split one ahead on a helper thread
+# ---------------------------------------------------------------------------
+
+HEADER = "region_id,cluster_id,weight,outcome\n"
+PLAIN_ROWS = 12
+EARLY_BAD, LATE_BAD = 3, 10  # data rows: an outcome that is not a number, a stray quote
+ONE_WINDOW = data_model.LOAD_CHUNK_ROWS  # the default: every file here fits one window
+
+
+def windowed_file(tmp_path, early=False, late=False):
+    """A records file of PLAIN_ROWS rows: with ``early``, row EARLY_BAD fails
+    on the caller's thread; with ``late``, row LATE_BAD breaks a quoting rule
+    while its window is split."""
+    rows = ["R1,c1,1,0\n"] * PLAIN_ROWS
+    if early:
+        rows[EARLY_BAD - 1] = "R1,c1,1,x\n"
+    if late:
+        rows[LATE_BAD - 1] = 'R2,a"b,1,0\n'
+    path = tmp_path / "records.csv"
+    path.write_text(HEADER + "".join(rows))
+    return path
+
+
+@contextlib.contextmanager
+def helper_threads():
+    """The threads started in the block, checked to be gone at its end."""
+    before = set(threading.enumerate())
+    with mock.patch.object(threading, "Thread", wraps=threading.Thread) as started:
+        try:
+            yield started
+        finally:
+            assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("early, late", [(False, True), (True, False), (True, True)])
+@pytest.mark.parametrize("chunk", [1, 2, 5, ONE_WINDOW])
+def test_errors_on_either_thread_surface_in_file_order(tmp_path, monkeypatch, chunk, early, late):
+    # a stray quote raises while the helper splits its window; a bad outcome
+    # in an earlier window, found on the caller's thread, wins over it
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+    path = windowed_file(tmp_path, early, late)
+    quote_at = len(HEADER) + len("R1,c1,1,0\n") * (LATE_BAD - 1) + len("R2,a") + 1
+    records, table = {
+        False: (f"row {LATE_BAD}: unparseable row (quote inside an unquoted field at byte "
+                f"{quote_at})",
+                f"{path}: row {LATE_BAD}: quote inside an unquoted field at byte {quote_at}"),
+        True: (f"row {EARLY_BAD}: unparseable row (could not convert string to float: 'x')",
+               f"{path}: row {EARLY_BAD}: invalid literal for int() with base 10: 'x'"),
+    }[early]
+    with helper_threads() as started:
+        with pytest.raises(RecordValidationError) as err:
+            load_records(path)
+        assert str(err.value) == records
+        with pytest.raises(SchemaError) as err:
+            read_table(path, {"cluster_id": str, "outcome": int})
+        assert str(err.value) == table
+    assert started.call_count == (0 if chunk == ONE_WINDOW else 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_no_helper_thread_outlives_a_load(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+    path = windowed_file(tmp_path)
+    with helper_threads() as started:
+        assert len(load_records(path)) == PLAIN_ROWS
+        assert len(read_table(path, {"outcome": int})) == PLAIN_ROWS
+        with pytest.raises(ConsistencyError, match="row 2: duplicate region_id 'R1'"):
+            read_table(path, {"region_id": str})  # the caller stops at row 2
+        with mock.patch.object(data_model._TableBuilder, "add", side_effect=KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                load_records(path)
+    assert started.call_count == 4
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, ONE_WINDOW])
+def test_a_load_that_started_a_helper_trims_the_heap_once(tmp_path, monkeypatch, chunk):
+    # the pages the helper freed stay in its malloc arena until trimmed
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+    trim = mock.Mock(return_value=1)
+    monkeypatch.setattr(data_model, "_malloc_trim", lambda: trim)
+    assert len(load_records(windowed_file(tmp_path))) == PLAIN_ROWS
+    with pytest.raises(RecordValidationError):
+        load_records(windowed_file(tmp_path, late=True))
+    assert trim.call_args_list == ([] if chunk == ONE_WINDOW else [mock.call(0)] * 2)
+
+
+@pytest.mark.parametrize("early, late", [(False, False), (False, True), (True, False)])
+def test_a_load_leaves_no_cycle_holding_its_chunks(tmp_path, monkeypatch, early, late):
+    # a cycle through the traceback of the exception that ends the chunks
+    # held the file's bytes until a garbage collection, which a load's few
+    # Python objects seldom set off: peak RSS grew load after load
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", 2)
+    path = windowed_file(tmp_path, early, late)
+    made = []
+
+    class Tracked(data_model._ReadAhead):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(data_model, "_ReadAhead", Tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for read in (load_records, lambda p: read_table(p, {"cluster_id": str, "outcome": int})):
+            with contextlib.suppress(PrevmapError):
+                read(path)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(made) == 2
+    assert not any(ref() for ref in made)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_the_helper_splits_at_most_one_window_ahead(tmp_path, monkeypatch, chunk):
+    # each chunk is coded slowly, so a helper that did not wait for the
+    # caller to take a window would split the next ones meanwhile
+    path = windowed_file(tmp_path)
+    windows = -(-(PLAIN_ROWS + 1) // chunk)  # the header line, then the rows
+    split, ahead = [], []
+    window, add = data_model._window, data_model._TableBuilder.add
+
+    def counted_window(*args):
+        split.append(args[1])
+        return window(*args)
+
+    def slow_add(builder, fields):
+        holding = len(ahead) + 1  # the window whose chunk the caller holds
+        deadline = time.monotonic() + 10
+        while len(split) < min(holding + 1, windows) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.02)
+        ahead.append(len(split) - holding)
+        return add(builder, fields)
+
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(data_model, "_window", counted_window)
+    monkeypatch.setattr(data_model._TableBuilder, "add", slow_add)
+    assert len(load_records(path)) == PLAIN_ROWS
+    assert ahead == [1] * (windows - 1) + [0]
+    assert split == sorted(split)
+
+
+def test_a_one_window_file_starts_no_thread(tmp_path):
+    path = windowed_file(tmp_path)
+    with helper_threads() as started:
+        assert len(load_records(path)) == PLAIN_ROWS
+        assert len(read_table(path, {"outcome": int})) == PLAIN_ROWS
+    assert not started.called
