@@ -126,6 +126,11 @@ class McmcConfig:
     def retained_per_chain(self) -> int:
         return (self.iterations - self.burn_in + self.thin - 1) // self.thin
 
+    def streams(self) -> list[np.random.Generator]:
+        """Each chain's generator: PCG64 on ``SeedSequence(seed).spawn(chains)``, for both engines."""
+        return [np.random.Generator(np.random.PCG64(stream))
+                for stream in np.random.SeedSequence(self.seed).spawn(self.chains)]
+
     def validate(self) -> None:
         if self.chains < 2:
             raise ModelError("need at least 2 chains")
@@ -488,8 +493,8 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     integrated out, from the band factor of P (``prevmap.exact._Collapsed.draw``),
     then eps given z = b0 + S region by region, then each variance from its
     inverse-gamma conditional: a block Gibbs scan (Knorr-Held & Rue 2002).
-    The chains share each sweep's calls; each draws from its own stream,
-    derived from (seed, chain index), with the bits it has in a run of its
+    The chains share each sweep's calls; each draws from its own stream in
+    ``config.streams()``, with the bits it has in a run of its
     own, so reruns are bit-identical and a chain's draws do not depend on
     the other chains. Every chain starts at the same variances, each
     prior's mean (or mode, where the mean is infinite) or the fixed value:
@@ -525,10 +530,7 @@ def gibbs_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     variances[:, 1] = fixed_s if fixed_s is not None else _initial_variance(pri.a_sp, pri.b_sp)
     # one sweep's normals per chain, in stream order: the (b0, z) draw's, then eps
     noise = np.empty((chains, 1 + 2 * n))
-    rngs = [
-        np.random.Generator(np.random.PCG64(stream))
-        for stream in np.random.SeedSequence(config.seed).spawn(chains)
-    ]
+    rngs = config.streams()
 
     keep = 0
     with _one_blas_thread():
@@ -671,27 +673,17 @@ def exact_fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
     """The posterior with eps integrated out, on a grid over the variances.
 
     The variances take a grid's points over p(log sig2_eps, log sig2_sp | Y);
-    a fixed variance leaves its axis out. Given them, theta is Gaussian, so
-    each region's summary is that of a Gaussian mixture over the grid, with
-    no Monte Carlo error: mean and sd in closed form, median and 95%
-    interval by Newton's method on the mixture's CDF, the prevalence's mean
-    and sd by Gauss-Hermite quadrature. sig2_sp is drawn from its prior when
-    no component with a usable region has an edge (it then meets no data),
-    and the regions it moves are summarized over those draws. Only b0 and
-    the variances are drawn: each chain is a stream from
-    ``SeedSequence(seed).spawn(chains)`` with ``retained_per_chain()``
-    independent draws. ``theta_draws`` is None. Reruns are bit-identical.
-    Independent draws leave nothing for R-hat or ESS to find, so the fit runs
-    neither: per-region R-hat is nan and ESS the number of draws, and the
-    report holds the grid's checks, whose edge mass decides convergence.
-
-    The engine is in ``prevmap.exact``, which is loaded on the first call,
-    so that importing the CLI loads no scipy module. It loads scipy's
-    compiled LAPACK and special-function modules from their files, not the
-    ``scipy.linalg`` and ``scipy.special`` packages, whose inits cost a
-    fresh process about 19 MB; where a file is not found or does not load,
-    it imports the package. While it runs, OpenBLAS uses one thread in the
-    calling thread (its thread-local setting, restored afterwards).
+    a fixed variance leaves its axis out. Each region's summary is that of
+    its theta's Gaussian mixture over the grid, with no Monte Carlo error.
+    sig2_sp is drawn from its prior when no component with a usable region
+    has an edge (it then meets no data), and the regions it moves are
+    summarized over those draws. Only b0 and the variances are drawn:
+    ``retained_per_chain()`` independent draws per chain, each chain from its
+    generator in ``config.streams()``. ``theta_draws`` is None. Reruns are
+    bit-identical. Independent draws leave nothing for R-hat or ESS to find,
+    so the fit runs neither: per-region R-hat is nan and ESS the number of
+    draws, and the report holds the grid's checks, whose edge mass decides
+    convergence. The engine is ``prevmap.exact``, loaded on the first call.
     """
     from .exact import fit
 

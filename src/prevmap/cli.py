@@ -334,13 +334,6 @@ def _add_mcmc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--traces", action="store_true", help="also write trace.csv")
 
 
-def _add_render_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bins", type=int, default=5)
-    p.add_argument("--breaks", choices=["quantile", "equal_interval"], default="quantile")
-    p.add_argument("--scope", choices=["global", "per_group"], default="global")
-    p.add_argument("--ramp", default=None, help="comma-separated hex colors, one per bin")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prevmap",
@@ -381,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", default=None)
     p.add_argument("--zoom-per-country", action="store_true")
     p.add_argument("--output-name", default=None)
-    _add_render_flags(p)
+    p.add_argument("--bins", type=int, default=5)
+    p.add_argument("--breaks", choices=["quantile", "equal_interval"], default="quantile")
+    p.add_argument("--scope", choices=["global", "per_group"], default="global")
+    p.add_argument("--ramp", default=None, help="comma-separated hex colors, one per bin")
     _add_common(p)
 
     p = sub.add_parser("compare", help="direct-vs-smoothed comparison figure")

@@ -8,8 +8,11 @@ lattice of (log sig2_eps, log sig2_sp) laid along the Hessian's eigen-axes
 at the mode (the grid strategy of INLA, Rue, Martino & Chopin 2009, without
 its approximations). Given the variances, each region's theta is Gaussian,
 so its posterior is a finite Gaussian mixture over the grid: the engine
-writes each region's summary from that mixture, with no Monte Carlo error,
-and draws only the hyperparameters, b0 and the variances, from the grid.
+writes each region's summary from that mixture, with no Monte Carlo error
+(mean and sd in closed form, median and 95% interval by Newton's method on
+the mixture's CDF, the prevalence's mean and sd by Gauss-Hermite
+quadrature), and draws only the hyperparameters, b0 and the variances, from
+the grid.
 ``_Collapsed.draw`` draws (b0, z) jointly given the variances from the same
 factor; ``prevmap.bym.gibbs_fit`` sweeps with it, so both engines rest on
 one Gaussian kernel.
@@ -23,8 +26,7 @@ The band routines are LAPACK's, called directly (dpbtrf to factor, dpbtrs
 and dtbtrs to solve): ``scipy.linalg``'s banded Cholesky factor and solve
 functions call the same routines, so the results are the same bits, but
 wrap each of the grid's thousands of calls in layers (batching, array
-conversion, a finiteness check that the engine's inputs make redundant)
-that took over a third of each density evaluation on the demo's 45 regions.
+conversion, a finiteness check that the engine's inputs make redundant).
 A right-hand side stays C-ordered where a column of it feeds ``np.dot``: a
 contiguous column takes another BLAS kernel, whose rounding differs in the
 last bits.
@@ -33,9 +35,8 @@ Of scipy the engine uses only those three routines and the ufuncs
 ``expit``, ``logit`` and ``ndtr``. ``scipy_extension`` loads the two
 compiled modules that hold them, ``scipy.linalg._flapack`` and
 ``scipy.special._special_ufuncs``, from their files, without the package
-inits above them: with those inits, a fresh ``pipeline`` on the demo peaked
-at 74 MB and took a median 0.85 s; without them, 55 MB and 0.50 s (10 runs
-each, 2-core VM). They are the objects that ``scipy.linalg.lapack`` and
+inits above them, which load much of scipy that the engine never uses.
+They are the objects that ``scipy.linalg.lapack`` and
 ``scipy.special`` export, so every result keeps its bits, and a later
 import of either package reuses them. The two names are private to scipy,
 which may move or rename them: where a file is missing or does not load,
@@ -48,7 +49,9 @@ variances ``icar_variances`` gives. This module is imported on first use of
 either, or of either engine's fit, and loads the two compiled modules. The
 rest of prevmap imports scipy only inside the functions behind ``gibbs_fit``,
 which no command calls, so importing the CLI loads no scipy, and ``simulate``,
-``smooth`` and ``pipeline`` load only those two modules of it.
+``smooth`` and ``pipeline`` load only those two modules of it. While ``fit``
+runs, OpenBLAS uses one thread in the calling thread (its thread-local
+setting, restored afterwards).
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .bym import (
     McmcConfig,
     RegionSummary,
     Summary,
-    exact_fit,
     posterior_from_summaries,
 )
 from .errors import ModelError
@@ -813,12 +815,10 @@ def _hyper_draws(config: McmcConfig, grid: _Grid, b0_mean: np.ndarray, b0_prec: 
     """
     cdf = np.cumsum(np.exp(grid.logp - grid.logp.max()))
     chains, kept = config.chains, config.retained_per_chain()
-    rngs = [np.random.Generator(np.random.PCG64(stream))
-            for stream in np.random.SeedSequence(config.seed).spawn(chains)]
     cells = np.empty((chains, kept), dtype=np.intp)
     beta0_draws = np.empty((chains, kept))
     sig2s_draws = np.empty((chains, kept))
-    for c, rng in enumerate(rngs):
+    for c, rng in enumerate(config.streams()):
         cells[c] = np.searchsorted(cdf, rng.random(kept) * cdf[-1], side="right")
         rng.standard_normal(out=beta0_draws[c])
         if sp_prior is not None:
@@ -892,6 +892,7 @@ def _summaries(weight: np.ndarray, moments, count: int) -> list[tuple[Summary, .
 
 @_one_blas_thread()
 def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
+    """``prevmap.bym.exact_fit``, which states what it returns."""
     spec.validate()
     config.validate()
     kernel = _Collapsed(spec)
@@ -950,5 +951,3 @@ def fit(spec: BymModelSpec, config: McmcConfig) -> BymPosterior:
         DiagnosticsReport({}, notes, grid.edge_mass), extra_meta=meta,
     )
 
-
-fit.__doc__ = exact_fit.__doc__  # the engine and its entry point share one text

@@ -288,18 +288,19 @@ def export_graph(
 
 def load_graph(path: str | Path, digest=None) -> AdjacencyGraph:
     path = Path(path)
-    lines = [ln.rstrip("\r\n") for ln in text_lines(path, digest) if not ln.isspace()]
-    # '#' lines are metadata only before the style line: a region id may start with '#'
-    lines = list(dropwhile(lambda ln: ln.startswith("#"), lines))
+    # each non-blank line with its line number; '#' lines are metadata only
+    # before the style line: a region id may start with '#'
+    lines = list(dropwhile(lambda item: item[1].startswith("#"), (
+        (no, ln.rstrip("\r\n")) for no, ln in enumerate(text_lines(path, digest), 1)
+        if not ln.isspace())))
     pos = 0
 
     def take() -> str:
         nonlocal pos
         if pos >= len(lines):
             raise SchemaError(f"{path}: truncated graph file")
-        line = lines[pos]
         pos += 1
-        return line
+        return lines[pos - 1][1]
 
     def count(keyword: str) -> int:
         parts = take().split()
@@ -328,4 +329,19 @@ def load_graph(path: str | Path, digest=None) -> AdjacencyGraph:
             f"{path}: component count {declared} does not match edges "
             f"({graph.n_components()} computed)"
         )
+    # a hand-edited edge list must come with its components: the lines may
+    # list them in any order, and nothing may follow them
+    known, left = set(graph.node_ids), set(graph.components)
+    for _ in range(declared):
+        ids = take().split()
+        where = f"{path}: line {lines[pos - 1][0]}"
+        for rid in ids:
+            if rid not in known:
+                raise SchemaError(f"{where}: component names unknown region id {rid!r}")
+        component = tuple(sorted(ids))
+        if component not in left:
+            raise SchemaError(f"{where}: not one of the components the edges give")
+        left.remove(component)
+    if pos < len(lines):
+        raise SchemaError(f"{path}: line {lines[pos][0]}: text after the components")
     return graph

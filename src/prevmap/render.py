@@ -28,11 +28,9 @@ MAP_BOX = (10.0, 34.0, 300.0, 300.0)  # x, y, w, h of the map drawing area
 PANEL_W = 500.0
 LEGEND_X = 324.0
 SWATCH = 14.0
-# the ones, tens and hundreds digit of m < 1000, as bytes; and the hundredths
-# from which a value has one more digit before the dot
-DIGIT_ONES = np.tile(np.frombuffer(b"0123456789", dtype=np.uint8), 100)
-DIGIT_TENS = np.tile(np.repeat(DIGIT_ONES[:10], 10), 10)
-DIGIT_HUNDREDS = np.repeat(DIGIT_ONES[:10], 100)
+# each digit's byte; and the hundredths from which a value has one more digit
+# before the dot
+DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 HUNDREDTHS_TENS = 10 ** np.arange(3, 12)
 
 
@@ -154,30 +152,23 @@ def _put_hundredths(buf: np.ndarray, ends: np.ndarray, k: np.ndarray, texts: lis
         for at, text in zip(ends[odd].tolist(), texts):
             buf[at - len(text):at] = np.frombuffer(text, dtype=np.uint8)
         ends, k = ends[~odd], k[~odd]
-    at = ends
-    m = k % 1000  # the cents and the last digit before the dot
-    k //= 1000
-    at -= 1
-    buf[at] = DIGIT_ONES[m]
-    at -= 1
-    buf[at] = DIGIT_TENS[m]
-    at -= 1
-    buf[at] = ord(".")
-    at -= 1
-    buf[at] = DIGIT_HUNDREDS[m]
-    live = k > 0
-    while live.any():  # the other digits before the dot, from the last
-        if not live.all():
-            at, k = at[live], k[live]
-        m = np.remainder(k, 10, out=m[:len(k)])
-        k //= 10
+    at, n = ends, 0
+    while n < 3 or len(k):  # the digits from the last, with "." after two
         at -= 1
-        buf[at] = DIGIT_ONES[m]
-        live = k > 0
+        buf[at] = DIGITS[k % 10]
+        k //= 10
+        n += 1
+        if n == 2:
+            at -= 1
+            buf[at] = ord(".")
+        elif n >= 3:
+            live = k > 0
+            if not live.all():
+                at, k = at[live], k[live]
 
 
-def _region_paths(boundaries: Sequence[RegionBoundary], box=MAP_BOX) -> list[str]:
-    """SVG path data of each boundary, in order, projected together to fit ``box``.
+def _region_paths(boundaries: Sequence[RegionBoundary]) -> list[str]:
+    """SVG path data of each boundary, in order, projected together to fit ``MAP_BOX``.
 
     A path is ``M x,y L x,y ... Z`` per ring, rings joined by a space, each
     coordinate as ``"%.2f"`` prints it. All paths are written in one array
@@ -197,7 +188,7 @@ def _region_paths(boundaries: Sequence[RegionBoundary], box=MAP_BOX) -> list[str
     vmin, vmax = float(lat.min()), float(lat.max())
     du = max(umax - umin, 1e-12)
     dv = max(vmax - vmin, 1e-12)
-    bx, by, bw, bh = box
+    bx, by, bw, bh = MAP_BOX
     scale = min(bw / du, bh / dv)
     ox = bx + (bw - du * scale) / 2.0
     oy = by + (bh - dv * scale) / 2.0

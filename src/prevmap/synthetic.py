@@ -241,14 +241,7 @@ class Scenario:
     risk_ratio: float = SamplingPlan.risk_ratio
 
     def plan(self) -> SamplingPlan:
-        return SamplingPlan(
-            clusters_per_region=self.clusters_per_region,
-            households_per_cluster=self.households_per_cluster,
-            weight_dispersion=self.weight_dispersion,
-            cluster_sd=self.cluster_sd,
-            high_risk_share=self.high_risk_share,
-            risk_ratio=self.risk_ratio,
-        )
+        return SamplingPlan(**{f.name: getattr(self, f.name) for f in fields(SamplingPlan)})
 
     def realize(self, seed: int | None = None) -> SyntheticTruth:
         use_seed = self.seed if seed is None else seed
@@ -287,14 +280,16 @@ _SCENARIO_PARSERS = {
 
 
 def load_scenario(path: str | Path, digest=None) -> Scenario:
-    """Read a key = value scenario file ('#' lines are comments)."""
+    """Read a key = value scenario file ('#' lines are comments); each key at most once."""
     path = Path(path)
     kv: dict[str, str] = {}
     for line in data_lines(path, digest):
         if "=" not in line:
             raise SchemaError(f"{path}: expected 'key = value', got {line.strip()!r}")
-        key, value = line.split("=", 1)
-        kv[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in kv:
+            raise SchemaError(f"{path}: scenario key {key!r} given twice")
+        kv[key] = value
     unknown = [key for key in kv if key not in _SCENARIO_PARSERS]
     if unknown:
         raise SchemaError(f"{path}: unknown scenario keys: {', '.join(unknown)}")

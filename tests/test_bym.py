@@ -197,6 +197,13 @@ class TestSpecValidation:
         with pytest.raises(ModelError, match="var_logit"):
             spec.validate()
 
+    @pytest.mark.parametrize("name", ["fixed_sigma2_eps", "fixed_sigma2_sp"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_non_positive_fixed_variance_rejected(self, name, value):
+        spec = small_spec(**{name: value})
+        with pytest.raises(ModelError, match=f"^{name} must be > 0 when given$"):
+            spec.validate()
+
     def test_bad_prior(self):
         with pytest.raises(ModelError, match="a_eps"):
             Hyperpriors(a_eps=0.0).validate()

@@ -550,6 +550,29 @@ class TestDegenerateAndMalformedInputs:
         assert capsys.readouterr().err == f"error: hyperprior {name} must be finite and > 0\n"
         assert not list((tmp_path / "result").glob("*"))
 
+    @pytest.mark.parametrize("flags, logit_y, message", [
+        (["--thin", "0"], None, "thin must be >= 1"),
+        (["--seed", str(2**64)], None, "seed must fit in 64 unsigned bits"),
+        ([], "inf", "region 'R_0_0': non-finite logit inputs"),
+    ], ids=["thin_0", "seed_2_64", "infinite_logit_y"])
+    def test_bad_smooth_input_exits_2(self, pipeline_dir, tmp_path, capsys, flags, logit_y, message):
+        direct = pipeline_dir / "direct.csv"
+        if logit_y is not None:
+            lines = direct.read_text().splitlines(keepends=True)
+            first = next(i for i, ln in enumerate(lines) if ln.startswith("region_id,")) + 1
+            cells = lines[first].split(",")
+            assert cells[0] == "R_0_0" and cells[-1] == "none\n"
+            cells[5] = logit_y
+            lines[first] = ",".join(cells)
+            direct = tmp_path / "direct.csv"
+            direct.write_text("".join(lines))
+        out = tmp_path / "result"
+        code = main(["smooth", "--direct", str(direct), "--graph", str(pipeline_dir / "graph.txt"),
+                     "--out", str(out)] + MCMC + flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out.glob("*"))
+
     def test_overflowing_estimate_exits_2(self, pipeline_dir, tmp_path, capsys):
         # finite, so it passes the checks on read and BymModelSpec.validate,
         # but its spread overflows float64 in the fit
@@ -606,8 +629,15 @@ class TestDegenerateAndMalformedInputs:
             (lambda t: re.sub(r"\nnodes \d+\n", "\nnodes\n", t), "'nodes <count>'"),
             (lambda t: re.sub(r"\nedges \d+\n", "\nedges 2.5\n", t), "'edges <count>'"),
             (lambda t: t.replace("\nR_0_0 R_0_1\n", "\nR_0_0\n"), "edge 1: expected two"),
+            (lambda t: t.replace("\nstyle B\n", "\nstyle X\n"), "unknown weighting style 'X'"),
+            (lambda t: re.sub(r" R_1_2\n$", " R_9_9\n", t), "component names unknown region id 'R_9_9'"),
+            (lambda t: re.sub(r" R_1_2\n$", "\n", t), "not one of the components the edges give"),
+            (lambda t: t + "this is not a component line\n", "text after the components"),
+            (lambda t: t + "edges 999\n", "text after the components"),
         ],
-        ids=["unknown_node", "count_without_number", "non_integer_count", "short_edge_line"],
+        ids=["unknown_node", "count_without_number", "non_integer_count", "short_edge_line",
+             "unknown_style", "component_unknown_id", "component_short", "trailing_text",
+             "trailing_edges_line"],
     )
     def test_malformed_graph_exits_2(self, pipeline_dir, tmp_path, capsys, edit, message):
         text = (pipeline_dir / "graph.txt").read_text()

@@ -471,6 +471,15 @@ class TestValidateDataset:
         with pytest.raises(EmptyDatasetError, match="2 regions"):
             validate_dataset(ds)
 
+    def test_duplicate_boundary_id_rejected(self):
+        ds = SurveyDataset(
+            records=SurveyTable.from_records([record("R1"), record("R2", "R2-c0")]),
+            regions=[boundary("R1", square(0, 0)), boundary("R2", square(1, 0)),
+                     boundary("R1", square(2, 0))],
+        )
+        with pytest.raises(ConsistencyError, match="^duplicate region_id in boundary list$"):
+            validate_dataset(ds)
+
     def test_cluster_consistency_checked(self):
         ds = SurveyDataset(
             records=SurveyTable.from_records([record("R1", "shared"), record("R2", "shared")]),

@@ -57,6 +57,15 @@ class TestDirectPrevalence:
         with pytest.raises(EmptyDatasetError):
             direct_prevalence([])
 
+    @pytest.mark.parametrize("estimate, message", [
+        (direct_prevalence, "cannot estimate prevalence from zero records"),
+        (lambda records: direct_variance(records, 0.5), "cannot estimate variance from zero records"),
+    ], ids=["prevalence", "variance"])
+    @pytest.mark.parametrize("records", [[], SurveyTable.from_records([])], ids=["list", "table"])
+    def test_zero_records_named(self, estimate, message, records):
+        with pytest.raises(EmptyDatasetError, match=f"^{message}$"):
+            estimate(records)
+
     def test_mixed_regions_rejected(self):
         rows = [record("R1", "c1", 1.0, 0), record("R2", "c2", 1.0, 0)]
         with pytest.raises(ValueError, match="multiple regions"):

@@ -888,3 +888,26 @@ def test_prefetching_flood_matches_the_one_point_flood(case):
     assert np.array_equal(got[2], want[2])
     # every point of the grid but the center came from a batch
     assert sum(batches) >= len(want[1]) - 1
+
+
+@pytest.mark.parametrize("cliff", [None, -1e-4], ids=["smooth", "cliff_beside_the_mode"])
+def test_a_non_finite_hessian_at_the_mode_gives_a_unit_lattice(cliff):
+    # a correlated Gaussian on the log variances: its Hessian lays the grid
+    # along rotated eigen-axes, unless a point of the Hessian's stencil has
+    # zero density, and then the lattice runs along the log variances
+    a = np.array([[40.0, 30.0], [30.0, 40.0]])
+
+    def f(points):
+        value = -0.5 * np.einsum("ki,ij,kj->k", points, a, points)
+        return value if cliff is None else np.where(points[:, 0] < cliff, -np.inf, value)
+
+    points, logp, _ = prevmap.exact._variance_grid(f, np.zeros(2))
+    assert points[0].tolist() == [0.0, 0.0] and logp[0] == 0.0
+    first = points[1]
+    if cliff is None:
+        assert first[0] == pytest.approx(-first[1])  # an eigen-axis of a, not a log variance
+    else:
+        assert first[1] == 0.0 < first[0]
+        steps = points / first[0]
+        assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-9)
+        assert np.isfinite(logp).sum() > 1

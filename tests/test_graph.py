@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,6 +425,36 @@ class TestGraphFile:
         text = path.read_text().replace("components 1", "components 2")
         path.write_text(text)
         with pytest.raises(SchemaError, match="component count"):
+            load_graph(path)
+
+    def test_component_lines_load_in_any_order(self, tmp_path):
+        # an island linked to the mainland by hand comes with its new component lines
+        graph = AdjacencyGraph.from_edges(list("abcdef"), [("a", "b"), ("c", "d"), ("e", "f")])
+        path = tmp_path / "graph.txt"
+        export_graph(graph, path)
+        text = path.read_text()
+        assert text.endswith("components 3\na b\nc d\ne f\n")
+        path.write_text(text.replace("components 3\na b\nc d\ne f\n", "components 3\ne f\n\nb a\nd c\n"))
+        assert load_graph(path) == graph
+        linked = AdjacencyGraph.from_edges(list("abcdef"), [("a", "b"), ("b", "f"), ("c", "d"), ("e", "f")])
+        path.write_text(text.replace("edges 3\n", "edges 4\nb f\n").replace(
+            "components 3\na b\nc d\ne f\n", "components 2\nc d\nf e b a\n"))
+        assert load_graph(path) == linked
+
+    @pytest.mark.parametrize("tail, message", [
+        ("a b\nc d\ne z\n", "line 16: component names unknown region id 'z'"),
+        ("a b\nc d\ne\n", "line 16: not one of the components the edges give"),
+        ("a b\nc d\ne f a\n", "line 16: not one of the components the edges give"),
+        ("a b\nc d\nc d\n", "line 16: not one of the components the edges give"),
+        ("a b\nc d\ne f\nthis is not a component line\n", "line 17: text after the components"),
+        ("a b\nc d\ne f\nedges 999\n", "line 17: text after the components"),
+    ], ids=["unknown_id", "short", "long", "repeated", "trailing_text", "trailing_edges_line"])
+    def test_damaged_component_lines_rejected(self, tmp_path, tail, message):
+        graph = AdjacencyGraph.from_edges(list("abcdef"), [("a", "b"), ("c", "d"), ("e", "f")])
+        path = tmp_path / "graph.txt"
+        export_graph(graph, path)
+        path.write_text(path.read_text().replace("components 3\na b\nc d\ne f\n", "components 3\n" + tail))
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_graph(path)
 
     def test_whitespace_id_rejected(self, tmp_path):

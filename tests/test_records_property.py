@@ -29,6 +29,7 @@ more than one window ahead, and a file of one window must start no thread.
 
 import contextlib
 import csv
+import ctypes
 import gc
 import io
 import math
@@ -765,6 +766,21 @@ def test_a_load_that_started_a_helper_trims_the_heap_once(tmp_path, monkeypatch,
     with pytest.raises(RecordValidationError):
         load_records(windowed_file(tmp_path, late=True))
     assert trim.call_args_list == ([] if chunk == ONE_WINDOW else [mock.call(0)] * 2)
+
+
+@pytest.mark.parametrize("error", [None, OSError("no C library")], ids=["no_malloc_trim", "no_c_library"])
+def test_a_load_runs_where_the_c_library_has_no_malloc_trim(tmp_path, monkeypatch, error):
+    # a C library without malloc_trim, or none that ctypes can load
+    library = mock.Mock(return_value=object(), side_effect=error)
+    monkeypatch.setattr(data_model, "LOAD_CHUNK_ROWS", 2)
+    data_model._malloc_trim.cache_clear()
+    try:
+        with mock.patch.object(ctypes, "CDLL", library):
+            assert data_model._malloc_trim() is None
+            assert len(load_records(windowed_file(tmp_path))) == PLAIN_ROWS
+        library.assert_called_once_with(None)
+    finally:
+        data_model._malloc_trim.cache_clear()
 
 
 @pytest.mark.parametrize("early, late", [(False, False), (False, True), (True, False)])

@@ -121,6 +121,14 @@ class TestChoroplethSpecValidation:
         with pytest.raises(PrevmapError, match="strategy"):
             ChoroplethSpec(strategy="jenks").validate()
 
+    @pytest.mark.parametrize("check, message", [
+        (lambda: ChoroplethSpec(scope="x").validate(), "unknown scale scope 'x'"),
+        (lambda: compute_breaks([], "quantile", 3), "no values to bin"),
+    ], ids=["unknown_scope", "no_values"])
+    def test_bad_scale_named(self, check, message):
+        with pytest.raises(PrevmapError, match=f"^{re.escape(message)}$"):
+            check()
+
     def test_default_ramp_matches_bins(self):
         for bins in range(2, 8):
             assert len(default_ramp(bins)) == bins

@@ -373,6 +373,33 @@ class TestScenario:
         )
         assert scenario.realize(7).true_prevalence != scenario.realize(8).true_prevalence
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_key_given_twice_exits_2(self, tmp_path, capsys, command):
+        # the second line silently won: rows = 3 wrote 27 regions
+        path = tmp_path / "twice.cfg"
+        path.write_text(DEMO_CFG.read_text() + "rows = 3\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: scenario key 'rows' given twice\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("rows 3", "expected 'key = value', got 'rows 3'"),
+        ("clusters_per_region = 9:2", "bad clusters_per_region range (9, 2)"),
+        ("rows = 0", "rows and cols must be >= 1"),
+        ("spatial_sd = -1", "spatial_sd must be >= 0"),
+        ("high_risk_share = 0.5\nrisk_ratio = 2.5", "risk_ratio * high_risk_share must stay below 1"),
+    ], ids=["no_equals", "reversed_cluster_range", "no_rows", "negative_spatial_sd", "high_risk_share"])
+    def test_bad_scenario_line_exits_2(self, tmp_path, capsys, line, message):
+        keys = {part.split("=")[0].strip() for part in line.splitlines()}
+        lines = [kept for kept in DEMO_CFG.read_text().splitlines()
+                 if kept.split("=")[0].strip() not in keys]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines + [line]) + "\n")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestTruthCsv:
     def test_round_trip(self, tmp_path):
